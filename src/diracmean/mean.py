@@ -17,7 +17,10 @@ are single-writer, and ``merge`` is the only cross-block operation.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +69,25 @@ def _kbn_add(total: float, carry: float, value: float) -> tuple[float, float]:
     return t, carry
 
 
+def _den_ratio(den: complex, aw: float) -> float:
+    return abs(den) / aw if aw > 0.0 else 0.0
+
+
+def _ratio(num: complex, den: complex, aw: float, delta: float):
+    """``num / den``, or ``DEGENERATE`` when ``|den| < delta * aw``.
+
+    The division is done by scaled conjugation rather than the libm
+    complex quotient so that a numerator that is an exact real multiple
+    of the denominator divides out exactly.
+    """
+    if aw <= 0.0 or abs(den) < delta * aw:
+        return DEGENERATE
+    nr, ni = num.real / aw, num.imag / aw
+    dr, di = den.real / aw, den.imag / aw
+    norm = dr * dr + di * di
+    return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
+
+
 class MeanAccumulator:
     """Running numerator/denominator pair of the self-normalized mean.
 
@@ -99,8 +121,7 @@ class MeanAccumulator:
     def den_ratio(self) -> float:
         """|denominator| / abs_weight_sum, the conditioning of the
         empirical partition function (0 for an all-zero weight stream)."""
-        aw = self.abs_weight_sum
-        return abs(self.denominator) / aw if aw > 0.0 else 0.0
+        return _den_ratio(self.denominator, self.abs_weight_sum)
 
     def add(self, weight: complex, value: complex) -> "MeanAccumulator":
         """Accumulate one term ``weight * value``."""
@@ -139,23 +160,10 @@ class MeanAccumulator:
 
     def estimate(self, delta: float = 1e-8):
         """The normalized mean, or ``DEGENERATE`` when the weight sum has
-        cancelled below ``delta`` times the absolute-weight sum.
-
-        The division is done by scaled conjugation rather than the libm
-        complex quotient so that a numerator that is an exact real
-        multiple of the denominator divides out exactly.
-        """
+        cancelled below ``delta`` times the absolute-weight sum."""
         if self.count == 0:
             raise EmptyAccumulator("no terms accumulated yet")
-        aw = self.abs_weight_sum
-        den = self.denominator
-        if aw <= 0.0 or abs(den) < delta * aw:
-            return DEGENERATE
-        num = self.numerator
-        nr, ni = num.real / aw, num.imag / aw
-        dr, di = den.real / aw, den.imag / aw
-        norm = dr * dr + di * di
-        return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
+        return _ratio(self.numerator, self.denominator, self.abs_weight_sum, delta)
 
     def copy(self) -> "MeanAccumulator":
         out = MeanAccumulator()
@@ -271,10 +279,10 @@ class ConvergenceReport:
         }
 
 
-def _boundaries(budget: int, rule: StoppingRule, trace_stride: int,
-                block_size: int) -> tuple[list[int], set[int], set[int]]:
-    """Chunk boundaries for a run: trace marks, stopping checkpoints, and
-    block edges, merged and sorted.
+def _boundaries(budget: int, rule: StoppingRule,
+                trace_stride: int) -> tuple[list[int], set[int], set[int]]:
+    """Marks of a run, sorted: every trace mark, every stopping checkpoint
+    and the budget; plus the checkpoint and trace sets.
 
     Checkpoints are linear up to ``min_samples`` (so a full window exists
     there) and geometric afterwards (so the window always spans a fixed
@@ -290,9 +298,14 @@ def _boundaries(budget: int, rule: StoppingRule, trace_stride: int,
         m = min(budget, max(m + 1, math.ceil(m * growth)))
         checks.add(m)
     traces = set(range(trace_stride, budget + 1, trace_stride))
-    blocks = set(range(block_size, budget + 1, block_size))
-    bounds = sorted(checks | traces | blocks | {budget})
-    return bounds, checks, traces
+    return sorted(checks | traces | {budget}), checks, traces
+
+
+def _prefix_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``sum(terms[:e])`` for each ``e`` of the increasing ``ends``, summed
+    segment by segment between consecutive ends."""
+    cuts = np.concatenate(([0], ends[:-1]))
+    return np.cumsum(np.add.reduceat(terms[:ends[-1]], cuts))
 
 
 def run(
@@ -318,11 +331,17 @@ def run(
         Stopping rule; defaults to ``StoppingRule()``.
     trace_stride
         Record a trace snapshot every this many points (the final state
-        is always recorded).
+        is always recorded).  The degeneracy window counts these
+        snapshots, and checkpoints below ``min_samples`` are spaced at most
+        this far apart.  Snapshots and checkpoints inside a block are read
+        from the block's prefix sums; they never split it.
     block_size
-        Index block size for chunked accumulation.  Runs with equal block
-        size are reproducible bit for bit; different block sizes agree to
-        compensated-summation accuracy.
+        Points per evaluated block, the only partition of the sum: runs
+        with equal block size that stop at the same point are
+        reproducible bit for bit, whatever the trace stride, and different
+        block sizes agree to compensated-summation accuracy.  A stop inside
+        a block commits only the block's prefix up to the stopping point;
+        the terms after it are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
     if budget < rule.min_samples:
@@ -337,68 +356,82 @@ def run(
 
     acc = MeanAccumulator()
     trace: list[TracePoint] = []
-    recent_checks: list[complex | None] = []
-    recent_trace_degenerate: list[bool] = []
-    bounds, checks, traces = _boundaries(budget, rule, trace_stride, block_size)
+    recent_checks: deque[complex | None] = deque(maxlen=window)
+    recent_trace_degenerate: deque[bool] = deque(maxlen=window)
+    marks, checks, traces = _boundaries(budget, rule, trace_stride)
+
+    def observe(m: int, num: complex, den: complex, aw: float) -> str | None:
+        """Record the snapshot after ``m`` terms; the stop reason, if any."""
+        est = _ratio(num, den, aw, delta)
+        degenerate = est is DEGENERATE
+        if m in traces or m == budget:
+            trace.append(TracePoint(
+                m=m,
+                numerator=num,
+                denominator=den,
+                estimate=None if degenerate else est,
+                den_ratio=_den_ratio(den, aw),
+            ))
+        if m in traces:
+            recent_trace_degenerate.append(degenerate)
+        if m in checks:
+            recent_checks.append(None if degenerate else est)
+        if m < rule.min_samples:
+            return None
+        if len(recent_trace_degenerate) == window and all(recent_trace_degenerate):
+            return "degenerate"
+        if len(recent_checks) == window and all(e is not None for e in recent_checks):
+            tol = rule.rel_tol * (1.0 + abs(recent_checks[-1]))
+            spread = max(abs(a - b) for a, b in itertools.combinations(recent_checks, 2))
+            if spread <= tol:
+                return "window-cauchy"
+        return None
 
     stop_reason = None
-    prev = 0
-    for bound in bounds:
-        pts = source.block(prev, bound, rank)
-        w = policy.weights(pts, start_index=prev)
+    next_mark = 0
+    for start in range(0, budget, block_size):
+        stop = min(start + block_size, budget)
+        pts = source.block(start, stop, rank)
+        w = policy.weights(pts, start_index=start)
         v = func.eval_block(pts)
-        acc.add_block(w, v)
-        prev = bound
-
-        est = acc.estimate(delta)
-        degenerate = est is DEGENERATE
-        if bound in traces or bound == budget:
-            trace.append(TracePoint(
-                m=bound,
-                numerator=acc.numerator,
-                denominator=acc.denominator,
-                estimate=None if degenerate else est,
-                den_ratio=acc.den_ratio,
-            ))
-        if bound in traces:
-            recent_trace_degenerate.append(degenerate)
-            if len(recent_trace_degenerate) > window:
-                recent_trace_degenerate.pop(0)
-        if bound in checks:
-            recent_checks.append(None if degenerate else est)
-            if len(recent_checks) > window:
-                recent_checks.pop(0)
-
-        if bound >= rule.min_samples:
-            if (len(recent_trace_degenerate) == window
-                    and all(recent_trace_degenerate)):
-                stop_reason = "degenerate"
-                break
-            if len(recent_checks) == window and all(e is not None for e in recent_checks):
-                tol = rule.rel_tol * (1.0 + abs(recent_checks[-1]))
-                spread = max(
-                    abs(a - b)
-                    for i, a in enumerate(recent_checks)
-                    for b in recent_checks[i + 1:]
-                )
-                if spread <= tol:
-                    stop_reason = "window-cauchy"
+        keep = stop - start
+        inner = bisect.bisect_left(marks, stop, next_mark)
+        if inner > next_mark:
+            # Snapshots at the marks inside the block: the committed totals
+            # plus the block's prefix sums up to each mark.
+            inside = marks[next_mark:inner]
+            ends = np.asarray(inside) - start
+            nums = acc.numerator + _prefix_sums(np.multiply(w, v), ends)
+            dens = acc.denominator + _prefix_sums(w, ends)
+            aws = acc.abs_weight_sum + _prefix_sums(np.abs(w), ends)
+            for m, num, den, aw in zip(inside, nums.tolist(), dens.tolist(), aws.tolist()):
+                stop_reason = observe(m, num, den, aw)
+                if stop_reason is not None:
+                    keep = m - start
                     break
+            next_mark = inner
+        acc.add_block(w[:keep], v[:keep])
+        if stop_reason is None and marks[next_mark] == stop:
+            next_mark += 1
+            stop_reason = observe(stop, acc.numerator, acc.denominator, acc.abs_weight_sum)
+        if stop_reason is not None:
+            break
 
-    n_used = prev
+    n_used = acc.count
     final = acc.estimate(delta)
     if final is DEGENERATE:
         stop_reason = "degenerate"
     elif stop_reason is None:
         stop_reason = "budget-exhausted"
-    if not trace or trace[-1].m < n_used:
-        trace.append(TracePoint(
-            m=n_used,
-            numerator=acc.numerator,
-            denominator=acc.denominator,
-            estimate=None if final is DEGENERATE else final,
-            den_ratio=acc.den_ratio,
-        ))
+    if trace and trace[-1].m == n_used:
+        trace.pop()
+    trace.append(TracePoint(
+        m=n_used,
+        numerator=acc.numerator,
+        denominator=acc.denominator,
+        estimate=None if final is DEGENERATE else final,
+        den_ratio=acc.den_ratio,
+    ))
     return ConvergenceReport(
         trace=trace,
         final_estimate=final,

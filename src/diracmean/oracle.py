@@ -101,7 +101,7 @@ def _integrate_once(g: Callable, domain, cells: int) -> complex:
     for i in range(len(x)):
         pts = np.column_stack([np.full(len(yy), x[i]), yy, zz])
         vals = np.asarray(g(pts))
-        total += wx[i] * complex(np.dot(vals, wyz))
+        total += complex(wx[i] * np.dot(vals, wyz))
     return total
 
 

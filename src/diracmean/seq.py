@@ -10,13 +10,13 @@ than its consumer asks for.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import chi2
+from scipy.special import gammaincinv, ndtri
 
 from .errors import (
     BadGenerator,
@@ -120,15 +120,87 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+# Digits per table lookup: the most whose table stays within 2^16 entries.
+_TABLE_ENTRIES = 1 << 16
+# A reversed-digit numerator and its power-of-base denominator are exact
+# float64 values while the denominator stays within 2^53.
+_EXACT_DENOMINATOR = 1 << 53
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def _digits(value: int, base: int) -> int:
+    """Number of base-``base`` digits of ``value`` (0 for 0)."""
+    count = 0
+    while value:
+        value //= base
+        count += 1
+    return count
+
+
+@functools.cache
+def _digit_table(base: int) -> tuple[int, np.ndarray]:
+    """``(k, table)``: ``table[q]`` is ``q``'s ``k`` base-``base`` digits in
+    reverse order, for every ``q < base**k``, in the smallest unsigned dtype
+    that holds them.  Built on first use of the base, read-only."""
+    k = max(1, _digits(_TABLE_ENTRIES, base) - 1)
+    size = base**k
+    rest = np.arange(size, dtype=np.int64)
+    table = np.zeros(size, dtype=np.int64)
+    for _ in range(k):
+        rest, digit = np.divmod(rest, base)
+        table = table * base + digit
+    table = table.astype(np.min_scalar_type(size - 1))
+    table.flags.writeable = False
+    return k, table
+
+
+def _reversed_digits(values: np.ndarray, base: int, count: int) -> np.ndarray:
+    """Integer whose ``count`` base-``base`` digits are those of each value
+    (all ``< base**count``) in reverse order, by table lookups of up to
+    ``k`` digits at a time."""
+    k, table = _digit_table(base)
+    step = base**k
+    num = np.zeros(len(values), dtype=np.int64)
+    rest = values
+    while count > 0:
+        width = min(k, count)
+        high = rest // step
+        group = table[rest - high * step]
+        if width < k:
+            group = group // base ** (k - width)
+        num *= base**width
+        num += group
+        rest = high
+        count -= width
+    return num
+
+
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput radical inverse of each index in the given base."""
-    inv = np.zeros(len(indices), dtype=np.float64)
-    scale = 1.0 / base
-    work = indices.copy()
-    while np.any(work > 0):
-        work, digits = np.divmod(work, base)
-        inv += digits * scale
-        scale /= base
+    """Van der Corput radical inverse of each index in the given base.
+
+    With ``D`` the digit count, the value is ``N / base**D`` for the
+    digit-reversed integer ``N``.  While ``base**D <= 2^53`` both are exact
+    float64 values and one division rounds correctly; past that (indices
+    near the top of int64) the quotient of the exact Python integers is
+    taken, which Python also rounds correctly.  Values that round to 1.0
+    are returned as the largest float below 1, so the result always lies
+    in [0, 1) and within 1 ulp of the exact radical inverse.
+    """
+    head = _digits(_EXACT_DENOMINATOR, base) - 1
+    split = base**head
+    top = int(indices.max(initial=0))
+    count = min(_digits(top, base), head)
+    low = indices % split if top >= split else indices
+    num = _reversed_digits(low, base, count)
+    inv = num / float(base**count)
+    if top >= split:
+        high = indices // split
+        tail_count = _digits(top // split, base)
+        far = np.flatnonzero(high)
+        tail = _reversed_digits(high[far], base, tail_count)
+        numerator = num[far].astype(object) * base**tail_count + tail
+        exact = numerator / base ** (head + tail_count)
+        inv[far] = np.minimum(exact.astype(np.float64), _BELOW_ONE)
     return inv
 
 
@@ -558,7 +630,7 @@ def equidistribution_statistic(
         counts += np.bincount(flat, minlength=cells)
     expected = sample_count / cells
     statistic = float(np.sum((counts - expected) ** 2) / expected)
-    threshold = float(chi2.ppf(level, cells - 1))
+    threshold = float(2.0 * gammaincinv((cells - 1) / 2.0, level))
     return EquidistributionReport(
         rank=rank,
         sample_count=sample_count,

@@ -220,6 +220,22 @@ def test_compare_mode_fresnel_route(tmp_path):
     assert summary["result"]["pass"] is True
 
 
+def test_compare_mode_rank3_writes_a_valid_summary(tmp_path):
+    cfg = {"mode": "compare",
+           "source": {"kind": "halton", "offset": 1},
+           "route": "pullback",
+           "action": {"matrix": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]]},
+           "regularizer": {"family": "gaussian", "widths": [0.5, 0.5, 0.5]},
+           "function": {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": 3},
+           "truncation": 6.0,
+           "budget": 20000, "stopping": {"min_samples": 20000},
+           "tolerance": 5e-3}
+    code, summary, _ = run_cli(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert summary["result"]["pass"] is True
+    assert abs(summary["result"]["oracle"]["re"] - 0.2) <= 1e-6  # M^-1 = 0.25/(1+0.5i)
+
+
 def test_compare_mode_rejects_index_dependent_phases(tmp_path):
     policy = {"kind": "oscillatory", "action": {"matrix": [[0.0]]}, "index_phase": 0.5}
     cfg = dict(ALTERNATING, mode="compare", policy=policy, tolerance=1e-2, budget=10000)

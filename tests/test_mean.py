@@ -268,6 +268,98 @@ def test_same_block_size_is_bit_identical():
     assert a.final_estimate == b.final_estimate
 
 
+class NaNAt:
+    """Weight policy of ones with a NaN weight at one global index."""
+
+    rank = 1
+
+    def __init__(self, index):
+        self.index = index
+
+    def weights(self, pts, start_index=0):
+        w = np.ones(len(pts))
+        if 0 <= self.index - start_index < len(pts):
+            w[self.index - start_index] = np.nan
+        return w
+
+
+STOP_RULE = StoppingRule(min_samples=56, rel_tol=1e-4)  # linear checkpoints every 7
+
+
+@pytest.mark.parametrize("rel_tol, reason", [(1e-4, "window-cauchy"),
+                                             (1e-13, "budget-exhausted")])
+def test_trace_stride_never_moves_the_result(rel_tol, reason):
+    pol = density_policy(lambda x: 1.0 + x[:, 0], 1)
+    rule = StoppingRule(min_samples=STOP_RULE.min_samples, rel_tol=rel_tol)
+    budget = 2 * 10**5
+    reports = [run(halton_source(1), pol, F_X1, budget, rule, trace_stride=stride,
+                   block_size=1024) for stride in (7, 1000, budget)]
+    for report in reports:
+        assert report.stop_reason == reason
+        assert report.final_estimate == reports[0].final_estimate
+        assert report.N_used == reports[0].N_used
+    if reason == "window-cauchy":
+        assert reports[0].N_used % 1024 != 0  # the stop fell inside a block
+
+
+def test_blocks_are_the_only_partition():
+    calls = []
+
+    class Recording:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def block(self, start, stop, rank):
+            calls.append((start, stop))
+            return self.inner.block(start, stop, rank)
+
+    report = run(Recording(halton_source(1)), constant_policy(), F_X1, 10**5, STOP_RULE,
+                 trace_stride=7, block_size=1024)
+    assert calls == [(a, min(a + 1024, 10**5)) for a in range(0, calls[-1][1], 1024)]
+    assert calls[-1][0] < report.N_used <= calls[-1][1]
+
+
+def test_trace_rows_match_filled_accumulators():
+    pol = oscillatory_policy(quadratic_action([[2.0]]))
+    report = run(halton_source(1), pol, F_X1, 20000, StoppingRule(min_samples=20000),
+                 trace_stride=777, block_size=4096)
+    pts = halton_source(1).block(0, 20000, 1)
+    w, v = pol.weights(pts), F_X1.eval_block(pts)
+    assert [p.m for p in report.trace[:-1]] == list(range(777, 20000, 777))
+    for p in report.trace:
+        acc = MeanAccumulator().add_block(w[:p.m], v[:p.m])
+        for got, want in ((p.numerator, acc.numerator), (p.denominator, acc.denominator),
+                          (p.estimate, acc.estimate())):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(p.den_ratio - acc.den_ratio) <= 1e-12 * acc.den_ratio
+
+
+def test_last_trace_row_is_the_final_state():
+    src, pol = halton_source(1), density_policy(lambda x: 1.0 + x[:, 0], 1)
+    report = run(src, pol, F_X1, 2 * 10**5, STOP_RULE, trace_stride=7, block_size=1024)
+    last = report.trace[-1]
+    acc = MeanAccumulator()
+    for start in range(0, report.N_used, 1024):
+        pts = src.block(start, min(start + 1024, report.N_used), 1)
+        acc.add_block(pol.weights(pts, start_index=start), F_X1.eval_block(pts))
+    assert last.m == report.N_used
+    assert last.estimate == report.final_estimate == acc.estimate()
+    assert (last.numerator, last.denominator, last.den_ratio) == \
+        (acc.numerator, acc.denominator, acc.den_ratio)
+
+
+def test_nonfinite_term_before_the_stop_raises():
+    clean = run(halton_source(1), constant_policy(), F_X1, 10**5, STOP_RULE,
+                block_size=4096)
+    stop = clean.N_used
+    assert stop % 4096 not in (0, 4095)
+    with pytest.raises(NonFiniteInput):
+        run(halton_source(1), NaNAt(stop - 1), F_X1, 10**5, STOP_RULE, block_size=4096)
+    # A term past the stop, in the same block, is evaluated and discarded.
+    past = run(halton_source(1), NaNAt(stop), F_X1, 10**5, STOP_RULE, block_size=4096)
+    assert (past.final_estimate, past.N_used) == (clean.final_estimate, clean.N_used)
+
+
 def test_report_serialization_round_trip():
     report = run(halton_source(0), constant_policy(), F_X1, 2000,
                  StoppingRule(min_samples=2000))

@@ -1,9 +1,16 @@
 """Point source behavior: indexing, truncation, certification, discrepancy."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from diracmean import seq
 from diracmean.errors import (
@@ -51,6 +58,73 @@ def test_halton_offset_shifts_indexing():
     h1 = seq.halton_source(1)
     assert h1.point_at(1, 1).coords == h0.point_at(2, 1).coords
     assert h1.point_at(0, 3).coords == h0.point_at(1, 3).coords
+
+
+HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def radical_inverse_fraction(n, base):
+    """Exact radical inverse of ``n``, digit by digit."""
+    value, scale = Fraction(0), Fraction(1, base)
+    while n:
+        n, digit = divmod(n, base)
+        value += digit * scale
+        scale /= base
+    return value
+
+
+def halton_coordinate(n, k):
+    return float(seq.halton_source(0).coordinate_block(np.array([n], dtype=np.int64), k)[0])
+
+
+def assert_rounded(x, exact):
+    """``x`` is ``exact`` correctly rounded, or the largest float below 1
+    where that rounding gives 1.0; within 1 ulp either way."""
+    assert 0.0 <= x < 1.0
+    assert x == (float(exact) if float(exact) < 1.0 else BELOW_ONE)
+    assert abs(Fraction(x) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(min_value=0, max_value=len(HALTON_BASES) - 1),
+       n=st.integers(min_value=0, max_value=2**63 - 1))
+def test_halton_matches_exact_fraction(k, n):
+    assert_rounded(halton_coordinate(n, k), radical_inverse_fraction(n, HALTON_BASES[k]))
+
+
+@pytest.mark.parametrize("k, n", [(0, 2**63 - 1), (1, 3**39 - 1), (2, 5**27 - 1),
+                                  (1, 3**33), (1, 3**33 * 1642), (0, 2**53 - 1),
+                                  (2, 5**22 - 1), (3, 7**18 + 1)])
+def test_halton_extreme_indices(k, n):
+    assert_rounded(halton_coordinate(n, k), radical_inverse_fraction(n, HALTON_BASES[k]))
+
+
+def test_halton_value_does_not_depend_on_the_block():
+    h = seq.halton_source(0)
+    for k in range(len(HALTON_BASES)):
+        idx = np.array([5, 3**33 - 1, 2**40 + 3, 2**62 + 11, 7], dtype=np.int64)
+        together = h.coordinate_block(idx, k)
+        alone = [h.coordinate_block(idx[i:i + 1], k)[0] for i in range(len(idx))]
+        assert together.tolist() == alone
+
+
+@pytest.mark.parametrize("start", [0, 2**19 - 512])
+def test_halton_agrees_with_scipy(start):
+    # scipy sums the digits one rounded term at a time; over indices below
+    # 2^20 that sum lies up to 4 ulp from the correctly rounded value.
+    engine = qmc.Halton(d=len(HALTON_BASES), scramble=False)
+    engine.fast_forward(start)
+    ref = engine.random(1024)
+    ours = seq.halton_source(0).block(start, start + 1024, len(HALTON_BASES))
+    assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, diracmean; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"
 
 
 def test_point_at_validates_arguments():

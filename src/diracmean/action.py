@@ -43,6 +43,20 @@ __all__ = [
 ]
 
 _MAX_QUADRATIC_RANK = 16
+_TRANSPOSE_ROWS = 4096
+
+
+def _columns(points: np.ndarray, rank: int) -> np.ndarray:
+    """Fresh C-contiguous ``(rank, m)`` copy of the first ``rank`` columns.
+
+    The copy goes ``_TRANSPOSE_ROWS`` rows at a time: a single transposing
+    pass over a large row-major block fetches each source cache line
+    ``rank`` times, and measured 2-2.5x slower at 65536 x 8.
+    """
+    cols = np.empty((rank, len(points)))
+    for k in range(0, len(points), _TRANSPOSE_ROWS):
+        cols[:, k : k + _TRANSPOSE_ROWS] = points[k : k + _TRANSPOSE_ROWS, :rank].T
+    return cols
 
 
 class ActionFunctional:
@@ -55,7 +69,15 @@ class ActionFunctional:
 
 
 class QuadraticAction(ActionFunctional):
-    """``S(x) = x.A.x / 2 + b.x + c0`` with exactly symmetric ``A``."""
+    """``S(x) = x.A.x / 2 + b.x + c0`` with exactly symmetric ``A``.
+
+    The form is evaluated column by column with elementwise operations
+    only (no BLAS, no reductions), as
+    ``sum_i x_i (sum_{j>=i} c_ij x_j + b_i) + c0`` with ``c_ii = a_ii / 2``
+    and ``c_ij = a_ij``, compiled at construction; zero coefficients are
+    skipped, so a diagonal matrix costs ``rank`` terms.  A point's action
+    is therefore bitwise independent of the block it is evaluated in.
+    """
 
     def __init__(self, matrix, linear=None, constant: float = 0.0):
         a = np.asarray(matrix, dtype=np.float64)
@@ -72,11 +94,37 @@ class QuadraticAction(ActionFunctional):
             raise ValueError("linear term must match the matrix dimension")
         self.constant = float(constant)
         self.rank = a.shape[0]
+        upper = np.triu(a)
+        upper[np.diag_indices(self.rank)] /= 2.0
+        # Row i as (i, [(j, c_ij) for nonzero c_ij, j >= i], b_i).
+        self._rows = []
+        for i in range(self.rank):
+            terms = [(j, float(upper[i, j])) for j in range(i, self.rank) if upper[i, j] != 0.0]
+            b = float(self.linear[i])
+            if terms or b != 0.0:
+                self._rows.append((i, terms, b))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        x = points[:, : self.rank]
-        quad = 0.5 * np.einsum("mi,ij,mj->m", x, self.matrix, x)
-        return quad + x @ self.linear + self.constant
+        cols = _columns(points, self.rank)
+        m = len(points)
+        s = np.zeros(m)
+        row = np.empty(m)
+        tmp = np.empty(m)
+        for i, terms, b in self._rows:
+            if not terms:
+                np.multiply(cols[i], b, out=row)
+            else:
+                np.multiply(cols[terms[0][0]], terms[0][1], out=row)
+                for j, c in terms[1:]:
+                    np.multiply(cols[j], c, out=tmp)
+                    row += tmp
+                if b != 0.0:
+                    row += b
+                row *= cols[i]
+            s += row
+        if self.constant != 0.0:
+            s += self.constant
+        return s
 
 
 class CustomAction(ActionFunctional):
@@ -135,13 +183,20 @@ class GaussianRegularizer(Regularizer):
         self.rank = len(self.widths)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        x = points[:, : self.rank]
-        sig = np.asarray(self.widths)
-        with np.errstate(under="ignore"):
-            return np.exp(-0.5 * np.sum((x / sig) ** 2, axis=1))
+        """``exp(-sum_k (x_k / sigma_k)^2 / 2)`` from scaled columns, summed
+        in coordinate order; an overflowing square gives the exact limit 0."""
+        cols = _columns(points, self.rank)
+        with np.errstate(over="ignore", under="ignore"):
+            cols /= np.asarray(self.widths)[:, None]
+            cols *= cols
+            q = cols[0]
+            for col in cols[1:]:
+                q += col
+            q *= -0.5
+            return np.exp(q)
 
     def factor(self, k: int, t: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             return np.exp(-0.5 * (np.asarray(t) / self.widths[k]) ** 2)
 
     def quantiles(self) -> NormalQuantiles:

@@ -561,10 +561,7 @@ def _oracle_integrand(config: ExperimentConfig):
     reg = build_regularizer(config.regularizer)
     rank = max(act.rank, reg.rank, 1)
     half = config.truncation * max(reg.widths)
-
-    def rho(x):
-        return reg.value(x) * np.exp(-1j * act(x))
-
+    rho = product_regularized_policy(reg, act).weights
     return rho, rank, tuple((-half, half) for _ in range(rank))
 
 
@@ -615,10 +612,7 @@ def _compare_oracle(config: ExperimentConfig, func: CylinderFunction) -> tuple[c
         reg = build_regularizer(config.regularizer)
         rank = max(act.rank, reg.rank, func.rank, 1)
         half = config.truncation * max(reg.widths)
-
-        def rho(x):
-            return reg.value(x) * np.exp(-1j * act(x))
-
+        rho = product_regularized_policy(reg, act).weights
         domain = tuple((-half, half) for _ in range(rank))
     else:
         if config.policy.get("index_phase", 0.0) != 0.0:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import quadratic_action
+from .action import gaussian_regularizer, quadratic_action
 from .cylinder import CylinderFunction
-from .errors import ValidationError
+from .errors import NonpositiveWidth, ValidationError
 
 __all__ = ["FUNCTION_NAMES", "build_function"]
 
@@ -59,16 +59,12 @@ def _cosine(params: dict) -> CylinderFunction:
 
 def _gaussian(params: dict) -> CylinderFunction:
     widths = params.get("widths", [1.0])
-    ws = np.asarray([float(w) for w in widths])
-    if np.any(ws <= 0):
-        raise ValidationError("function.widths must be positive")
-    rank = len(ws)
-
-    def bump(x, ws=ws, rank=rank):
-        with np.errstate(under="ignore"):
-            return np.exp(-0.5 * np.sum((x[:, :rank] / ws) ** 2, axis=1))
-
-    return CylinderFunction(rank, bump, label=f"gaussian{list(ws)}")
+    ws = [float(w) for w in widths]
+    try:
+        reg = gaussian_regularizer(ws)
+    except NonpositiveWidth as exc:
+        raise ValidationError("function.widths must be nonempty and positive") from exc
+    return CylinderFunction(reg.rank, reg.value, label=f"gaussian{ws}")
 
 
 def _quadratic_form(params: dict) -> CylinderFunction:

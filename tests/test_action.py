@@ -1,5 +1,7 @@
 """Quadratic actions, Gaussian regularizers, and oscillatory means."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ from diracmean.errors import (
     CertificationError,
     NonpositiveWidth,
     RankMismatch,
+    ValidationError,
 )
 from diracmean.oracle import complex_gaussian_moment
+from diracmean.registry import build_function
 
 F_X1SQ = cylinder_function(1, lambda x: x[:, 0] ** 2, "x1^2")
 FULL = lambda n: StoppingRule(min_samples=n)  # noqa: E731
@@ -93,6 +97,24 @@ def test_gaussian_regularizer_rejects_nonpositive_width():
         gaussian_regularizer([1.0, -0.5])
     with pytest.raises(NonpositiveWidth):
         gaussian_regularizer([])
+
+
+def test_gaussian_regularizer_extreme_width_gives_exact_limits():
+    reg = gaussian_regularizer([1e-200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi = reg.value(np.array([[0.0], [1.0]]))
+    assert xi.tolist() == [1.0, 0.0]
+
+
+def test_registry_gaussian_is_the_regularizer():
+    ws = [0.5, 1.0, 2.0]
+    func = build_function({"name": "gaussian", "widths": ws})
+    x = np.random.default_rng(5).normal(size=(64, 4))
+    assert func.rank == 3
+    assert np.array_equal(func.eval_block(x), gaussian_regularizer(ws).value(x))
+    with pytest.raises(ValidationError):
+        build_function({"name": "gaussian", "widths": [1.0, 0.0]})
 
 
 # ---------------------------------------------------------------------------

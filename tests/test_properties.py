@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 
 from diracmean import (
     MeanAccumulator,
+    boltzmann_policy,
     box_quantiles,
     convergent_source,
+    gaussian_regularizer,
     halton_source,
     merge,
     normal_quantiles,
+    oscillatory_policy,
+    product_regularized_policy,
     pseudorandom_source,
+    quadratic_action,
     uniform_quantiles,
     weyl_source,
 )
@@ -124,3 +129,41 @@ def test_prefix_permutation_invariance(data):
     if f is DEGENERATE or b is DEGENERATE:
         return
     assert abs(f - b) <= 1e-12 * max(abs(f), 1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rank=st.integers(min_value=1, max_value=16),
+    diagonal=st.booleans(),
+    with_linear=st.booleans(),
+    with_constant=st.booleans(),
+    m=st.integers(min_value=1, max_value=300),
+    cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_constant, m, cut, seed):
+    """A point's action and weight are bitwise independent of the block."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(rank, rank))
+    a = np.diag(rng.uniform(0.5, 4.0, rank)) if diagonal else g + g.T
+    b = rng.normal(size=rank) if with_linear else None
+    c0 = float(rng.normal()) if with_constant else 0.0
+    act = quadratic_action(a, b, c0)
+    x = rng.normal(size=(m, rank + 2))
+    s = act(x)
+    lin = np.zeros(rank) if b is None else b
+    ref = 0.5 * np.sum((x[:, :rank] @ a) * x[:, :rank], axis=1) + x[:, :rank] @ lin + c0
+    scale = 0.5 * np.sum((np.abs(x[:, :rank]) @ np.abs(a)) * np.abs(x[:, :rank]), axis=1)
+    scale += np.abs(x[:, :rank]) @ np.abs(lin) + abs(c0)
+    assert np.all(np.abs(s - ref) <= 64 * np.finfo(float).eps * scale)
+    lo, hi = sorted(int(f * m) for f in cut)
+    lo = min(lo, m - 1)
+    assert np.array_equal(act(x[lo:hi]), s[lo:hi])
+    assert np.array_equal(act(x[lo : lo + 1]), s[lo : lo + 1])
+    reg = gaussian_regularizer(rng.uniform(0.5, 3.0, rank))
+    for pol in (
+        boltzmann_policy(act),
+        oscillatory_policy(act),
+        product_regularized_policy(reg, act),
+    ):
+        assert pol.weight(x[lo], lo) == pol.weights(x)[lo]

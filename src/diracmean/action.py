@@ -47,12 +47,17 @@ _TRANSPOSE_ROWS = 4096
 
 
 def _columns(points: np.ndarray, rank: int) -> np.ndarray:
-    """Fresh C-contiguous ``(rank, m)`` copy of the first ``rank`` columns.
+    """The first ``rank`` columns as a C-contiguous ``(rank, m)`` array.
 
-    The copy goes ``_TRANSPOSE_ROWS`` rows at a time: a single transposing
+    A column-major block (every source block) is returned as a view,
+    without a copy, so callers must not write into it.  Any other layout
+    is copied ``_TRANSPOSE_ROWS`` rows at a time: a single transposing
     pass over a large row-major block fetches each source cache line
     ``rank`` times, and measured 2-2.5x slower at 65536 x 8.
     """
+    cols = points[:, :rank].T
+    if cols.flags.c_contiguous:
+        return cols
     cols = np.empty((rank, len(points)))
     for k in range(0, len(points), _TRANSPOSE_ROWS):
         cols[:, k : k + _TRANSPOSE_ROWS] = points[k : k + _TRANSPOSE_ROWS, :rank].T
@@ -187,13 +192,15 @@ class GaussianRegularizer(Regularizer):
         in coordinate order; an overflowing square gives the exact limit 0."""
         cols = _columns(points, self.rank)
         with np.errstate(over="ignore", under="ignore"):
-            cols /= np.asarray(self.widths)[:, None]
-            cols *= cols
-            q = cols[0]
-            for col in cols[1:]:
-                q += col
+            q = np.divide(cols[0], self.widths[0])
+            q *= q
+            tmp = np.empty_like(q)
+            for col, width in zip(cols[1:], self.widths[1:]):
+                np.divide(col, width, out=tmp)
+                tmp *= tmp
+                q += tmp
             q *= -0.5
-            return np.exp(q)
+            return np.exp(q, out=q)
 
     def factor(self, k: int, t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):

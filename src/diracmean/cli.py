@@ -332,10 +332,11 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         _fail("stopping", "expected an object")
     _require_keys(raw_stopping, set(_DEFAULT_STOPPING), "stopping")
     stopping.update(raw_stopping)
-    try:
-        mean_mod.StoppingRule(**stopping)
-    except (TypeError, ValueError) as exc:
-        _fail("stopping", str(exc))
+    for name, value in raw_stopping.items():
+        try:
+            mean_mod.StoppingRule(**{name: value})
+        except ValueError as exc:
+            _fail(f"stopping.{name}", str(exc))
 
     trace_stride = _as_int(raw.get("trace_stride", 1000), "trace_stride", 1)
     block_size = _as_int(raw.get("block_size", 4096), "block_size", 1)

@@ -33,9 +33,10 @@ __all__ = [
 class CylinderFunction:
     """A function of the first ``rank`` coordinates of a point.
 
-    ``base`` receives a ``(m, rank)`` array and returns ``(m,)`` values
-    (possibly complex); for ``rank == 0`` a plain number is accepted and
-    the function is that constant.
+    ``base`` receives a ``(m, rank)`` array (column-major for source
+    blocks) and returns ``(m,)`` values (possibly complex); for
+    ``rank == 0`` a plain number is accepted and the function is that
+    constant.
     """
 
     rank: int

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -208,14 +209,27 @@ class StoppingRule:
     degeneracy_threshold: float = 1e-8
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if not (0.0 < self.degeneracy_threshold < 1.0):
-            raise ValueError("degeneracy_threshold must lie in (0, 1)")
+        if not _is_int(self.window) or self.window < 2:
+            raise ValueError(f"window must be an integer >= 2, got {self.window!r}")
+        if not _is_real(self.rel_tol) or not (0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
+        if not _is_int(self.min_samples) or self.min_samples < 1:
+            raise ValueError(f"min_samples must be an integer >= 1, got {self.min_samples!r}")
+        if not _is_real(self.degeneracy_threshold) or not (0.0 < self.degeneracy_threshold < 1.0):
+            raise ValueError(
+                f"degeneracy_threshold must lie in (0, 1), got {self.degeneracy_threshold!r}"
+            )
+        # numpy integers pass the checks above; store plain ints for deque/range.
+        object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "min_samples", int(self.min_samples))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

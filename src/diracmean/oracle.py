@@ -72,6 +72,7 @@ def _axis_rule(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _integrate_once(g: Callable, domain, cells: int) -> complex:
+    # Grids are handed to ``g`` column-major, like the sources' point blocks.
     rules = [_axis_rule(lo, hi, cells) for lo, hi in domain]
     rank = len(domain)
     if rank == 1:
@@ -86,9 +87,10 @@ def _integrate_once(g: Callable, domain, cells: int) -> complex:
         rows_per_chunk = max(1, _CHUNK // ny)
         for start in range(0, len(x), rows_per_chunk):
             stop = min(start + rows_per_chunk, len(x))
-            xx = np.repeat(x[start:stop], ny)
-            yy = np.tile(y, stop - start)
-            vals = np.asarray(g(np.column_stack([xx, yy])))
+            grid = np.empty((2, (stop - start) * ny))
+            grid[0].reshape(-1, ny)[:] = x[start:stop, None]
+            grid[1].reshape(-1, ny)[:] = y
+            vals = np.asarray(g(grid.T))
             w = np.repeat(wx[start:stop], ny) * np.tile(wy, stop - start)
             total += complex(np.dot(vals, w))
         return total
@@ -99,8 +101,11 @@ def _integrate_once(g: Callable, domain, cells: int) -> complex:
     yy, zz = yy.ravel(), zz.ravel()
     wyz = np.multiply.outer(wy, wz).ravel()
     for i in range(len(x)):
-        pts = np.column_stack([np.full(len(yy), x[i]), yy, zz])
-        vals = np.asarray(g(pts))
+        grid = np.empty((3, len(yy)))
+        grid[0] = x[i]
+        grid[1] = yy
+        grid[2] = zz
+        vals = np.asarray(g(grid.T))
         total += complex(wx[i] * np.dot(vals, wyz))
     return total
 

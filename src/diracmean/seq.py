@@ -82,16 +82,22 @@ class PointSource:
         raise NotImplementedError
 
     def block(self, start: int, stop: int, rank: int) -> np.ndarray:
-        """Points ``start..stop-1`` truncated at ``rank``, as a (stop-start, rank) array."""
+        """Points ``start..stop-1`` truncated at ``rank``, as a (stop-start, rank) array.
+
+        The block is column-major (Fortran order): each coordinate is
+        written as one contiguous column, and the library's actions and
+        weights read the columns in place and stay row-pure (a point's
+        values do not depend on the block it is evaluated in).
+        """
         if rank < 1:
             raise ValueError("rank must be >= 1")
         if stop < start or start < 0:
             raise ValueError("need 0 <= start <= stop")
         idx = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((stop - start, rank), dtype=np.float64)
+        out = np.empty((rank, stop - start), dtype=np.float64)
         for k in range(rank):
-            out[:, k] = self.coordinate_block(idx, k)
-        return out
+            out[k] = self.coordinate_block(idx, k)
+        return out.T
 
     def point_at(self, n: int, d: int) -> Point:
         """The rank-``d`` truncation of point ``n``."""

@@ -103,6 +103,20 @@ def test_mode_mismatch_rejected():
         parse_config(json.dumps(MINIMAL), mode="certify")
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"rel_tol": NaN}', "stopping.rel_tol"),
+    ('{"rel_tol": Infinity}', "stopping.rel_tol"),
+    ('{"window": 2.5}', "stopping.window"),
+    ('{"window": true}', "stopping.window"),
+    ('{"min_samples": 1000.0}', "stopping.min_samples"),
+    ('{"degeneracy_threshold": NaN}', "stopping.degeneracy_threshold"),
+])
+def test_bad_stopping_values_name_the_field(text, field):
+    config = json.dumps(MINIMAL)[:-1] + f', "stopping": {text}}}'
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        parse_config(config)
+
+
 def test_route_and_policy_are_exclusive():
     bad = dict(MINIMAL, route="pullback",
                action={"matrix": [[1.0]]},

@@ -380,3 +380,27 @@ def test_stopping_rule_validation():
         StoppingRule(degeneracy_threshold=1.5)
     with pytest.raises(ValueError):
         StoppingRule(min_samples=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", 2.5),
+    ("window", True),
+    ("window", "8"),
+    ("min_samples", 1000.0),
+    ("min_samples", False),
+    ("rel_tol", math.nan),
+    ("rel_tol", math.inf),
+    ("rel_tol", -1e-4),
+    ("rel_tol", True),
+    ("degeneracy_threshold", math.nan),
+])
+def test_stopping_rule_rejects_values_that_fail_late_or_never_stop(field, value):
+    with pytest.raises(ValueError, match=field):
+        StoppingRule(**{field: value})
+
+
+def test_stopping_rule_accepts_numpy_scalars():
+    rule = StoppingRule(window=np.int64(4), rel_tol=np.float64(1e-3),
+                        min_samples=np.int32(56))
+    report = run(halton_source(1), constant_policy(), F_X1, 200, rule, trace_stride=7)
+    assert report.N_used <= 200

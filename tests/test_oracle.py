@@ -43,6 +43,27 @@ def test_rank3_product():
     assert abs(got - 0.125) <= 1e-12
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_integrand_receives_column_major_grids(rank):
+    seen = []
+
+    def probe(x):
+        seen.append((x.shape, x.flags.f_contiguous, x.copy()))
+        return np.prod(x, axis=1)
+
+    spec = QuadratureSpec(domain=((0.0, 1.0),) * rank)
+    assert abs(tensor_quadrature(probe, spec) - 0.5**rank) <= 1e-12
+    assert seen and all(shape[1] == rank and f_contig for shape, f_contig, _ in seen)
+    # The first grid of a doubling pass is the x-major tensor product of the
+    # axis nodes (at rank 3, for the first x node).
+    grid = seen[0][2]
+    axes = [np.unique(grid[:, k]) for k in range(rank)]
+    if rank == 3:
+        axes[0] = grid[:1, 0]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    assert np.array_equal(grid, np.column_stack([m.ravel() for m in mesh]))
+
+
 def test_discontinuous_integrand_hits_the_cap():
     jump = 1.0 / math.pi
     with pytest.raises(NoConvergence):

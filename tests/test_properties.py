@@ -1,6 +1,7 @@
 """Randomized invariants: purity, truncation, gauge, summation drift."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from diracmean import (
     uniform_quantiles,
     weyl_source,
 )
+from diracmean.registry import FUNCTION_NAMES, build_function
 
 SOURCES = {
     "halton": lambda: halton_source(2),
@@ -142,7 +144,8 @@ def test_prefix_permutation_invariance(data):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_constant, m, cut, seed):
-    """A point's action and weight are bitwise independent of the block."""
+    """A point's action and weight are bitwise independent of the block and
+    of its memory layout, and evaluating them never writes into the block."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(rank, rank))
     a = np.diag(rng.uniform(0.5, 4.0, rank)) if diagonal else g + g.T
@@ -150,6 +153,10 @@ def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_const
     c0 = float(rng.normal()) if with_constant else 0.0
     act = quadratic_action(a, b, c0)
     x = rng.normal(size=(m, rank + 2))
+    xf = np.asfortranarray(x)
+    before = x.copy()
+    x.flags.writeable = False
+    xf.flags.writeable = False
     s = act(x)
     lin = np.zeros(rank) if b is None else b
     ref = 0.5 * np.sum((x[:, :rank] @ a) * x[:, :rank], axis=1) + x[:, :rank] @ lin + c0
@@ -161,9 +168,51 @@ def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_const
     assert np.array_equal(act(x[lo:hi]), s[lo:hi])
     assert np.array_equal(act(x[lo : lo + 1]), s[lo : lo + 1])
     reg = gaussian_regularizer(rng.uniform(0.5, 3.0, rank))
-    for pol in (
+    policies = (
         boltzmann_policy(act),
         oscillatory_policy(act),
         product_regularized_policy(reg, act),
-    ):
+    )
+    for pol in policies:
         assert pol.weight(x[lo], lo) == pol.weights(x)[lo]
+    for evaluate in (act, reg.value, *(pol.weights for pol in policies)):
+        assert np.array_equal(evaluate(xf), evaluate(x))
+        assert np.array_equal(evaluate(xf[lo:hi]), evaluate(x[lo:hi]))
+    assert np.array_equal(x, before) and np.array_equal(xf, before)
+
+
+REGISTRY_SPECS = (
+    [{"name": "coordinate", "index": k} for k in (1, 2, 5)]
+    + [{"name": "coordinate-product", "rank": r} for r in range(1, 17)]
+    + [
+        {"name": "polynomial", "coeffs": [0.5, -1.0, 0.25, 2.0], "index": 2},
+        {"name": "cosine", "index": 3, "frequency": 2.5},
+        {"name": "gaussian", "widths": [1.0]},
+        {"name": "gaussian", "widths": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]},
+        {"name": "quadratic-form", "matrix": [[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]],
+         "linear": [0.1, 0.0, -0.3], "constant": 1.5},
+    ]
+)
+
+
+def test_registry_specs_cover_every_function():
+    assert {spec["name"] for spec in REGISTRY_SPECS} == set(FUNCTION_NAMES)
+
+
+@pytest.mark.parametrize("spec", REGISTRY_SPECS,
+                         ids=[f"{spec['name']}-{i}" for i, spec in enumerate(REGISTRY_SPECS)])
+@settings(max_examples=6, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_registry_functions_are_row_pure_in_both_layouts(spec, m, seed):
+    """Registry values do not depend on the block's layout or on its other rows."""
+    func = build_function(spec)
+    x = np.random.default_rng(seed).normal(size=(m, 18))
+    xf = np.asfortranarray(x)
+    values = func.eval_block(xf)
+    assert np.array_equal(func.eval_block(x), values)
+    for n in {0, m // 2, m - 1}:
+        assert np.array_equal(func.eval_block(x[n : n + 1]), values[n : n + 1])
+        assert func(x[n]) == values[n]

@@ -156,6 +156,27 @@ def test_truncation_consistency_and_purity(make):
     assert p1.coords == p2.coords
 
 
+@pytest.mark.parametrize("make", [
+    lambda: seq.halton_source(3),
+    lambda: seq.weyl_source(index_offset=1),
+    lambda: seq.pseudorandom_source(12345),
+    lambda: seq.convergent_source(0.2, 0.5, 0.7),
+    lambda: seq.pullback_source(seq.halton_source(1), seq.normal_quantiles([1.0, 2.0])),
+    lambda: seq.pullback_source(seq.weyl_source(index_offset=1), seq.box_quantiles(3.0)),
+], ids=["halton", "weyl", "pseudorandom", "convergent", "pullback-normal", "pullback-box"])
+@pytest.mark.parametrize("start, stop, rank", [(0, 1, 1), (5, 6, 4), (7, 300, 1), (11, 300, 5)])
+def test_blocks_are_column_major_and_agree_with_coordinates_and_points(make, start, stop, rank):
+    src = make()
+    block = src.block(start, stop, rank)
+    assert block.shape == (stop - start, rank)
+    assert block.flags.f_contiguous
+    idx = np.arange(start, stop, dtype=np.int64)
+    for k in range(rank):
+        assert np.array_equal(block[:, k], src.coordinate_block(idx, k))
+    for n in (0, (stop - start) // 2, stop - start - 1):
+        assert tuple(block[n].tolist()) == src.point_at(start + n, rank).coords
+
+
 def test_cube_sources_stay_in_unit_interval():
     for src in (seq.halton_source(0), seq.weyl_source(), seq.pseudorandom_source(9)):
         block = src.block(0, 2000, 3)

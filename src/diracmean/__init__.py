@@ -54,7 +54,6 @@ from .mean import (
     MeanAccumulator,
     StoppingRule,
     TracePoint,
-    accumulate,
     merge,
     run,
     run_blocked,
@@ -76,7 +75,6 @@ from .seq import (
     equidistribution_statistic,
     halton_source,
     normal_quantiles,
-    point_at,
     pseudorandom_source,
     pullback_source,
     star_discrepancy,

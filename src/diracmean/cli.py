@@ -14,19 +14,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import mean as mean_mod
-from .action import gaussian_regularizer, oscillatory_mean, quadratic_action
-from .cylinder import CylinderFunction, hierarchy_certify
-from .errors import DiracMeanError, ParseError, ValidationError
+from .action import fresnel_limit_scan, gaussian_regularizer, oscillatory_mean, quadratic_action
+from .cylinder import ProjectionHierarchy, hierarchy_certify
+from .errors import DiracMeanError, ParseError
 from .oracle import QuadratureSpec, normalized_expectation_with_info
-from .registry import build_function
+from .registry import _as_int, _as_list, _as_number, _built, _fail, build_function
 from .seq import (
-    PointSource,
+    _per_coordinate,
     convergent_source,
     halton_source,
     pseudorandom_source,
@@ -56,13 +54,6 @@ EXIT_NOT_CONVERGED = 3
 EXIT_CHECK_FAILED = 4
 
 OUT_DIR_ENV = "DIRACMEAN_OUT"
-
-_DEFAULT_STOPPING = {
-    "window": 8,
-    "rel_tol": 1e-4,
-    "min_samples": 1000,
-    "degeneracy_threshold": 1e-8,
-}
 
 
 @dataclass(frozen=True)
@@ -107,11 +98,13 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and validation
+# Config sections: each is validated and built by one function, returning
+# the normalized spec (what ``summary.json`` echoes) and the built object.
 
 
-def _fail(field: str, message: str):
-    raise ValidationError(f"{field}: {message}")
+def _require_object(spec, field: str, needs: str) -> None:
+    if not isinstance(spec, dict):
+        _fail(field, f"expected an object with {needs}")
 
 
 def _require_keys(obj: dict, allowed: set[str], field: str) -> None:
@@ -120,31 +113,15 @@ def _require_keys(obj: dict, allowed: set[str], field: str) -> None:
         _fail(field, f"unknown keys {sorted(extra)} (allowed: {sorted(allowed)})")
 
 
-def _as_int(value, field: str, minimum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(field, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        _fail(field, "must be finite")
-    return float(value)
-
-
-def _normalize_source(spec, field: str = "source") -> dict:
-    if not isinstance(spec, dict):
-        _fail(field, "expected an object with a 'kind'")
+def _source(spec, field: str = "source"):
+    _require_object(spec, field, "a 'kind'")
     kind = spec.get("kind")
     if kind not in SOURCE_KINDS:
         _fail(f"{field}.kind", f"{kind!r} is not one of {list(SOURCE_KINDS)}")
     if kind == "halton":
         _require_keys(spec, {"kind", "offset"}, field)
-        return {"kind": kind, "offset": _as_int(spec.get("offset", 0), f"{field}.offset", 0)}
+        offset = _as_int(spec.get("offset", 0), f"{field}.offset", 0)
+        return {"kind": kind, "offset": offset}, halton_source(offset)
     if kind == "weyl":
         _require_keys(spec, {"kind", "alphas", "offset", "precision"}, field)
         out = {
@@ -153,11 +130,13 @@ def _normalize_source(spec, field: str = "source") -> dict:
             "precision": _as_int(spec.get("precision", 256), f"{field}.precision", 64),
         }
         if spec.get("alphas") is not None:
-            out["alphas"] = [str(a) for a in spec["alphas"]]
-        return out
+            out["alphas"] = [str(a) for a in _as_list(spec["alphas"], f"{field}.alphas")]
+        return out, _built(f"{field}.alphas", weyl_source,
+                           out.get("alphas"), out["offset"], out["precision"])
     if kind == "pseudorandom":
         _require_keys(spec, {"kind", "seed"}, field)
-        return {"kind": kind, "seed": _as_int(spec.get("seed", 0), f"{field}.seed")}
+        seed = _as_int(spec.get("seed", 0), f"{field}.seed")
+        return {"kind": kind, "seed": seed}, pseudorandom_source(seed)
     if kind == "convergent":
         _require_keys(spec, {"kind", "target", "rate", "offset"}, field)
         rate = _as_number(spec.get("rate", 0.5), f"{field}.rate")
@@ -173,35 +152,18 @@ def _normalize_source(spec, field: str = "source") -> dict:
 
         target = scalar_or_list(spec.get("target", 0.0), f"{field}.target")
         offset = scalar_or_list(spec.get("offset", 1.0), f"{field}.offset")
-        return {"kind": kind, "target": target, "rate": rate, "offset": offset}
+        out = {"kind": kind, "target": target, "rate": rate, "offset": offset}
+        return out, convergent_source(target, rate, offset)
     _require_keys(spec, {"kind", "base", "quantiles"}, field)
-    base = _normalize_source(spec.get("base"), f"{field}.base")
+    base_spec, base = _source(spec.get("base"), f"{field}.base")
     quantiles = spec.get("quantiles", {"family": "normal", "widths": [1.0]})
-    try:
-        quantile_family_from_dict(quantiles)
-    except Exception as exc:
-        _fail(f"{field}.quantiles", str(exc))
-    return {"kind": kind, "base": base, "quantiles": quantiles}
+    family = _built(f"{field}.quantiles", quantile_family_from_dict, quantiles)
+    out = {"kind": kind, "base": base_spec, "quantiles": quantiles}
+    return out, _built(f"{field}.base", pullback_source, base, family)
 
 
-def build_source(spec: dict) -> PointSource:
-    kind = spec["kind"]
-    if kind == "halton":
-        return halton_source(spec["offset"])
-    if kind == "weyl":
-        return weyl_source(spec.get("alphas"), spec["offset"], spec["precision"])
-    if kind == "pseudorandom":
-        return pseudorandom_source(spec["seed"])
-    if kind == "convergent":
-        return convergent_source(spec["target"], spec["rate"], spec["offset"])
-    return pullback_source(
-        build_source(spec["base"]), quantile_family_from_dict(spec["quantiles"])
-    )
-
-
-def _normalize_action(spec, field: str = "action") -> dict:
-    if not isinstance(spec, dict):
-        _fail(field, "expected an object with a 'matrix'")
+def _action(spec, field: str = "action"):
+    _require_object(spec, field, "a 'matrix'")
     _require_keys(spec, {"kind", "matrix", "linear", "constant"}, field)
     if spec.get("kind", "quadratic") != "quadratic":
         _fail(f"{field}.kind", "only 'quadratic' actions are configurable")
@@ -211,87 +173,50 @@ def _normalize_action(spec, field: str = "action") -> dict:
     if spec.get("linear") is not None:
         out["linear"] = spec["linear"]
     out["constant"] = _as_number(spec.get("constant", 0.0), f"{field}.constant")
-    try:
-        build_action(out)
-    except ValidationError:
-        raise
-    except Exception as exc:
-        _fail(field, str(exc))
-    return out
+    return out, _built(field, quadratic_action, out["matrix"], out.get("linear"), out["constant"])
 
 
-def build_action(spec: dict):
-    return quadratic_action(spec["matrix"], spec.get("linear"), spec.get("constant", 0.0))
-
-
-def _normalize_regularizer(spec, field: str = "regularizer") -> dict:
-    if not isinstance(spec, dict):
-        _fail(field, "expected an object with a 'family'")
+def _regularizer(spec, field: str = "regularizer"):
+    _require_object(spec, field, "a 'family'")
     _require_keys(spec, {"family", "widths"}, field)
     if spec.get("family", "gaussian") != "gaussian":
         _fail(f"{field}.family", "only the 'gaussian' family is configurable")
     widths = spec.get("widths", [1.0])
-    if np.isscalar(widths):
+    if not isinstance(widths, list):
         widths = [widths]
     widths = [_as_number(w, f"{field}.widths") for w in widths]
-    if any(w <= 0 for w in widths):
-        _fail(f"{field}.widths", "must be positive")
-    return {"family": "gaussian", "widths": widths}
+    reg = _built(f"{field}.widths", gaussian_regularizer, widths)
+    return {"family": "gaussian", "widths": widths}, reg
 
 
-def build_regularizer(spec: dict):
-    return gaussian_regularizer(spec["widths"])
-
-
-def _normalize_policy(spec, field: str = "policy") -> dict:
-    if not isinstance(spec, dict):
-        _fail(field, "expected an object with a 'kind'")
+def _policy(spec, field: str = "policy"):
+    _require_object(spec, field, "a 'kind'")
     kind = spec.get("kind")
     if kind not in POLICY_KINDS:
         _fail(f"{field}.kind", f"{kind!r} is not one of {list(POLICY_KINDS)}")
     if kind == "constant":
         _require_keys(spec, {"kind"}, field)
-        return {"kind": kind}
+        return {"kind": kind}, constant_policy()
     if kind == "density":
         _require_keys(spec, {"kind", "function"}, field)
-        fn = spec.get("function")
-        build_function(fn if isinstance(fn, dict) else None, f"{field}.function")
-        return {"kind": kind, "function": fn}
-    if kind in ("boltzmann", "oscillatory"):
-        allowed = {"kind", "action"} | ({"index_phase"} if kind == "oscillatory" else set())
-        _require_keys(spec, allowed, field)
-        out = {"kind": kind, "action": _normalize_action(spec.get("action"), f"{field}.action")}
-        if kind == "oscillatory":
-            out["index_phase"] = _as_number(spec.get("index_phase", 0.0), f"{field}.index_phase")
-        return out
-    _require_keys(spec, {"kind", "action", "regularizer", "index_phase"}, field)
-    return {
-        "kind": kind,
-        "action": _normalize_action(spec.get("action"), f"{field}.action"),
-        "regularizer": _normalize_regularizer(
+        fn = build_function(spec.get("function"), f"{field}.function")
+        return {"kind": kind, "function": spec["function"]}, density_policy(fn.eval_block, fn.rank)
+    extra = {"boltzmann": set(), "oscillatory": {"index_phase"},
+             "fresnel": {"index_phase", "regularizer"}}[kind]
+    _require_keys(spec, {"kind", "action"} | extra, field)
+    out = {"kind": kind}
+    out["action"], act = _action(spec.get("action"), f"{field}.action")
+    if kind == "boltzmann":
+        return out, boltzmann_policy(act)
+    if kind == "fresnel":
+        out["regularizer"], reg = _regularizer(
             spec.get("regularizer", {"family": "gaussian", "widths": [1.0]}),
             f"{field}.regularizer",
-        ),
-        "index_phase": _as_number(spec.get("index_phase", 0.0), f"{field}.index_phase"),
-    }
-
-
-def build_policy(spec: dict):
-    kind = spec["kind"]
-    if kind == "constant":
-        return constant_policy()
-    if kind == "density":
-        fn = build_function(spec["function"], "policy.function")
-        return density_policy(fn.eval_block, fn.rank)
-    if kind == "boltzmann":
-        return boltzmann_policy(build_action(spec["action"]))
+        )
+    out["index_phase"] = _as_number(spec.get("index_phase", 0.0), f"{field}.index_phase")
     if kind == "oscillatory":
-        return oscillatory_policy(build_action(spec["action"]), spec.get("index_phase", 0.0))
-    return product_regularized_policy(
-        build_regularizer(spec["regularizer"]),
-        build_action(spec["action"]),
-        spec.get("index_phase", 0.0),
-    )
+        return out, oscillatory_policy(act, out["index_phase"])
+    return out, product_regularized_policy(reg, act, out["index_phase"])
 
 
 _TOP_KEYS = {
@@ -302,19 +227,23 @@ _TOP_KEYS = {
 }
 
 
-def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment description.
-
-    Raises ``ParseError`` for malformed JSON (with line/column) and
-    ``ValidationError`` naming the offending field otherwise.
-    """
+def _load(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError("the experiment description must be a JSON object")
-    return parse_config_dict(raw, mode)
+    return raw
+
+
+def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment description.
+
+    Raises ``ParseError`` for malformed JSON (with line/column) and
+    ``ValidationError`` naming the offending field otherwise.
+    """
+    return parse_config_dict(_load(text), mode)
 
 
 def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
@@ -326,17 +255,13 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if resolved_mode not in MODES:
         _fail("mode", f"{resolved_mode!r} is not one of {list(MODES)}")
 
-    stopping = dict(_DEFAULT_STOPPING)
+    stopping = asdict(mean_mod.StoppingRule())
     raw_stopping = raw.get("stopping", {})
-    if not isinstance(raw_stopping, dict):
-        _fail("stopping", "expected an object")
-    _require_keys(raw_stopping, set(_DEFAULT_STOPPING), "stopping")
-    stopping.update(raw_stopping)
+    _require_object(raw_stopping, "stopping", "stopping-rule fields")
+    _require_keys(raw_stopping, set(stopping), "stopping")
     for name, value in raw_stopping.items():
-        try:
-            mean_mod.StoppingRule(**{name: value})
-        except ValueError as exc:
-            _fail(f"stopping.{name}", str(exc))
+        _built(f"stopping.{name}", mean_mod.StoppingRule, **{name: value})
+    stopping.update(raw_stopping)
 
     trace_stride = _as_int(raw.get("trace_stride", 1000), "trace_stride", 1)
     block_size = _as_int(raw.get("block_size", 4096), "block_size", 1)
@@ -359,12 +284,10 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             _fail("budget", f"{budget} is below stopping.min_samples {stopping['min_samples']}")
 
     source = raw.get("source")
-    if resolved_mode != "oracle":
-        if source is None:
-            _fail("source", "is required for this mode")
-        source = _normalize_source(source)
-    elif source is not None:
-        source = _normalize_source(source)
+    if resolved_mode != "oracle" and source is None:
+        _fail("source", "is required for this mode")
+    if source is not None:
+        source = _source(source)[0]
 
     function = raw.get("function")
     if resolved_mode in ("estimate", "compare", "oracle"):
@@ -382,10 +305,10 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         _fail("route", f"{route!r} is not one of {list(ROUTES)}")
     action = raw.get("action")
     if action is not None:
-        action = _normalize_action(action)
+        action, act = _action(action)
     regularizer = raw.get("regularizer")
     if regularizer is not None:
-        regularizer = _normalize_regularizer(regularizer)
+        regularizer = _regularizer(regularizer)[0]
 
     policy = raw.get("policy")
     if resolved_mode in ("estimate", "compare"):
@@ -399,7 +322,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             if regularizer is None:
                 _fail("regularizer", "is required when a route is set")
     if policy is not None:
-        policy = _normalize_policy(policy)
+        policy = _policy(policy)[0]
 
     if resolved_mode == "oracle" and density is None and (action is None or regularizer is None):
         _fail("density", "oracle mode needs a density, or an action plus a regularizer")
@@ -408,13 +331,12 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if resolved_mode == "certify" and hierarchy is None:
         hierarchy = [1, 2, 3]
     if hierarchy is not None:
-        hierarchy = tuple(_as_int(r, "hierarchy", 1) for r in hierarchy)
-        if any(b <= a for a, b in zip(hierarchy, hierarchy[1:])):
-            _fail("hierarchy", "ranks must be strictly increasing")
+        hierarchy = tuple(_as_int(r, "hierarchy") for r in _as_list(hierarchy, "hierarchy"))
+        _built("hierarchy", ProjectionHierarchy, hierarchy)
 
     bins = raw.get("bins_per_axis")
     if bins is not None:
-        bins = tuple(_as_int(b, "bins_per_axis", 2) for b in bins)
+        bins = tuple(_as_int(b, "bins_per_axis", 2) for b in _as_list(bins, "bins_per_axis"))
         if hierarchy is not None and len(bins) != len(hierarchy):
             _fail("bins_per_axis", "needs one entry per hierarchy rank")
 
@@ -424,10 +346,13 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             sigmas = [1.0, 2.0, 4.0]
         if action is None:
             _fail("action", "is required for fresnel-scan")
+        if act.rank != 1 or act.matrix[0, 0] == 0.0:
+            _fail("action", "fresnel-scan needs a rank-1 action with nonzero curvature")
     if sigmas is not None:
-        sigmas = tuple(_as_number(s, "sigmas") for s in sigmas)
-        if any(s <= 0 for s in sigmas) or any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-            _fail("sigmas", "must be positive and strictly increasing")
+        sigmas = tuple(_as_number(s, "sigmas") for s in _as_list(sigmas, "sigmas"))
+        if (not sigmas or any(s <= 0 for s in sigmas)
+                or any(b <= a for a, b in zip(sigmas, sigmas[1:]))):
+            _fail("sigmas", "must be nonempty, positive and strictly increasing")
 
     tolerance = raw.get("tolerance")
     if resolved_mode == "compare":
@@ -490,12 +415,13 @@ def _estimate_json(value) -> dict | str:
 
 def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.ConvergenceReport]:
     rule = config.stopping_rule()
+    source = _source(config.source)[1]
     func = build_function(config.function, "function")
     if config.route is not None:
         report = oscillatory_mean(
-            build_source(config.source),
-            build_action(config.action),
-            build_regularizer(config.regularizer),
+            source,
+            _action(config.action)[1],
+            _regularizer(config.regularizer)[1],
             func,
             config.budget,
             rule,
@@ -507,8 +433,8 @@ def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.Converg
         )
     else:
         report = mean_mod.run(
-            build_source(config.source),
-            build_policy(config.policy),
+            source,
+            _policy(config.policy)[1],
             func,
             config.budget,
             rule,
@@ -522,7 +448,6 @@ def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.Converg
     else:
         code = EXIT_NOT_CONVERGED
     result = report.summary_dict()
-    result.pop("settings", None)
     result["final_estimate"] = _estimate_json(report.final_estimate)
     return code, result, report
 
@@ -536,7 +461,7 @@ def _mode_estimate(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, d
 
 def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
     reports = hierarchy_certify(
-        build_source(config.source),
+        _source(config.source)[1],
         config.hierarchy,
         config.budget,
         config.significance,
@@ -551,26 +476,26 @@ def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), result, {}
 
 
-def _oracle_integrand(config: ExperimentConfig):
-    """The density and domain the oracle should integrate against."""
-    if config.density is not None:
-        rho = build_function(config.density, "density")
-        rank = rho.rank
-        domain = tuple((0.0, 1.0) for _ in range(max(rank, 1)))
-        return rho.eval_block, max(rank, 1), domain
-    act = build_action(config.action)
-    reg = build_regularizer(config.regularizer)
-    rank = max(act.rank, reg.rank, 1)
+def _route_density(config: ExperimentConfig, min_rank: int = 1):
+    """``xi e^{-iS}`` of the configured regularizer and action, and the box
+    it is integrated over: at least ``min_rank`` axes, each truncated at
+    ``truncation`` times the widest regularizer width."""
+    act = _action(config.action)[1]
+    reg = _regularizer(config.regularizer)[1]
     half = config.truncation * max(reg.widths)
-    rho = product_regularized_policy(reg, act).weights
-    return rho, rank, tuple((-half, half) for _ in range(rank))
+    rank = max(act.rank, reg.rank, min_rank)
+    return product_regularized_policy(reg, act).weights, ((-half, half),) * rank
 
 
 def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
     func = build_function(config.function, "function")
-    rho, rank, domain = _oracle_integrand(config)
-    if func.rank > rank:
-        _fail("function", f"rank {func.rank} exceeds the density rank {rank}")
+    if config.density is not None:
+        density = build_function(config.density, "density")
+        rho, domain = density.eval_block, ((0.0, 1.0),) * max(density.rank, 1)
+    else:
+        rho, domain = _route_density(config)
+    if func.rank > len(domain):
+        _fail("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
     spec = QuadratureSpec(domain=domain, cells_per_axis=config.cells_per_axis)
     value, cells = normalized_expectation_with_info(func.eval_block, rho, spec)
     result = {
@@ -581,62 +506,49 @@ def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dic
     return EXIT_OK, result, {}
 
 
-def _sampling_density(config: ExperimentConfig):
-    """Density (up to a constant) of the configured source's sampling
-    measure, with its natural truncated domain; None for a cube source."""
-    spec = config.source
-    if spec["kind"] != "pullback":
-        if spec["kind"] == "convergent":
-            _fail("source", "compare mode needs an equidistributed source")
-        return None, (0.0, 1.0)
-    quant = spec["quantiles"]
-    family = quant.get("family")
-    widths = quant.get("widths", 1.0)
-    ws = [widths] if np.isscalar(widths) else list(widths)
-    if family == "normal":
-        def rho(x, ws=ws):
-            sig = np.asarray([ws[min(k, len(ws) - 1)] for k in range(x.shape[1])])
-            return np.exp(-0.5 * np.sum((x / sig) ** 2, axis=1))
-        half = config.truncation * max(ws)
-        return rho, (-half, half)
-    if family == "uniform-box":
-        half = float(max(ws))
-        return (lambda x: np.ones(len(x))), (-half, half)
-    if family == "uniform":
-        return (lambda x: np.ones(len(x))), (0.0, 1.0)
-    _fail("source.quantiles", f"compare mode cannot derive a density for {family!r}")
+def _sampling_density(config: ExperimentConfig, rank: int):
+    """Density (up to a constant; None when uniform) of the configured
+    source's sampling measure on ``rank`` coordinates, and its natural
+    truncated domain."""
+    source = _source(config.source)[1]
+    if source.kind == "convergent":
+        _fail("source", "compare mode needs an equidistributed source")
+    family = getattr(source, "quantiles", None)
+    if family is None or family.family == "uniform":
+        return None, ((0.0, 1.0),) * rank
+    if family.family == "uniform-box":
+        hs = [_per_coordinate(family.half_widths, k) for k in range(rank)]
+        return None, tuple((-h, h) for h in hs)
+    ws = [_per_coordinate(family.widths, k) for k in range(rank)]
+    half = config.truncation * max(family.widths)
+    return gaussian_regularizer(ws).value, ((-half, half),) * rank
 
 
-def _compare_oracle(config: ExperimentConfig, func: CylinderFunction) -> tuple[complex, int]:
+def _compare_integrand(config: ExperimentConfig, func):
+    """The oracle's density and quadrature spec for a compare run."""
     if config.route is not None:
-        act = build_action(config.action)
-        reg = build_regularizer(config.regularizer)
-        rank = max(act.rank, reg.rank, func.rank, 1)
-        half = config.truncation * max(reg.widths)
-        rho = product_regularized_policy(reg, act).weights
-        domain = tuple((-half, half) for _ in range(rank))
+        rho, domain = _route_density(config, func.rank)
     else:
         if config.policy.get("index_phase", 0.0) != 0.0:
             _fail("policy.index_phase",
                   "index-dependent phases have no point density to compare against")
-        base_rho, interval = _sampling_density(config)
-        policy = build_policy(config.policy)
+        policy = _policy(config.policy)[1]
         rank = max(policy.rank, func.rank, 1)
+        base_rho, domain = _sampling_density(config, rank)
 
         def rho(x, base_rho=base_rho, policy=policy):
             w = policy.weights(x)
             return w if base_rho is None else base_rho(x) * w
 
-        domain = tuple(interval for _ in range(rank))
-    if rank > 3:
+    if len(domain) > 3:
         _fail("function", "compare mode supports oracle ranks up to 3")
-    spec = QuadratureSpec(domain=domain, cells_per_axis=config.cells_per_axis)
-    return normalized_expectation_with_info(func.eval_block, rho, spec)
+    return rho, QuadratureSpec(domain=domain, cells_per_axis=config.cells_per_axis)
 
 
 def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
     func = build_function(config.function, "function")
-    code, est_result, report = _run_estimate(config)
+    rho, spec = _compare_integrand(config, func)
+    report = _run_estimate(config)[2]
     trace_path = outdir / "trace.csv"
     report.write_csv(trace_path)
     files = {"trace_csv": str(trace_path)}
@@ -644,7 +556,7 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
         result = {"estimate": "degenerate", "oracle": None, "pass": False,
                   "tolerance": config.tolerance}
         return EXIT_DEGENERATE, result, files
-    oracle_value, cells = _compare_oracle(config, func)
+    oracle_value, cells = normalized_expectation_with_info(func.eval_block, rho, spec)
     error = abs(report.final_estimate - oracle_value)
     ok = error <= config.tolerance
     result = {
@@ -661,23 +573,22 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
 
 
 def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
-    rule = config.stopping_rule()
-    source = build_source(config.source)
-    act = build_action(config.action)
-    func = (build_function(config.function, "function") if config.function is not None
-            else CylinderFunction(1, lambda x: x[:, 0] ** 2, label="x1^2"))
+    scan = fresnel_limit_scan(
+        _source(config.source)[1],
+        _action(config.action)[1],
+        config.sigmas,
+        None if config.function is None else build_function(config.function, "function"),
+        config.budget,
+        config.stopping_rule(),
+        route=config.route or "pullback",
+        box_half_width=config.box_half_width,
+        skip_certification=True,
+        trace_stride=config.trace_stride,
+        block_size=config.block_size,
+    )
     rows = []
     entries = []
-    for sigma in config.sigmas:
-        report = oscillatory_mean(
-            source, act, gaussian_regularizer([sigma] * max(func.rank, 1)), func,
-            config.budget, rule,
-            route=config.route or "pullback",
-            box_half_width=config.box_half_width,
-            skip_certification=True,
-            trace_stride=config.trace_stride,
-            block_size=config.block_size,
-        )
+    for sigma, report in scan:
         est = report.final_estimate
         last = report.trace[-1]
         if report.degenerate:
@@ -738,7 +649,7 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         source = raw.get("source")
         if not (isinstance(source, dict) and source.get("kind") == "pseudorandom"):
-            raise ValidationError("--seed applies only to a pseudorandom source")
+            _fail("--seed", "applies only to a pseudorandom source")
         source = dict(source)
         source["seed"] = args.seed
         raw["source"] = source
@@ -767,19 +678,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ParseError("the experiment description must be a JSON object")
-        raw = _apply_overrides(raw, args)
-        config = parse_config_dict(raw, mode=args.command)
+        config = parse_config_dict(_apply_overrides(_load(text), args), mode=args.command)
         return execute(config, out_dir=args.out)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_ERROR
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except DiracMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

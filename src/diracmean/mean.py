@@ -22,7 +22,7 @@ import itertools
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "StoppingRule",
     "TracePoint",
     "ConvergenceReport",
-    "accumulate",
     "merge",
     "run",
     "run_blocked",
@@ -173,11 +172,6 @@ class MeanAccumulator:
         return out
 
 
-def accumulate(acc: MeanAccumulator, weight: complex, value: complex) -> MeanAccumulator:
-    """Functional form of :meth:`MeanAccumulator.add`."""
-    return acc.add(weight, value)
-
-
 def merge(a: MeanAccumulator, b: MeanAccumulator) -> MeanAccumulator:
     """Combine accumulators built from disjoint index blocks of the same
     source/policy/function triple; componentwise compensated sums."""
@@ -253,7 +247,6 @@ class ConvergenceReport:
     converged: bool
     stop_reason: str  # "window-cauchy" | "budget-exhausted" | "degenerate"
     N_used: int
-    settings: dict = field(default_factory=dict)
 
     @property
     def degenerate(self) -> bool:
@@ -289,7 +282,6 @@ class ConvergenceReport:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "N_used": self.N_used,
-            "settings": self.settings,
         }
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "PointSource",
     "QuantileFamily",
     "EquidistributionReport",
-    "point_at",
     "halton_source",
     "weyl_source",
     "pseudorandom_source",
@@ -105,11 +104,6 @@ class PointSource:
             raise ValueError("index must be >= 0")
         row = self.block(n, n + 1, d)[0]
         return Point(tuple(float(x) for x in row))
-
-
-def point_at(source: PointSource, n: int, d: int) -> Point:
-    """Functional form of :meth:`PointSource.point_at`."""
-    return source.point_at(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +485,8 @@ class NormalQuantiles(QuantileFamily):
 
     def __init__(self, widths: float | Sequence[float] = 1.0):
         ws = [widths] if np.isscalar(widths) else list(widths)
-        if any(w <= 0 for w in ws):
-            raise NonpositiveWidth("normal quantile widths must be positive")
+        if not ws or any(w <= 0 for w in ws):
+            raise NonpositiveWidth("normal quantile widths must be nonempty and positive")
         self.widths = tuple(float(w) for w in ws)
 
     def apply(self, k: int, u: np.ndarray) -> np.ndarray:
@@ -511,8 +505,8 @@ class BoxQuantiles(QuantileFamily):
 
     def __init__(self, half_width: float | Sequence[float]):
         hs = [half_width] if np.isscalar(half_width) else list(half_width)
-        if any(h <= 0 for h in hs):
-            raise NonpositiveWidth("box half-widths must be positive")
+        if not hs or any(h <= 0 for h in hs):
+            raise NonpositiveWidth("box half-widths must be nonempty and positive")
         self.half_widths = tuple(float(h) for h in hs)
 
     def apply(self, k: int, u: np.ndarray) -> np.ndarray:
@@ -537,6 +531,8 @@ def box_quantiles(half_width: float | Sequence[float]) -> QuantileFamily:
 
 def quantile_family_from_dict(spec: dict) -> QuantileFamily:
     """Build a quantile family from its config form."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected an object with a 'family', got {spec!r}")
     fam = spec.get("family")
     if fam == "uniform":
         return UniformQuantiles()

@@ -1,10 +1,17 @@
 """Experiment driver: parsing, validation, modes, exit codes, determinism."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmean.cli import (
     EXIT_CHECK_FAILED,
@@ -331,3 +338,144 @@ def test_budget_flag_overrides_config(tmp_path):
     code, summary, _ = run_cli(tmp_path, cfg, extra=("--budget", "25000"))
     assert summary["settings"]["budget"] == 25000
     assert summary["result"]["N_used"] <= 25000
+
+
+# ---------------------------------------------------------------------------
+# compare oracles for pullback sources
+
+NORMAL_PULLBACK = {
+    "mode": "compare",
+    "source": {"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+               "quantiles": {"family": "normal", "widths": [1.0, 0.5]}},
+    "policy": {"kind": "constant"},
+    "function": {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": 2},
+    "budget": 20000, "stopping": {"min_samples": 20000}, "tolerance": 5e-3,
+}
+
+
+def test_compare_mode_normal_pullback(tmp_path):
+    code, summary, _ = run_cli(tmp_path, NORMAL_PULLBACK)
+    assert code == EXIT_OK
+    r = summary["result"]
+    assert abs(complex(r["estimate"]["re"], r["estimate"]["im"]) - 0.25) <= 5e-3
+    assert abs(complex(r["oracle"]["re"], r["oracle"]["im"]) - 0.25) <= 1e-9
+
+
+def test_compare_mode_box_pullback_with_unequal_widths(tmp_path):
+    cfg = dict(NORMAL_PULLBACK,
+               source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+                       "quantiles": {"family": "uniform-box", "widths": [1.0, 2.0]}},
+               function={"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]})
+    code, summary, _ = run_cli(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert abs(summary["result"]["oracle"]["re"] - 1.0 / 3.0) <= 1e-9  # x1 uniform on [-1, 1]
+
+
+# ---------------------------------------------------------------------------
+# malformed configs fail at parse, as one line naming the field
+
+SCAN = {"mode": "fresnel-scan", "source": {"kind": "halton", "offset": 1},
+        "action": {"matrix": [[1.0]]}, "sigmas": [1.0, 2.0], "budget": 2000}
+CERTIFY = {"mode": "certify", "budget": 10000, "source": {"kind": "halton"}}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(MINIMAL, source={"kind": "pullback", "base": {
+        "kind": "pullback", "base": {"kind": "halton", "offset": 1}}}), "source.base"),
+    (dict(MINIMAL, source={"kind": "weyl", "alphas": ["abc"]}), "source.alphas"),
+    (dict(MINIMAL, source={"kind": "weyl", "alphas": "0.4142135623730951"}), "source.alphas"),
+    (dict(MINIMAL, source={"kind": "weyl", "alphas": ["0.25", "0.5"]}), "source.alphas"),
+    (dict(CERTIFY, hierarchy=2), "hierarchy"),
+    (dict(CERTIFY, hierarchy=[]), "hierarchy"),
+    (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=4), "bins_per_axis"),
+    (dict(SCAN, sigmas=2.0), "sigmas"),
+    (dict(SCAN, sigmas=[]), "sigmas"),
+    (dict(SCAN, action={"matrix": [[1.0, 0.0], [0.0, 1.0]]}), "action"),
+    (dict(SCAN, action={"matrix": [[0.0]]}), "action"),
+], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
+        "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
+        "scan-rank-2", "scan-zero-curvature"])
+def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
+    code, summary, _ = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert summary is None
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"name": "coordinate", "index": 1.7}, "function.index"),
+    ({"name": "coordinate", "index": True}, "function.index"),
+    ({"name": "coordinate", "index": "2"}, "function.index"),
+    ({"name": "coordinate", "index": 0}, "function.index"),
+    ({"name": "coordinate-product", "rank": 2.9}, "function.rank"),
+    ({"name": "cosine", "index": 2.0}, "function.index"),
+    ({"name": "polynomial", "coeffs": [1.0], "index": 1.5}, "function.index"),
+])
+def test_registry_rejects_non_integer_parameters(params, field):
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        parse_config(json.dumps(dict(MINIMAL, function=params)))
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: one field of a valid config replaced by a wrong-typed value
+
+FUZZ_BASES = [
+    dict(MINIMAL, budget=2000),
+    dict(DENSITY, budget=2000),
+    ALTERNATING,
+    dict(NORMAL_PULLBACK, budget=2000, stopping={"min_samples": 2000}),
+    dict(SCAN, regularizer={"family": "gaussian", "widths": [1.0]}, route="weight-borne",
+         function={"name": "coordinate", "index": 1}, stopping={"min_samples": 1000}),
+    dict(CERTIFY, budget=2000, source={"kind": "weyl", "alphas": ["0.4142135623730951"]},
+         hierarchy=[1], bins_per_axis=[4]),
+    {"mode": "estimate", "source": {"kind": "convergent", "target": [0.3], "rate": 0.5},
+     "policy": {"kind": "fresnel", "action": {"matrix": [[1.0]], "linear": [0.5]},
+                "regularizer": {"widths": [1.0]}},
+     "function": {"name": "cosine", "index": 1, "frequency": 2.0}, "budget": 2000},
+    {"mode": "compare", "source": {"kind": "pseudorandom", "seed": 3}, "route": "pullback",
+     "action": {"matrix": [[1.0]]}, "regularizer": {"family": "gaussian", "widths": [1.0]},
+     "function": {"name": "gaussian", "widths": [2.0]}, "budget": 2000, "tolerance": 0.5},
+    {"mode": "oracle", "function": {"name": "quadratic-form", "matrix": [[1.0]]},
+     "density": {"name": "coordinate-product", "rank": 1}, "cells_per_axis": 4},
+    {"mode": "estimate", "source": {"kind": "halton", "offset": 1},
+     "policy": {"kind": "boltzmann", "action": {"matrix": [[1.0]], "constant": 0.5}},
+     "function": {"name": "coordinate", "index": 1}, "budget": 2000, "trace_stride": 500,
+     "block_size": 512, "box_half_width": 2.0},
+]
+FUZZ_POOL = [None, "x", 1.5, True, [], {}, -1, [1]]
+
+
+def _field_paths(node, prefix=()):
+    """Every key of every object, and every list element, below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FUZZ_CASES = [(i, path) for i, cfg in enumerate(FUZZ_BASES) for path in _field_paths(cfg)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_POOL))
+def test_fuzzed_config_never_raises(case, value):
+    base, path = case
+    cfg = copy.deepcopy(FUZZ_BASES[base])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([FUZZ_BASES[base]["mode"], "--config", str(config),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DEGENERATE, EXIT_NOT_CONVERGED, EXIT_CHECK_FAILED)
+    if code == EXIT_ERROR:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

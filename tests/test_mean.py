@@ -9,7 +9,6 @@ from diracmean import (
     DEGENERATE,
     MeanAccumulator,
     StoppingRule,
-    accumulate,
     constant_policy,
     convergent_source,
     cylinder_function,
@@ -86,8 +85,8 @@ def test_nonfinite_inputs_rejected():
 
 def test_accumulate_functional_form_and_invariants():
     acc = MeanAccumulator()
-    accumulate(acc, 1.0, 2.0)
-    accumulate(acc, -0.5j, 4.0)
+    acc.add(1.0, 2.0)
+    acc.add(-0.5j, 4.0)
     assert acc.count == 2
     assert acc.abs_weight_sum >= abs(acc.denominator)
 

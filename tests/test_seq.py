@@ -45,7 +45,7 @@ def constant_source(value=0.3):
 
 def test_halton_hand_values():
     h = seq.halton_source(0)
-    assert seq.point_at(h, 1, 1).coords == (0.5,)
+    assert h.point_at(1, 1).coords == (0.5,)
     assert h.point_at(3, 1).coords == (0.75,)
     p = h.point_at(2, 2)
     assert p.coords[0] == 0.25

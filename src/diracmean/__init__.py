@@ -22,7 +22,6 @@ from .cylinder import (
     ProjectionHierarchy,
     cylinder_function,
     hierarchy_certify,
-    integrate_cylinder,
     verify_cylinder,
 )
 from .errors import (

@@ -21,7 +21,7 @@ from . import mean as mean_mod
 from .action import fresnel_limit_scan, gaussian_regularizer, oscillatory_mean, quadratic_action
 from .cylinder import ProjectionHierarchy, hierarchy_certify
 from .errors import DiracMeanError, ParseError
-from .oracle import QuadratureSpec, normalized_expectation_with_info
+from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_int, _as_list, _as_number, _built, _fail, build_function
 from .seq import (
     _per_coordinate,
@@ -496,8 +496,10 @@ def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dic
         rho, domain = _route_density(config)
     if func.rank > len(domain):
         _fail("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
-    spec = QuadratureSpec(domain=domain, cells_per_axis=config.cells_per_axis)
-    value, cells = normalized_expectation_with_info(func.eval_block, rho, spec)
+    if len(domain) > 3:
+        _fail("density", "oracle mode supports ranks up to 3")
+    spec = _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
+    value, cells = normalized_expectation(func.eval_block, rho, spec)
     result = {
         "value_re": _finite(value.real),
         "value_im": _finite(value.imag),
@@ -542,7 +544,7 @@ def _compare_integrand(config: ExperimentConfig, func):
 
     if len(domain) > 3:
         _fail("function", "compare mode supports oracle ranks up to 3")
-    return rho, QuadratureSpec(domain=domain, cells_per_axis=config.cells_per_axis)
+    return rho, _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
 
 
 def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
@@ -556,7 +558,7 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
         result = {"estimate": "degenerate", "oracle": None, "pass": False,
                   "tolerance": config.tolerance}
         return EXIT_DEGENERATE, result, files
-    oracle_value, cells = normalized_expectation_with_info(func.eval_block, rho, spec)
+    oracle_value, cells = normalized_expectation(func.eval_block, rho, spec)
     error = abs(report.final_estimate - oracle_value)
     ok = error <= config.tolerance
     result = {
@@ -625,7 +627,10 @@ def execute(config: ExperimentConfig, out_dir: str | None = None) -> int:
     mode-specific CSVs) into the output directory, and return the exit
     code."""
     outdir = Path(out_dir or config.out or os.environ.get(OUT_DIR_ENV) or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DiracMeanError(f"cannot create output directory '{outdir}': {exc.strerror}") from exc
     code, result, files = _MODE_HANDLERS[config.mode](config, outdir)
     summary = {
         "mode": config.mode,

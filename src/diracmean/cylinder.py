@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import mean as mean_mod
 from .errors import CylinderViolation, RankExceeded
 from .seq import EquidistributionReport, PointSource, equidistribution_statistic
 
@@ -23,7 +22,6 @@ __all__ = [
     "cylinder_function",
     "verify_cylinder",
     "ProjectionHierarchy",
-    "integrate_cylinder",
     "hierarchy_certify",
     "default_bins",
 ]
@@ -116,22 +114,6 @@ class ProjectionHierarchy:
             raise ValueError("ranks must start at >= 1")
         if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
             raise ValueError("ranks must be strictly increasing")
-
-
-def integrate_cylinder(
-    func: CylinderFunction,
-    source: PointSource,
-    policy,
-    budget: int,
-    rule: mean_mod.StoppingRule | None = None,
-    trace_stride: int = 1000,
-    block_size: int = 4096,
-) -> mean_mod.ConvergenceReport:
-    """Mean of a cylinder function over a source, after checking the
-    declared rank by perturbation probing.  Identical arithmetic to
-    :func:`mean.run` on the rank-truncated source."""
-    verify_cylinder(func)
-    return mean_mod.run(source, policy, func, budget, rule, trace_stride, block_size)
 
 
 _DEFAULT_BINS = {1: 16, 2: 8, 3: 4}

@@ -2,9 +2,13 @@
 
 Deterministic composite Gauss-Legendre quadrature up to rank 3,
 refined by cell doubling until two successive resolutions agree, plus
-the closed-form moments of complex Gaussian densities.  Oracle
-tolerances (1e-8 .. 1e-10) sit two-plus orders below the estimator
-tolerances they back, so oracle error never masks estimator error.
+the closed-form moments of complex Gaussian densities.  A normalized
+expectation is one quadrature of the stacked integrand
+``(density, |density|, f * density)``, so the density is evaluated once
+per grid.  Both quadrature functions return ``(value, cells_used)``.
+Oracle tolerances (1e-8 .. 1e-10) sit two-plus orders below the
+estimator tolerances they back, so oracle error never masks estimator
+error.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ from .errors import DegenerateOracle, NoConvergence, NonpositiveWidth, Unsupport
 __all__ = [
     "QuadratureSpec",
     "tensor_quadrature",
-    "tensor_quadrature_with_info",
     "normalized_expectation",
-    "normalized_expectation_with_info",
     "complex_gaussian_moment",
     "gaussian_domain",
 ]
@@ -29,13 +31,14 @@ __all__ = [
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
 _CELL_CAP = {1: 4096, 2: 512, 3: 128}
 _REL_TOL = 1e-10
-_CHUNK = 1 << 19
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor grid description: per-axis finite intervals and the starting
-    resolution for cell doubling."""
+    resolution for cell doubling, which must leave room for one doubling
+    below the rank's cap (4096 / 512 / 128 cells per axis)."""
 
     domain: tuple[tuple[float, float], ...]
     cells_per_axis: int = 4
@@ -46,6 +49,11 @@ class QuadratureSpec:
             raise ValueError("quadrature supports ranks 1..3")
         if self.cells_per_axis < 4:
             raise ValueError("cells_per_axis must be >= 4")
+        if 2 * self.cells_per_axis > _CELL_CAP[rank]:
+            raise ValueError(
+                f"cells_per_axis must be <= {_CELL_CAP[rank] // 2} at rank {rank}, "
+                f"so that cells can double once below the cap, got {self.cells_per_axis}"
+            )
         for lo, hi in self.domain:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError("each axis needs a finite interval lo < hi")
@@ -71,55 +79,50 @@ def _axis_rule(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray
     return nodes, wts
 
 
-def _integrate_once(g: Callable, domain, cells: int) -> complex:
-    # Grids are handed to ``g`` column-major, like the sources' point blocks.
-    rules = [_axis_rule(lo, hi, cells) for lo, hi in domain]
-    rank = len(domain)
-    if rank == 1:
-        nodes, wts = rules[0]
-        vals = np.asarray(g(nodes[:, None]))
-        return complex(np.dot(vals, wts))
-    ny = len(rules[1][0])
-    total = 0.0 + 0.0j
-    if rank == 2:
-        x, wx = rules[0]
-        y, wy = rules[1]
-        rows_per_chunk = max(1, _CHUNK // ny)
-        for start in range(0, len(x), rows_per_chunk):
-            stop = min(start + rows_per_chunk, len(x))
-            grid = np.empty((2, (stop - start) * ny))
-            grid[0].reshape(-1, ny)[:] = x[start:stop, None]
-            grid[1].reshape(-1, ny)[:] = y
-            vals = np.asarray(g(grid.T))
-            w = np.repeat(wx[start:stop], ny) * np.tile(wy, stop - start)
-            total += complex(np.dot(vals, w))
-        return total
-    x, wx = rules[0]
-    y, wy = rules[1]
-    z, wz = rules[2]
-    yy, zz = np.meshgrid(y, z, indexing="ij")
-    yy, zz = yy.ravel(), zz.ravel()
-    wyz = np.multiply.outer(wy, wz).ravel()
-    for i in range(len(x)):
-        grid = np.empty((3, len(yy)))
-        grid[0] = x[i]
-        grid[1] = yy
-        grid[2] = zz
+def _integrate_once(g: Callable, domain, cells: int) -> np.complex128 | np.ndarray:
+    # The first axis is walked in whole rows of at most _CHUNK points; a row
+    # is the x-major product of the remaining axes, with outer-product
+    # weights.  Grids are handed to ``g`` column-major, like the sources'
+    # point blocks.
+    (x, wx), *inner = [_axis_rule(lo, hi, cells) for lo, hi in domain]
+    inner_nodes = [m.ravel() for m in np.meshgrid(*(n for n, _ in inner), indexing="ij")]
+    inner_w = np.ones(1)
+    for _, w in inner:
+        inner_w = np.multiply.outer(inner_w, w).ravel()
+    row = len(inner_w)
+    rows_per_chunk = max(1, _CHUNK // row)
+    total = np.complex128(0)
+    for start in range(0, len(x), rows_per_chunk):
+        stop = min(start + rows_per_chunk, len(x))
+        grid = np.empty((len(domain), (stop - start) * row))
+        grid[0].reshape(-1, row)[:] = x[start:stop, None]
+        for axis, nodes in zip(grid[1:], inner_nodes):
+            axis.reshape(-1, row)[:] = nodes
         vals = np.asarray(g(grid.T))
-        total += complex(wx[i] * np.dot(vals, wyz))
+        total = total + vals @ (wx[start:stop, None] * inner_w).ravel()
     return total
 
 
-def tensor_quadrature_with_info(g: Callable, spec: QuadratureSpec) -> tuple[complex, int]:
-    """Like :func:`tensor_quadrature` but also reports the resolution at
-    which the doubling converged."""
+def tensor_quadrature(g: Callable, spec: QuadratureSpec) -> tuple[complex | list[complex], int]:
+    """Integral of ``g`` over the spec's box by composite 7-node
+    Gauss-Legendre rule, doubling cells per axis until two successive
+    values agree within 1e-10 (relative, floored at 1), and the cells per
+    axis at which they agreed.
+
+    ``g`` maps an ``(m, rank)`` grid to ``(m,)`` values, and the value is
+    a Python complex; or to ``(k, m)`` values, and the value is a list of
+    k Python complexes, converged only when every component agrees.
+    Raises ``NoConvergence`` at the per-rank resolution cap
+    (4096 / 512 / 128 cells per axis for ranks 1 / 2 / 3).
+    """
     cap = _CELL_CAP[spec.rank]
     cells = spec.cells_per_axis
     prev = None
     while cells <= cap:
         val = _integrate_once(g, spec.domain, cells)
-        if prev is not None and abs(val - prev) <= _REL_TOL * max(1.0, abs(val)):
-            return val, cells
+        if prev is not None and np.all(abs(val - prev) <= _REL_TOL * np.maximum(1.0, abs(val))):
+            # tolist() gives Python complexes, never numpy scalars.
+            return val.tolist(), cells
         prev = val
         cells *= 2
     raise NoConvergence(
@@ -128,42 +131,29 @@ def tensor_quadrature_with_info(g: Callable, spec: QuadratureSpec) -> tuple[comp
     )
 
 
-def tensor_quadrature(g: Callable, spec: QuadratureSpec) -> complex:
-    """Integral of ``g`` over the spec's box by composite 7-node
-    Gauss-Legendre rule, doubling cells per axis until two successive
-    values agree within 1e-10 (relative, floored at 1).
-
-    Raises ``NoConvergence`` at the per-rank resolution cap
-    (4096 / 512 / 128 cells per axis for ranks 1 / 2 / 3).
-    """
-    value, _ = tensor_quadrature_with_info(g, spec)
-    return value
-
-
-def normalized_expectation_with_info(
+def normalized_expectation(
     f: Callable, density: Callable, spec: QuadratureSpec
 ) -> tuple[complex, int]:
-    """Like :func:`normalized_expectation`, also reporting the finest
-    resolution used by any of the three integrals."""
-    z, c1 = tensor_quadrature_with_info(density, spec)
-    a, c2 = tensor_quadrature_with_info(lambda x: np.abs(density(x)), spec)
+    """The ratio ``integral(f * density) / integral(density)`` over the
+    spec's box, for a possibly complex density, and the cells per axis at
+    which ``density``, ``|density|`` and ``f * density`` all agreed.
+
+    The three integrals are one quadrature of a stacked integrand, so the
+    density is evaluated once per grid.  Raises ``DegenerateOracle`` when
+    the normalization is below 1e-10 of the absolute-density integral.
+    """
+
+    def stacked(x):
+        rho = np.asarray(density(x))
+        return np.stack([rho, np.abs(rho), np.asarray(f(x)) * rho])
+
+    (z, a, num), cells = tensor_quadrature(stacked, spec)
     if abs(z) < 1e-10 * abs(a):
         raise DegenerateOracle(
             "the normalizing integral is below 1e-10 of the absolute-density "
             "integral on this domain"
         )
-    num, c3 = tensor_quadrature_with_info(
-        lambda x: np.asarray(f(x)) * np.asarray(density(x)), spec
-    )
-    return num / z, max(c1, c2, c3)
-
-
-def normalized_expectation(f: Callable, density: Callable, spec: QuadratureSpec) -> complex:
-    """The ratio ``integral(f * density) / integral(density)`` over the
-    spec's box, for a possibly complex density; raises
-    ``DegenerateOracle`` when the normalization is too close to zero."""
-    value, _ = normalized_expectation_with_info(f, density, spec)
-    return value
+    return num / z, cells
 
 
 def complex_gaussian_moment(curvature: float, width: float, moment: int) -> complex:

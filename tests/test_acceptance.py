@@ -108,7 +108,7 @@ def test_criterion_04_oscillatory_fresnel_value(fresnel_pullback):
         lambda x: x[:, 0] ** 2,
         lambda x: np.exp(-x[:, 0] ** 2 * (1.0 + 1.0j) / 2.0),
         gaussian_domain(),
-    )
+    )[0]
     oracle_err = abs(oracle - complex_gaussian_moment(1.0, 1.0, 2))
     ok = announce(4, err <= 5e-3 and oracle_err <= 1e-8 and elapsed < 30.0,
                   f"Fresnel <x^2> via pullback, N=1e6: err={err:.2e} (tol 5e-3), "

@@ -377,6 +377,8 @@ def test_compare_mode_box_pullback_with_unequal_widths(tmp_path):
 SCAN = {"mode": "fresnel-scan", "source": {"kind": "halton", "offset": 1},
         "action": {"matrix": [[1.0]]}, "sigmas": [1.0, 2.0], "budget": 2000}
 CERTIFY = {"mode": "certify", "budget": 10000, "source": {"kind": "halton"}}
+ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
+          "density": {"name": "coordinate-product", "rank": 1}}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -392,15 +394,31 @@ CERTIFY = {"mode": "certify", "budget": 10000, "source": {"kind": "halton"}}
     (dict(SCAN, sigmas=[]), "sigmas"),
     (dict(SCAN, action={"matrix": [[1.0, 0.0], [0.0, 1.0]]}), "action"),
     (dict(SCAN, action={"matrix": [[0.0]]}), "action"),
+    (dict(ORACLE, cells_per_axis=4096), "cells_per_axis"),
+    (dict(ORACLE, density={"name": "coordinate-product", "rank": 2}, cells_per_axis=512),
+     "cells_per_axis"),
+    (dict(ORACLE, density={"name": "coordinate-product", "rank": 4}), "density"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
-        "scan-rank-2", "scan-zero-curvature"])
+        "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
+        "oracle-rank-4"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     code, summary, _ = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert summary is None
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_uncreatable_output_directory_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CERTIFY))
+    code = main(["certify", "--config", str(path), "--out", str(tmp_path / "afile" / "sub")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

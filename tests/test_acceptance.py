@@ -163,7 +163,7 @@ def test_criterion_07_degeneracy_guard(tmp_path):
     code = main(["estimate", "--config", str(path), "--out", str(out)])
     summary = json.loads((out / "summary.json").read_text())
     cells_finite = True
-    for row in list(csv.reader((out / "trace.csv").open()))[1:]:
+    for row in list(csv.reader((out / "trace.csv").read_text().splitlines()))[1:]:
         for cell in row:
             if cell and not math.isfinite(float(cell)):
                 cells_finite = False

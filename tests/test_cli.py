@@ -149,7 +149,7 @@ def test_estimate_density_example(tmp_path):
     est = summary["result"]["final_estimate"]
     assert abs(est["re"] - 5.0 / 9.0) <= 2e-3
     assert est["im"] == 0.0
-    rows = list(csv.reader((out / "trace.csv").open()))
+    rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))
     assert rows[0] == ["m", "re_num", "im_num", "re_den", "im_den",
                        "re_est", "im_est", "den_ratio"]
     assert len(rows) > 2
@@ -159,7 +159,7 @@ def test_estimate_alternating_phase_exits_degenerate(tmp_path):
     code, summary, out = run_cli(tmp_path, ALTERNATING)
     assert code == EXIT_DEGENERATE
     assert summary["result"]["final_estimate"] == "degenerate"
-    for row in list(csv.reader((out / "trace.csv").open()))[1:]:
+    for row in list(csv.reader((out / "trace.csv").read_text().splitlines()))[1:]:
         for cell in row:
             if cell:
                 assert math.isfinite(float(cell))
@@ -272,7 +272,7 @@ def test_fresnel_scan_mode_writes_csv(tmp_path):
            "budget": 50000, "stopping": {"min_samples": 50000}}
     code, summary, out = run_cli(tmp_path, cfg)
     assert code == EXIT_OK
-    rows = list(csv.reader((out / "scan.csv").open()))
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
     assert rows[0][0] == "sigma"
     assert len(rows) == 3
     assert [e["sigma"] for e in summary["result"]["scan"]] == [1.0, 2.0]
@@ -377,6 +377,7 @@ def test_compare_mode_box_pullback_with_unequal_widths(tmp_path):
 SCAN = {"mode": "fresnel-scan", "source": {"kind": "halton", "offset": 1},
         "action": {"matrix": [[1.0]]}, "sigmas": [1.0, 2.0], "budget": 2000}
 CERTIFY = {"mode": "certify", "budget": 10000, "source": {"kind": "halton"}}
+ALPHA = "0.4142135623730951"
 ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
           "density": {"name": "coordinate-product", "rank": 1}}
 
@@ -398,10 +399,19 @@ ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
     (dict(ORACLE, density={"name": "coordinate-product", "rank": 2}, cells_per_axis=512),
      "cells_per_axis"),
     (dict(ORACLE, density={"name": "coordinate-product", "rank": 4}), "density"),
+    (dict(MINIMAL, source={"kind": "weyl", "alphas": [ALPHA]}), "source.alphas"),
+    (dict(MINIMAL, source={"kind": "pullback", "base": {"kind": "weyl", "alphas": [ALPHA]}}),
+     "source.base.alphas"),
+    (dict(CERTIFY, source={"kind": "weyl", "alphas": [ALPHA]}, hierarchy=[1, 2]),
+     "source.alphas"),
+    ({"mode": "estimate", "source": {"kind": "halton"}, "route": "pullback",
+      "action": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "regularizer": {"widths": [1.0]},
+      "function": {"name": "coordinate", "index": 1}, "budget": 2000}, "regularizer.widths"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
-        "oracle-rank-4"])
+        "oracle-rank-4", "alphas-short-of-function-rank", "base-alphas-short-of-function-rank",
+        "alphas-short-of-hierarchy", "route-widths-short-of-action-rank"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     code, summary, _ = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmean import (
     DEGENERATE,
@@ -285,20 +287,58 @@ class NaNAt:
 STOP_RULE = StoppingRule(min_samples=56, rel_tol=1e-4)  # linear checkpoints every 7
 
 
-@pytest.mark.parametrize("rel_tol, reason", [(1e-4, "window-cauchy"),
-                                             (1e-13, "budget-exhausted")])
-def test_trace_stride_never_moves_the_result(rel_tol, reason):
-    pol = density_policy(lambda x: 1.0 + x[:, 0], 1)
-    rule = StoppingRule(min_samples=STOP_RULE.min_samples, rel_tol=rel_tol)
-    budget = 2 * 10**5
+DENSITY_POL = density_policy(lambda x: 1.0 + x[:, 0], 1)
+ALTERNATING_POL = oscillatory_policy(quadratic_action([[0.0]]), index_phase=math.pi)
+
+
+@pytest.mark.parametrize("pol, rule, budget, strides, block_size, reason, n_used", [
+    (DENSITY_POL, StoppingRule(min_samples=STOP_RULE.min_samples, rel_tol=1e-4), 2 * 10**5,
+     (7, 1000, 2 * 10**5), 1024, "window-cauchy", None),
+    (DENSITY_POL, StoppingRule(min_samples=STOP_RULE.min_samples, rel_tol=1e-13), 2 * 10**5,
+     (7, 1000, 2 * 10**5), 1024, "budget-exhausted", None),
+    # Checkpoints every min_samples // window = 125 points whatever the stride.
+    (constant_policy(), StoppingRule(rel_tol=1e-3), 60000, (1, 7, 1000, 60000), 4096,
+     "window-cauchy", 1190),
+    # Alternating weights cancel exactly at every even m and never at an odd
+    # one, so no window of checkpoints is all degenerate: the run reaches the
+    # budget, and its parity decides the outcome.
+    (ALTERNATING_POL, StoppingRule(), 10000, (7, 1000), 4096, "degenerate", 10000),
+    (ALTERNATING_POL, StoppingRule(), 10001, (7, 1000), 4096, "budget-exhausted", 10001),
+], ids=["0.0001-window-cauchy", "1e-13-budget-exhausted", "default-min-samples",
+        "alternating-even", "alternating-odd"])
+def test_trace_stride_never_moves_the_result(pol, rule, budget, strides, block_size, reason,
+                                             n_used):
     reports = [run(halton_source(1), pol, F_X1, budget, rule, trace_stride=stride,
-                   block_size=1024) for stride in (7, 1000, budget)]
+                   block_size=block_size) for stride in strides]
     for report in reports:
         assert report.stop_reason == reason
         assert report.final_estimate == reports[0].final_estimate
         assert report.N_used == reports[0].N_used
     if reason == "window-cauchy":
-        assert reports[0].N_used % 1024 != 0  # the stop fell inside a block
+        assert reports[0].N_used % block_size != 0  # the stop fell inside a block
+    if n_used is not None:
+        assert reports[0].N_used == n_used
+
+
+def _bits(estimate):
+    return estimate if estimate is DEGENERATE else (estimate.real.hex(), estimate.imag.hex())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    offset=st.integers(0, 10**6),
+    pol=st.sampled_from([constant_policy(), DENSITY_POL, ALTERNATING_POL,
+                         oscillatory_policy(quadratic_action([[2.0]]))]),
+    stride=st.integers(1, 25000),
+    block_size=st.integers(64, 8192),
+    rel_tol=st.floats(1e-6, 1e-2),
+)
+def test_stopping_never_depends_on_the_stride(offset, pol, stride, block_size, rel_tol):
+    rule = StoppingRule(rel_tol=rel_tol)
+    ref, got = (run(halton_source(offset), pol, F_X1, 20000, rule, trace_stride=s,
+                    block_size=block_size) for s in (1000, stride))
+    assert (got.N_used, got.stop_reason) == (ref.N_used, ref.stop_reason)
+    assert _bits(got.final_estimate) == _bits(ref.final_estimate)
 
 
 def test_blocks_are_the_only_partition():
@@ -396,6 +436,31 @@ def test_stopping_rule_validation():
 def test_stopping_rule_rejects_values_that_fail_late_or_never_stop(field, value):
     with pytest.raises(ValueError, match=field):
         StoppingRule(**{field: value})
+
+
+RUN_COUNTS = {"budget": 5000, "trace_stride": 1000, "block_size": 4096}
+BLOCKED_COUNTS = {"total": 10**5, "n_blocks": 8}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("budget", 5000.0),
+    ("budget", True),
+    ("budget", "5000"),
+    ("trace_stride", True),
+    ("trace_stride", 10.0),
+    ("trace_stride", 0),
+    ("block_size", 4096.0),
+    ("block_size", -1),
+    ("total", 10.0**5),
+    ("total", True),
+    ("n_blocks", 8.0),
+    ("n_blocks", False),
+    ("n_blocks", 0),
+])
+def test_run_and_run_blocked_reject_non_integer_counts(name, value):
+    fn, counts = (run, RUN_COUNTS) if name in RUN_COUNTS else (run_blocked, BLOCKED_COUNTS)
+    with pytest.raises(ValueError, match=name):
+        fn(halton_source(0), constant_policy(), F_X1, **dict(counts, **{name: value}))
 
 
 def test_stopping_rule_accepts_numpy_scalars():

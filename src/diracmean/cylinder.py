@@ -32,7 +32,8 @@ class CylinderFunction:
     """A function of the first ``rank`` coordinates of a point.
 
     ``base`` receives a ``(m, rank)`` array (column-major for source
-    blocks) and returns ``(m,)`` values (possibly complex); for
+    blocks) and returns ``(m,)`` values (possibly complex), each depending
+    on its own row only; any other shape raises ``ValueError``.  For
     ``rank == 0`` a plain number is accepted and the function is that
     constant.
     """
@@ -58,7 +59,13 @@ class CylinderFunction:
         if self.rank == 0:
             const = self.base if not callable(self.base) else self.base(points[:, :0])
             return np.full(len(points), const)
-        return np.asarray(self.base(points[:, : self.rank]))
+        out = np.asarray(self.base(points[:, : self.rank]))
+        if out.shape != (len(points),):
+            raise ValueError(
+                f"{self.label or 'function'} returned values of shape {out.shape} for "
+                f"{len(points)} points; expected ({len(points)},)"
+            )
+        return out
 
     def __call__(self, point) -> complex | float:
         coords = getattr(point, "coords", point)

@@ -8,7 +8,7 @@ sum has cancelled below ``delta`` times the absolute-weight sum, so no
 NaN or infinity can ever leak out of a run.
 
 ``run`` drives a source/policy/function triple through a finite budget
-in vectorized chunks, records a trace, and stops on a window-Cauchy
+in batches of whole blocks, records a trace, and stops on a window-Cauchy
 criterion, persistent degeneracy, or budget exhaustion.  Disjoint index
 blocks accumulated independently merge deterministically, which is the
 whole parallelism contract: sources and policies are pure, accumulators
@@ -142,21 +142,28 @@ class MeanAccumulator:
     def add_block(self, weights: np.ndarray, values: np.ndarray) -> "MeanAccumulator":
         """Accumulate a block of terms: pairwise block sums folded in as
         single compensated addends."""
+        if np.ndim(weights) != 1 or np.shape(weights) != np.shape(values):
+            raise ValueError(
+                f"weights of shape {np.shape(weights)} do not match values of shape "
+                f"{np.shape(values)}; expected two (m,) arrays"
+            )
         if not np.isfinite(weights).all():
             raise NonFiniteInput("non-finite weight in block")
         if not np.isfinite(values).all():
             raise NonFiniteInput("non-finite function value in block")
-        wv = np.multiply(weights, values)
-        num = complex(np.sum(wv))
-        den = complex(np.sum(weights))
-        aw = float(np.sum(np.abs(weights)))
+        self._fold(np.sum(np.multiply(weights, values)), np.sum(weights),
+                   np.sum(np.abs(weights)), len(weights))
+        return self
+
+    def _fold(self, num, den, aw, count: int) -> None:
+        """Fold one block's sums in as single compensated addends."""
+        num, den = complex(num), complex(den)
         self._nr, self._nrc = _kbn_add(self._nr, self._nrc, num.real)
         self._ni, self._nic = _kbn_add(self._ni, self._nic, num.imag)
         self._dr, self._drc = _kbn_add(self._dr, self._drc, den.real)
         self._di, self._dic = _kbn_add(self._di, self._dic, den.imag)
-        self._aw, self._awc = _kbn_add(self._aw, self._awc, aw)
-        self.count += len(weights)
-        return self
+        self._aw, self._awc = _kbn_add(self._aw, self._awc, float(aw))
+        self.count += count
 
     def estimate(self, delta: float = 1e-8):
         """The normalized mean, or ``DEGENERATE`` when the weight sum has
@@ -318,6 +325,32 @@ def _prefix_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(np.add.reduceat(terms[:ends[-1]], cuts))
 
 
+def _block_sums(terms: np.ndarray, block_size: int) -> list:
+    """``np.sum`` of each ``block_size`` slice of ``terms`` (the last may be
+    short), bit for bit: pairwise row sums of the whole blocks."""
+    k = len(terms) // block_size
+    sums = terms[:k * block_size].reshape(k, block_size).sum(axis=1).tolist()
+    if len(terms) % block_size:
+        sums.append(np.sum(terms[k * block_size:]))
+    return sums
+
+
+# Points per batch of ``run``: as many whole blocks as fit, at least one.
+_BATCH_POINTS = 16384
+
+
+def _weights(policy, points: np.ndarray, start: int) -> np.ndarray:
+    """The policy's weights for a block, one per point."""
+    w = np.asarray(policy.weights(points, start_index=start))
+    if w.shape != (len(points),):
+        kind = getattr(policy, "kind", type(policy).__name__)
+        raise ValueError(
+            f"{kind} policy returned weights of shape {w.shape} for {len(points)} "
+            f"points; expected ({len(points)},)"
+        )
+    return w
+
+
 def run(
     source,
     policy,
@@ -335,6 +368,8 @@ def run(
     source, policy, func
         A point source, a weight policy, and a finite-rank function; the
         run reads ``max(policy.rank, func.rank, 1)`` coordinates per point.
+        The function and the policy must be pointwise: a point's value and
+        weight may not depend on the other points evaluated with it.
     budget
         Maximum number of points (must be >= ``rule.min_samples``).
     rule
@@ -346,12 +381,15 @@ def run(
         the stop.  Snapshots and checkpoints inside a block are read from the
         block's prefix sums; they never split it.
     block_size
-        Points per evaluated block, the only partition of the sum: runs
-        with equal block size that stop at the same point are
-        reproducible bit for bit, whatever the trace stride, and different
-        block sizes agree to compensated-summation accuracy.  A stop inside
-        a block commits only the block's prefix up to the stopping point;
-        the terms after it are evaluated and discarded.
+        Points per block, the only partition of the sum: runs with equal
+        block size that stop at the same point are reproducible bit for
+        bit, whatever the trace stride, and different block sizes agree to
+        compensated-summation accuracy.  Points are evaluated in batches of
+        whole blocks (up to 16384 points, or one larger block) that never
+        run past the block holding the next checkpoint where the run can
+        stop.  A stop inside a block commits only the block's prefix up to
+        the stopping point; the at most ``block_size - 1`` terms after it
+        are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
     budget = _count("budget", budget)
@@ -368,8 +406,38 @@ def run(
     trace: list[TracePoint] = []
     # Estimates at the last ``window`` checkpoints; None where degenerate.
     recent: deque[complex | None] = deque(maxlen=rule.window)
-    checks = set(_checkpoints(budget, rule))
+    checkpoints = _checkpoints(budget, rule)
+    checks = set(checkpoints)
     marks = sorted(checks.union(range(trace_stride, budget + 1, trace_stride)))
+    # The run can stop only at a checkpoint with a full window, from min_samples on.
+    stops = [m for i, m in enumerate(checkpoints)
+             if i >= rule.window - 1 and m >= rule.min_samples] + [budget]
+    batch = max(1, _BATCH_POINTS // block_size) * block_size
+
+    def blocks():
+        """``(start, (w v, w, |w|), values, sums)`` of each block, with the
+        sums of its three term arrays, or None where one is not finite.
+        Blocks are evaluated in batches of whole blocks, each ending at the
+        latest with the block that holds the next possible stop."""
+        start = next_stop = 0
+        while start < budget:
+            while stops[next_stop] <= start:
+                next_stop += 1
+            end = min(start + batch, -(-stops[next_stop] // block_size) * block_size, budget)
+            pts = source.block(start, end, rank)
+            w = _weights(policy, pts, start)
+            v = func.eval_block(pts)
+            # A non-finite term is an error only before the stop, where
+            # add_block raises; until then its sums are formed in silence.
+            with np.errstate(invalid="ignore"):
+                terms = (np.multiply(w, v), w, np.abs(w))
+                sums = [_block_sums(t, block_size) for t in terms]
+            finite = np.isfinite(sums).all(axis=0).tolist()
+            for j, lo in enumerate(range(0, end - start, block_size)):
+                part = slice(lo, lo + block_size)
+                yield (start + lo, [t[part] for t in terms], v[part],
+                       [s[j] for s in sums] if finite[j] else None)
+            start = end
 
     def observe(m: int, num: complex, den: complex, aw: float) -> str | None:
         """Record the snapshot after ``m`` terms; the stop reason, if any."""
@@ -393,28 +461,29 @@ def run(
 
     stop_reason = None
     next_mark = 0
-    for start in range(0, budget, block_size):
-        stop = min(start + block_size, budget)
-        pts = source.block(start, stop, rank)
-        w = policy.weights(pts, start_index=start)
-        v = func.eval_block(pts)
-        keep = stop - start
+    for start, (wv, w, abs_w), v, sums in blocks():
+        keep = len(w)
+        stop = start + keep
         inner = bisect.bisect_left(marks, stop, next_mark)
         if inner > next_mark:
             # Snapshots at the marks inside the block: the committed totals
             # plus the block's prefix sums up to each mark.
             inside = marks[next_mark:inner]
             ends = np.asarray(inside) - start
-            nums = acc.numerator + _prefix_sums(np.multiply(w, v), ends)
-            dens = acc.denominator + _prefix_sums(w, ends)
-            aws = acc.abs_weight_sum + _prefix_sums(np.abs(w), ends)
+            with np.errstate(invalid="ignore"):
+                nums = acc.numerator + _prefix_sums(wv, ends)
+                dens = acc.denominator + _prefix_sums(w, ends)
+                aws = acc.abs_weight_sum + _prefix_sums(abs_w, ends)
             for m, num, den, aw in zip(inside, nums.tolist(), dens.tolist(), aws.tolist()):
                 stop_reason = observe(m, num, den, aw)
                 if stop_reason is not None:
                     keep = m - start
                     break
             next_mark = inner
-        acc.add_block(w[:keep], v[:keep])
+        if keep == len(w) and sums is not None:
+            acc._fold(*sums, keep)
+        else:
+            acc.add_block(w[:keep], v[:keep])
         if stop_reason is None and marks[next_mark] == stop:
             next_mark += 1
             stop_reason = observe(stop, acc.numerator, acc.denominator, acc.abs_weight_sum)
@@ -456,7 +525,7 @@ def run_blocked(
         for start in range(lo, hi, 1 << 16):
             stop = min(start + (1 << 16), hi)
             pts = source.block(start, stop, rank)
-            acc.add_block(policy.weights(pts, start_index=start), func.eval_block(pts))
+            acc.add_block(_weights(policy, pts, start), func.eval_block(pts))
         accs.append(acc)
     while len(accs) > 1:
         paired = [merge(accs[i], accs[i + 1]) for i in range(0, len(accs) - 1, 2)]

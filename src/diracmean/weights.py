@@ -27,6 +27,16 @@ __all__ = [
 _EXP_OVERFLOW = 700.0
 
 
+def _phase(s: np.ndarray) -> np.ndarray:
+    """``exp(-1j * s)`` for real phases ``s``, bit for bit: ``cos(s)`` and
+    ``-sin(s)`` written into the real and imaginary parts of one array."""
+    out = np.empty(np.shape(s), dtype=complex)
+    np.cos(s, out=out.real)
+    np.sin(s, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
 class WeightPolicy:
     """Rule assigning a weight to each evaluation point.
 
@@ -104,7 +114,7 @@ class OscillatoryPolicy(WeightPolicy):
         if self.index_phase != 0.0:
             n = np.arange(start_index, start_index + len(points), dtype=np.float64)
             s = s + self.index_phase * n
-        return np.exp(-1j * s)
+        return _phase(s)
 
 
 class ProductRegularizedPolicy(WeightPolicy):
@@ -127,7 +137,9 @@ class ProductRegularizedPolicy(WeightPolicy):
         if self.index_phase != 0.0:
             n = np.arange(start_index, start_index + len(points), dtype=np.float64)
             s = s + self.index_phase * n
-        return xi * np.exp(-1j * s)
+        out = _phase(s)
+        out *= xi
+        return out
 
 
 def constant_policy() -> WeightPolicy:

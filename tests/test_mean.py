@@ -341,21 +341,136 @@ def test_stopping_never_depends_on_the_stride(offset, pol, stride, block_size, r
     assert _bits(got.final_estimate) == _bits(ref.final_estimate)
 
 
+class Recording:
+    """Point source that records the index range of every ``block`` call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def block(self, start, stop, rank):
+        self.calls.append((start, stop))
+        return self.inner.block(start, stop, rank)
+
+
+def assert_whole_blocks(calls, block_size, budget, n_used):
+    """Calls cover whole blocks, contiguous from 0, at most 16384 points each
+    (or one larger block), the last ending with the block that holds n_used."""
+    assert calls[0][0] == 0
+    assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+    for start, stop in calls:
+        assert start % block_size == 0 and (stop % block_size == 0 or stop == budget)
+        assert 0 < stop - start <= max(1, 16384 // block_size) * block_size
+    assert calls[-1][1] == min(-(-n_used // block_size) * block_size, budget)
+
+
 def test_blocks_are_the_only_partition():
-    calls = []
+    src = Recording(halton_source(1))
+    report = run(src, constant_policy(), F_X1, 10**5, STOP_RULE, trace_stride=7,
+                 block_size=1024)
+    assert_whole_blocks(src.calls, 1024, 10**5, report.N_used)
+    assert src.calls[-1][0] < report.N_used <= src.calls[-1][1]
 
-    class Recording:
-        def __init__(self, inner):
-            self.inner = inner
 
-        def block(self, start, stop, rank):
-            calls.append((start, stop))
-            return self.inner.block(start, stop, rank)
+@pytest.mark.parametrize("pol, rule, budget, stride, block_size", [
+    (DENSITY_POL, StoppingRule(rel_tol=1e-5), 10**5, 1000, 4096),
+    (DENSITY_POL, StoppingRule(min_samples=10**5), 10**5, 1000, 5000),
+    (ALTERNATING_POL, StoppingRule(), 10**4, 1000, 7),
+    (DENSITY_POL, StoppingRule(min_samples=1000, rel_tol=1e-5), 2 * 10**5, 1000, 70000),
+    (DENSITY_POL, StoppingRule(min_samples=300, rel_tol=1e-3), 3000, 7, 1),
+], ids=["geometric-checkpoints", "fixed-budget", "degenerate", "huge-blocks", "single-points"])
+def test_batches_are_whole_blocks_up_to_the_stopping_block(pol, rule, budget, stride,
+                                                           block_size):
+    src = Recording(halton_source(1))
+    report = run(src, pol, F_X1, budget, rule, trace_stride=stride, block_size=block_size)
+    assert_whole_blocks(src.calls, block_size, budget, report.N_used)
 
-    report = run(Recording(halton_source(1)), constant_policy(), F_X1, 10**5, STOP_RULE,
-                 trace_stride=7, block_size=1024)
-    assert calls == [(a, min(a + 1024, 10**5)) for a in range(0, calls[-1][1], 1024)]
-    assert calls[-1][0] < report.N_used <= calls[-1][1]
+
+class RaisesFrom:
+    """Density weights that raise at any index from ``index`` on."""
+
+    rank = 1
+    kind = "raises-from"
+
+    def __init__(self, index):
+        self.index = index
+
+    def weights(self, pts, start_index=0):
+        if start_index + len(pts) > self.index:
+            raise AssertionError(f"evaluated index {self.index} or later")
+        return DENSITY_POL.weights(pts, start_index)
+
+
+@pytest.mark.parametrize("block_size", [1024, 4096, 5000])
+def test_no_point_past_the_stopping_block_is_evaluated(block_size):
+    rule = StoppingRule(rel_tol=1e-5)
+    clean = run(halton_source(1), DENSITY_POL, F_X1, 10**6, rule, block_size=block_size)
+    assert clean.stop_reason == "window-cauchy" and clean.N_used < 10**6
+    limit = -(-clean.N_used // block_size) * block_size
+    report = run(halton_source(1), RaisesFrom(limit), F_X1, 10**6, rule, block_size=block_size)
+    assert (report.N_used, _bits(report.final_estimate)) == \
+        (clean.N_used, _bits(clean.final_estimate))
+
+
+class AbsWeights:
+    """The absolute values of another policy's weights."""
+
+    def __init__(self, inner):
+        self.inner, self.rank = inner, inner.rank
+
+    def weights(self, pts, start_index=0):
+        return np.abs(self.inner.weights(pts, start_index))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offset=st.integers(0, 10**6),
+    pol=st.sampled_from([DENSITY_POL, oscillatory_policy(quadratic_action([[2.0]]))]),
+    block_size=st.integers(1, 20000),
+    n_blocks=st.integers(1, 40),
+    short=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_batched_run_folds_blocks_like_add_block(offset, pol, block_size, n_blocks, short):
+    budget = n_blocks * block_size - int(short * block_size)
+    rule = StoppingRule(min_samples=budget)
+    want = MeanAccumulator()
+    src = halton_source(offset)
+    for start in range(0, budget, block_size):
+        pts = src.block(start, min(start + block_size, budget), 1)
+        want.add_block(pol.weights(pts, start_index=start), F_X1.eval_block(pts))
+    got = run(src, pol, F_X1, budget, rule, block_size=block_size).trace[-1]
+    aw = run(src, AbsWeights(pol), F_ONE, budget, rule, block_size=block_size).trace[-1]
+    assert (got.m, aw.m) == (budget, budget)
+    for a, b in ((got.numerator, want.numerator), (got.denominator, want.denominator),
+                 (aw.denominator, complex(want.abs_weight_sum))):
+        assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+
+
+@pytest.mark.parametrize("base", [lambda x: x[:, :1], lambda x: 0.5],
+                         ids=["column", "scalar"])
+def test_function_values_of_the_wrong_shape_are_rejected(base):
+    func = cylinder_function(1, base, "bad-shape")
+    with pytest.raises(ValueError, match="bad-shape returned values of shape"):
+        run(halton_source(1), constant_policy(), func, 2000, StoppingRule(min_samples=1000),
+            block_size=256)
+    with pytest.raises(ValueError, match="bad-shape returned values of shape"):
+        run_blocked(halton_source(1), constant_policy(), func, 512, 2)
+
+
+class ColumnWeights:
+    rank = 1
+    kind = "column"
+
+    def weights(self, pts, start_index=0):
+        return np.ones((len(pts), 1))
+
+
+def test_weights_of_the_wrong_shape_are_rejected():
+    with pytest.raises(ValueError, match=r"column policy returned weights of shape \(2000, 1\)"):
+        run(halton_source(1), ColumnWeights(), F_X1, 2000)
+    with pytest.raises(ValueError, match="column policy returned weights"):
+        run_blocked(halton_source(1), ColumnWeights(), F_X1, 512, 2)
+    with pytest.raises(ValueError, match="do not match"):
+        MeanAccumulator().add_block(np.ones(3), np.ones((3, 1)))
 
 
 def test_trace_rows_match_filled_accumulators():
@@ -396,6 +511,24 @@ def test_nonfinite_term_before_the_stop_raises():
         run(halton_source(1), NaNAt(stop - 1), F_X1, 10**5, STOP_RULE, block_size=4096)
     # A term past the stop, in the same block, is evaluated and discarded.
     past = run(halton_source(1), NaNAt(stop), F_X1, 10**5, STOP_RULE, block_size=4096)
+    assert (past.final_estimate, past.N_used) == (clean.final_estimate, clean.N_used)
+
+
+def test_infinite_weights_before_the_stop_raise_nonfinite_input():
+    clean = run(halton_source(1), constant_policy(), F_X1, 10**5, STOP_RULE, block_size=4096)
+    stop = clean.N_used
+
+    class InfPair(NaNAt):
+        def weights(self, pts, start_index=0):
+            w = np.ones(len(pts))
+            for i, value in ((self.index, np.inf), (self.index + 1, -np.inf)):
+                if 0 <= i - start_index < len(pts):
+                    w[i - start_index] = value
+            return w
+
+    with pytest.raises(NonFiniteInput, match="weight"):
+        run(halton_source(1), InfPair(stop - 2), F_X1, 10**5, STOP_RULE, block_size=4096)
+    past = run(halton_source(1), InfPair(stop), F_X1, 10**5, STOP_RULE, block_size=4096)
     assert (past.final_estimate, past.N_used) == (clean.final_estimate, clean.N_used)
 
 

@@ -1,0 +1,106 @@
+"""Pinned bits of seven `run`s: the estimate, N_used, stop reason and trace rows.
+
+A change that moves any of these bits on purpose updates the pins and
+says so in CHANGES.md; any other change must leave them as they are.
+The rank-8 row sum was pinned when ``run`` began to evaluate several
+blocks per call, which moved its trace rows; the other six predate that.
+``PYTHONPATH=src python tests/test_reproducibility.py`` prints the
+current values in the layout of ``PINNED``.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from diracmean import (
+    StoppingRule,
+    constant_policy,
+    cylinder_function,
+    density_policy,
+    halton_source,
+    oscillatory_policy,
+    pseudorandom_source,
+    quadratic_action,
+    run,
+)
+
+F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
+DENSITY_POL = density_policy(lambda x: 1.0 + x[:, 0], 1)
+
+RUNS = {
+    # A free window-Cauchy stop inside a 1024-point block.
+    "window-cauchy-inside-block": lambda: run(
+        halton_source(1), DENSITY_POL, F_X1, 2 * 10**5,
+        StoppingRule(min_samples=56, rel_tol=1e-4), trace_stride=7, block_size=1024),
+    # Weights alternate in sign, so every even m is degenerate.
+    "alternating-degenerate": lambda: run(
+        halton_source(0), oscillatory_policy(quadratic_action([[0.0]]), index_phase=math.pi),
+        F_X1, 10**4, StoppingRule()),
+    "oscillatory-complex": lambda: run(
+        pseudorandom_source(3),
+        oscillatory_policy(quadratic_action([[2.0, 0.5], [0.5, 1.0]])),
+        cylinder_function(2, lambda x: np.exp(1j * x[:, 0]) * x[:, 1], "e^{i x1} x2"),
+        60000, StoppingRule(rel_tol=1e-3), trace_stride=500),
+    "block-size-1": lambda: run(
+        halton_source(2), DENSITY_POL, F_X1, 3000,
+        StoppingRule(min_samples=200, rel_tol=1e-3), trace_stride=7, block_size=1),
+    # 5000 does not divide the 16384-point batch.
+    "block-size-5000": lambda: run(
+        halton_source(3), DENSITY_POL,
+        cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "x1 x2"), 10**5,
+        StoppingRule(rel_tol=3e-5, min_samples=42000), trace_stride=333, block_size=5000),
+    # A block larger than a batch is its own batch.
+    "block-size-70000": lambda: run(
+        halton_source(0), constant_policy(), F_X1, 2 * 10**5,
+        StoppingRule(min_samples=1000, rel_tol=1e-5), block_size=70000),
+    # numpy sums 8 columns of a one-row block pairwise but of a many-row
+    # column-major block in coordinate order: the bits depend on the rows
+    # evaluated together, even at block_size=1.
+    "rank-8-row-sum-block-size-1": lambda: run(
+        pseudorandom_source(5), constant_policy(),
+        cylinder_function(8, lambda x: x.sum(axis=1), "x1 + ... + x8"), 3000,
+        StoppingRule(min_samples=3000), trace_stride=7, block_size=1),
+}
+
+PINNED = {
+    'alternating-degenerate': (
+        'degenerate', 10000, 'degenerate',
+        '8630b0fa38f6a53acea025b764aba09488bca5538dc012a424ef1687510a709a'),
+    'block-size-1': (
+        ('0x1.1baaa1f0d54f5p-1', '0x0.0p+0'), 815, 'window-cauchy',
+        'a2092c4b85ba324029da33ab13873de4ab1bbde0d4980e06f98bbe13762d9b4e'),
+    'block-size-5000': (
+        ('0x1.1c6a29ed96aaap-2', '0x0.0p+0'), 59399, 'window-cauchy',
+        '67cc62c61ceed77448a16eba75d51319b5c18125dcd24e9eee19fca200cbd14c'),
+    'block-size-70000': (
+        ('0x1.fff9874222aa6p-2', '0x0.0p+0'), 117995, 'window-cauchy',
+        '9594889baec80a10daa7a6c0fd6d2e1139f5158bbd17de0c1874dd6859800c34'),
+    'oscillatory-complex': (
+        ('0x1.fdf20b1664a55p-2', '0x1.88662c6071b58p-3'), 41714, 'window-cauchy',
+        'c20857df4cff5aa1eede80d53d090e5be1826cf10de7ca7680d606647e402214'),
+    'rank-8-row-sum-block-size-1': (
+        ('0x1.01386d5e4e056p+2', '0x0.0p+0'), 3000, 'budget-exhausted',
+        '8c55993bd86bf0042c06615f53ffd9636b30e02f7efcbce7a336da9469c85233'),
+    'window-cauchy-inside-block': (
+        ('0x1.1c4a6cad3a051p-1', '0x0.0p+0'), 6566, 'window-cauchy',
+        '64f9c3f4a2fcce0420f0b55e4117275dfdd7807dc6fef7fd52ac411340126306'),
+}
+
+
+def _fingerprint(report):
+    est = report.final_estimate
+    bits = "degenerate" if report.degenerate else (est.real.hex(), est.imag.hex())
+    rows = hashlib.sha256(repr(report.trace_rows()).encode()).hexdigest()
+    return bits, report.N_used, report.stop_reason, rows
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_bits_are_pinned(name):
+    assert _fingerprint(RUNS[name]()) == PINNED[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(RUNS):
+        print(f"    {name!r}: {_fingerprint(RUNS[name]())!r},")

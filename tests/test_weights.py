@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmean import (
     StoppingRule,
@@ -22,6 +24,7 @@ from diracmean import (
 )
 from diracmean.errors import NegativeDensity, WeightOverflow
 from diracmean.oracle import QuadratureSpec, gaussian_domain, normalized_expectation
+from diracmean.weights import _phase
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
 F_X1SQ = cylinder_function(1, lambda x: x[:, 0] ** 2, "x1^2")
@@ -137,6 +140,46 @@ def test_oscillatory_unit_modulus_even_for_huge_actions():
     pts = halton_source(1).block(0, 1000, 1)
     w = pol.weights(pts)
     assert np.max(np.abs(np.abs(w) - 1.0)) <= 1e-15
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+FINITE_PHASES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(
+        math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.pi, -math.pi, 1e22, -1e22]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phases=st.lists(FINITE_PHASES, min_size=1, max_size=40),
+       scale=st.sampled_from([1.0, 1e6, 1e300]))
+def test_phase_kernel_equals_complex_exp_bit_for_bit(phases, scale):
+    with np.errstate(over="ignore"):
+        s = np.array(phases) * scale
+    s = s[np.isfinite(s)]
+    assert np.array_equal(_bits(_phase(s)), _bits(np.exp(-1j * s)))
+
+
+def test_phase_policies_equal_complex_exp_bit_for_bit():
+    act = quadratic_action([[1.0, 0.5], [0.5, 2.0]], linear=[0.3, -1e6])
+    reg = gaussian_regularizer([1.0, 2.0])
+    pts = halton_source(3).block(0, 5000, 2)
+    s = act(pts) + math.pi * np.arange(7, 5007)
+    assert np.array_equal(_bits(oscillatory_policy(act, math.pi).weights(pts, start_index=7)),
+                          _bits(np.exp(-1j * s)))
+    assert np.array_equal(
+        _bits(product_regularized_policy(reg, act, math.pi).weights(pts, start_index=7)),
+        _bits(reg.value(pts) * np.exp(-1j * s)))
+
+
+def test_non_finite_phase_warns_and_gives_a_non_finite_weight():
+    with pytest.warns(RuntimeWarning):
+        w = _phase(np.array([0.5, np.inf, np.nan]))
+    assert np.isfinite(w[0]) and not np.isfinite(w[1:]).any()
 
 
 def test_product_regularized_identity_case_is_constant():

@@ -27,6 +27,7 @@ from .seq import (
     BoxQuantiles,
     NormalQuantiles,
     PointSource,
+    _columns,
     pullback_source,
 )
 from .weights import oscillatory_policy, product_regularized_policy
@@ -43,25 +44,9 @@ __all__ = [
 ]
 
 _MAX_QUADRATIC_RANK = 16
-_TRANSPOSE_ROWS = 4096
-
-
-def _columns(points: np.ndarray, rank: int) -> np.ndarray:
-    """The first ``rank`` columns as a C-contiguous ``(rank, m)`` array.
-
-    A column-major block (every source block) is returned as a view,
-    without a copy, so callers must not write into it.  Any other layout
-    is copied ``_TRANSPOSE_ROWS`` rows at a time: a single transposing
-    pass over a large row-major block fetches each source cache line
-    ``rank`` times, and measured 2-2.5x slower at 65536 x 8.
-    """
-    cols = points[:, :rank].T
-    if cols.flags.c_contiguous:
-        return cols
-    cols = np.empty((rank, len(points)))
-    for k in range(0, len(points), _TRANSPOSE_ROWS):
-        cols[:, k : k + _TRANSPOSE_ROWS] = points[k : k + _TRANSPOSE_ROWS, :rank].T
-    return cols
+# Points and level of the base-source uniformity certificate of oscillatory_mean.
+_CERTIFICATION_SAMPLES = 10**4
+_CERTIFICATION_LEVEL = 0.999
 
 
 class ActionFunctional:
@@ -173,9 +158,6 @@ class Regularizer:
         """Quantile family of the normalized product measure ``xi / Z``."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class GaussianRegularizer(Regularizer):
     family = "gaussian"
@@ -186,31 +168,19 @@ class GaussianRegularizer(Regularizer):
             raise NonpositiveWidth("regularizer widths must be positive")
         self.widths = tuple(float(w) for w in ws)
         self.rank = len(self.widths)
+        self._quantiles = NormalQuantiles(self.widths)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        """``exp(-sum_k (x_k / sigma_k)^2 / 2)`` from scaled columns, summed
-        in coordinate order; an overflowing square gives the exact limit 0."""
-        cols = _columns(points, self.rank)
-        with np.errstate(over="ignore", under="ignore"):
-            q = np.divide(cols[0], self.widths[0])
-            q *= q
-            tmp = np.empty_like(q)
-            for col, width in zip(cols[1:], self.widths[1:]):
-                np.divide(col, width, out=tmp)
-                tmp *= tmp
-                q += tmp
-            q *= -0.5
-            return np.exp(q, out=q)
+        """``exp(-sum_k (x_k / sigma_k)^2 / 2)``: the density of
+        :meth:`quantiles` on the first ``rank`` columns."""
+        return self._quantiles.density(points[:, : self.rank])
 
     def factor(self, k: int, t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(-0.5 * (np.asarray(t) / self.widths[k]) ** 2)
 
     def quantiles(self) -> NormalQuantiles:
-        return NormalQuantiles(self.widths)
-
-    def to_dict(self) -> dict:
-        return {"family": "gaussian", "widths": list(self.widths)}
+        return self._quantiles
 
 
 def gaussian_regularizer(widths: float | Sequence[float]) -> GaussianRegularizer:
@@ -219,9 +189,9 @@ def gaussian_regularizer(widths: float | Sequence[float]) -> GaussianRegularizer
     return GaussianRegularizer(widths)
 
 
-def _certify_base(base: PointSource, rank: int, samples: int, level: float) -> None:
+def _certify_base(base: PointSource, rank: int) -> None:
     ranks = tuple(range(1, min(rank, 3) + 1))
-    reports = hierarchy_certify(base, ranks, samples, level)
+    reports = hierarchy_certify(base, ranks, _CERTIFICATION_SAMPLES, _CERTIFICATION_LEVEL)
     bad = [r for r in reports if not r.passed]
     if bad:
         worst = bad[0]
@@ -243,8 +213,6 @@ def oscillatory_mean(
     route: str = "pullback",
     box_half_width: float | None = None,
     skip_certification: bool = False,
-    certification_samples: int = 10**4,
-    certification_level: float = 0.999,
     trace_stride: int = 1000,
     block_size: int = 4096,
 ) -> mean_mod.ConvergenceReport:
@@ -257,6 +225,10 @@ def oscillatory_mean(
     ``[-L, L]^rank`` (L defaults to 8x the largest regularizer width) and
     carries ``xi * exp(-i action)`` in the weights.  Both estimate the
     same ratio up to box truncation.
+
+    Unless ``skip_certification``, the base source must first pass the
+    chi-square uniformity certificate (10^4 points, level 0.999, ranks 1
+    to ``min(rank, 3)``), or ``CertificationError`` is raised.
     """
     rank = max(int(action.rank), int(func.rank), 1)
     if regularizer.rank < rank:
@@ -266,14 +238,13 @@ def oscillatory_mean(
         )
     verify_cylinder(func)
     if not skip_certification:
-        _certify_base(base, rank, certification_samples, certification_level)
+        _certify_base(base, rank)
     if route == "pullback":
         src = pullback_source(base, regularizer.quantiles())
         pol = oscillatory_policy(action)
     elif route == "weight-borne":
         if box_half_width is None:
-            widths = getattr(regularizer, "widths", (1.0,))
-            box_half_width = 8.0 * max(widths)
+            box_half_width = regularizer.quantiles().domain(1, 8.0)[0][1]
         src = pullback_source(base, BoxQuantiles(box_half_width))
         pol = product_regularized_policy(regularizer, action)
     else:

@@ -24,12 +24,12 @@ from .errors import DiracMeanError, ParseError
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_int, _as_list, _as_number, _built, _fail, build_function
 from .seq import (
-    _per_coordinate,
     convergent_source,
     halton_source,
     pseudorandom_source,
     pullback_source,
     quantile_family_from_dict,
+    uniform_quantiles,
     weyl_source,
 )
 from .weights import (
@@ -396,7 +396,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         _fail("out", "expected a path string")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         mode=resolved_mode,
         budget=budget,
         source=source,
@@ -419,6 +419,9 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         cells_per_axis=cells,
         out=out,
     )
+    if resolved_mode in ("oracle", "compare"):
+        _oracle_integrand(config, build_function(function, "function"))
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +503,45 @@ def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), result, {}
 
 
-def _route_density(config: ExperimentConfig, min_rank: int = 1):
-    """``xi e^{-iS}`` of the configured regularizer and action, and the box
-    it is integrated over: at least ``min_rank`` axes, each truncated at
-    ``truncation`` times the widest regularizer width."""
-    act = _action(config.action)[1]
-    reg = _regularizer(config.regularizer)[1]
-    half = config.truncation * max(reg.widths)
-    rank = max(act.rank, reg.rank, min_rank)
-    return product_regularized_policy(reg, act).weights, ((-half, half),) * rank
+def _oracle_integrand(config: ExperimentConfig, func):
+    """The quadrature oracle's density and spec for an ``oracle`` or
+    ``compare`` run: an oracle's ``density`` on the unit cube; else the
+    regularizer and action's ``xi e^{-iS}`` on the regularizer measure's
+    truncated domain, for an oracle or a compare route; else the source's
+    sampling density times the policy's weights on the source's domain."""
+    if config.mode == "oracle" and config.density is not None:
+        density = build_function(config.density, "density")
+        rho, domain = density.eval_block, ((0.0, 1.0),) * max(density.rank, 1)
+    elif config.mode == "oracle" or config.route is not None:
+        act = _action(config.action)[1]
+        reg = _regularizer(config.regularizer)[1]
+        rank = max(act.rank, reg.rank, func.rank if config.mode == "compare" else 0)
+        rho = product_regularized_policy(reg, act).weights
+        domain = reg.quantiles().domain(rank, config.truncation)
+    else:
+        if config.policy.get("index_phase", 0.0) != 0.0:
+            _fail("policy.index_phase",
+                  "index-dependent phases have no point density to compare against")
+        policy = _policy(config.policy)[1]
+        source = _source(config.source)[1]
+        if source.kind == "convergent":
+            _fail("source", "compare mode needs an equidistributed source")
+        family = source.quantiles if source.kind == "pullback" else uniform_quantiles()
+        domain = family.domain(max(policy.rank, func.rank, 1), config.truncation)
+        density, weights = family.density, policy.weights
+        rho = weights if density is None else (lambda x: density(x) * weights(x))
+    if func.rank > len(domain):
+        _fail("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
+    if len(domain) > 3:
+        if config.mode == "oracle":
+            _fail("density", "oracle mode supports ranks up to 3")
+        _fail("function", "compare mode supports oracle ranks up to 3")
+    return rho, _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
 
 
 def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
     func = build_function(config.function, "function")
-    if config.density is not None:
-        density = build_function(config.density, "density")
-        rho, domain = density.eval_block, ((0.0, 1.0),) * max(density.rank, 1)
-    else:
-        rho, domain = _route_density(config)
-    if func.rank > len(domain):
-        _fail("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
-    if len(domain) > 3:
-        _fail("density", "oracle mode supports ranks up to 3")
-    spec = _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
-    value, cells = normalized_expectation(func.eval_block, rho, spec)
+    value, cells = normalized_expectation(func.eval_block, *_oracle_integrand(config, func))
     result = {
         "value_re": _finite(value.real),
         "value_im": _finite(value.imag),
@@ -532,48 +550,9 @@ def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dic
     return EXIT_OK, result, {}
 
 
-def _sampling_density(config: ExperimentConfig, rank: int):
-    """Density (up to a constant; None when uniform) of the configured
-    source's sampling measure on ``rank`` coordinates, and its natural
-    truncated domain."""
-    source = _source(config.source)[1]
-    if source.kind == "convergent":
-        _fail("source", "compare mode needs an equidistributed source")
-    family = getattr(source, "quantiles", None)
-    if family is None or family.family == "uniform":
-        return None, ((0.0, 1.0),) * rank
-    if family.family == "uniform-box":
-        hs = [_per_coordinate(family.half_widths, k) for k in range(rank)]
-        return None, tuple((-h, h) for h in hs)
-    ws = [_per_coordinate(family.widths, k) for k in range(rank)]
-    half = config.truncation * max(family.widths)
-    return gaussian_regularizer(ws).value, ((-half, half),) * rank
-
-
-def _compare_integrand(config: ExperimentConfig, func):
-    """The oracle's density and quadrature spec for a compare run."""
-    if config.route is not None:
-        rho, domain = _route_density(config, func.rank)
-    else:
-        if config.policy.get("index_phase", 0.0) != 0.0:
-            _fail("policy.index_phase",
-                  "index-dependent phases have no point density to compare against")
-        policy = _policy(config.policy)[1]
-        rank = max(policy.rank, func.rank, 1)
-        base_rho, domain = _sampling_density(config, rank)
-
-        def rho(x, base_rho=base_rho, policy=policy):
-            w = policy.weights(x)
-            return w if base_rho is None else base_rho(x) * w
-
-    if len(domain) > 3:
-        _fail("function", "compare mode supports oracle ranks up to 3")
-    return rho, _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
-
-
 def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
     func = build_function(config.function, "function")
-    rho, spec = _compare_integrand(config, func)
+    rho, spec = _oracle_integrand(config, func)
     report = _run_estimate(config)[2]
     trace_path = outdir / "trace.csv"
     report.write_csv(trace_path)

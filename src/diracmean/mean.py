@@ -21,6 +21,7 @@ import bisect
 import itertools
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,13 +79,18 @@ def _ratio(num: complex, den: complex, aw: float, delta: float):
 
     The division is done by scaled conjugation rather than the libm
     complex quotient so that a numerator that is an exact real multiple
-    of the denominator divides out exactly.
+    of the denominator divides out exactly.  When ``|den / aw|^2`` would
+    underflow, both are first divided by the larger denominator component.
     """
     if aw <= 0.0 or abs(den) < delta * aw:
         return DEGENERATE
     nr, ni = num.real / aw, num.imag / aw
     dr, di = den.real / aw, den.imag / aw
     norm = dr * dr + di * di
+    if norm < sys.float_info.min:
+        scale = max(abs(dr), abs(di))
+        nr, ni, dr, di = nr / scale, ni / scale, dr / scale, di / scale
+        norm = dr * dr + di * di
     return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
 
 

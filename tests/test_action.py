@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmean import (
     CustomAction,
@@ -83,6 +85,44 @@ def test_gaussian_regularizer_values_and_product_structure():
     joint = np.log(reg2.value(pts))
     split = np.log(reg2.factor(0, pts[:, 0])) + np.log(reg2.factor(1, pts[:, 1]))
     assert np.max(np.abs(joint - split)) <= 1e-12
+
+
+def _reference_gaussian(points, widths):
+    """``GaussianRegularizer.value`` as written before it became the
+    density of ``NormalQuantiles``: the same operations in the same order."""
+    cols = np.ascontiguousarray(points[:, : len(widths)].T)
+    with np.errstate(over="ignore", under="ignore"):
+        q = np.divide(cols[0], widths[0])
+        q *= q
+        tmp = np.empty_like(q)
+        for col, width in zip(cols[1:], widths[1:]):
+            np.divide(col, width, out=tmp)
+            tmp *= tmp
+            q += tmp
+        q *= -0.5
+        return np.exp(q, out=q)
+
+
+_WIDTH = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-200, 1e200]))
+# 1e155 and up square past the largest double.
+_COORD = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e155, -1e200, 1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(widths=st.lists(_WIDTH, min_size=1, max_size=4), extra=st.integers(0, 2),
+       data=st.data())
+def test_gaussian_regularizer_keeps_its_bits_in_either_layout(widths, extra, data):
+    rank = len(widths) + extra
+    rows = data.draw(st.lists(st.lists(_COORD, min_size=rank, max_size=rank),
+                              min_size=1, max_size=6))
+    pts = np.array(rows + [[1e200] * rank])
+    reg = gaussian_regularizer(widths)
+    want = _reference_gaussian(pts, widths).tobytes()
+    for block in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reg.value(block).tobytes() == want
 
 
 def test_gaussian_regularizer_quantiles_are_normal():

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -407,16 +408,29 @@ ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
     ({"mode": "estimate", "source": {"kind": "halton"}, "route": "pullback",
       "action": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "regularizer": {"widths": [1.0]},
       "function": {"name": "coordinate", "index": 1}, "budget": 2000}, "regularizer.widths"),
+    # The oracle integrand's own checks, built at parse too.
+    (dict(ALTERNATING, mode="compare", tolerance=1e-2, policy={
+        "kind": "oscillatory", "action": {"matrix": [[0.0]]}, "index_phase": 0.5}),
+     "policy.index_phase"),
+    (dict(DENSITY, mode="compare", source={"kind": "convergent", "target": 0.3, "rate": 0.5}),
+     "source"),
+    (dict(MINIMAL, mode="compare", function={"name": "coordinate-product", "rank": 4}),
+     "function"),
+    (dict(ORACLE, function={"name": "coordinate", "index": 2}), "function"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
         "oracle-rank-4", "alphas-short-of-function-rank", "base-alphas-short-of-function-rank",
-        "alphas-short-of-hierarchy", "route-widths-short-of-action-rank"])
+        "alphas-short-of-hierarchy", "route-widths-short-of-action-rank",
+        "compare-index-phase", "compare-convergent-source", "compare-rank-4",
+        "oracle-function-above-density-rank"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
-    code, summary, _ = run_cli(tmp_path, cfg)
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
+        parse_config(json.dumps(cfg))
+    code, summary, out = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
-    assert summary is None
+    assert summary is None and not out.exists()
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

@@ -1,6 +1,7 @@
 """Accumulator algebra, degeneracy guard, stopping, merge, reproducibility."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from diracmean import (
     DEGENERATE,
     MeanAccumulator,
     StoppingRule,
+    WeightPolicy,
     constant_policy,
     convergent_source,
     cylinder_function,
@@ -68,6 +70,41 @@ def test_orthogonal_weights_are_well_conditioned():
 def test_all_zero_weights_are_degenerate_not_nan():
     acc = filled([(0, 1), (0, 2)])
     assert acc.estimate() is DEGENERATE
+
+
+def _exact_quotient(num: complex, den: complex) -> complex:
+    """``num / den`` from exact rationals, each part rounded once."""
+    a, b, c, d = (Fraction(v) for v in (num.real, num.imag, den.real, den.imag))
+    norm = c * c + d * d
+    return complex(float((a * c + b * d) / norm), float((b * c - a * d) / norm))
+
+
+class CyclingWeights(WeightPolicy):
+    """Weights 1, -1, 1e-170, repeating with the point index."""
+
+    kind = "cycling"
+
+    def weights(self, points, start_index=0):
+        n = np.arange(start_index, start_index + len(points)) % 3
+        return np.array([1.0, -1.0, 1e-170])[n]
+
+
+@pytest.mark.parametrize("path", ["estimate", "run"])
+def test_weight_sum_far_below_the_absolute_sum_divides_without_underflow(path):
+    # |den / aw|^2 underflows to 0 in both; above the threshold, so not degenerate.
+    if path == "estimate":
+        acc = MeanAccumulator().add_block(np.array([1.0, -1.0, 1e-170]),
+                                          np.array([1.0, 2.0, 3.0]))
+        est, num, den = acc.estimate(1e-200), acc.numerator, acc.denominator
+    else:
+        report = run(halton_source(1), CyclingWeights(), F_X1, 3000,
+                     StoppingRule(min_samples=3000, degeneracy_threshold=1e-200))
+        last = report.trace[-1]
+        est, num, den = report.final_estimate, last.numerator, last.denominator
+    exact = _exact_quotient(num, den)
+    assert math.isfinite(est.real) and math.isfinite(est.imag)
+    assert abs(est.real - exact.real) <= 2 * math.ulp(exact.real)
+    assert abs(est.imag - exact.imag) <= 2 * math.ulp(exact.imag)
 
 
 def test_empty_accumulator_raises():

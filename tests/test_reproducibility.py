@@ -1,15 +1,22 @@
-"""Pinned bits of seven `run`s: the estimate, N_used, stop reason and trace rows.
+"""Pinned bits of seven `run`s and of six CLI quadrature oracles.
 
-A change that moves any of these bits on purpose updates the pins and
-says so in CHANGES.md; any other change must leave them as they are.
-The rank-8 row sum was pinned when ``run`` began to evaluate several
-blocks per call, which moved its trace rows; the other six predate that.
+For each run: the estimate, N_used, stop reason and trace rows.  For
+each oracle: ``float.hex`` of the value in ``summary.json`` and the cells
+per axis it used.  A change that moves any of these bits on purpose
+updates the pins and says so in CHANGES.md; any other change must leave
+them as they are.  The rank-8 row sum was pinned when ``run`` began to
+evaluate several blocks per call, which moved its trace rows; the other
+six runs predate that.  The oracle pins predate quantile families
+owning their density and domain.
 ``PYTHONPATH=src python tests/test_reproducibility.py`` prints the
-current values in the layout of ``PINNED``.
+current values in the layout of ``PINNED`` and ``PINNED_ORACLES``.
 """
 
 import hashlib
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +32,7 @@ from diracmean import (
     quadratic_action,
     run,
 )
+from diracmean.cli import execute, parse_config_dict
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
 DENSITY_POL = density_policy(lambda x: 1.0 + x[:, 0], 1)
@@ -89,6 +97,57 @@ PINNED = {
 }
 
 
+HALTON_1 = {"kind": "halton", "offset": 1}
+F_X2SQ = {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": 2}
+ROUTE = {"mode": "compare", "source": HALTON_1,
+         "action": {"matrix": [[1.0, 0.5], [0.5, 2.0]]},
+         "regularizer": {"family": "gaussian", "widths": [1.0, 0.7]},
+         "function": F_X2SQ, "budget": 2000, "tolerance": 0.5}
+
+ORACLES = {
+    "compare-density-halton": {
+        "mode": "compare", "source": {"kind": "halton"},
+        "policy": {"kind": "density", "function": {"name": "polynomial", "coeffs": [1.0, 1.0]}},
+        "function": {"name": "coordinate", "index": 1}, "budget": 2000, "tolerance": 0.5},
+    "compare-normal-pullback": {
+        "mode": "compare",
+        "source": {"kind": "pullback", "base": HALTON_1,
+                   "quantiles": {"family": "normal", "widths": [1.0, 0.5]}},
+        "policy": {"kind": "constant"}, "function": F_X2SQ, "budget": 2000, "tolerance": 0.5},
+    "compare-box-pullback-unequal-widths": {
+        "mode": "compare",
+        "source": {"kind": "pullback", "base": HALTON_1,
+                   "quantiles": {"family": "uniform-box", "widths": [1.0, 2.0]}},
+        "policy": {"kind": "constant"}, "function": F_X2SQ, "budget": 2000, "tolerance": 0.5},
+    "compare-route-pullback": dict(ROUTE, route="pullback"),
+    "compare-route-weight-borne": dict(ROUTE, route="weight-borne", box_half_width=6.0),
+    "oracle-rank3": {
+        "mode": "oracle",
+        "action": {"matrix": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]]},
+        "regularizer": {"family": "gaussian", "widths": [0.5, 0.5, 0.5]},
+        "function": {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": 3},
+        "truncation": 6.0},
+}
+
+PINNED_ORACLES = {
+    'compare-box-pullback-unequal-widths': (('0x1.5555555555559p+0', '0x0.0p+0'), 8),
+    'compare-density-halton': (('0x1.1c71c71c71c72p-1', '0x0.0p+0'), 8),
+    'compare-normal-pullback': (('0x1.0000000000000p-2', '0x0.0p+0'), 64),
+    'compare-route-pullback': (('0x1.0e40a1e9e96a6p-2', '-0x1.d3eda57640049p-3'), 64),
+    'compare-route-weight-borne': (('0x1.0e40a1e9e96a6p-2', '-0x1.d3eda57640049p-3'), 64),
+    'oracle-rank3': (('0x1.99999bdeec55ep-3', '-0x1.999998b66fb31p-4'), 16),
+}
+
+
+def _oracle_fingerprint(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        execute(parse_config_dict(json.loads(json.dumps(cfg))), tmp)
+        r = json.loads((Path(tmp) / "summary.json").read_text())["result"]
+    if "oracle" in r:
+        return (r["oracle"]["re"].hex(), r["oracle"]["im"].hex()), r["oracle_cells_used"]
+    return (r["value_re"].hex(), r["value_im"].hex()), r["cells_used"]
+
+
 def _fingerprint(report):
     est = report.final_estimate
     bits = "degenerate" if report.degenerate else (est.real.hex(), est.imag.hex())
@@ -101,6 +160,13 @@ def test_run_bits_are_pinned(name):
     assert _fingerprint(RUNS[name]()) == PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_bits_are_pinned(name):
+    assert _oracle_fingerprint(ORACLES[name]) == PINNED_ORACLES[name]
+
+
 if __name__ == "__main__":
     for name in sorted(RUNS):
         print(f"    {name!r}: {_fingerprint(RUNS[name]())!r},")
+    for name in sorted(ORACLES):
+        print(f"    {name!r}: {_oracle_fingerprint(ORACLES[name])!r},")

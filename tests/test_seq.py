@@ -20,6 +20,7 @@ from diracmean.errors import (
     QuantileDomain,
     RankUnsupported,
 )
+from diracmean.oracle import QuadratureSpec, normalized_expectation
 
 
 class ArraySource(seq.PointSource):
@@ -292,6 +293,19 @@ def test_quantile_families_are_monotone_with_correct_median():
             vals = fam.apply(k, us)
             assert np.all(np.diff(vals) >= 0)
             assert fam.quantile(k, 0.5) == pytest.approx(median, abs=1e-15)
+
+
+@pytest.mark.parametrize("family, second_moments", [
+    (seq.uniform_quantiles(), (1.0 / 3.0, 1.0 / 3.0)),
+    (seq.normal_quantiles([1.0, 0.5]), (1.0, 0.25)),
+    (seq.box_quantiles([1.0, 2.0]), (1.0 / 3.0, 4.0 / 3.0)),
+], ids=["uniform", "normal", "uniform-box"])
+def test_family_density_on_its_domain_gives_closed_form_second_moments(family, second_moments):
+    spec = QuadratureSpec(family.domain(2, 8.0))
+    density = family.density or (lambda x: np.ones(len(x)))
+    for k, moment in enumerate(second_moments):
+        value, _ = normalized_expectation(lambda x, k=k: x[:, k] ** 2, density, spec)
+        assert abs(value - moment) <= 1e-9
 
 
 def test_uniform_pullback_is_identity():

@@ -25,8 +25,6 @@ from .cylinder import (
     verify_cylinder,
 )
 from .errors import (
-    AsymmetricMatrix,
-    BadGenerator,
     CertificationError,
     CylinderViolation,
     DegenerateOracle,
@@ -36,13 +34,8 @@ from .errors import (
     NegativeDensity,
     NoConvergence,
     NonFiniteInput,
-    NonpositiveWidth,
     ParseError,
     QuantileDomain,
-    RankExceeded,
-    RankMismatch,
-    RankUnsupported,
-    UnsupportedMoment,
     ValidationError,
     WeightOverflow,
 )

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import mean as mean_mod
 from .cylinder import CylinderFunction, hierarchy_certify, verify_cylinder
-from .errors import (
-    AsymmetricMatrix,
-    CertificationError,
-    NonpositiveWidth,
-    RankMismatch,
-)
+from .errors import CertificationError, ValidationError, as_count, as_number, as_widths
 from .seq import (
     BoxQuantiles,
     NormalQuantiles,
@@ -72,17 +67,21 @@ class QuadraticAction(ActionFunctional):
     def __init__(self, matrix, linear=None, constant: float = 0.0):
         a = np.asarray(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
+            raise ValidationError("matrix", f"must be square, got shape {a.shape}")
         if a.shape[0] > _MAX_QUADRATIC_RANK:
-            raise ValueError(f"quadratic rank is capped at {_MAX_QUADRATIC_RANK}")
-        if np.max(np.abs(a - a.T)) != 0.0:
-            raise AsymmetricMatrix("quadratic matrix must be exactly symmetric")
+            raise ValidationError(
+                "matrix", f"rank is capped at {_MAX_QUADRATIC_RANK}, got {a.shape[0]}")
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix", "must be finite")
+        if not np.array_equal(a, a.T):
+            raise ValidationError("matrix", "must be exactly symmetric")
         self.matrix = a
         self.linear = (np.zeros(a.shape[0]) if linear is None
                        else np.asarray(linear, dtype=np.float64))
-        if self.linear.shape != (a.shape[0],):
-            raise ValueError("linear term must match the matrix dimension")
-        self.constant = float(constant)
+        if self.linear.shape != (a.shape[0],) or not np.isfinite(self.linear).all():
+            raise ValidationError(
+                "linear", f"must be finite, of shape ({a.shape[0]},), got {linear!r}")
+        self.constant = as_number("constant", constant)
         self.rank = a.shape[0]
         upper = np.triu(a)
         upper[np.diag_indices(self.rank)] /= 2.0
@@ -122,10 +121,8 @@ class CustomAction(ActionFunctional):
     (no closed-form value verification exists for it)."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], rank: int, label: str = ""):
-        if rank < 0:
-            raise ValueError("rank must be >= 0")
         self.fn = fn
-        self.rank = int(rank)
+        self.rank = as_count("rank", rank, 0)
         self.label = label
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -150,10 +147,6 @@ class Regularizer:
     def value(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def factor(self, k: int, t: np.ndarray) -> np.ndarray:
-        """The single-coordinate factor ``xi_k``."""
-        raise NotImplementedError
-
     def quantiles(self):
         """Quantile family of the normalized product measure ``xi / Z``."""
         raise NotImplementedError
@@ -163,21 +156,14 @@ class GaussianRegularizer(Regularizer):
     family = "gaussian"
 
     def __init__(self, widths: float | Sequence[float]):
-        ws = [widths] if np.isscalar(widths) else list(widths)
-        if not ws or any(w <= 0 for w in ws):
-            raise NonpositiveWidth("regularizer widths must be positive")
-        self.widths = tuple(float(w) for w in ws)
+        self._quantiles = NormalQuantiles(widths)
+        self.widths = self._quantiles.widths
         self.rank = len(self.widths)
-        self._quantiles = NormalQuantiles(self.widths)
 
     def value(self, points: np.ndarray) -> np.ndarray:
         """``exp(-sum_k (x_k / sigma_k)^2 / 2)``: the density of
         :meth:`quantiles` on the first ``rank`` columns."""
         return self._quantiles.density(points[:, : self.rank])
-
-    def factor(self, k: int, t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-0.5 * (np.asarray(t) / self.widths[k]) ** 2)
 
     def quantiles(self) -> NormalQuantiles:
         return self._quantiles
@@ -232,8 +218,8 @@ def oscillatory_mean(
     """
     rank = max(int(action.rank), int(func.rank), 1)
     if regularizer.rank < rank:
-        raise RankMismatch(
-            f"regularizer covers {regularizer.rank} coordinates but the "
+        raise ValidationError(
+            "regularizer", f"covers {regularizer.rank} coordinates but the "
             f"action/function need {rank}"
         )
     verify_cylinder(func)
@@ -245,10 +231,10 @@ def oscillatory_mean(
     elif route == "weight-borne":
         if box_half_width is None:
             box_half_width = regularizer.quantiles().domain(1, 8.0)[0][1]
-        src = pullback_source(base, BoxQuantiles(box_half_width))
+        src = pullback_source(base, BoxQuantiles(as_number("box_half_width", box_half_width, 0.0)))
         pol = product_regularized_policy(regularizer, action)
     else:
-        raise ValueError(f"unknown route {route!r}")
+        raise ValidationError("route", f"{route!r} is not one of ['pullback', 'weight-borne']")
     return mean_mod.run(src, pol, func, budget, rule, trace_stride, block_size)
 
 
@@ -268,14 +254,12 @@ def fresnel_limit_scan(
     Degeneracy at one width is reported in that width's entry rather
     than aborting the scan.
     """
-    if action.rank != 1:
-        raise RankMismatch("the width scan is defined for 1D quadratic actions")
-    curvature = float(action.matrix[0, 0])
-    if curvature == 0.0:
-        raise ValueError("curvature must be nonzero")
-    ws = [float(w) for w in widths]
+    if action.rank != 1 or action.matrix[0, 0] == 0.0:
+        raise ValidationError("action", "the width scan needs a 1D quadratic action "
+                              "with nonzero curvature")
+    ws = as_widths("widths", widths)
     if any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ValueError("widths must be strictly increasing")
+        raise ValidationError("widths", f"must be strictly increasing, got {list(ws)}")
     if func is None:
         func = CylinderFunction(1, lambda x: x[:, 0] ** 2, label="x1^2")
     out = []

@@ -20,9 +20,9 @@ from pathlib import Path
 from . import mean as mean_mod
 from .action import fresnel_limit_scan, gaussian_regularizer, oscillatory_mean, quadratic_action
 from .cylinder import ProjectionHierarchy, hierarchy_certify
-from .errors import DiracMeanError, ParseError
+from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_widths
 from .oracle import QuadratureSpec, normalized_expectation
-from .registry import _as_int, _as_list, _as_number, _built, _fail, build_function
+from .registry import _as_list, _built, build_function
 from .seq import (
     convergent_source,
     halton_source,
@@ -104,30 +104,30 @@ class ExperimentConfig:
 
 def _require_object(spec, field: str, needs: str) -> None:
     if not isinstance(spec, dict):
-        _fail(field, f"expected an object with {needs}")
+        raise ValidationError(field, f"expected an object with {needs}")
 
 
 def _require_keys(obj: dict, allowed: set[str], field: str) -> None:
     extra = set(obj) - allowed
     if extra:
-        _fail(field, f"unknown keys {sorted(extra)} (allowed: {sorted(allowed)})")
+        raise ValidationError(field, f"unknown keys {sorted(extra)} (allowed: {sorted(allowed)})")
 
 
 def _source(spec, field: str = "source"):
     _require_object(spec, field, "a 'kind'")
     kind = spec.get("kind")
     if kind not in SOURCE_KINDS:
-        _fail(f"{field}.kind", f"{kind!r} is not one of {list(SOURCE_KINDS)}")
+        raise ValidationError(f"{field}.kind", f"{kind!r} is not one of {list(SOURCE_KINDS)}")
     if kind == "halton":
         _require_keys(spec, {"kind", "offset"}, field)
-        offset = _as_int(spec.get("offset", 0), f"{field}.offset", 0)
+        offset = as_count(f"{field}.offset", spec.get("offset", 0), 0)
         return {"kind": kind, "offset": offset}, halton_source(offset)
     if kind == "weyl":
         _require_keys(spec, {"kind", "alphas", "offset", "precision"}, field)
         out = {
             "kind": kind,
-            "offset": _as_int(spec.get("offset", 0), f"{field}.offset", 0),
-            "precision": _as_int(spec.get("precision", 256), f"{field}.precision", 64),
+            "offset": as_count(f"{field}.offset", spec.get("offset", 0), 0),
+            "precision": as_count(f"{field}.precision", spec.get("precision", 256), 64),
         }
         if spec.get("alphas") is not None:
             out["alphas"] = [str(a) for a in _as_list(spec["alphas"], f"{field}.alphas")]
@@ -135,20 +135,18 @@ def _source(spec, field: str = "source"):
                            out.get("alphas"), out["offset"], out["precision"])
     if kind == "pseudorandom":
         _require_keys(spec, {"kind", "seed"}, field)
-        seed = _as_int(spec.get("seed", 0), f"{field}.seed")
+        seed = as_count(f"{field}.seed", spec.get("seed", 0))
         return {"kind": kind, "seed": seed}, pseudorandom_source(seed)
     if kind == "convergent":
         _require_keys(spec, {"kind", "target", "rate", "offset"}, field)
-        rate = _as_number(spec.get("rate", 0.5), f"{field}.rate")
-        if not (0.0 < rate < 1.0):
-            _fail(f"{field}.rate", "must lie in (0, 1)")
+        rate = as_number(f"{field}.rate", spec.get("rate", 0.5), 0.0, 1.0)
 
         def scalar_or_list(value, name):
             if isinstance(value, list):
                 if not value:
-                    _fail(name, "must not be empty")
-                return [_as_number(v, name) for v in value]
-            return _as_number(value, name)
+                    raise ValidationError(name, "must not be empty")
+                return [as_number(name, v) for v in value]
+            return as_number(name, value)
 
         target = scalar_or_list(spec.get("target", 0.0), f"{field}.target")
         offset = scalar_or_list(spec.get("offset", 1.0), f"{field}.offset")
@@ -168,21 +166,21 @@ def _check_alphas(spec: dict, rank: int, field: str = "source") -> None:
     if spec["kind"] == "pullback":
         _check_alphas(spec["base"], rank, f"{field}.base")
     elif "alphas" in spec and len(spec["alphas"]) < rank:
-        _fail(f"{field}.alphas",
-              f"{len(spec['alphas'])} given but the run reads {rank} coordinates")
+        raise ValidationError(f"{field}.alphas",
+                              f"{len(spec['alphas'])} given but the run reads {rank} coordinates")
 
 
 def _action(spec, field: str = "action"):
     _require_object(spec, field, "a 'matrix'")
     _require_keys(spec, {"kind", "matrix", "linear", "constant"}, field)
     if spec.get("kind", "quadratic") != "quadratic":
-        _fail(f"{field}.kind", "only 'quadratic' actions are configurable")
+        raise ValidationError(f"{field}.kind", "only 'quadratic' actions are configurable")
     if "matrix" not in spec:
-        _fail(f"{field}.matrix", "is required")
+        raise ValidationError(f"{field}.matrix", "is required")
     out = {"kind": "quadratic", "matrix": spec["matrix"]}
     if spec.get("linear") is not None:
         out["linear"] = spec["linear"]
-    out["constant"] = _as_number(spec.get("constant", 0.0), f"{field}.constant")
+    out["constant"] = as_number(f"{field}.constant", spec.get("constant", 0.0))
     return out, _built(field, quadratic_action, out["matrix"], out.get("linear"), out["constant"])
 
 
@@ -190,20 +188,16 @@ def _regularizer(spec, field: str = "regularizer"):
     _require_object(spec, field, "a 'family'")
     _require_keys(spec, {"family", "widths"}, field)
     if spec.get("family", "gaussian") != "gaussian":
-        _fail(f"{field}.family", "only the 'gaussian' family is configurable")
-    widths = spec.get("widths", [1.0])
-    if not isinstance(widths, list):
-        widths = [widths]
-    widths = [_as_number(w, f"{field}.widths") for w in widths]
-    reg = _built(f"{field}.widths", gaussian_regularizer, widths)
-    return {"family": "gaussian", "widths": widths}, reg
+        raise ValidationError(f"{field}.family", "only the 'gaussian' family is configurable")
+    reg = _built(f"{field}.widths", gaussian_regularizer, spec.get("widths", [1.0]))
+    return {"family": "gaussian", "widths": list(reg.widths)}, reg
 
 
 def _policy(spec, field: str = "policy"):
     _require_object(spec, field, "a 'kind'")
     kind = spec.get("kind")
     if kind not in POLICY_KINDS:
-        _fail(f"{field}.kind", f"{kind!r} is not one of {list(POLICY_KINDS)}")
+        raise ValidationError(f"{field}.kind", f"{kind!r} is not one of {list(POLICY_KINDS)}")
     if kind == "constant":
         _require_keys(spec, {"kind"}, field)
         return {"kind": kind}, constant_policy()
@@ -223,7 +217,7 @@ def _policy(spec, field: str = "policy"):
             spec.get("regularizer", {"family": "gaussian", "widths": [1.0]}),
             f"{field}.regularizer",
         )
-    out["index_phase"] = _as_number(spec.get("index_phase", 0.0), f"{field}.index_phase")
+    out["index_phase"] = as_number(f"{field}.index_phase", spec.get("index_phase", 0.0))
     if kind == "oscillatory":
         return out, oscillatory_policy(act, out["index_phase"])
     return out, product_regularized_policy(reg, act, out["index_phase"])
@@ -260,10 +254,11 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     _require_keys(raw, _TOP_KEYS, "config")
     cfg_mode = raw.get("mode")
     if cfg_mode is not None and mode is not None and cfg_mode != mode:
-        _fail("mode", f"config says {cfg_mode!r} but the command requested {mode!r}")
+        raise ValidationError("mode",
+                              f"config says {cfg_mode!r} but the command requested {mode!r}")
     resolved_mode = cfg_mode or mode
     if resolved_mode not in MODES:
-        _fail("mode", f"{resolved_mode!r} is not one of {list(MODES)}")
+        raise ValidationError("mode", f"{resolved_mode!r} is not one of {list(MODES)}")
 
     stopping = asdict(mean_mod.StoppingRule())
     raw_stopping = raw.get("stopping", {})
@@ -273,36 +268,33 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         _built(f"stopping.{name}", mean_mod.StoppingRule, **{name: value})
     stopping.update(raw_stopping)
 
-    trace_stride = _as_int(raw.get("trace_stride", 1000), "trace_stride", 1)
-    block_size = _as_int(raw.get("block_size", 4096), "block_size", 1)
-    significance = _as_number(raw.get("significance", 0.999), "significance")
-    if not (0.0 < significance < 1.0):
-        _fail("significance", "must lie in (0, 1)")
-    cells = _as_int(raw.get("cells_per_axis", 4), "cells_per_axis", 4)
-    truncation = _as_number(raw.get("truncation", 8.0), "truncation")
-    if truncation <= 0:
-        _fail("truncation", "must be positive")
+    trace_stride = as_count("trace_stride", raw.get("trace_stride", 1000), 1)
+    block_size = as_count("block_size", raw.get("block_size", 4096), 1)
+    significance = as_number("significance", raw.get("significance", 0.999), 0.0, 1.0)
+    cells = as_count("cells_per_axis", raw.get("cells_per_axis", 4), 4)
+    truncation = as_number("truncation", raw.get("truncation", 8.0), 0.0)
 
     budget = raw.get("budget")
     needs_budget = resolved_mode in ("estimate", "compare", "fresnel-scan", "certify")
     if needs_budget:
-        budget = _as_int(budget if budget is not None else 0, "budget", 1)
+        budget = as_count("budget", budget if budget is not None else 0, 1)
     elif budget is not None:
-        budget = _as_int(budget, "budget", 1)
+        budget = as_count("budget", budget, 1)
     if resolved_mode in ("estimate", "compare", "fresnel-scan"):
         if budget < stopping["min_samples"]:
-            _fail("budget", f"{budget} is below stopping.min_samples {stopping['min_samples']}")
+            raise ValidationError(
+                "budget", f"{budget} is below stopping.min_samples {stopping['min_samples']}")
 
     source = raw.get("source")
     if resolved_mode != "oracle" and source is None:
-        _fail("source", "is required for this mode")
+        raise ValidationError("source", "is required for this mode")
     if source is not None:
         source = _source(source)[0]
 
     function = raw.get("function")
     if resolved_mode in ("estimate", "compare", "oracle"):
         if function is None:
-            _fail("function", "is required for this mode")
+            raise ValidationError("function", "is required for this mode")
     f_rank = 0 if function is None else build_function(function, "function").rank
 
     density = raw.get("density")
@@ -311,7 +303,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
 
     route = raw.get("route")
     if route is not None and route not in ROUTES:
-        _fail("route", f"{route!r} is not one of {list(ROUTES)}")
+        raise ValidationError("route", f"{route!r} is not one of {list(ROUTES)}")
     action = raw.get("action")
     if action is not None:
         action, act = _action(action)
@@ -322,26 +314,28 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     policy = raw.get("policy")
     if resolved_mode in ("estimate", "compare"):
         if route is None and policy is None:
-            _fail("policy", "either a policy or a route (action + regularizer) is required")
+            raise ValidationError(
+                "policy", "either a policy or a route (action + regularizer) is required")
         if route is not None:
             if policy is not None:
-                _fail("policy", "give either a policy or a route, not both")
+                raise ValidationError("policy", "give either a policy or a route, not both")
             if action is None:
-                _fail("action", "is required when a route is set")
+                raise ValidationError("action", "is required when a route is set")
             if regularizer is None:
-                _fail("regularizer", "is required when a route is set")
+                raise ValidationError("regularizer", "is required when a route is set")
     if policy is not None:
         policy, pol = _policy(policy)
 
     if resolved_mode == "oracle" and density is None and (action is None or regularizer is None):
-        _fail("density", "oracle mode needs a density, or an action plus a regularizer")
+        raise ValidationError(
+            "density", "oracle mode needs a density, or an action plus a regularizer")
 
     hierarchy = raw.get("hierarchy")
     if resolved_mode == "certify" and hierarchy is None:
         hierarchy = [1, 2, 3]
     if hierarchy is not None:
-        hierarchy = tuple(_as_int(r, "hierarchy") for r in _as_list(hierarchy, "hierarchy"))
-        _built("hierarchy", ProjectionHierarchy, hierarchy)
+        hierarchy = _as_list(hierarchy, "hierarchy")
+        hierarchy = _built("hierarchy", ProjectionHierarchy, hierarchy).ranks
 
     # The coordinates the run reads, which explicit alphas and a route's
     # regularizer must cover.
@@ -353,48 +347,45 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     elif resolved_mode in ("estimate", "compare"):
         rank = max(pol.rank if route is None else act.rank, f_rank, 1)
         if route is not None and len(regularizer["widths"]) < rank:
-            _fail("regularizer.widths", f"covers {len(regularizer['widths'])} coordinates "
-                  f"but the action/function need {rank}")
+            raise ValidationError(
+                "regularizer.widths", f"covers {len(regularizer['widths'])} coordinates "
+                f"but the action/function need {rank}")
     if rank is not None:
         _check_alphas(source, rank)
 
     bins = raw.get("bins_per_axis")
     if bins is not None:
-        bins = tuple(_as_int(b, "bins_per_axis", 2) for b in _as_list(bins, "bins_per_axis"))
+        bins = tuple(as_count("bins_per_axis", b, 2) for b in _as_list(bins, "bins_per_axis"))
         if hierarchy is not None and len(bins) != len(hierarchy):
-            _fail("bins_per_axis", "needs one entry per hierarchy rank")
+            raise ValidationError("bins_per_axis", "needs one entry per hierarchy rank")
 
     sigmas = raw.get("sigmas")
     if resolved_mode == "fresnel-scan":
         if sigmas is None:
             sigmas = [1.0, 2.0, 4.0]
         if action is None:
-            _fail("action", "is required for fresnel-scan")
+            raise ValidationError("action", "is required for fresnel-scan")
         if act.rank != 1 or act.matrix[0, 0] == 0.0:
-            _fail("action", "fresnel-scan needs a rank-1 action with nonzero curvature")
+            raise ValidationError(
+                "action", "fresnel-scan needs a rank-1 action with nonzero curvature")
     if sigmas is not None:
-        sigmas = tuple(_as_number(s, "sigmas") for s in _as_list(sigmas, "sigmas"))
-        if (not sigmas or any(s <= 0 for s in sigmas)
-                or any(b <= a for a, b in zip(sigmas, sigmas[1:]))):
-            _fail("sigmas", "must be nonempty, positive and strictly increasing")
+        sigmas = as_widths("sigmas", _as_list(sigmas, "sigmas"))
+        if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
+            raise ValidationError("sigmas", f"must be strictly increasing, got {list(sigmas)}")
 
     tolerance = raw.get("tolerance")
     if resolved_mode == "compare":
-        tolerance = _as_number(tolerance if tolerance is not None else 5e-3, "tolerance")
-        if tolerance <= 0:
-            _fail("tolerance", "must be positive")
+        tolerance = as_number("tolerance", tolerance if tolerance is not None else 5e-3, 0.0)
     elif tolerance is not None:
-        tolerance = _as_number(tolerance, "tolerance")
+        tolerance = as_number("tolerance", tolerance)
 
     box_half_width = raw.get("box_half_width")
     if box_half_width is not None:
-        box_half_width = _as_number(box_half_width, "box_half_width")
-        if box_half_width <= 0:
-            _fail("box_half_width", "must be positive")
+        box_half_width = as_number("box_half_width", box_half_width, 0.0)
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
-        _fail("out", "expected a path string")
+        raise ValidationError("out", "expected a path string")
 
     config = ExperimentConfig(
         mode=resolved_mode,
@@ -520,22 +511,22 @@ def _oracle_integrand(config: ExperimentConfig, func):
         domain = reg.quantiles().domain(rank, config.truncation)
     else:
         if config.policy.get("index_phase", 0.0) != 0.0:
-            _fail("policy.index_phase",
-                  "index-dependent phases have no point density to compare against")
+            raise ValidationError("policy.index_phase",
+                                  "index-dependent phases have no point density to compare against")
         policy = _policy(config.policy)[1]
         source = _source(config.source)[1]
         if source.kind == "convergent":
-            _fail("source", "compare mode needs an equidistributed source")
+            raise ValidationError("source", "compare mode needs an equidistributed source")
         family = source.quantiles if source.kind == "pullback" else uniform_quantiles()
         domain = family.domain(max(policy.rank, func.rank, 1), config.truncation)
         density, weights = family.density, policy.weights
         rho = weights if density is None else (lambda x: density(x) * weights(x))
     if func.rank > len(domain):
-        _fail("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
+        raise ValidationError("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
     if len(domain) > 3:
         if config.mode == "oracle":
-            _fail("density", "oracle mode supports ranks up to 3")
-        _fail("function", "compare mode supports oracle ranks up to 3")
+            raise ValidationError("density", "oracle mode supports ranks up to 3")
+        raise ValidationError("function", "compare mode supports oracle ranks up to 3")
     return rho, _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
 
 
@@ -657,7 +648,7 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         source = raw.get("source")
         if not (isinstance(source, dict) and source.get("kind") == "pseudorandom"):
-            _fail("--seed", "applies only to a pseudorandom source")
+            raise ValidationError("--seed", "applies only to a pseudorandom source")
         source = dict(source)
         source["seed"] = args.seed
         raw["source"] = source

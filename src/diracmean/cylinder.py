@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CylinderViolation, RankExceeded
+from .errors import CylinderViolation, ValidationError, as_count
 from .seq import EquidistributionReport, PointSource, equidistribution_statistic
 
 __all__ = [
@@ -33,7 +33,7 @@ class CylinderFunction:
 
     ``base`` receives a ``(m, rank)`` array (column-major for source
     blocks) and returns ``(m,)`` values (possibly complex), each depending
-    on its own row only; any other shape raises ``ValueError``.  For
+    on its own row only; any other shape raises ``ValidationError``.  For
     ``rank == 0`` a plain number is accepted and the function is that
     constant.
     """
@@ -43,26 +43,23 @@ class CylinderFunction:
     label: str = ""
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+        object.__setattr__(self, "rank", as_count("rank", self.rank, 0))
         if self.rank > 0 and not callable(self.base):
-            raise TypeError("rank > 0 needs a callable base")
+            raise ValidationError("base", f"must be callable at rank {self.rank}")
 
     def eval_block(self, points: np.ndarray) -> np.ndarray:
-        if points.ndim != 2:
-            raise ValueError("expected a (m, rank) block of points")
-        if points.shape[1] < self.rank:
-            raise RankExceeded(
-                f"{self.label or 'function'} has rank {self.rank} but the "
-                f"points carry only {points.shape[1]} coordinates"
+        if points.ndim != 2 or points.shape[1] < self.rank:
+            raise ValidationError(
+                "points", f"must be a (m, {self.rank}) block or wider for "
+                f"{self.label or 'function'}, got shape {points.shape}"
             )
         if self.rank == 0:
             const = self.base if not callable(self.base) else self.base(points[:, :0])
             return np.full(len(points), const)
         out = np.asarray(self.base(points[:, : self.rank]))
         if out.shape != (len(points),):
-            raise ValueError(
-                f"{self.label or 'function'} returned values of shape {out.shape} for "
+            raise ValidationError(
+                "base", f"{self.label or 'function'} returned values of shape {out.shape} for "
                 f"{len(points)} points; expected ({len(points)},)"
             )
         return out
@@ -115,12 +112,11 @@ class ProjectionHierarchy:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.ranks:
-            raise ValueError("hierarchy needs at least one rank")
-        if self.ranks[0] < 1:
-            raise ValueError("ranks must start at >= 1")
-        if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
-            raise ValueError("ranks must be strictly increasing")
+        ranks = tuple(as_count("ranks", r, 1) for r in self.ranks)
+        if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
+            raise ValidationError(
+                "ranks", f"must be nonempty and strictly increasing, got {ranks}")
+        object.__setattr__(self, "ranks", ranks)
 
 
 _DEFAULT_BINS = {1: 16, 2: 8, 3: 4}
@@ -142,16 +138,17 @@ def hierarchy_certify(
 ) -> list[EquidistributionReport]:
     """Chi-square uniformity certificate for every rank in the hierarchy;
     the source is adequate when all levels pass."""
-    ranks = hierarchy.ranks if isinstance(hierarchy, ProjectionHierarchy) else tuple(hierarchy)
-    ProjectionHierarchy(tuple(ranks))  # validate shape
+    if not isinstance(hierarchy, ProjectionHierarchy):
+        hierarchy = ProjectionHierarchy(tuple(hierarchy))
+    ranks = hierarchy.ranks
     if bins_per_axis is None:
         bins = [default_bins(r, sample_count) for r in ranks]
     elif np.isscalar(bins_per_axis):
-        bins = [int(bins_per_axis)] * len(ranks)
+        bins = [bins_per_axis] * len(ranks)
     else:
-        bins = [int(b) for b in bins_per_axis]
+        bins = list(bins_per_axis)
         if len(bins) != len(ranks):
-            raise ValueError("need one bins_per_axis entry per rank")
+            raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins}")
     return [
         equidistribution_statistic(source, r, sample_count, b, level)
         for r, b in zip(ranks, bins)

@@ -1,15 +1,75 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks.
+
+Every bad argument, of a library constructor or function or of a config
+field, raises :class:`ValidationError`: a ``ValueError`` whose message
+names the argument first (``budget: must be an integer >= 1, got 1.5``).
+The integer-count, finite-number and positive-widths checks below are
+the only ones in the package; they run at construction or once per
+batch, never per point.  The other classes are conditions a caller can
+act on at run time.
+"""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class DiracMeanError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BadGenerator(DiracMeanError):
-    """A Weyl generator is rational (or indistinguishable from a rational
-    with denominator <= 10^6) and would produce a periodic sequence."""
+class ValidationError(DiracMeanError, ValueError):
+    """An argument or config field violates a precondition: ``field`` names
+    it, ``message`` says what is wrong, and the text is ``field: message``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(field, message)
+        self.field = field
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.message}"
+
+
+def as_count(name: str, value, least: int | None = None) -> int:
+    """``value`` as a plain int, unless it is not an integer (a numpy integer
+    is, a bool is not) of at least ``least``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(name, f"must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def as_number(name: str, value, low: float | None = None, high: float = math.inf) -> float:
+    """``value`` as a float, unless it is not a finite real number (a bool is
+    not), or, where ``low`` is given, not strictly between ``low`` and ``high``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not math.isfinite(x) or (low is not None and not low < x < high):
+        bound = ("" if low is None else f" > {low:g}" if high == math.inf
+                 else f" in ({low:g}, {high:g})")
+        raise ValidationError(name, f"must be a finite number{bound}, got {value!r}")
+    return x
+
+
+def as_widths(name: str, value) -> tuple[float, ...]:
+    """``value``, a number or a sequence of numbers, as a nonempty tuple of
+    floats, unless an entry is not a finite number > 0."""
+    entries = [value] if isinstance(value, (numbers.Number, str)) else value
+    try:
+        widths = tuple(as_number(name, w, low=0.0) for w in entries)
+    except (TypeError, ValidationError):
+        widths = ()
+    if not widths:
+        raise ValidationError(
+            name, f"must be a finite number > 0 or a nonempty sequence of them, got {value!r}"
+        )
+    return widths
 
 
 class QuantileDomain(DiracMeanError):
@@ -20,19 +80,6 @@ class QuantileDomain(DiracMeanError):
 class InsufficientSample(DiracMeanError):
     """Too few points for the requested binning (needs >= 5 expected
     counts per cell)."""
-
-
-class RankUnsupported(DiracMeanError):
-    """Requested rank is outside the supported range for this operation."""
-
-
-class RankExceeded(DiracMeanError):
-    """A function was evaluated on a point with fewer coordinates than its
-    declared rank."""
-
-
-class RankMismatch(DiracMeanError):
-    """Ranks of the supplied components are inconsistent."""
 
 
 class CylinderViolation(DiracMeanError):
@@ -57,18 +104,6 @@ class EmptyAccumulator(DiracMeanError):
     """estimate() was called before any accumulation."""
 
 
-class AsymmetricMatrix(DiracMeanError):
-    """The quadratic-form matrix is not exactly symmetric."""
-
-
-class NonpositiveWidth(DiracMeanError):
-    """A width parameter must be strictly positive."""
-
-
-class UnsupportedMoment(DiracMeanError):
-    """Only moments 0 and 2 have closed forms here."""
-
-
 class NoConvergence(DiracMeanError):
     """Cell doubling hit the resolution cap before successive quadrature
     values agreed."""
@@ -86,8 +121,3 @@ class CertificationError(DiracMeanError):
 
 class ParseError(DiracMeanError):
     """The experiment description is not well-formed."""
-
-
-class ValidationError(DiracMeanError):
-    """The experiment description is well-formed but names an unknown
-    entry or violates a precondition."""

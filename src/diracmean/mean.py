@@ -20,14 +20,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAccumulator, NonFiniteInput
+from .errors import EmptyAccumulator, NonFiniteInput, ValidationError, as_count, as_number
 
 __all__ = [
     "DEGENERATE",
@@ -129,29 +128,13 @@ class MeanAccumulator:
         empirical partition function (0 for an all-zero weight stream)."""
         return _den_ratio(self.denominator, self.abs_weight_sum)
 
-    def add(self, weight: complex, value: complex) -> "MeanAccumulator":
-        """Accumulate one term ``weight * value``."""
-        w = complex(weight)
-        v = complex(value)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)
-                and math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise NonFiniteInput(f"non-finite term: weight={weight!r}, value={value!r}")
-        wv = w * v
-        self._nr, self._nrc = _kbn_add(self._nr, self._nrc, wv.real)
-        self._ni, self._nic = _kbn_add(self._ni, self._nic, wv.imag)
-        self._dr, self._drc = _kbn_add(self._dr, self._drc, w.real)
-        self._di, self._dic = _kbn_add(self._di, self._dic, w.imag)
-        self._aw, self._awc = _kbn_add(self._aw, self._awc, abs(w))
-        self.count += 1
-        return self
-
     def add_block(self, weights: np.ndarray, values: np.ndarray) -> "MeanAccumulator":
         """Accumulate a block of terms: pairwise block sums folded in as
         single compensated addends."""
         if np.ndim(weights) != 1 or np.shape(weights) != np.shape(values):
-            raise ValueError(
-                f"weights of shape {np.shape(weights)} do not match values of shape "
-                f"{np.shape(values)}; expected two (m,) arrays"
+            raise ValidationError(
+                "values", f"shape {np.shape(values)} and weights shape {np.shape(weights)} "
+                "do not match; expected two (m,) arrays"
             )
         if not np.isfinite(weights).all():
             raise NonFiniteInput("non-finite weight in block")
@@ -173,7 +156,9 @@ class MeanAccumulator:
 
     def estimate(self, delta: float = 1e-8):
         """The normalized mean, or ``DEGENERATE`` when the weight sum has
-        cancelled below ``delta`` times the absolute-weight sum."""
+        cancelled below ``delta`` times the absolute-weight sum; ``delta``
+        lies in (0, 1), like the stopping rule's threshold."""
+        delta = as_number("delta", delta, 0.0, 1.0)
         if self.count == 0:
             raise EmptyAccumulator("no terms accumulated yet")
         return _ratio(self.numerator, self.denominator, self.abs_weight_sum, delta)
@@ -218,31 +203,16 @@ class StoppingRule:
     degeneracy_threshold: float = 1e-8
 
     def __post_init__(self):
-        # numpy integers pass; plain ints are stored for deque/range.
-        object.__setattr__(self, "window", _count("window", self.window, 2))
-        if not _is_real(self.rel_tol) or not (0.0 < self.rel_tol < math.inf):
-            raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
-        object.__setattr__(self, "min_samples", _count("min_samples", self.min_samples))
-        if not _is_real(self.degeneracy_threshold) or not (0.0 < self.degeneracy_threshold < 1.0):
-            raise ValueError(
-                f"degeneracy_threshold must lie in (0, 1), got {self.degeneracy_threshold!r}"
-            )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _count(name: str, value, least: int = 1) -> int:
-    """``value`` as a plain int; ``ValueError`` naming ``name`` unless it is
-    an integer (not a bool) of at least ``least``."""
-    if not _is_int(value) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        # numpy scalars pass; plain ints and floats are stored.
+        checked = {
+            "window": as_count("window", self.window, 2),
+            "rel_tol": as_number("rel_tol", self.rel_tol, 0.0),
+            "min_samples": as_count("min_samples", self.min_samples, 1),
+            "degeneracy_threshold": as_number(
+                "degeneracy_threshold", self.degeneracy_threshold, 0.0, 1.0),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -350,8 +320,8 @@ def _weights(policy, points: np.ndarray, start: int) -> np.ndarray:
     w = np.asarray(policy.weights(points, start_index=start))
     if w.shape != (len(points),):
         kind = getattr(policy, "kind", type(policy).__name__)
-        raise ValueError(
-            f"{kind} policy returned weights of shape {w.shape} for {len(points)} "
+        raise ValidationError(
+            "policy", f"{kind} policy returned weights of shape {w.shape} for {len(points)} "
             f"points; expected ({len(points)},)"
         )
     return w
@@ -398,13 +368,11 @@ def run(
         are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
-    budget = _count("budget", budget)
-    trace_stride = _count("trace_stride", trace_stride)
-    block_size = _count("block_size", block_size)
+    budget = as_count("budget", budget, 1)
+    trace_stride = as_count("trace_stride", trace_stride, 1)
+    block_size = as_count("block_size", block_size, 1)
     if budget < rule.min_samples:
-        raise ValueError(
-            f"budget {budget} is below min_samples {rule.min_samples}"
-        )
+        raise ValidationError("budget", f"{budget} is below min_samples {rule.min_samples}")
     rank = max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
     delta = rule.degeneracy_threshold
 
@@ -519,10 +487,8 @@ def run_blocked(
     """Accumulate ``total`` points as ``n_blocks`` disjoint index blocks
     and merge them in a deterministic pairwise tree; the block-parallel
     evaluation contract."""
-    total = _count("total", total)
-    n_blocks = _count("n_blocks", n_blocks)
-    if total < n_blocks:
-        raise ValueError("need 1 <= n_blocks <= total")
+    n_blocks = as_count("n_blocks", n_blocks, 1)
+    total = as_count("total", total, n_blocks)
     rank = max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
     edges = [round(i * total / n_blocks) for i in range(n_blocks + 1)]
     accs = []

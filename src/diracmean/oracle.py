@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateOracle, NoConvergence, NonpositiveWidth, UnsupportedMoment
+from .errors import DegenerateOracle, NoConvergence, ValidationError, as_count, as_number
 
 __all__ = [
     "QuadratureSpec",
@@ -46,17 +46,18 @@ class QuadratureSpec:
     def __post_init__(self):
         rank = len(self.domain)
         if not (1 <= rank <= 3):
-            raise ValueError("quadrature supports ranks 1..3")
-        if self.cells_per_axis < 4:
-            raise ValueError("cells_per_axis must be >= 4")
-        if 2 * self.cells_per_axis > _CELL_CAP[rank]:
-            raise ValueError(
-                f"cells_per_axis must be <= {_CELL_CAP[rank] // 2} at rank {rank}, "
-                f"so that cells can double once below the cap, got {self.cells_per_axis}"
+            raise ValidationError("domain", f"must have 1 to 3 axes, got {rank}")
+        cells = as_count("cells_per_axis", self.cells_per_axis, 4)
+        if 2 * cells > _CELL_CAP[rank]:
+            raise ValidationError(
+                "cells_per_axis", f"must be <= {_CELL_CAP[rank] // 2} at rank {rank}, "
+                f"so that cells can double once below the cap, got {cells}"
             )
+        object.__setattr__(self, "cells_per_axis", cells)
         for lo, hi in self.domain:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError("each axis needs a finite interval lo < hi")
+                raise ValidationError("domain", f"each axis needs a finite interval lo < hi, "
+                                      f"got ({lo}, {hi})")
 
     @property
     def rank(self) -> int:
@@ -66,8 +67,8 @@ class QuadratureSpec:
 def gaussian_domain(width: float = 1.0, rank: int = 1) -> QuadratureSpec:
     """Truncation box [-8 max(width,1), +8 max(width,1)] per axis; the
     Gaussian mass outside is below 1e-14 relative."""
-    half = 8.0 * max(width, 1.0)
-    return QuadratureSpec(domain=tuple((-half, half) for _ in range(rank)))
+    half = 8.0 * max(as_number("width", width, 0.0), 1.0)
+    return QuadratureSpec(domain=((-half, half),) * as_count("rank", rank, 1))
 
 
 def _axis_rule(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +162,11 @@ def complex_gaussian_moment(curvature: float, width: float, moment: int) -> comp
     ``exp(-x^2 / (2 width^2)) * exp(-i curvature x^2 / 2)`` on the line:
     moment 0 is 1 (normalization), moment 2 is
     ``width^2 / (1 + i curvature width^2)``."""
-    if width <= 0:
-        raise NonpositiveWidth("width must be positive")
+    width = as_number("width", width, 0.0)
+    curvature = as_number("curvature", curvature)
     if moment == 0:
         return 1.0 + 0.0j
     if moment == 2:
         w2 = width * width
         return w2 / (1.0 + 1j * curvature * w2)
-    raise UnsupportedMoment(f"no closed form for moment {moment}")
+    raise ValidationError("moment", f"has a closed form only for 0 and 2, got {moment!r}")

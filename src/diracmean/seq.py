@@ -19,11 +19,12 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .errors import (
-    BadGenerator,
     InsufficientSample,
-    NonpositiveWidth,
     QuantileDomain,
-    RankUnsupported,
+    ValidationError,
+    as_count,
+    as_number,
+    as_widths,
 )
 
 __all__ = [
@@ -58,7 +59,7 @@ class Point:
 
     def __post_init__(self):
         if len(self.coords) < 1:
-            raise ValueError("a point needs at least one coordinate")
+            raise ValidationError("coords", "must hold at least one coordinate")
 
     @property
     def rank(self) -> int:
@@ -88,10 +89,9 @@ class PointSource:
         weights read the columns in place and stay row-pure (a point's
         values do not depend on the block it is evaluated in).
         """
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        if stop < start or start < 0:
-            raise ValueError("need 0 <= start <= stop")
+        rank = as_count("rank", rank, 1)
+        start = as_count("start", start, 0)
+        stop = as_count("stop", stop, start)
         idx = np.arange(start, stop, dtype=np.int64)
         out = np.empty((rank, stop - start), dtype=np.float64)
         for k in range(rank):
@@ -100,9 +100,8 @@ class PointSource:
 
     def point_at(self, n: int, d: int) -> Point:
         """The rank-``d`` truncation of point ``n``."""
-        if n < 0:
-            raise ValueError("index must be >= 0")
-        row = self.block(n, n + 1, d)[0]
+        n = as_count("n", n, 0)
+        row = self.block(n, n + 1, as_count("d", d, 1))[0]
         return Point(tuple(float(x) for x in row))
 
 
@@ -230,9 +229,7 @@ class HaltonSource(PointSource):
     codomain = UNIT_CUBE
 
     def __init__(self, index_offset: int = 0):
-        if index_offset < 0:
-            raise ValueError("index_offset must be >= 0")
-        self.index_offset = int(index_offset)
+        self.index_offset = as_count("index_offset", index_offset, 0)
         self._bases: list[int] = []
 
     def _base(self, k: int) -> int:
@@ -283,6 +280,14 @@ def _rational_denominator_at_most(value: Fraction, bound: int) -> bool:
     return km1 <= bound
 
 
+def _fraction(alpha) -> Fraction:
+    """The exact value of a generator written as a decimal string or number."""
+    try:
+        return Fraction(str(alpha))
+    except ValueError:
+        raise ValidationError("alphas", f"generator {alpha!r} is not a decimal number") from None
+
+
 def _pi_power_fraction(k: int, precision_bits: int) -> Fraction:
     """Fractional part of pi**k at the given binary precision, as the exact
     rational value of the computed binary approximation."""
@@ -305,23 +310,20 @@ class WeylSource(PointSource):
         index_offset: int = 0,
         precision: int = 256,
     ):
-        if index_offset < 0:
-            raise ValueError("index_offset must be >= 0")
-        if precision < 64:
-            raise ValueError("precision must be >= 64 bits")
-        self.index_offset = int(index_offset)
-        self.precision = int(precision)
+        self.index_offset = as_count("index_offset", index_offset, 0)
+        self.precision = as_count("precision", precision, 64)
         self._explicit = None
         if alphas is not None:
-            self._explicit = [self._check(Fraction(str(a)), str(a)) for a in alphas]
+            self._explicit = [self._check(_fraction(a), str(a)) for a in alphas]
         self._cache: list[float] = list(self._explicit or [])
 
     @staticmethod
     def _check(frac: Fraction, label: str) -> float:
         if not (0 < frac < 1):
-            raise BadGenerator(f"generator {label} must lie strictly in (0, 1)")
+            raise ValidationError("alphas", f"generator {label} must lie strictly in (0, 1)")
         if _rational_denominator_at_most(frac, _RATIONAL_DEN_BOUND):
-            raise BadGenerator(
+            raise ValidationError(
+                "alphas",
                 f"generator {label} is rational-looking "
                 f"(denominator <= {_RATIONAL_DEN_BOUND}); the sequence would be periodic"
             )
@@ -331,8 +333,8 @@ class WeylSource(PointSource):
         """The multiplier for coordinate ``k`` (0-based)."""
         if self._explicit is not None:
             if k >= len(self._explicit):
-                raise RankUnsupported(
-                    f"only {len(self._explicit)} generators were supplied; "
+                raise ValidationError(
+                    "alphas", f"only {len(self._explicit)} generators were supplied; "
                     f"coordinate {k + 1} was requested"
                 )
             return self._explicit[k]
@@ -370,9 +372,10 @@ def weyl_source(
 
     Raises
     ------
-    BadGenerator
-        If a generator is (indistinguishable from) a rational with
-        denominator <= 10^6, detected by continued-fraction expansion.
+    ValidationError
+        If a generator is not a decimal number in (0, 1), or is
+        (indistinguishable from) a rational with denominator <= 10^6,
+        detected by continued-fraction expansion.
     """
     return WeylSource(alphas, index_offset, precision)
 
@@ -398,7 +401,7 @@ class PseudorandomSource(PointSource):
     codomain = UNIT_CUBE
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & (2**64 - 1)
+        self.seed = as_count("seed", seed) & (2**64 - 1)
 
     def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -439,10 +442,8 @@ class ConvergentSource(PointSource):
         rate: float,
         offset: float | Sequence[float] = 1.0,
     ):
-        if not (0.0 < rate < 1.0):
-            raise ValueError("rate must lie in (0, 1)")
         self.target = target
-        self.rate = float(rate)
+        self.rate = as_number("rate", rate, 0.0, 1.0)
         self.offset = offset
 
     def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
@@ -509,10 +510,7 @@ class NormalQuantiles(QuantileFamily):
     family = "normal"
 
     def __init__(self, widths: float | Sequence[float] = 1.0):
-        ws = [widths] if np.isscalar(widths) else list(widths)
-        if not ws or any(w <= 0 for w in ws):
-            raise NonpositiveWidth("normal quantile widths must be nonempty and positive")
-        self.widths = tuple(float(w) for w in ws)
+        self.widths = as_widths("widths", widths)
 
     def apply(self, k: int, u: np.ndarray) -> np.ndarray:
         sigma = _per_coordinate(self.widths, k)
@@ -545,10 +543,7 @@ class BoxQuantiles(QuantileFamily):
     family = "uniform-box"
 
     def __init__(self, half_width: float | Sequence[float]):
-        hs = [half_width] if np.isscalar(half_width) else list(half_width)
-        if not hs or any(h <= 0 for h in hs):
-            raise NonpositiveWidth("box half-widths must be nonempty and positive")
-        self.half_widths = tuple(float(h) for h in hs)
+        self.half_widths = as_widths("half_width", half_width)
 
     def apply(self, k: int, u: np.ndarray) -> np.ndarray:
         h = _per_coordinate(self.half_widths, k)
@@ -571,18 +566,18 @@ def box_quantiles(half_width: float | Sequence[float]) -> QuantileFamily:
     return BoxQuantiles(half_width)
 
 
-def quantile_family_from_dict(spec: dict) -> QuantileFamily:
+def quantile_family_from_dict(quantiles: dict) -> QuantileFamily:
     """Build a quantile family from its config form."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"expected an object with a 'family', got {spec!r}")
-    fam = spec.get("family")
+    if not isinstance(quantiles, dict):
+        raise ValidationError("quantiles", f"must be an object with a 'family', got {quantiles!r}")
+    fam = quantiles.get("family")
     if fam == "uniform":
         return UniformQuantiles()
-    if fam == "normal":
-        return NormalQuantiles(spec.get("widths", 1.0))
-    if fam == "uniform-box":
-        return BoxQuantiles(spec.get("widths", 1.0))
-    raise ValueError(f"unknown quantile family: {fam!r}")
+    if fam not in ("normal", "uniform-box"):
+        raise ValidationError("family",
+                              f"{fam!r} is not one of ['uniform', 'normal', 'uniform-box']")
+    widths = as_widths("widths", quantiles.get("widths", 1.0))
+    return NormalQuantiles(widths) if fam == "normal" else BoxQuantiles(widths)
 
 
 class PullbackSource(PointSource):
@@ -591,7 +586,7 @@ class PullbackSource(PointSource):
 
     def __init__(self, base: PointSource, quantiles: QuantileFamily):
         if base.codomain != UNIT_CUBE:
-            raise ValueError("pullback base must have unit-cube codomain")
+            raise ValidationError("base", f"must have a {UNIT_CUBE} codomain, got {base.codomain}")
         self.base = base
         self.quantiles = quantiles
 
@@ -653,9 +648,11 @@ def equidistribution_statistic(
     least 5 expected counts per cell.
     """
     if source.codomain != UNIT_CUBE:
-        raise ValueError("equidistribution test needs a unit-cube source")
-    if rank < 1 or bins_per_axis < 2:
-        raise ValueError("need rank >= 1 and bins_per_axis >= 2")
+        raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
+    rank = as_count("rank", rank, 1)
+    bins_per_axis = as_count("bins_per_axis", bins_per_axis, 2)
+    sample_count = as_count("sample_count", sample_count)
+    level = as_number("level", level, 0.0, 1.0)
     cells = bins_per_axis**rank
     if cells * 5 > sample_count:
         raise InsufficientSample(
@@ -696,11 +693,11 @@ def star_discrepancy(source: PointSource, rank: int, sample_count: int) -> float
     given rank, by sweeping the critical boxes anchored at sample
     coordinates.  Supports ranks 1 and 2 and N <= 4096."""
     if rank not in (1, 2):
-        raise RankUnsupported("star discrepancy is implemented for ranks 1 and 2")
+        raise ValidationError("rank", f"must be 1 or 2, got {rank!r}")
     if source.codomain != UNIT_CUBE:
-        raise ValueError("star discrepancy needs a unit-cube source")
-    if not (1 <= sample_count <= _STAR_MAX_N):
-        raise ValueError(f"sample_count must lie in 1..{_STAR_MAX_N}")
+        raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
+    if as_count("sample_count", sample_count, 1) > _STAR_MAX_N:
+        raise ValidationError("sample_count", f"must be at most {_STAR_MAX_N}, got {sample_count}")
     pts = source.block(0, sample_count, rank)
     if rank == 1:
         return _star_1d(np.sort(pts[:, 0]))

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NegativeDensity, WeightOverflow
+from .errors import NegativeDensity, WeightOverflow, as_count, as_number
 
 __all__ = [
     "WeightPolicy",
@@ -52,12 +52,6 @@ class WeightPolicy:
         """Weights for a block of points whose first row has the given index."""
         raise NotImplementedError
 
-    def weight(self, point, index: int = 0) -> complex:
-        """Weight of a single point (``Point`` or coordinate sequence)."""
-        coords = getattr(point, "coords", point)
-        block = np.asarray([coords], dtype=np.float64)
-        return complex(self.weights(block, start_index=index)[0])
-
 
 class ConstantPolicy(WeightPolicy):
     kind = "constant"
@@ -71,10 +65,8 @@ class DensityPolicy(WeightPolicy):
     kind = "density"
 
     def __init__(self, density: Callable[[np.ndarray], np.ndarray], rank: int):
-        if rank < 1:
-            raise ValueError("density rank must be >= 1")
         self.density = density
-        self.rank = int(rank)
+        self.rank = as_count("rank", rank, 1)
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
         w = np.asarray(self.density(points[:, : self.rank]), dtype=np.float64)
@@ -106,7 +98,7 @@ class OscillatoryPolicy(WeightPolicy):
 
     def __init__(self, action, index_phase: float = 0.0):
         self.action = action
-        self.index_phase = float(index_phase)
+        self.index_phase = as_number("index_phase", index_phase)
         self.rank = int(action.rank)
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
@@ -123,7 +115,7 @@ class ProductRegularizedPolicy(WeightPolicy):
     def __init__(self, regularizer, action, index_phase: float = 0.0):
         self.regularizer = regularizer
         self.action = action
-        self.index_phase = float(index_phase)
+        self.index_phase = as_number("index_phase", index_phase)
         self.rank = max(int(regularizer.rank), int(action.rank))
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:

@@ -460,6 +460,18 @@ def test_registry_rejects_non_integer_parameters(params, field):
         parse_config(json.dumps(dict(MINIMAL, function=params)))
 
 
+@pytest.mark.parametrize("cfg, field", [
+    (dict(CERTIFY, significance=10**400), "significance"),
+    (dict(SCAN, sigmas=[1.0, 10**400]), "sigmas"),
+    (dict(MINIMAL, stopping={"rel_tol": -(10**400)}), "stopping.rel_tol"),
+], ids=["significance", "sigmas", "rel_tol"])
+def test_integer_beyond_the_float_range_is_one_error_line(tmp_path, capsys, cfg, field):
+    code, summary, _ = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR and summary is None
+    assert err.startswith(f"error: {field}: must be a finite number") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # config fuzzing: one field of a valid config replaced by a wrong-typed value
 

@@ -16,7 +16,7 @@ from diracmean import (
     verify_cylinder,
     weyl_source,
 )
-from diracmean.errors import CylinderViolation, InsufficientSample, RankExceeded
+from diracmean.errors import CylinderViolation, InsufficientSample, ValidationError
 from diracmean.oracle import QuadratureSpec, tensor_quadrature
 
 
@@ -42,7 +42,7 @@ def test_perturbation_beyond_rank_is_exactly_invisible():
 
 def test_rank_exceeded():
     f = cylinder_function(3, lambda x: x[:, 2], "x3")
-    with pytest.raises(RankExceeded):
+    with pytest.raises(ValidationError):
         f.eval_block(np.zeros((2, 2)))
 
 

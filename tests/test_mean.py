@@ -25,7 +25,7 @@ from diracmean import (
     run,
     run_blocked,
 )
-from diracmean.errors import EmptyAccumulator, NonFiniteInput
+from diracmean.errors import EmptyAccumulator, NonFiniteInput, ValidationError
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
 F_ONE = cylinder_function(0, 1.0, "one")
@@ -34,7 +34,7 @@ F_ONE = cylinder_function(0, 1.0, "one")
 def filled(pairs):
     acc = MeanAccumulator()
     for w, v in pairs:
-        acc.add(w, v)
+        acc.add_block(np.asarray([w]), np.asarray([v]))
     return acc
 
 
@@ -112,20 +112,28 @@ def test_empty_accumulator_raises():
         MeanAccumulator().estimate()
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, 1.0, math.nan, math.inf, True])
+def test_estimate_rejects_delta_outside_the_unit_interval(delta):
+    cancelled = MeanAccumulator().add_block(np.array([1.0, -1.0]), np.array([1.0, 2.0]))
+    assert cancelled.estimate(1e-8) is DEGENERATE
+    with pytest.raises(ValidationError, match=r"^delta: must be a finite number in \(0, 1\)"):
+        cancelled.estimate(delta)
+
+
 def test_nonfinite_inputs_rejected():
     acc = MeanAccumulator()
     with pytest.raises(NonFiniteInput):
-        acc.add(float("nan"), 1.0)
+        acc.add_block(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(NonFiniteInput):
-        acc.add(1.0, float("inf"))
+        acc.add_block(np.array([1.0]), np.array([np.inf]))
     with pytest.raises(NonFiniteInput):
         acc.add_block(np.array([1.0, np.nan]), np.array([1.0, 1.0]))
 
 
 def test_accumulate_functional_form_and_invariants():
     acc = MeanAccumulator()
-    acc.add(1.0, 2.0)
-    acc.add(-0.5j, 4.0)
+    acc.add_block(np.array([1.0]), np.array([2.0]))
+    acc.add_block(np.array([-0.5j]), np.array([4.0]))
     assert acc.count == 2
     assert acc.abs_weight_sum >= abs(acc.denominator)
 

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diracmean.errors import (
-    DegenerateOracle,
-    NoConvergence,
-    NonpositiveWidth,
-    UnsupportedMoment,
-)
+from diracmean.errors import DegenerateOracle, NoConvergence, ValidationError
 from diracmean.oracle import (
     QuadratureSpec,
     complex_gaussian_moment,
@@ -180,9 +175,9 @@ def test_closed_form_moments():
     assert complex_gaussian_moment(1.0, 1.0, 2) == pytest.approx(0.5 - 0.5j, abs=1e-15)
     for a in (0.0, 0.7, 2.0):
         assert complex_gaussian_moment(a, 1.3, 0) == 1.0 + 0.0j
-    with pytest.raises(UnsupportedMoment):
+    with pytest.raises(ValidationError):
         complex_gaussian_moment(1.0, 1.0, 1)
-    with pytest.raises(NonpositiveWidth):
+    with pytest.raises(ValidationError):
         complex_gaussian_moment(1.0, 0.0, 2)
 
 

@@ -82,8 +82,8 @@ def test_gauge_invariance_of_the_accumulator(terms, scale):
     plain = MeanAccumulator()
     scaled = MeanAccumulator()
     for w, v in terms:
-        plain.add(w, v)
-        scaled.add(scale * w, v)
+        plain.add_block(np.array([w]), np.array([v]))
+        scaled.add_block(np.array([scale * w]), np.array([v]))
     e1 = plain.estimate(1e-12)
     e2 = scaled.estimate(1e-12)
     from diracmean import DEGENERATE
@@ -104,8 +104,8 @@ def test_merge_agrees_with_sequential(values, split):
     left = MeanAccumulator()
     right = MeanAccumulator()
     for i, v in enumerate(values):
-        whole.add(1.0, v)
-        (left if i < split else right).add(1.0, v)
+        whole.add_block(np.ones(1), np.array([v]))
+        (left if i < split else right).add_block(np.ones(1), np.array([v]))
     merged = merge(left, right)
     assert merged.count == whole.count
     assert merged.denominator == whole.denominator
@@ -123,8 +123,8 @@ def test_prefix_permutation_invariance(data):
     forward = MeanAccumulator()
     backward = MeanAccumulator()
     for i in range(n):
-        forward.add(w[i], v[i])
-        backward.add(w[n - 1 - i], v[n - 1 - i])
+        forward.add_block(w[i : i + 1], v[i : i + 1])
+        backward.add_block(w[n - 1 - i : n - i], v[n - 1 - i : n - i])
     f, b = forward.estimate(1e-12), backward.estimate(1e-12)
     from diracmean import DEGENERATE
 
@@ -174,7 +174,7 @@ def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_const
         product_regularized_policy(reg, act),
     )
     for pol in policies:
-        assert pol.weight(x[lo], lo) == pol.weights(x)[lo]
+        assert pol.weights(x[lo : lo + 1], start_index=lo)[0] == pol.weights(x)[lo]
     for evaluate in (act, reg.value, *(pol.weights for pol in policies)):
         assert np.array_equal(evaluate(xf), evaluate(x))
         assert np.array_equal(evaluate(xf[lo:hi]), evaluate(x[lo:hi]))

@@ -35,7 +35,7 @@ def test_constant_policy_is_one_everywhere():
     pol = constant_policy()
     pts = halton_source(0).block(0, 7, 2)
     assert np.array_equal(pol.weights(pts), np.ones(7))
-    assert pol.weight((0.3, 0.4)) == 1.0
+    assert pol.weights(np.array([[0.3, 0.4]]))[0] == 1.0
 
 
 def test_constant_policy_denominator_counts_points():
@@ -101,10 +101,10 @@ def test_boltzmann_second_moment_on_normal_pullback():
 def test_boltzmann_underflow_is_silent_overflow_raises():
     huge = quadratic_action([[0.0]], constant=1e4)
     pol = boltzmann_policy(huge)
-    assert pol.weight((0.5,)) == 0.0
+    assert pol.weights(np.array([[0.5]]))[0] == 0.0
     low = quadratic_action([[0.0]], constant=-701.0)
     with pytest.raises(WeightOverflow):
-        boltzmann_policy(low).weight((0.5,))
+        boltzmann_policy(low).weights(np.array([[0.5]]))
 
 
 def test_oscillatory_zero_action_gives_unit_weights():

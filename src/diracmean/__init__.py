@@ -45,7 +45,6 @@ from .mean import (
     Degenerate,
     MeanAccumulator,
     StoppingRule,
-    TracePoint,
     merge,
     run,
     run_blocked,

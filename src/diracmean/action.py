@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mean as mean_mod
 from .cylinder import CylinderFunction, hierarchy_certify, verify_cylinder
-from .errors import CertificationError, ValidationError, as_count, as_number, as_widths
+from .errors import CertificationError, ValidationError, as_count, as_number, as_numbers
 from .seq import (
     BoxQuantiles,
     NormalQuantiles,
@@ -65,7 +65,11 @@ class QuadraticAction(ActionFunctional):
     """
 
     def __init__(self, matrix, linear=None, constant: float = 0.0):
-        a = np.asarray(matrix, dtype=np.float64)
+        try:
+            a = np.asarray(matrix, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError("matrix", f"must be a square array of numbers, got {matrix!r}") \
+                from None
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("matrix", f"must be square, got shape {a.shape}")
         if a.shape[0] > _MAX_QUADRATIC_RANK:
@@ -76,9 +80,13 @@ class QuadraticAction(ActionFunctional):
         if not np.array_equal(a, a.T):
             raise ValidationError("matrix", "must be exactly symmetric")
         self.matrix = a
-        self.linear = (np.zeros(a.shape[0]) if linear is None
-                       else np.asarray(linear, dtype=np.float64))
-        if self.linear.shape != (a.shape[0],) or not np.isfinite(self.linear).all():
+        try:
+            self.linear = (np.zeros(a.shape[0]) if linear is None
+                           else np.asarray(linear, dtype=np.float64))
+        except (TypeError, ValueError):
+            self.linear = None
+        if (self.linear is None or self.linear.shape != (a.shape[0],)
+                or not np.isfinite(self.linear).all()):
             raise ValidationError(
                 "linear", f"must be finite, of shape ({a.shape[0]},), got {linear!r}")
         self.constant = as_number("constant", constant)
@@ -257,7 +265,7 @@ def fresnel_limit_scan(
     if action.rank != 1 or action.matrix[0, 0] == 0.0:
         raise ValidationError("action", "the width scan needs a 1D quadratic action "
                               "with nonzero curvature")
-    ws = as_widths("widths", widths)
+    ws = as_numbers("widths", widths, 0.0)
     if any(b <= a for a, b in zip(ws, ws[1:])):
         raise ValidationError("widths", f"must be strictly increasing, got {list(ws)}")
     if func is None:

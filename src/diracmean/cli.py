@@ -20,7 +20,7 @@ from pathlib import Path
 from . import mean as mean_mod
 from .action import fresnel_limit_scan, gaussian_regularizer, oscillatory_mean, quadratic_action
 from .cylinder import ProjectionHierarchy, hierarchy_certify
-from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_widths
+from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_list, _built, build_function
 from .seq import (
@@ -139,19 +139,16 @@ def _source(spec, field: str = "source"):
         return {"kind": kind, "seed": seed}, pseudorandom_source(seed)
     if kind == "convergent":
         _require_keys(spec, {"kind", "target", "rate", "offset"}, field)
-        rate = as_number(f"{field}.rate", spec.get("rate", 0.5), 0.0, 1.0)
+        src = _built(field, convergent_source, target=spec.get("target", 0.0),
+                     rate=spec.get("rate", 0.5), offset=spec.get("offset", 1.0))
 
-        def scalar_or_list(value, name):
-            if isinstance(value, list):
-                if not value:
-                    raise ValidationError(name, "must not be empty")
-                return [as_number(name, v) for v in value]
-            return as_number(name, value)
+        def echo(name):
+            """The checked value, a list where the config gave one."""
+            checked = getattr(src, name)
+            return list(checked) if isinstance(spec.get(name), list) else checked[0]
 
-        target = scalar_or_list(spec.get("target", 0.0), f"{field}.target")
-        offset = scalar_or_list(spec.get("offset", 1.0), f"{field}.offset")
-        out = {"kind": kind, "target": target, "rate": rate, "offset": offset}
-        return out, convergent_source(target, rate, offset)
+        return {"kind": kind, "target": echo("target"), "rate": src.rate,
+                "offset": echo("offset")}, src
     _require_keys(spec, {"kind", "base", "quantiles"}, field)
     base_spec, base = _source(spec.get("base"), f"{field}.base")
     quantiles = spec.get("quantiles", {"family": "normal", "widths": [1.0]})
@@ -369,7 +366,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             raise ValidationError(
                 "action", "fresnel-scan needs a rank-1 action with nonzero curvature")
     if sigmas is not None:
-        sigmas = as_widths("sigmas", _as_list(sigmas, "sigmas"))
+        sigmas = as_numbers("sigmas", _as_list(sigmas, "sigmas"), 0.0)
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise ValidationError("sigmas", f"must be strictly increasing, got {list(sigmas)}")
 
@@ -586,13 +583,13 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
     entries = []
     for sigma, report in scan:
         est = report.final_estimate
-        last = report.trace[-1]
+        den_ratio = report.trace["den_ratio"][-1]
         if report.degenerate:
-            rows.append((repr(sigma), "", "", repr(last.den_ratio),
+            rows.append((repr(sigma), "", "", repr(den_ratio),
                          report.stop_reason, report.N_used))
         else:
             rows.append((repr(sigma), repr(_finite(est.real)), repr(_finite(est.imag)),
-                         repr(last.den_ratio), report.stop_reason, report.N_used))
+                         repr(den_ratio), report.stop_reason, report.N_used))
         entries.append({
             "sigma": sigma,
             "estimate": _estimate_json(est),

@@ -3,10 +3,10 @@
 Every bad argument, of a library constructor or function or of a config
 field, raises :class:`ValidationError`: a ``ValueError`` whose message
 names the argument first (``budget: must be an integer >= 1, got 1.5``).
-The integer-count, finite-number and positive-widths checks below are
-the only ones in the package; they run at construction or once per
-batch, never per point.  The other classes are conditions a caller can
-act on at run time.
+The integer-count check and the finite-number checks below (of one
+number, or of a number or a sequence of them) are the only ones in the
+package; they run at construction or once per batch, never per point.
+The other classes are conditions a caller can act on at run time.
 """
 
 from __future__ import annotations
@@ -57,19 +57,21 @@ def as_number(name: str, value, low: float | None = None, high: float = math.inf
     return x
 
 
-def as_widths(name: str, value) -> tuple[float, ...]:
+def as_numbers(name: str, value, low: float | None = None) -> tuple[float, ...]:
     """``value``, a number or a sequence of numbers, as a nonempty tuple of
-    floats, unless an entry is not a finite number > 0."""
+    floats, unless an entry is not a finite number (> ``low`` where given);
+    widths are checked with ``low=0``."""
     entries = [value] if isinstance(value, (numbers.Number, str)) else value
     try:
-        widths = tuple(as_number(name, w, low=0.0) for w in entries)
+        out = tuple(as_number(name, x, low) for x in entries)
     except (TypeError, ValidationError):
-        widths = ()
-    if not widths:
+        out = ()
+    if not out:
+        bound = "" if low is None else f" > {low:g}"
         raise ValidationError(
-            name, f"must be a finite number > 0 or a nonempty sequence of them, got {value!r}"
+            name, f"must be a finite number{bound} or a nonempty sequence of them, got {value!r}"
         )
-    return widths
+    return out
 
 
 class QuantileDomain(DiracMeanError):

@@ -8,11 +8,12 @@ sum has cancelled below ``delta`` times the absolute-weight sum, so no
 NaN or infinity can ever leak out of a run.
 
 ``run`` drives a source/policy/function triple through a finite budget
-in batches of whole blocks, records a trace, and stops on a window-Cauchy
-criterion, persistent degeneracy, or budget exhaustion.  Disjoint index
-blocks accumulated independently merge deterministically, which is the
-whole parallelism contract: sources and policies are pure, accumulators
-are single-writer, and ``merge`` is the only cross-block operation.
+in batches of whole blocks, records a trace of raw partial sums, and
+stops on a window-Cauchy criterion, persistent degeneracy, or budget
+exhaustion.  Disjoint index blocks accumulated independently merge
+deterministically, which is the whole parallelism contract: sources and
+policies are pure, accumulators are single-writer, and ``merge`` is the
+only cross-block operation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "Degenerate",
     "MeanAccumulator",
     "StoppingRule",
-    "TracePoint",
     "ConvergenceReport",
     "merge",
     "run",
@@ -215,26 +215,22 @@ class StoppingRule:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """Snapshot of the accumulator after ``m`` terms; ``estimate`` is
-    None when the snapshot was degenerate."""
-
-    m: int
-    numerator: complex
-    denominator: complex
-    estimate: complex | None
-    den_ratio: float
-
-
 @dataclass
 class ConvergenceReport:
-    """Outcome of a finite-budget run."""
+    """Outcome of a finite-budget run.
 
-    trace: list[TracePoint]
+    The trace is kept as the raw columns of its snapshots: the point count,
+    numerator, denominator and absolute-weight sum.  Estimates and
+    ``den_ratio`` are derived from them, under the run's degeneracy
+    threshold, only when :attr:`trace`, :meth:`trace_rows` or
+    :meth:`write_csv` reads them.
+    """
+
     final_estimate: complex | Degenerate
     stop_reason: str  # "window-cauchy" | "budget-exhausted" | "degenerate"
     N_used: int
+    _columns: tuple[list[int], list[complex], list[complex], list[float]] = field(repr=False)
+    _delta: float = field(repr=False)
 
     @property
     def converged(self) -> bool:
@@ -244,17 +240,30 @@ class ConvergenceReport:
     def degenerate(self) -> bool:
         return self.final_estimate is DEGENERATE
 
+    @property
+    def trace(self) -> dict[str, list]:
+        """Snapshots as columns ``m``, ``numerator``, ``denominator``,
+        ``estimate`` (None where degenerate) and ``den_ratio``, one entry per
+        snapshot after ``m`` terms; the last is the final state."""
+        ms, nums, dens, aws = self._columns
+        ests = [_ratio(num, den, aw, self._delta) for num, den, aw in zip(nums, dens, aws)]
+        return {
+            "m": list(ms),
+            "numerator": list(nums),
+            "denominator": list(dens),
+            "estimate": [None if e is DEGENERATE else e for e in ests],
+            "den_ratio": [_den_ratio(den, aw) for den, aw in zip(dens, aws)],
+        }
+
     def trace_rows(self) -> list[tuple]:
         """Trace as rows under :data:`TRACE_COLUMNS`; degenerate snapshots
         leave the estimate cells empty."""
-        rows = []
-        for p in self.trace:
-            est_re = "" if p.estimate is None else repr(p.estimate.real)
-            est_im = "" if p.estimate is None else repr(p.estimate.imag)
-            rows.append((p.m, repr(p.numerator.real), repr(p.numerator.imag),
-                         repr(p.denominator.real), repr(p.denominator.imag),
-                         est_re, est_im, repr(p.den_ratio)))
-        return rows
+        t = self.trace
+        return [(m, repr(num.real), repr(num.imag), repr(den.real), repr(den.imag),
+                 "" if est is None else repr(est.real), "" if est is None else repr(est.imag),
+                 repr(ratio))
+                for m, num, den, est, ratio in zip(t["m"], t["numerator"], t["denominator"],
+                                                   t["estimate"], t["den_ratio"])]
 
     def write_csv(self, path) -> None:
         import csv
@@ -294,13 +303,6 @@ def _checkpoints(budget: int, rule: StoppingRule) -> list[int]:
     return checks
 
 
-def _prefix_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``sum(terms[:e])`` for each ``e`` of the increasing ``ends``, summed
-    segment by segment between consecutive ends."""
-    cuts = np.concatenate(([0], ends[:-1]))
-    return np.cumsum(np.add.reduceat(terms[:ends[-1]], cuts))
-
-
 def _block_sums(terms: np.ndarray, block_size: int) -> list:
     """``np.sum`` of each ``block_size`` slice of ``terms`` (the last may be
     short), bit for bit: pairwise row sums of the whole blocks."""
@@ -309,6 +311,13 @@ def _block_sums(terms: np.ndarray, block_size: int) -> list:
     if len(terms) % block_size:
         sums.append(np.sum(terms[k * block_size:]))
     return sums
+
+
+def _term_sums(terms: np.ndarray, block_size: int, cuts: np.ndarray) -> tuple[list, list]:
+    """:func:`_block_sums` of ``terms``, and the sums of its segments
+    ``[cuts[0], cuts[1])``, ``[cuts[2], cuts[3])``, ... in one ``reduceat``."""
+    segments = np.add.reduceat(terms[:cuts[-1]], cuts[:-1])[::2].tolist() if len(cuts) else []
+    return _block_sums(terms, block_size), segments
 
 
 # Points per batch of ``run``: as many whole blocks as fit, at least one.
@@ -355,7 +364,9 @@ def run(
         is always recorded).  Snapshots are only recorded: the stopping
         window counts the rule's checkpoints, so the stride does not decide
         the stop.  Snapshots and checkpoints inside a block are read from the
-        block's prefix sums; they never split it.
+        block's prefix sums; they never split it.  A snapshot keeps its raw
+        sums only; the report derives its estimate and ``den_ratio`` when
+        the trace is read, so only checkpoints divide during the run.
     block_size
         Points per block, the only partition of the sum: runs with equal
         block size that stop at the same point are reproducible bit for
@@ -377,92 +388,110 @@ def run(
     delta = rule.degeneracy_threshold
 
     acc = MeanAccumulator()
-    trace: list[TracePoint] = []
+    # Raw trace rows: m, numerator, denominator and absolute-weight sum.
+    rows: list[tuple[int, complex, complex, float]] = []
     # Estimates at the last ``window`` checkpoints; None where degenerate.
     recent: deque[complex | None] = deque(maxlen=rule.window)
     checkpoints = _checkpoints(budget, rule)
     checks = set(checkpoints)
+    # Marks, where the running sums are read: trace rows and checkpoints.
     marks = sorted(checks.union(range(trace_stride, budget + 1, trace_stride)))
     # The run can stop only at a checkpoint with a full window, from min_samples on.
     stops = [m for i, m in enumerate(checkpoints)
              if i >= rule.window - 1 and m >= rule.min_samples] + [budget]
     batch = max(1, _BATCH_POINTS // block_size) * block_size
 
-    def blocks():
-        """``(start, (w v, w, |w|), values, sums)`` of each block, with the
-        sums of its three term arrays, or None where one is not finite.
-        Blocks are evaluated in batches of whole blocks, each ending at the
-        latest with the block that holds the next possible stop."""
-        start = next_stop = 0
-        while start < budget:
-            while stops[next_stop] <= start:
-                next_stop += 1
-            end = min(start + batch, -(-stops[next_stop] // block_size) * block_size, budget)
-            pts = source.block(start, end, rank)
-            w = _weights(policy, pts, start)
-            v = func.eval_block(pts)
-            # A non-finite term is an error only before the stop, where
-            # add_block raises; until then its sums are formed in silence.
-            with np.errstate(invalid="ignore"):
-                terms = (np.multiply(w, v), w, np.abs(w))
-                sums = [_block_sums(t, block_size) for t in terms]
-            finite = np.isfinite(sums).all(axis=0).tolist()
-            for j, lo in enumerate(range(0, end - start, block_size)):
-                part = slice(lo, lo + block_size)
-                yield (start + lo, [t[part] for t in terms], v[part],
-                       [s[j] for s in sums] if finite[j] else None)
-            start = end
-
-    def observe(m: int, num: complex, den: complex, aw: float) -> str | None:
-        """Record the snapshot after ``m`` terms; the stop reason, if any."""
-        est = _ratio(num, den, aw, delta)
-        est = None if est is DEGENERATE else est
-        if m % trace_stride == 0 or m == budget:
-            trace.append(TracePoint(m, num, den, est, _den_ratio(den, aw)))
-        if m not in checks:
-            return None
-        recent.append(est)
-        if m < rule.min_samples or len(recent) < rule.window:
-            return None
-        if all(e is None for e in recent):
-            return "degenerate"
-        if None not in recent:
-            tol = rule.rel_tol * (1.0 + abs(est))
-            spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
-            if spread <= tol:
-                return "window-cauchy"
-        return None
-
     stop_reason = None
-    next_mark = 0
-    for start, (wv, w, abs_w), v, sums in blocks():
-        keep = len(w)
-        stop = start + keep
-        inner = bisect.bisect_left(marks, stop, next_mark)
-        if inner > next_mark:
-            # Snapshots at the marks inside the block: the committed totals
-            # plus the block's prefix sums up to each mark.
-            inside = marks[next_mark:inner]
-            ends = np.asarray(inside) - start
-            with np.errstate(invalid="ignore"):
-                nums = acc.numerator + _prefix_sums(wv, ends)
-                dens = acc.denominator + _prefix_sums(w, ends)
-                aws = acc.abs_weight_sum + _prefix_sums(abs_w, ends)
-            for m, num, den, aw in zip(inside, nums.tolist(), dens.tolist(), aws.tolist()):
-                stop_reason = observe(m, num, den, aw)
-                if stop_reason is not None:
-                    keep = m - start
-                    break
-            next_mark = inner
-        if keep == len(w) and sums is not None:
-            acc._fold(*sums, keep)
-        else:
-            acc.add_block(w[:keep], v[:keep])
-        if stop_reason is None and marks[next_mark] == stop:
-            next_mark += 1
-            stop_reason = observe(stop, acc.numerator, acc.denominator, acc.abs_weight_sum)
-        if stop_reason is not None:
-            break
+    start = next_stop = next_mark = 0
+    while stop_reason is None and start < budget:
+        # A batch of whole blocks, ending at the latest with the block that
+        # holds the next possible stop.
+        while stops[next_stop] <= start:
+            next_stop += 1
+        end = min(start + batch, -(-stops[next_stop] // block_size) * block_size, budget)
+        n = end - start
+        pts = source.block(start, end, rank)
+        w = _weights(policy, pts, start)
+        v = func.eval_block(pts)
+        after = bisect.bisect_right(marks, end, next_mark)
+        offsets = [m - start for m in marks[next_mark:after]]
+        next_mark = after
+        # A mark inside a block reads the sum of the segment from the
+        # previous mark in that block, or else from the block's start.
+        cuts: list[int] = []
+        prev = 0  # the previous mark inside a block
+        for o in offsets:
+            lo = o - o % block_size
+            if lo < o < n:
+                cuts += (lo if lo > prev else prev, o)
+                prev = o
+        at = np.asarray(cuts, dtype=np.intp)
+        # A non-finite term is an error only before the stop, where add_block
+        # raises; until then its sums are formed in silence.
+        with np.errstate(invalid="ignore"):
+            num_sums = _term_sums(np.multiply(w, v), block_size, at)
+            den_sums = _term_sums(w, block_size, at)
+            # Real weights with no sign bit set are their own absolute values.
+            unsigned = w.dtype.kind == "f" and not np.signbit(w).any()
+            aw_sums = den_sums if unsigned else _term_sums(np.abs(w), block_size, at)
+        sums = (num_sums[0], den_sums[0], aw_sums[0])
+        segments = zip(num_sums[1], den_sums[1], aw_sums[1])
+        finite = np.isfinite(sums).all(axis=0).tolist()
+        n_blocks = len(finite)
+        com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
+        folded, fold_at = 0, min(block_size, n)  # blocks committed; where the next ends
+        prefix_lo = -1  # batch offset of the block the running prefix lies in
+        # Past the last mark, n + 1 commits the rest of the batch.
+        for o in offsets + [n + 1]:
+            if o >= fold_at:
+                through = n_blocks if o >= n else o // block_size
+                for j in range(folded, through):
+                    lo, hi = j * block_size, min((j + 1) * block_size, n)
+                    if finite[j]:
+                        acc._fold(sums[0][j], sums[1][j], sums[2][j], hi - lo)
+                    else:
+                        acc.add_block(w[lo:hi], v[lo:hi])
+                folded = through
+                fold_at = min((folded + 1) * block_size, n) if folded < n_blocks else n + 2
+                com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
+            if o > n:
+                break
+            lo = o - o % block_size
+            if lo < o < n:
+                # The committed totals plus the block's running prefix, in
+                # numpy's complex + real arithmetic.
+                seg_num, seg_den, seg_aw = next(segments)
+                if lo == prefix_lo:
+                    pre_num, pre_den, pre_aw = pre_num + seg_num, pre_den + seg_den, pre_aw + seg_aw
+                else:
+                    pre_num, pre_den, pre_aw, prefix_lo = seg_num, seg_den, seg_aw, lo
+                num = com_num + complex(pre_num)
+                den = com_den + complex(pre_den)
+                aw = com_aw + pre_aw
+            else:
+                num, den, aw = com_num, com_den, com_aw
+            m = start + o
+            if m % trace_stride == 0 or m == budget:
+                rows.append((m, num, den, aw))
+            if m not in checks:
+                continue
+            est = _ratio(num, den, aw, delta)
+            recent.append(None if est is DEGENERATE else est)
+            if m < rule.min_samples or len(recent) < rule.window:
+                continue
+            if all(e is None for e in recent):
+                stop_reason = "degenerate"
+            elif None not in recent:
+                tol = rule.rel_tol * (1.0 + abs(est))
+                spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
+                if spread <= tol:
+                    stop_reason = "window-cauchy"
+            if stop_reason is not None:
+                if lo < o < n:
+                    # A stop inside a block commits just its prefix.
+                    acc.add_block(w[lo:o], v[lo:o])
+                break
+        start = end
 
     n_used = acc.count
     final = acc.estimate(delta)
@@ -470,11 +499,10 @@ def run(
         stop_reason = "degenerate"
     elif stop_reason is None:
         stop_reason = "budget-exhausted"
-    if trace and trace[-1].m == n_used:
-        trace.pop()
-    trace.append(TracePoint(n_used, acc.numerator, acc.denominator,
-                            None if final is DEGENERATE else final, acc.den_ratio))
-    return ConvergenceReport(trace, final, stop_reason, n_used)
+    if rows and rows[-1][0] == n_used:
+        rows.pop()
+    rows.append((n_used, acc.numerator, acc.denominator, acc.abs_weight_sum))
+    return ConvergenceReport(final, stop_reason, n_used, tuple(map(list, zip(*rows))), delta)
 
 
 def run_blocked(

@@ -26,14 +26,17 @@ def _as_list(value, field: str) -> list:
 def _built(field: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, a library call, with its error re-raised
     as a ``ValidationError`` naming the config ``field`` once: the library
-    argument's name is dropped where it is the field's last part, and
-    leads the message otherwise."""
+    argument's name is dropped where it is the field's last part, names the
+    key under ``field`` where it was passed by keyword, and leads the
+    message otherwise."""
     try:
         return build(*args, **kwargs)
     except ValidationError as exc:
-        same = exc.field == field.rsplit(".", 1)[-1]
-        message = exc.message if same else f"{exc.field} {exc.message}"
-        raise ValidationError(field, message) from exc
+        if exc.field == field.rsplit(".", 1)[-1]:
+            raise ValidationError(field, exc.message) from exc
+        if exc.field in kwargs:
+            raise ValidationError(f"{field}.{exc.field}", exc.message) from exc
+        raise ValidationError(field, f"{exc.field} {exc.message}") from exc
     except (DiracMeanError, TypeError, ValueError) as exc:
         raise ValidationError(field, str(exc)) from exc
 

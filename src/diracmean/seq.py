@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     as_count,
     as_number,
-    as_widths,
+    as_numbers,
 )
 
 __all__ = [
@@ -425,11 +425,8 @@ def pseudorandom_source(seed: int) -> PointSource:
 # Convergent
 
 
-def _per_coordinate(values: float | Sequence[float], k: int) -> float:
-    if np.isscalar(values):
-        return float(values)  # type: ignore[arg-type]
-    seq = list(values)  # type: ignore[arg-type]
-    return float(seq[k]) if k < len(seq) else float(seq[-1])
+def _per_coordinate(values: tuple[float, ...], k: int) -> float:
+    return values[min(k, len(values) - 1)]
 
 
 class ConvergentSource(PointSource):
@@ -442,9 +439,9 @@ class ConvergentSource(PointSource):
         rate: float,
         offset: float | Sequence[float] = 1.0,
     ):
-        self.target = target
         self.rate = as_number("rate", rate, 0.0, 1.0)
-        self.offset = offset
+        self.target = as_numbers("target", target)
+        self.offset = as_numbers("offset", offset)
 
     def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
         t = _per_coordinate(self.target, k)
@@ -510,7 +507,7 @@ class NormalQuantiles(QuantileFamily):
     family = "normal"
 
     def __init__(self, widths: float | Sequence[float] = 1.0):
-        self.widths = as_widths("widths", widths)
+        self.widths = as_numbers("widths", widths, 0.0)
 
     def apply(self, k: int, u: np.ndarray) -> np.ndarray:
         sigma = _per_coordinate(self.widths, k)
@@ -543,7 +540,7 @@ class BoxQuantiles(QuantileFamily):
     family = "uniform-box"
 
     def __init__(self, half_width: float | Sequence[float]):
-        self.half_widths = as_widths("half_width", half_width)
+        self.half_widths = as_numbers("half_width", half_width, 0.0)
 
     def apply(self, k: int, u: np.ndarray) -> np.ndarray:
         h = _per_coordinate(self.half_widths, k)
@@ -576,7 +573,7 @@ def quantile_family_from_dict(quantiles: dict) -> QuantileFamily:
     if fam not in ("normal", "uniform-box"):
         raise ValidationError("family",
                               f"{fam!r} is not one of ['uniform', 'normal', 'uniform-box']")
-    widths = as_widths("widths", quantiles.get("widths", 1.0))
+    widths = as_numbers("widths", quantiles.get("widths", 1.0), 0.0)
     return NormalQuantiles(widths) if fam == "normal" else BoxQuantiles(widths)
 
 

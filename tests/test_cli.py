@@ -414,6 +414,11 @@ ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
      "policy.index_phase"),
     (dict(DENSITY, mode="compare", source={"kind": "convergent", "target": 0.3, "rate": 0.5}),
      "source"),
+    (dict(DENSITY, source={"kind": "convergent", "target": [0.3, "x"], "rate": 0.5}),
+     "source.target"),
+    (dict(DENSITY, source={"kind": "convergent", "target": 0.3, "rate": 0.5, "offset": []}),
+     "source.offset"),
+    (dict(SCAN, action={"matrix": [["x"]]}), "action"),
     (dict(MINIMAL, mode="compare", function={"name": "coordinate-product", "rank": 4}),
      "function"),
     (dict(ORACLE, function={"name": "coordinate", "index": 2}), "function"),
@@ -422,7 +427,8 @@ ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
         "oracle-rank-4", "alphas-short-of-function-rank", "base-alphas-short-of-function-rank",
         "alphas-short-of-hierarchy", "route-widths-short-of-action-rank",
-        "compare-index-phase", "compare-convergent-source", "compare-rank-4",
+        "compare-index-phase", "compare-convergent-source", "convergent-target",
+        "convergent-offset", "scan-matrix-not-numbers", "compare-rank-4",
         "oracle-function-above-density-rank"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):

@@ -118,6 +118,12 @@ BAD_ARGUMENTS = [
     ("rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
     ("index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
     ("index_phase", lambda: dm.product_regularized_policy(REG, ACT, math.inf)),
+    ("matrix", lambda: dm.quadratic_action([["x"]])),
+    ("matrix", lambda: dm.quadratic_action([[1.0], [1.0, 2.0]])),
+    ("linear", lambda: dm.quadratic_action([[1.0]], linear=["y"])),
+    ("target", lambda: dm.convergent_source(math.nan, 0.5)),
+    ("offset", lambda: dm.convergent_source(0.5, 0.5, math.inf)),
+    ("target", lambda: dm.convergent_source([], 0.5)),
 ]
 
 

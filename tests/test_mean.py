@@ -1,6 +1,8 @@
 """Accumulator algebra, degeneracy guard, stopping, merge, reproducibility."""
 
+import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from diracmean import (
     run,
     run_blocked,
 )
+from diracmean import mean as mean_mod
 from diracmean.errors import EmptyAccumulator, NonFiniteInput, ValidationError
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
@@ -99,8 +102,8 @@ def test_weight_sum_far_below_the_absolute_sum_divides_without_underflow(path):
     else:
         report = run(halton_source(1), CyclingWeights(), F_X1, 3000,
                      StoppingRule(min_samples=3000, degeneracy_threshold=1e-200))
-        last = report.trace[-1]
-        est, num, den = report.final_estimate, last.numerator, last.denominator
+        trace = report.trace
+        est, num, den = report.final_estimate, trace["numerator"][-1], trace["denominator"][-1]
     exact = _exact_quotient(num, den)
     assert math.isfinite(est.real) and math.isfinite(est.imag)
     assert abs(est.real - exact.real) <= 2 * math.ulp(exact.real)
@@ -205,11 +208,13 @@ def test_alternating_phases_stop_degenerate():
     assert report.stop_reason == "degenerate"
     assert report.final_estimate is DEGENERATE
     assert not report.converged
-    for point in report.trace:
-        assert point.estimate is None
-        assert math.isfinite(point.den_ratio)
-        assert math.isfinite(abs(point.numerator))
-        assert math.isfinite(abs(point.denominator))
+    trace = report.trace
+    for est, den_ratio, num, den in zip(trace["estimate"], trace["den_ratio"],
+                                        trace["numerator"], trace["denominator"]):
+        assert est is None
+        assert math.isfinite(den_ratio)
+        assert math.isfinite(abs(num))
+        assert math.isfinite(abs(den))
 
 
 def test_budget_below_min_samples_rejected():
@@ -220,7 +225,7 @@ def test_budget_below_min_samples_rejected():
 def test_trace_is_strictly_increasing_and_strided():
     report = run(halton_source(0), constant_policy(), F_X1, 5000,
                  StoppingRule(min_samples=5000), trace_stride=1000)
-    ms = [p.m for p in report.trace]
+    ms = report.trace["m"]
     assert ms == sorted(set(ms))
     assert ms == [1000, 2000, 3000, 4000, 5000]
 
@@ -265,9 +270,10 @@ def test_gauge_invariance_of_partial_estimates():
     rule = StoppingRule(min_samples=10**4)
     plain = run(halton_source(0), pol, F_X1, 10**4, rule, trace_stride=500)
     scaled = run(halton_source(0), Scaled(pol, c), F_X1, 10**4, rule, trace_stride=500)
-    assert len(plain.trace) == len(scaled.trace)
-    for a, b in zip(plain.trace, scaled.trace):
-        assert abs(a.estimate - b.estimate) <= 1e-12 * abs(a.estimate)
+    a_est, b_est = plain.trace["estimate"], scaled.trace["estimate"]
+    assert len(a_est) == len(b_est)
+    for a, b in zip(a_est, b_est):
+        assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_prefix_permutation_invariance():
@@ -309,8 +315,8 @@ def test_same_block_size_is_bit_identical():
     rule = StoppingRule(min_samples=2 * 10**4)
     a = run(pseudorandom_source(5), pol, F_X1, 2 * 10**4, rule, block_size=2048)
     b = run(pseudorandom_source(5), pol, F_X1, 2 * 10**4, rule, block_size=2048)
-    assert [(p.m, p.numerator, p.denominator) for p in a.trace] == \
-        [(p.m, p.numerator, p.denominator) for p in b.trace]
+    assert [a.trace[k] for k in ("m", "numerator", "denominator")] == \
+        [b.trace[k] for k in ("m", "numerator", "denominator")]
     assert a.final_estimate == b.final_estimate
 
 
@@ -482,11 +488,12 @@ def test_batched_run_folds_blocks_like_add_block(offset, pol, block_size, n_bloc
     for start in range(0, budget, block_size):
         pts = src.block(start, min(start + block_size, budget), 1)
         want.add_block(pol.weights(pts, start_index=start), F_X1.eval_block(pts))
-    got = run(src, pol, F_X1, budget, rule, block_size=block_size).trace[-1]
-    aw = run(src, AbsWeights(pol), F_ONE, budget, rule, block_size=block_size).trace[-1]
-    assert (got.m, aw.m) == (budget, budget)
-    for a, b in ((got.numerator, want.numerator), (got.denominator, want.denominator),
-                 (aw.denominator, complex(want.abs_weight_sum))):
+    got = run(src, pol, F_X1, budget, rule, block_size=block_size).trace
+    aw = run(src, AbsWeights(pol), F_ONE, budget, rule, block_size=block_size).trace
+    assert (got["m"][-1], aw["m"][-1]) == (budget, budget)
+    for a, b in ((got["numerator"][-1], want.numerator),
+                 (got["denominator"][-1], want.denominator),
+                 (aw["denominator"][-1], complex(want.abs_weight_sum))):
         assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
 
 
@@ -524,26 +531,28 @@ def test_trace_rows_match_filled_accumulators():
                  trace_stride=777, block_size=4096)
     pts = halton_source(1).block(0, 20000, 1)
     w, v = pol.weights(pts), F_X1.eval_block(pts)
-    assert [p.m for p in report.trace[:-1]] == list(range(777, 20000, 777))
-    for p in report.trace:
-        acc = MeanAccumulator().add_block(w[:p.m], v[:p.m])
-        for got, want in ((p.numerator, acc.numerator), (p.denominator, acc.denominator),
-                          (p.estimate, acc.estimate())):
+    trace = report.trace
+    assert trace["m"][:-1] == list(range(777, 20000, 777))
+    for m, num, den, est, den_ratio in zip(trace["m"], trace["numerator"], trace["denominator"],
+                                           trace["estimate"], trace["den_ratio"]):
+        acc = MeanAccumulator().add_block(w[:m], v[:m])
+        for got, want in ((num, acc.numerator), (den, acc.denominator),
+                          (est, acc.estimate())):
             assert abs(got - want) <= 1e-12 * abs(want)
-        assert abs(p.den_ratio - acc.den_ratio) <= 1e-12 * acc.den_ratio
+        assert abs(den_ratio - acc.den_ratio) <= 1e-12 * acc.den_ratio
 
 
 def test_last_trace_row_is_the_final_state():
     src, pol = halton_source(1), density_policy(lambda x: 1.0 + x[:, 0], 1)
     report = run(src, pol, F_X1, 2 * 10**5, STOP_RULE, trace_stride=7, block_size=1024)
-    last = report.trace[-1]
+    last = {name: column[-1] for name, column in report.trace.items()}
     acc = MeanAccumulator()
     for start in range(0, report.N_used, 1024):
         pts = src.block(start, min(start + 1024, report.N_used), 1)
         acc.add_block(pol.weights(pts, start_index=start), F_X1.eval_block(pts))
-    assert last.m == report.N_used
-    assert last.estimate == report.final_estimate == acc.estimate()
-    assert (last.numerator, last.denominator, last.den_ratio) == \
+    assert last["m"] == report.N_used
+    assert last["estimate"] == report.final_estimate == acc.estimate()
+    assert (last["numerator"], last["denominator"], last["den_ratio"]) == \
         (acc.numerator, acc.denominator, acc.den_ratio)
 
 
@@ -577,11 +586,152 @@ def test_infinite_weights_before_the_stop_raise_nonfinite_input():
     assert (past.final_estimate, past.N_used) == (clean.final_estimate, clean.N_used)
 
 
+def test_nonfinite_term_in_an_earlier_block_of_the_stopping_batch_raises():
+    rule = StoppingRule(rel_tol=1e-5)
+    src = Recording(halton_source(1))
+    clean = run(src, NaNAt(-1), F_X1, 10**6, rule, block_size=1024)
+    assert clean.stop_reason == "window-cauchy"
+    first, end = src.calls[-1]
+    stop_block = (clean.N_used - 1) // 1024 * 1024
+    assert first < stop_block  # the batch holding the stop has earlier blocks
+    for index in (first, stop_block - 1):
+        with pytest.raises(NonFiniteInput, match="weight"):
+            run(halton_source(1), NaNAt(index), F_X1, 10**6, rule, block_size=1024)
+    # The stopping block ends its batch, so every term past the stop that is
+    # evaluated lies in that block; each is discarded.
+    assert end == stop_block + 1024
+    for index in (clean.N_used, end - 1):
+        past = run(halton_source(1), NaNAt(index), F_X1, 10**6, rule, block_size=1024)
+        assert (_bits(past.final_estimate), past.N_used) == \
+            (_bits(clean.final_estimate), clean.N_used)
+
+
+def _reference_run(src, pol, func, budget, rule, stride, block_size):
+    """``run``'s trace columns and final estimate from the definition: whole
+    blocks' ``np.sum`` sums folded with ``MeanAccumulator._fold``, in-block
+    prefixes as ``np.cumsum`` of ``np.add.reduceat`` cut at the block's marks
+    (added to the committed totals in numpy), and estimates from ``_ratio``."""
+    delta = rule.degeneracy_threshold
+    checks = set(mean_mod._checkpoints(budget, rule))
+    marks = sorted(checks | set(range(stride, budget + 1, stride)))
+    pts = src.block(0, budget, 1)
+    w = pol.weights(pts)
+    terms = (w * func.eval_block(pts), w, np.abs(w))
+    acc, rows, recent = MeanAccumulator(), [], deque(maxlen=rule.window)
+
+    def observe(m, num, den, aw):
+        est = mean_mod._ratio(num, den, aw, delta)
+        est = None if est is DEGENERATE else est
+        if m % stride == 0 or m == budget:
+            rows.append((m, num, den, aw))
+        if m not in checks:
+            return False
+        recent.append(est)
+        if m < rule.min_samples or len(recent) < rule.window:
+            return False
+        if all(e is None for e in recent):
+            return True
+        return None not in recent and rule.rel_tol * (1.0 + abs(est)) >= max(
+            abs(a - b) for a, b in itertools.combinations(recent, 2))
+
+    def fold(lo, hi):
+        acc._fold(*(np.sum(t[lo:hi]) for t in terms), hi - lo)
+
+    stopped = False
+    for lo in range(0, budget, block_size):
+        hi = min(lo + block_size, budget)
+        inside = [m for m in marks if lo < m < hi]
+        if inside:
+            cuts = [0] + [m - lo for m in inside[:-1]]
+            nums, dens, aws = (np.cumsum(np.add.reduceat(t[lo:inside[-1]], cuts))
+                               for t in terms)
+            for m, num, den, aw in zip(inside, (acc.numerator + nums).tolist(),
+                                       (acc.denominator + dens).tolist(),
+                                       (acc.abs_weight_sum + aws).tolist()):
+                if observe(m, num, den, aw):
+                    fold(lo, m)
+                    stopped = True
+                    break
+        if stopped:
+            break
+        fold(lo, hi)
+        if hi in marks and observe(hi, acc.numerator, acc.denominator, acc.abs_weight_sum):
+            break
+    final = (acc.count, acc.numerator, acc.denominator, acc.abs_weight_sum)
+    rows = [r for r in rows if r[0] != acc.count] + [final]
+    ests = [mean_mod._ratio(num, den, aw, delta) for _, num, den, aw in rows]
+    return {
+        "m": [r[0] for r in rows],
+        "numerator": [r[1] for r in rows],
+        "denominator": [r[2] for r in rows],
+        "estimate": [None if e is DEGENERATE else e for e in ests],
+        "den_ratio": [abs(den) / aw if aw > 0.0 else 0.0 for _, _, den, aw in rows],
+    }, acc.estimate(delta)
+
+
+class SignedWeights:
+    """Real weights of both signs, with -0.0 where the cosine is small."""
+
+    rank = 1
+
+    def weights(self, pts, start_index=0):
+        w = np.cos(7.0 * pts[:, 0])
+        return np.where(np.abs(w) < 0.05, -0.0, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    offset=st.integers(0, 10**6),
+    pol=st.sampled_from([DENSITY_POL, SignedWeights(), ALTERNATING_POL,
+                         oscillatory_policy(quadratic_action([[2.0]])),
+                         oscillatory_policy(quadratic_action([[40.0]]))]),
+    block_size=st.sampled_from([1, 3, 1000, 4096, 5000, 20000]),
+    stride=st.one_of(st.sampled_from([1, 7, 1000]), st.integers(1, 30000)),
+    window=st.integers(2, 8),
+    min_samples=st.sampled_from([1, 7, 56, 1000, 3000]),
+    budget=st.integers(3000, 40000),
+    rel_tol=st.floats(1e-7, 1e-2),
+)
+def test_trace_rows_and_estimate_match_the_definition_bit_for_bit(
+        offset, pol, block_size, stride, window, min_samples, budget, rel_tol):
+    if block_size < 1000:
+        budget //= 10  # keep the one-block-at-a-time reference quick
+    rule = StoppingRule(window=window, rel_tol=rel_tol, min_samples=min(min_samples, budget))
+    report = run(halton_source(offset), pol, F_X1, budget, rule, trace_stride=stride,
+                 block_size=block_size)
+    trace, final = _reference_run(halton_source(offset), pol, F_X1, budget, rule, stride,
+                                  block_size)
+    assert report.N_used == trace["m"][-1]
+    assert repr(report.trace) == repr(trace)  # repr keeps every bit, signed zeros too
+    assert _bits(report.final_estimate) == _bits(final)
+
+
+def test_run_derives_trace_estimates_only_when_the_trace_is_read(monkeypatch):
+    ratio, ratios = mean_mod._ratio, []
+
+    def counted(*args):
+        ratios.append(args)
+        return ratio(*args)
+
+    monkeypatch.setattr(mean_mod, "_ratio", counted)
+    rule = StoppingRule(rel_tol=1e-5)
+    report = run(halton_source(1), DENSITY_POL, F_X1, 10**5, rule, trace_stride=7,
+                 block_size=1024)
+    reached = [m for m in mean_mod._checkpoints(10**5, rule) if m <= report.N_used]
+    n_rows = (report.N_used - 1) // 7 + 1  # every 7th point before the stop, and the stop
+    assert n_rows > 10 * len(reached)
+    assert len(ratios) == len(reached) + 1  # each checkpoint, and the final estimate
+    assert len(report.trace["m"]) == n_rows
+    assert len(ratios) == len(reached) + 1 + n_rows
+    report.trace_rows()
+    assert len(ratios) == len(reached) + 1 + 2 * n_rows
+
+
 def test_report_serialization_round_trip():
     report = run(halton_source(0), constant_policy(), F_X1, 2000,
                  StoppingRule(min_samples=2000))
     rows = report.trace_rows()
-    assert len(rows) == len(report.trace)
+    assert len(rows) == len(report.trace["m"])
     summary = report.summary_dict()
     assert summary["stop_reason"] == "budget-exhausted"
     assert summary["N_used"] == 2000

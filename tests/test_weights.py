@@ -40,7 +40,7 @@ def test_constant_policy_is_one_everywhere():
 
 def test_constant_policy_denominator_counts_points():
     report = run(halton_source(0), constant_policy(), F_X1, 2000, FULL(2000))
-    assert report.trace[-1].denominator == 2000 + 0j
+    assert report.trace["denominator"][-1] == 2000 + 0j
 
 
 def test_constant_policy_uniform_coordinate_mean():

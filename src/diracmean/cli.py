@@ -583,7 +583,7 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
     entries = []
     for sigma, report in scan:
         est = report.final_estimate
-        den_ratio = report.trace["den_ratio"][-1]
+        den_ratio = report.den_ratio
         if report.degenerate:
             rows.append((repr(sigma), "", "", repr(den_ratio),
                          report.stop_reason, report.N_used))

@@ -19,6 +19,7 @@ only cross-block operation.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import sys
@@ -241,10 +242,17 @@ class ConvergenceReport:
         return self.final_estimate is DEGENERATE
 
     @property
+    def den_ratio(self) -> float:
+        """``den_ratio`` of the final state, without deriving the trace."""
+        _, _, dens, aws = self._columns
+        return _den_ratio(dens[-1], aws[-1])
+
+    @functools.cached_property
     def trace(self) -> dict[str, list]:
         """Snapshots as columns ``m``, ``numerator``, ``denominator``,
         ``estimate`` (None where degenerate) and ``den_ratio``, one entry per
-        snapshot after ``m`` terms; the last is the final state."""
+        snapshot after ``m`` terms; the last is the final state.  Derived on
+        the first read and kept."""
         ms, nums, dens, aws = self._columns
         ests = [_ratio(num, den, aw, self._delta) for num, den, aw in zip(nums, dens, aws)]
         return {
@@ -414,83 +422,79 @@ def run(
         w = _weights(policy, pts, start)
         v = func.eval_block(pts)
         after = bisect.bisect_right(marks, end, next_mark)
-        offsets = [m - start for m in marks[next_mark:after]]
+        # Batch offsets of the marks strictly inside a block; a mark at a
+        # block's end reads the folded accumulator.
+        inner = [o for o in (m - start for m in marks[next_mark:after])
+                 if o % block_size and o < n]
         next_mark = after
         # A mark inside a block reads the sum of the segment from the
         # previous mark in that block, or else from the block's start.
         cuts: list[int] = []
-        prev = 0  # the previous mark inside a block
-        for o in offsets:
-            lo = o - o % block_size
-            if lo < o < n:
-                cuts += (lo if lo > prev else prev, o)
-                prev = o
+        prev = 0
+        for o in inner:
+            cuts += (max(o - o % block_size, prev), o)
+            prev = o
         at = np.asarray(cuts, dtype=np.intp)
         # A non-finite term is an error only before the stop, where add_block
         # raises; until then its sums are formed in silence.
         with np.errstate(invalid="ignore"):
             num_sums = _term_sums(np.multiply(w, v), block_size, at)
             den_sums = _term_sums(w, block_size, at)
-            # Real weights with no sign bit set are their own absolute values.
-            unsigned = w.dtype.kind == "f" and not np.signbit(w).any()
-            aw_sums = den_sums if unsigned else _term_sums(np.abs(w), block_size, at)
+            aw_sums = _term_sums(np.abs(w), block_size, at)
         sums = (num_sums[0], den_sums[0], aw_sums[0])
         segments = zip(num_sums[1], den_sums[1], aw_sums[1])
         finite = np.isfinite(sums).all(axis=0).tolist()
-        n_blocks = len(finite)
         com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
-        folded, fold_at = 0, min(block_size, n)  # blocks committed; where the next ends
-        prefix_lo = -1  # batch offset of the block the running prefix lies in
-        # Past the last mark, n + 1 commits the rest of the batch.
-        for o in offsets + [n + 1]:
-            if o >= fold_at:
-                through = n_blocks if o >= n else o // block_size
-                for j in range(folded, through):
-                    lo, hi = j * block_size, min((j + 1) * block_size, n)
-                    if finite[j]:
+        k = 0  # the first inner mark not yet read
+        for j, ok in enumerate(finite):
+            lo, hi = j * block_size, min((j + 1) * block_size, n)
+            inside = bisect.bisect_left(inner, hi, k)
+            # The block's marks, then its end, where it is folded in.
+            for o in inner[k:inside] + [hi]:
+                if o < hi:
+                    # The committed totals plus the block's running prefix, in
+                    # numpy's complex + real arithmetic; the block's first mark
+                    # starts the prefix.
+                    seg_num, seg_den, seg_aw = next(segments)
+                    if o == inner[k]:
+                        pre_num, pre_den, pre_aw = seg_num, seg_den, seg_aw
+                    else:
+                        pre_num, pre_den, pre_aw = (
+                            pre_num + seg_num, pre_den + seg_den, pre_aw + seg_aw)
+                    num = com_num + complex(pre_num)
+                    den = com_den + complex(pre_den)
+                    aw = com_aw + pre_aw
+                else:
+                    if ok:
                         acc._fold(sums[0][j], sums[1][j], sums[2][j], hi - lo)
                     else:
                         acc.add_block(w[lo:hi], v[lo:hi])
-                folded = through
-                fold_at = min((folded + 1) * block_size, n) if folded < n_blocks else n + 2
-                com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
-            if o > n:
-                break
-            lo = o - o % block_size
-            if lo < o < n:
-                # The committed totals plus the block's running prefix, in
-                # numpy's complex + real arithmetic.
-                seg_num, seg_den, seg_aw = next(segments)
-                if lo == prefix_lo:
-                    pre_num, pre_den, pre_aw = pre_num + seg_num, pre_den + seg_den, pre_aw + seg_aw
-                else:
-                    pre_num, pre_den, pre_aw, prefix_lo = seg_num, seg_den, seg_aw, lo
-                num = com_num + complex(pre_num)
-                den = com_den + complex(pre_den)
-                aw = com_aw + pre_aw
-            else:
-                num, den, aw = com_num, com_den, com_aw
-            m = start + o
-            if m % trace_stride == 0 or m == budget:
-                rows.append((m, num, den, aw))
-            if m not in checks:
-                continue
-            est = _ratio(num, den, aw, delta)
-            recent.append(None if est is DEGENERATE else est)
-            if m < rule.min_samples or len(recent) < rule.window:
-                continue
-            if all(e is None for e in recent):
-                stop_reason = "degenerate"
-            elif None not in recent:
-                tol = rule.rel_tol * (1.0 + abs(est))
-                spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
-                if spread <= tol:
-                    stop_reason = "window-cauchy"
+                    num, den, aw = com_num, com_den, com_aw = (
+                        acc.numerator, acc.denominator, acc.abs_weight_sum)
+                m = start + o
+                if m % trace_stride == 0 or m == budget:
+                    rows.append((m, num, den, aw))
+                if m not in checks:
+                    continue
+                est = _ratio(num, den, aw, delta)
+                recent.append(None if est is DEGENERATE else est)
+                if m < rule.min_samples or len(recent) < rule.window:
+                    continue
+                if all(e is None for e in recent):
+                    stop_reason = "degenerate"
+                elif None not in recent:
+                    tol = rule.rel_tol * (1.0 + abs(est))
+                    spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
+                    if spread <= tol:
+                        stop_reason = "window-cauchy"
+                if stop_reason is not None:
+                    break
             if stop_reason is not None:
-                if lo < o < n:
+                if o < hi:
                     # A stop inside a block commits just its prefix.
                     acc.add_block(w[lo:o], v[lo:o])
                 break
+            k = inside
         start = end
 
     n_used = acc.count

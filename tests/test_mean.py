@@ -724,7 +724,7 @@ def test_run_derives_trace_estimates_only_when_the_trace_is_read(monkeypatch):
     assert len(report.trace["m"]) == n_rows
     assert len(ratios) == len(reached) + 1 + n_rows
     report.trace_rows()
-    assert len(ratios) == len(reached) + 1 + 2 * n_rows
+    assert len(ratios) == len(reached) + 1 + n_rows  # the derived trace is kept
 
 
 def test_report_serialization_round_trip():

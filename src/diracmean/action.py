@@ -25,7 +25,7 @@ from .seq import (
     _columns,
     pullback_source,
 )
-from .weights import oscillatory_policy, product_regularized_policy
+from .weights import WeightPolicy, oscillatory_policy, product_regularized_policy
 
 __all__ = [
     "ActionFunctional",
@@ -196,6 +196,33 @@ def _certify_base(base: PointSource, rank: int) -> None:
         )
 
 
+def _route(
+    base: PointSource,
+    action: ActionFunctional,
+    regularizer: Regularizer,
+    func: CylinderFunction,
+    route: str,
+    box_half_width: float | None,
+) -> tuple[PointSource, WeightPolicy]:
+    """The source and policy of an oscillatory route over ``base``; see
+    :func:`oscillatory_mean`.  The regularizer must cover the coordinates
+    the action and the function read."""
+    rank = max(int(action.rank), int(func.rank), 1)
+    if regularizer.rank < rank:
+        raise ValidationError(
+            "regularizer", f"covers {regularizer.rank} coordinates but the "
+            f"action/function need {rank}"
+        )
+    if route == "pullback":
+        return pullback_source(base, regularizer.quantiles()), oscillatory_policy(action)
+    if route == "weight-borne":
+        if box_half_width is None:
+            box_half_width = regularizer.quantiles().domain(1, 8.0)[0][1]
+        box = BoxQuantiles(as_number("box_half_width", box_half_width, 0.0))
+        return pullback_source(base, box), product_regularized_policy(regularizer, action)
+    raise ValidationError("route", f"{route!r} is not one of ['pullback', 'weight-borne']")
+
+
 def oscillatory_mean(
     base: PointSource,
     action: ActionFunctional,
@@ -224,25 +251,10 @@ def oscillatory_mean(
     chi-square uniformity certificate (10^4 points, level 0.999, ranks 1
     to ``min(rank, 3)``), or ``CertificationError`` is raised.
     """
-    rank = max(int(action.rank), int(func.rank), 1)
-    if regularizer.rank < rank:
-        raise ValidationError(
-            "regularizer", f"covers {regularizer.rank} coordinates but the "
-            f"action/function need {rank}"
-        )
+    src, pol = _route(base, action, regularizer, func, route, box_half_width)
     verify_cylinder(func)
     if not skip_certification:
-        _certify_base(base, rank)
-    if route == "pullback":
-        src = pullback_source(base, regularizer.quantiles())
-        pol = oscillatory_policy(action)
-    elif route == "weight-borne":
-        if box_half_width is None:
-            box_half_width = regularizer.quantiles().domain(1, 8.0)[0][1]
-        src = pullback_source(base, BoxQuantiles(as_number("box_half_width", box_half_width, 0.0)))
-        pol = product_regularized_policy(regularizer, action)
-    else:
-        raise ValidationError("route", f"{route!r} is not one of ['pullback', 'weight-borne']")
+        _certify_base(base, max(int(action.rank), int(func.rank), 1))
     return mean_mod.run(src, pol, func, budget, rule, trace_stride, block_size)
 
 

@@ -18,17 +18,18 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import mean as mean_mod
-from .action import fresnel_limit_scan, gaussian_regularizer, oscillatory_mean, quadratic_action
+from .action import _route, fresnel_limit_scan, gaussian_regularizer, quadratic_action
 from .cylinder import ProjectionHierarchy, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_list, _built, build_function
 from .seq import (
+    box_quantiles,
     convergent_source,
     halton_source,
+    normal_quantiles,
     pseudorandom_source,
     pullback_source,
-    quantile_family_from_dict,
     uniform_quantiles,
     weyl_source,
 )
@@ -151,20 +152,41 @@ def _source(spec, field: str = "source"):
                 "offset": echo("offset")}, src
     _require_keys(spec, {"kind", "base", "quantiles"}, field)
     base_spec, base = _source(spec.get("base"), f"{field}.base")
-    quantiles = spec.get("quantiles", {"family": "normal", "widths": [1.0]})
-    family = _built(f"{field}.quantiles", quantile_family_from_dict, quantiles)
+    quantiles, family = _quantiles(spec.get("quantiles", {"family": "normal"}),
+                                   f"{field}.quantiles")
     out = {"kind": kind, "base": base_spec, "quantiles": quantiles}
     return out, _built(f"{field}.base", pullback_source, base, family)
 
 
-def _check_alphas(spec: dict, rank: int, field: str = "source") -> None:
+def _quantiles(spec, field: str):
+    _require_object(spec, field, "a 'family'")
+    family = spec.get("family")
+    if family == "uniform":
+        _require_keys(spec, {"family"}, field)
+        return {"family": family}, uniform_quantiles()
+    if family not in ("normal", "uniform-box"):
+        raise ValidationError(f"{field}.family",
+                              f"{family!r} is not one of ['uniform', 'normal', 'uniform-box']")
+    _require_keys(spec, {"family", "widths"}, field)
+    build = normal_quantiles if family == "normal" else box_quantiles
+    widths = as_numbers(f"{field}.widths", spec.get("widths", 1.0), 0.0)
+    return {"family": family, "widths": list(widths)}, build(widths)
+
+
+def _check_source(spec: dict, rank: int, pulled_back: bool, field: str = "source") -> None:
     """Fail unless explicit Weyl ``alphas`` cover the ``rank`` coordinates a
-    run reads from the normalized source ``spec``."""
+    run reads from the normalized source ``spec``, and unless a Halton or
+    Weyl source that is ``pulled_back`` through quantiles starts past its
+    point 0, the origin, where the quantiles are infinite."""
     if spec["kind"] == "pullback":
-        _check_alphas(spec["base"], rank, f"{field}.base")
-    elif "alphas" in spec and len(spec["alphas"]) < rank:
+        _check_source(spec["base"], rank, True, f"{field}.base")
+        return
+    if "alphas" in spec and len(spec["alphas"]) < rank:
         raise ValidationError(f"{field}.alphas",
                               f"{len(spec['alphas'])} given but the run reads {rank} coordinates")
+    if pulled_back and spec["kind"] in ("halton", "weyl") and spec["offset"] == 0:
+        raise ValidationError(f"{field}.offset", "must be at least 1 where the source is "
+                              "pulled back through quantiles: its point 0 is the origin")
 
 
 def _action(spec, field: str = "action"):
@@ -320,8 +342,13 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
                 raise ValidationError("action", "is required when a route is set")
             if regularizer is None:
                 raise ValidationError("regularizer", "is required when a route is set")
+    # A route pulls the configured source back itself; fresnel-scan always routes.
+    routed = resolved_mode == "fresnel-scan" or (
+        resolved_mode in ("estimate", "compare") and route is not None)
+    if routed and source["kind"] == "pullback":
+        raise ValidationError("source.kind", "a route needs a unit-cube source, not 'pullback'")
     if policy is not None:
-        policy, pol = _policy(policy)
+        policy = _policy(policy)[0]
 
     if resolved_mode == "oracle" and density is None and (action is None or regularizer is None):
         raise ValidationError(
@@ -333,22 +360,6 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if hierarchy is not None:
         hierarchy = _as_list(hierarchy, "hierarchy")
         hierarchy = _built("hierarchy", ProjectionHierarchy, hierarchy).ranks
-
-    # The coordinates the run reads, which explicit alphas and a route's
-    # regularizer must cover.
-    rank = None
-    if resolved_mode == "certify":
-        rank = max(hierarchy)
-    elif resolved_mode == "fresnel-scan":
-        rank = max(f_rank, 1)
-    elif resolved_mode in ("estimate", "compare"):
-        rank = max(pol.rank if route is None else act.rank, f_rank, 1)
-        if route is not None and len(regularizer["widths"]) < rank:
-            raise ValidationError(
-                "regularizer.widths", f"covers {len(regularizer['widths'])} coordinates "
-                f"but the action/function need {rank}")
-    if rank is not None:
-        _check_alphas(source, rank)
 
     bins = raw.get("bins_per_axis")
     if bins is not None:
@@ -407,6 +418,15 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         cells_per_axis=cells,
         out=out,
     )
+    if resolved_mode != "oracle":
+        # The coordinates the run reads, which explicit alphas must cover.
+        if resolved_mode == "certify":
+            rank = max(hierarchy)
+        elif resolved_mode == "fresnel-scan":
+            rank = max(f_rank, 1)
+        else:
+            rank = mean_mod._rank(*_estimate_inputs(config)[1:])
+        _check_source(source, rank, routed)
     if resolved_mode in ("oracle", "compare"):
         _oracle_integrand(config, build_function(function, "function"))
     return config
@@ -428,34 +448,23 @@ def _estimate_json(value) -> dict | str:
     return {"re": _finite(value.real), "im": _finite(value.imag)}
 
 
-def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.ConvergenceReport]:
-    rule = config.stopping_rule()
+def _estimate_inputs(config: ExperimentConfig):
+    """The source, policy and function of an ``estimate`` or ``compare``
+    run: the configured policy over the configured source, or a route's
+    source and policy as ``oscillatory_mean`` builds them."""
     source = _source(config.source)[1]
     func = build_function(config.function, "function")
-    if config.route is not None:
-        report = oscillatory_mean(
-            source,
-            _action(config.action)[1],
-            _regularizer(config.regularizer)[1],
-            func,
-            config.budget,
-            rule,
-            route=config.route,
-            box_half_width=config.box_half_width,
-            skip_certification=True,
-            trace_stride=config.trace_stride,
-            block_size=config.block_size,
-        )
-    else:
-        report = mean_mod.run(
-            source,
-            _policy(config.policy)[1],
-            func,
-            config.budget,
-            rule,
-            trace_stride=config.trace_stride,
-            block_size=config.block_size,
-        )
+    if config.route is None:
+        return source, _policy(config.policy)[1], func
+    source, policy = _built(
+        "regularizer.widths", _route, source, _action(config.action)[1],
+        _regularizer(config.regularizer)[1], func, config.route, config.box_half_width)
+    return source, policy, func
+
+
+def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.ConvergenceReport]:
+    report = mean_mod.run(*_estimate_inputs(config), config.budget, config.stopping_rule(),
+                          config.trace_stride, config.block_size)
     if report.degenerate:
         code = EXIT_DEGENERATE
     elif report.converged:
@@ -510,12 +519,11 @@ def _oracle_integrand(config: ExperimentConfig, func):
         if config.policy.get("index_phase", 0.0) != 0.0:
             raise ValidationError("policy.index_phase",
                                   "index-dependent phases have no point density to compare against")
-        policy = _policy(config.policy)[1]
-        source = _source(config.source)[1]
+        source, policy, _ = _estimate_inputs(config)
         if source.kind == "convergent":
             raise ValidationError("source", "compare mode needs an equidistributed source")
         family = source.quantiles if source.kind == "pullback" else uniform_quantiles()
-        domain = family.domain(max(policy.rank, func.rank, 1), config.truncation)
+        domain = family.domain(mean_mod._rank(policy, func), config.truncation)
         density, weights = family.density, policy.weights
         rho = weights if density is None else (lambda x: density(x) * weights(x))
     if func.rank > len(domain):

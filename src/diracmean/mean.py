@@ -332,6 +332,11 @@ def _term_sums(terms: np.ndarray, block_size: int, cuts: np.ndarray) -> tuple[li
 _BATCH_POINTS = 16384
 
 
+def _rank(policy, func) -> int:
+    """The number of coordinates a run reads per point."""
+    return max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
+
+
 def _weights(policy, points: np.ndarray, start: int) -> np.ndarray:
     """The policy's weights for a block, one per point."""
     w = np.asarray(policy.weights(points, start_index=start))
@@ -392,7 +397,7 @@ def run(
     block_size = as_count("block_size", block_size, 1)
     if budget < rule.min_samples:
         raise ValidationError("budget", f"{budget} is below min_samples {rule.min_samples}")
-    rank = max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
+    rank = _rank(policy, func)
     delta = rule.degeneracy_threshold
 
     acc = MeanAccumulator()
@@ -521,7 +526,7 @@ def run_blocked(
     evaluation contract."""
     n_blocks = as_count("n_blocks", n_blocks, 1)
     total = as_count("total", total, n_blocks)
-    rank = max(int(getattr(policy, "rank", 0)), int(func.rank), 1)
+    rank = _rank(policy, func)
     edges = [round(i * total / n_blocks) for i in range(n_blocks + 1)]
     accs = []
     for lo, hi in zip(edges[:-1], edges[1:]):

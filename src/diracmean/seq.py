@@ -563,20 +563,6 @@ def box_quantiles(half_width: float | Sequence[float]) -> QuantileFamily:
     return BoxQuantiles(half_width)
 
 
-def quantile_family_from_dict(quantiles: dict) -> QuantileFamily:
-    """Build a quantile family from its config form."""
-    if not isinstance(quantiles, dict):
-        raise ValidationError("quantiles", f"must be an object with a 'family', got {quantiles!r}")
-    fam = quantiles.get("family")
-    if fam == "uniform":
-        return UniformQuantiles()
-    if fam not in ("normal", "uniform-box"):
-        raise ValidationError("family",
-                              f"{fam!r} is not one of ['uniform', 'normal', 'uniform-box']")
-    widths = as_numbers("widths", quantiles.get("widths", 1.0), 0.0)
-    return NormalQuantiles(widths) if fam == "normal" else BoxQuantiles(widths)
-
-
 class PullbackSource(PointSource):
     kind = "pullback"
     codomain = REAL_PRODUCT

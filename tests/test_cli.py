@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,18 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracmean import gaussian_regularizer, halton_source, oscillatory_mean, quadratic_action
 from diracmean.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
     EXIT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    _run_estimate,
     execute,
     main,
     parse_config,
     parse_config_dict,
 )
 from diracmean.errors import ParseError, ValidationError
+from diracmean.registry import build_function
 
 MINIMAL = {
     "mode": "estimate",
@@ -51,6 +55,10 @@ ALTERNATING = {
     "function": {"name": "coordinate", "index": 1},
     "budget": 10000,
 }
+
+ROUTED = {"mode": "estimate", "source": {"kind": "halton", "offset": 1}, "route": "pullback",
+          "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0]},
+          "function": {"name": "coordinate", "index": 1}, "budget": 2000}
 
 
 def run_cli(tmp_path, cfg, command=None, extra=()):
@@ -265,6 +273,26 @@ def test_compare_mode_rejects_index_dependent_phases(tmp_path):
     assert code == EXIT_ERROR
 
 
+def test_compare_mode_degenerate_estimate_has_no_oracle(tmp_path):
+    policy = {"kind": "density", "function": {"name": "polynomial", "coeffs": [0.0]}}
+    code, summary, out = run_cli(tmp_path, dict(DENSITY, mode="compare", policy=policy,
+                                                budget=2000))
+    assert code == EXIT_DEGENERATE
+    assert summary["result"]["estimate"] == "degenerate"
+    assert summary["result"]["oracle"] is None and summary["result"]["pass"] is False
+    assert (out / "trace.csv").exists()
+
+
+def test_fresnel_scan_degenerate_width_writes_an_empty_estimate(tmp_path):
+    # |E[e^{-i x^2 / 2}]| = 2^{-1/4} < 0.9 under the unit normal.
+    cfg = dict(SCAN, stopping={"degeneracy_threshold": 0.9})
+    code, summary, out = run_cli(tmp_path, cfg)
+    assert code == EXIT_OK
+    rows = list(csv.reader((out / "scan.csv").read_text().splitlines()))
+    assert rows[1][:3] == ["1.0", "", ""] and rows[1][4] == "degenerate"
+    assert summary["result"]["scan"][0]["estimate"] == "degenerate"
+
+
 def test_fresnel_scan_mode_writes_csv(tmp_path):
     cfg = {"mode": "fresnel-scan",
            "source": {"kind": "halton", "offset": 1},
@@ -372,6 +400,46 @@ def test_compare_mode_box_pullback_with_unequal_widths(tmp_path):
     assert abs(summary["result"]["oracle"]["re"] - 1.0 / 3.0) <= 1e-9  # x1 uniform on [-1, 1]
 
 
+def test_pullback_settings_echo_normalized_quantiles():
+    for quantiles, echo in [
+        (None, {"family": "normal", "widths": [1.0]}),
+        ({"family": "uniform-box", "widths": 2}, {"family": "uniform-box", "widths": [2.0]}),
+        ({"family": "uniform"}, {"family": "uniform"}),
+    ]:
+        source = {"kind": "pullback", "base": {"kind": "halton", "offset": 1}}
+        if quantiles is not None:
+            source["quantiles"] = quantiles
+        cfg = parse_config_dict(dict(NORMAL_PULLBACK, source=source))
+        assert cfg.to_dict()["source"]["quantiles"] == echo
+
+
+# ---------------------------------------------------------------------------
+# a route run through the CLI is oscillatory_mean's run, bit for bit
+
+
+@pytest.mark.parametrize("route", ["pullback", "weight-borne"])
+@pytest.mark.parametrize("extra", [
+    {"regularizer": {"widths": [1.0, 0.7]}},
+    {"box_half_width": 6.0},
+], ids=["regularizer-wider-than-action", "box-half-width"])
+def test_cli_route_run_is_oscillatory_mean_bit_for_bit(route, extra):
+    cfg = dict(ROUTED, route=route, function={"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
+               budget=20000, trace_stride=700, **extra)
+    config = parse_config_dict(cfg)
+    reg = config.regularizer["widths"]
+    direct = oscillatory_mean(
+        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer(reg),
+        build_function(cfg["function"]), config.budget, config.stopping_rule(), route=route,
+        box_half_width=config.box_half_width, skip_certification=True, trace_stride=700)
+
+    def fingerprint(report):
+        est = report.final_estimate
+        rows = hashlib.sha256(repr(report.trace_rows()).encode()).hexdigest()
+        return est.real.hex(), est.imag.hex(), report.N_used, report.stop_reason, rows
+
+    assert fingerprint(_run_estimate(config)[2]) == fingerprint(direct)
+
+
 # ---------------------------------------------------------------------------
 # malformed configs fail at parse, as one line naming the field
 
@@ -381,6 +449,10 @@ CERTIFY = {"mode": "certify", "budget": 10000, "source": {"kind": "halton"}}
 ALPHA = "0.4142135623730951"
 ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
           "density": {"name": "coordinate-product", "rank": 1}}
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -422,6 +494,41 @@ ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
     (dict(MINIMAL, mode="compare", function={"name": "coordinate-product", "rank": 4}),
      "function"),
     (dict(ORACLE, function={"name": "coordinate", "index": 2}), "function"),
+    (dict(SCAN, action={"kind": "cubic", "matrix": [[1.0]]}), "action.kind"),
+    (dict(SCAN, action={}), "action.matrix"),
+    (_without(MINIMAL, "source"), "source"),
+    (_without(MINIMAL, "policy"), "policy"),
+    (_without(ROUTED, "regularizer"), "regularizer"),
+    (_without(ORACLE, "density"), "density"),
+    (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4]), "bins_per_axis"),
+    (_without(SCAN, "action"), "action"),
+    (dict(SCAN, sigmas=[2.0, 1.0]), "sigmas"),
+    (dict(MINIMAL, out=3), "out"),
+    (dict(MINIMAL, function={"name": "polynomial", "coeffs": []}), "function.coeffs"),
+    (dict(MINIMAL, function={"name": "quadratic-form"}), "function.matrix"),
+    # A weight-borne route reads every regularizer width.
+    (dict(ROUTED, source={"kind": "weyl", "alphas": [ALPHA], "offset": 1}, route="weight-borne",
+          regularizer={"widths": [1.0, 1.0]}), "source.alphas"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+                                   "quantiles": {"family": "normal", "widht": 3.0}}),
+     "source.quantiles"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+                                   "quantiles": {"family": "uniform", "widths": "abc"}}),
+     "source.quantiles"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+                                   "quantiles": {"family": "normal", "widths": "abc"}}),
+     "source.quantiles.widths"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+                                   "quantiles": {"family": "cauchy"}}),
+     "source.quantiles.family"),
+    # Point 0 of a Halton or Weyl source is the origin, where quantiles are infinite.
+    (dict(ROUTED, source={"kind": "halton"}), "source.offset"),
+    (dict(ROUTED, source={"kind": "weyl"}, route="weight-borne"), "source.offset"),
+    (dict(SCAN, source={"kind": "halton"}), "source.offset"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "weyl"}}),
+     "source.base.offset"),
+    (dict(ROUTED, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1}}),
+     "source.kind"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
@@ -429,7 +536,14 @@ ORACLE = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
         "alphas-short-of-hierarchy", "route-widths-short-of-action-rank",
         "compare-index-phase", "compare-convergent-source", "convergent-target",
         "convergent-offset", "scan-matrix-not-numbers", "compare-rank-4",
-        "oracle-function-above-density-rank"])
+        "oracle-function-above-density-rank", "action-kind", "action-without-matrix",
+        "no-source", "neither-policy-nor-route", "route-without-regularizer",
+        "oracle-without-density", "bins-per-hierarchy-rank", "scan-without-action",
+        "sigmas-decreasing", "out-not-a-string", "polynomial-without-coeffs",
+        "quadratic-form-without-matrix", "weight-borne-alphas-short-of-regularizer-rank",
+        "quantiles-unknown-key", "uniform-quantiles-with-widths", "quantile-widths-not-numbers",
+        "quantile-family-unknown", "route-over-halton-offset-0", "route-over-weyl-offset-0",
+        "scan-over-halton-offset-0", "pullback-over-weyl-offset-0", "route-over-pullback"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config(json.dumps(cfg))

@@ -19,11 +19,12 @@ from pathlib import Path
 
 from . import mean as mean_mod
 from .action import _route, fresnel_limit_scan, gaussian_regularizer, quadratic_action
-from .cylinder import ProjectionHierarchy, hierarchy_certify
+from .cylinder import ProjectionHierarchy, _bins_per_rank, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_list, _built, build_function
 from .seq import (
+    _too_few_samples,
     box_quantiles,
     convergent_source,
     halton_source,
@@ -366,6 +367,13 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         bins = tuple(as_count("bins_per_axis", b, 2) for b in _as_list(bins, "bins_per_axis"))
         if hierarchy is not None and len(bins) != len(hierarchy):
             raise ValidationError("bins_per_axis", "needs one entry per hierarchy rank")
+    if resolved_mode == "certify":
+        if source["kind"] == "pullback":
+            raise ValidationError("source.kind", "certify needs a unit-cube source, not 'pullback'")
+        for rank, b in zip(hierarchy, _bins_per_rank(hierarchy, budget, bins)):
+            shortfall = _too_few_samples(budget, rank, b)
+            if shortfall:
+                raise ValidationError("budget" if bins is None else "bins_per_axis", shortfall)
 
     sigmas = raw.get("sigmas")
     if resolved_mode == "fresnel-scan":

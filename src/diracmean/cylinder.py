@@ -15,7 +15,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CylinderViolation, ValidationError, as_count
-from .seq import EquidistributionReport, PointSource, equidistribution_statistic
+from .seq import (
+    _MIN_EXPECTED_COUNT,
+    EquidistributionReport,
+    PointSource,
+    equidistribution_statistic,
+)
 
 __all__ = [
     "CylinderFunction",
@@ -123,10 +128,24 @@ _DEFAULT_BINS = {1: 16, 2: 8, 3: 4}
 
 
 def default_bins(rank: int, sample_count: int) -> int:
-    """Bins per axis keeping >= 5 expected counts per cell."""
+    """Bins per axis keeping >= 5 expected counts per cell where 2 do."""
     cap = _DEFAULT_BINS.get(rank, 2)
-    feasible = int((sample_count / 5.0) ** (1.0 / rank))
+    feasible = int((sample_count / _MIN_EXPECTED_COUNT) ** (1.0 / rank))
     return max(2, min(cap, feasible))
+
+
+def _bins_per_rank(
+    ranks: Sequence[int], sample_count: int, bins_per_axis: Sequence[int] | int | None
+) -> list[int]:
+    """Bins per axis at each rank: the given ones, or :func:`default_bins`."""
+    if bins_per_axis is None:
+        return [default_bins(r, sample_count) for r in ranks]
+    if np.isscalar(bins_per_axis):
+        return [bins_per_axis] * len(ranks)
+    bins = list(bins_per_axis)
+    if len(bins) != len(ranks):
+        raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins}")
+    return bins
 
 
 def hierarchy_certify(
@@ -141,14 +160,7 @@ def hierarchy_certify(
     if not isinstance(hierarchy, ProjectionHierarchy):
         hierarchy = ProjectionHierarchy(tuple(hierarchy))
     ranks = hierarchy.ranks
-    if bins_per_axis is None:
-        bins = [default_bins(r, sample_count) for r in ranks]
-    elif np.isscalar(bins_per_axis):
-        bins = [bins_per_axis] * len(ranks)
-    else:
-        bins = list(bins_per_axis)
-        if len(bins) != len(ranks):
-            raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins}")
+    bins = _bins_per_rank(ranks, sample_count, bins_per_axis)
     return [
         equidistribution_statistic(source, r, sample_count, b, level)
         for r, b in zip(ranks, bins)

@@ -413,6 +413,8 @@ def run(
     stops = [m for i, m in enumerate(checkpoints)
              if i >= rule.window - 1 and m >= rule.min_samples] + [budget]
     batch = max(1, _BATCH_POINTS // block_size) * block_size
+    # Every batch's block is a view of this one buffer.
+    buf = np.empty(rank * min(batch, budget))
 
     stop_reason = None
     start = next_stop = next_mark = 0
@@ -423,7 +425,7 @@ def run(
             next_stop += 1
         end = min(start + batch, -(-stops[next_stop] // block_size) * block_size, budget)
         n = end - start
-        pts = source.block(start, end, rank)
+        pts = source.block(start, end, rank, buf)
         w = _weights(policy, pts, start)
         v = func.eval_block(pts)
         after = bisect.bisect_right(marks, end, next_mark)
@@ -528,12 +530,14 @@ def run_blocked(
     total = as_count("total", total, n_blocks)
     rank = _rank(policy, func)
     edges = [round(i * total / n_blocks) for i in range(n_blocks + 1)]
+    chunk = 1 << 16
+    buf = np.empty(rank * min(chunk, total))
     accs = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         acc = MeanAccumulator()
-        for start in range(lo, hi, 1 << 16):
-            stop = min(start + (1 << 16), hi)
-            pts = source.block(start, stop, rank)
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
+            pts = source.block(start, stop, rank, buf)
             acc.add_block(_weights(policy, pts, start), func.eval_block(pts))
         accs.append(acc)
     while len(accs) > 1:

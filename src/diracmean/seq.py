@@ -77,32 +77,58 @@ class PointSource:
     kind: str = "abstract"
     codomain: str = UNIT_CUBE
 
-    def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
-        """Coordinate ``k`` (0-based) of the points with the given indices."""
+    def coordinate_block(self, indices: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+        """Coordinate ``k`` (0-based) of the points with the given int64
+        indices, written into the float64 row ``out`` and returned.
+
+        Values depend only on ``(index, k)``: never on the other indices or
+        on the old contents of ``out``.  The built-in kernels work through
+        the row in slices of 16384 elements with one small scratch
+        array, so they allocate nothing as long as the row.
+        """
         raise NotImplementedError
 
-    def block(self, start: int, stop: int, rank: int) -> np.ndarray:
+    def block(self, start: int, stop: int, rank: int, out: np.ndarray | None = None) -> np.ndarray:
         """Points ``start..stop-1`` truncated at ``rank``, as a (stop-start, rank) array.
 
         The block is column-major (Fortran order): each coordinate is
         written as one contiguous column, and the library's actions and
         weights read the columns in place and stay row-pure (a point's
-        values do not depend on the block it is evaluated in).
+        values do not depend on the block it is evaluated in).  With
+        ``out``, a flat float64 buffer of at least ``rank * (stop - start)``
+        elements, the block is a view of that buffer and lives only until
+        the buffer is written again.
         """
         rank = as_count("rank", rank, 1)
         start = as_count("start", start, 0)
         stop = as_count("stop", stop, start)
+        size = rank * (stop - start)
+        if out is None:
+            out = np.empty(size)
+        elif out.dtype != np.float64 or out.ndim != 1 or len(out) < size:
+            raise ValidationError(
+                "out", f"must be a flat float64 buffer of at least {size} elements, "
+                f"got {out.dtype} of shape {out.shape}"
+            )
+        rows = out[:size].reshape(rank, stop - start)
         idx = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((rank, stop - start), dtype=np.float64)
         for k in range(rank):
-            out[k] = self.coordinate_block(idx, k)
-        return out.T
+            self.coordinate_block(idx, k, rows[k])
+        return rows.T
 
     def point_at(self, n: int, d: int) -> Point:
         """The rank-``d`` truncation of point ``n``."""
         n = as_count("n", n, 0)
         row = self.block(n, n + 1, as_count("d", d, 1))[0]
         return Point(tuple(float(x) for x in row))
+
+
+# Elements per slice of a coordinate kernel: its scratch stays in cache.
+_SLICE = 1 << 14
+
+
+def _slices(m: int):
+    return (slice(lo, min(lo + _SLICE, m)) for lo in range(0, m, _SLICE))
 
 
 _TRANSPOSE_ROWS = 4096
@@ -174,54 +200,59 @@ def _digit_table(base: int) -> tuple[int, np.ndarray]:
     return k, table
 
 
-def _reversed_digits(values: np.ndarray, base: int, count: int) -> np.ndarray:
-    """Integer whose ``count`` base-``base`` digits are those of each value
-    (all ``< base**count``) in reverse order, by table lookups of up to
-    ``k`` digits at a time."""
+def _reversed_digits(values: np.ndarray, base: int, count: int, out: np.ndarray) -> np.ndarray:
+    """Write into the int64 array ``out`` the integer whose ``count``
+    base-``base`` digits are those of each value (all ``< base**count``) in
+    reverse order, by table lookups of up to ``k`` digits at a time."""
     k, table = _digit_table(base)
     step = base**k
-    num = np.zeros(len(values), dtype=np.int64)
-    rest = values
+    out[...] = 0
+    rest, high, low = values, None, None
     while count > 0:
         width = min(k, count)
-        high = rest // step
-        group = table[rest - high * step]
+        # After the first pass the quotient is divided in place.
+        high, low = np.divmod(rest, step, out=(high, low))
+        group = table[low]
         if width < k:
             group = group // base ** (k - width)
-        num *= base**width
-        num += group
+        out *= base**width
+        out += group
         rest = high
         count -= width
-    return num
+    return out
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput radical inverse of each index in the given base.
+def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> np.ndarray:
+    """Van der Corput radical inverse of each index in the given base,
+    written into the float64 array ``out``.
 
     With ``D`` the digit count, the value is ``N / base**D`` for the
-    digit-reversed integer ``N``.  While ``base**D <= 2^53`` both are exact
-    float64 values and one division rounds correctly; past that (indices
-    near the top of int64) the quotient of the exact Python integers is
-    taken, which Python also rounds correctly.  Values that round to 1.0
-    are returned as the largest float below 1, so the result always lies
-    in [0, 1) and within 1 ulp of the exact radical inverse.
+    digit-reversed integer ``N``, built in ``out``'s own bytes.  While
+    ``base**D <= 2^53`` both are exact float64 values and one division
+    rounds correctly; past that (indices near the top of int64) the
+    quotient of the exact Python integers is taken, which Python also
+    rounds correctly.  Values that round to 1.0 are returned as the largest
+    float below 1, so the result always lies in [0, 1) and within 1 ulp of
+    the exact radical inverse.
     """
     head = _digits(_EXACT_DENOMINATOR, base) - 1
     split = base**head
     top = int(indices.max(initial=0))
     count = min(_digits(top, base), head)
-    low = indices % split if top >= split else indices
-    num = _reversed_digits(low, base, count)
-    inv = num / float(base**count)
-    if top >= split:
-        high = indices // split
-        tail_count = _digits(top // split, base)
-        far = np.flatnonzero(high)
-        tail = _reversed_digits(high[far], base, tail_count)
-        numerator = num[far].astype(object) * base**tail_count + tail
-        exact = numerator / base ** (head + tail_count)
-        inv[far] = np.minimum(exact.astype(np.float64), _BELOW_ONE)
-    return inv
+    num = out.view(np.int64)
+    if top < split:
+        _reversed_digits(indices, base, count, num)
+        return np.divide(num, float(base**count), out=out)
+    _reversed_digits(indices % split, base, count, num)
+    high = indices // split
+    tail_count = _digits(top // split, base)
+    far = np.flatnonzero(high)
+    tail = _reversed_digits(high[far], base, tail_count, np.empty(len(far), dtype=np.int64))
+    numerator = num[far].astype(object) * base**tail_count + tail
+    exact = numerator / base ** (head + tail_count)
+    np.divide(num, float(base**count), out=out)
+    out[far] = np.minimum(exact.astype(np.float64), _BELOW_ONE)
+    return out
 
 
 class HaltonSource(PointSource):
@@ -237,8 +268,11 @@ class HaltonSource(PointSource):
             self._bases = _primes(len(self._bases) + 8)
         return self._bases[k]
 
-    def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
-        return _radical_inverse(indices + self.index_offset, self._base(k))
+    def coordinate_block(self, indices, k, out):
+        base = self._base(k)
+        for s in _slices(len(out)):
+            _radical_inverse(indices[s] + self.index_offset, base, out[s])
+        return out
 
 
 def halton_source(index_offset: int = 0) -> PointSource:
@@ -344,10 +378,18 @@ class WeylSource(PointSource):
             self._cache.append(self._check(frac, f"frac(pi^{j})"))
         return self._cache[k]
 
-    def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
+    def coordinate_block(self, indices, k, out):
         alpha = self.generator(k)
-        prod = (indices + self.index_offset) * alpha
-        return prod - np.floor(prod)
+        # One scratch slice: the shifted indices, then the floor of the product.
+        shifted = np.empty(min(len(out), _SLICE), dtype=np.int64)
+        floor = shifted.view(np.float64)
+        for s in _slices(len(out)):
+            prod, n = out[s], s.stop - s.start
+            np.add(indices[s], self.index_offset, out=shifted[:n])
+            np.multiply(shifted[:n], alpha, out=prod)
+            np.floor(prod, out=floor[:n])
+            prod -= floor[:n]
+        return out
 
 
 def weyl_source(
@@ -386,14 +428,19 @@ def weyl_source(
 _MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MUL2 = np.uint64(0x94D049BB133111EB)
 _KEY_N = np.uint64(0x9E3779B97F4A7C15)
-_KEY_K = np.uint64(0xC2B2AE3D27D4EB4F)
-_KEY_SEED = np.uint64(0xD6E8FEB86659FD93)
+_KEY_K = 0xC2B2AE3D27D4EB4F
+_KEY_SEED = 0xD6E8FEB86659FD93
+_MASK64 = 2**64 - 1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_MUL1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_MUL2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of ``z``, in place, with ``tmp`` as scratch."""
+    for shift, mul in ((30, _MIX_MUL1), (27, _MIX_MUL2), (31, None)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= mul
+    return z
 
 
 class PseudorandomSource(PointSource):
@@ -401,17 +448,23 @@ class PseudorandomSource(PointSource):
     codomain = UNIT_CUBE
 
     def __init__(self, seed: int):
-        self.seed = as_count("seed", seed) & (2**64 - 1)
+        self.seed = as_count("seed", seed) & _MASK64
 
-    def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            key = (
-                indices.astype(np.uint64) * _KEY_N
-                ^ np.uint64(k + 1) * _KEY_K
-                ^ np.uint64(self.seed) * _KEY_SEED
-            )
-            bits = _mix64(key)
-        return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    def coordinate_block(self, indices, k, out):
+        # The key is n * K_N ^ (k + 1) * K_K ^ seed * K_SEED in wrapping
+        # 64-bit arithmetic; the hash runs in place on the row's bits.
+        salt = np.uint64(((k + 1) * _KEY_K ^ self.seed * _KEY_SEED) & _MASK64)
+        n, bits = indices.view(np.uint64), out.view(np.uint64)
+        tmp = np.empty(min(len(out), _SLICE), dtype=np.uint64)
+        for s in _slices(len(out)):
+            z = bits[s]
+            np.multiply(n[s], _KEY_N, out=z)
+            z ^= salt
+            _mix64(z, tmp[: s.stop - s.start])
+            z >>= np.uint64(11)
+            # Below 2^53 the bits convert exactly, and faster as int64.
+            np.multiply(z.view(np.int64), 2.0**-53, out=out[s])
+        return out
 
 
 def pseudorandom_source(seed: int) -> PointSource:
@@ -443,12 +496,13 @@ class ConvergentSource(PointSource):
         self.target = as_numbers("target", target)
         self.offset = as_numbers("offset", offset)
 
-    def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
-        t = _per_coordinate(self.target, k)
-        a = _per_coordinate(self.offset, k)
+    def coordinate_block(self, indices, k, out):
+        out[...] = indices
         with np.errstate(under="ignore"):
-            vals = t + a * np.power(self.rate, indices.astype(np.float64))
-        return np.clip(vals, 0.0, 1.0)
+            np.power(self.rate, out, out=out)
+            out *= _per_coordinate(self.offset, k)
+            out += _per_coordinate(self.target, k)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def convergent_source(
@@ -477,7 +531,9 @@ class QuantileFamily:
     family: str = "abstract"
     density = None
 
-    def apply(self, k: int, u: np.ndarray) -> np.ndarray:
+    def apply(self, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantiles of coordinate ``k`` at ``u``, written into ``out`` (which
+        may be ``u`` itself) when given."""
         raise NotImplementedError
 
     def quantile(self, k: int, u: float) -> float:
@@ -494,8 +550,11 @@ class UniformQuantiles(QuantileFamily):
 
     family = "uniform"
 
-    def apply(self, k: int, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=np.float64)
+    def apply(self, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return np.asarray(u, dtype=np.float64)
+        out[...] = u
+        return out
 
     def domain(self, rank: int, truncation: float) -> tuple[tuple[float, float], ...]:
         return ((0.0, 1.0),) * rank
@@ -509,9 +568,8 @@ class NormalQuantiles(QuantileFamily):
     def __init__(self, widths: float | Sequence[float] = 1.0):
         self.widths = as_numbers("widths", widths, 0.0)
 
-    def apply(self, k: int, u: np.ndarray) -> np.ndarray:
-        sigma = _per_coordinate(self.widths, k)
-        return sigma * ndtri(u)
+    def apply(self, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(ndtri(u, out=out), _per_coordinate(self.widths, k), out=out)
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """``exp(-sum_k (x_k / sigma_k)^2 / 2)`` over every column, summed in
@@ -542,9 +600,10 @@ class BoxQuantiles(QuantileFamily):
     def __init__(self, half_width: float | Sequence[float]):
         self.half_widths = as_numbers("half_width", half_width, 0.0)
 
-    def apply(self, k: int, u: np.ndarray) -> np.ndarray:
-        h = _per_coordinate(self.half_widths, k)
-        return h * (2.0 * u - 1.0)
+    def apply(self, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(u, 2.0, out=out)
+        out -= 1.0
+        return np.multiply(out, _per_coordinate(self.half_widths, k), out=out)
 
     def domain(self, rank: int, truncation: float) -> tuple[tuple[float, float], ...]:
         hs = [_per_coordinate(self.half_widths, k) for k in range(rank)]
@@ -573,15 +632,19 @@ class PullbackSource(PointSource):
         self.base = base
         self.quantiles = quantiles
 
-    def coordinate_block(self, indices: np.ndarray, k: int) -> np.ndarray:
-        u = self.base.coordinate_block(indices, k)
-        if np.any(u == 0.0) or np.any(u == 1.0):
-            bad = int(indices[np.nonzero((u == 0.0) | (u == 1.0))[0][0]])
-            raise QuantileDomain(
-                f"base coordinate {k + 1} of point {bad} is exactly 0 or 1; "
-                "use an index offset >= 1 on the base sequence"
-            )
-        return self.quantiles.apply(k, u)
+    def coordinate_block(self, indices, k, out):
+        u = self.base.coordinate_block(indices, k, out)
+        for s in _slices(len(u)):
+            row = u[s]
+            edge = (row == 0.0) | (row == 1.0)
+            if edge.any():
+                bad = int(indices[s][np.argmax(edge)])
+                raise QuantileDomain(
+                    f"base coordinate {k + 1} of point {bad} is exactly 0 or 1; "
+                    "use an index offset >= 1 on the base sequence"
+                )
+            self.quantiles.apply(k, row, out=row)
+        return u
 
 
 def pullback_source(base: PointSource, quantiles: QuantileFamily) -> PointSource:
@@ -616,6 +679,20 @@ class EquidistributionReport:
         }
 
 
+# The chi-square approximation needs this many expected counts per cell.
+_MIN_EXPECTED_COUNT = 5
+
+
+def _too_few_samples(sample_count: int, rank: int, bins_per_axis: int) -> str | None:
+    """Why ``sample_count`` points are too few for a chi-square test on a
+    ``bins_per_axis``-per-axis grid at ``rank``, or None when they suffice."""
+    cells = bins_per_axis**rank
+    if cells * _MIN_EXPECTED_COUNT <= sample_count:
+        return None
+    return (f"{sample_count} samples give fewer than {_MIN_EXPECTED_COUNT} expected counts "
+            f"per cell ({cells} cells); increase N or lower the resolution")
+
+
 def equidistribution_statistic(
     source: PointSource,
     rank: int,
@@ -636,17 +713,16 @@ def equidistribution_statistic(
     bins_per_axis = as_count("bins_per_axis", bins_per_axis, 2)
     sample_count = as_count("sample_count", sample_count)
     level = as_number("level", level, 0.0, 1.0)
+    shortfall = _too_few_samples(sample_count, rank, bins_per_axis)
+    if shortfall:
+        raise InsufficientSample(shortfall)
     cells = bins_per_axis**rank
-    if cells * 5 > sample_count:
-        raise InsufficientSample(
-            f"{sample_count} samples give fewer than 5 expected counts per "
-            f"cell ({cells} cells); increase N or lower the resolution"
-        )
     counts = np.zeros(cells, dtype=np.int64)
     chunk = 1 << 16
+    buf = np.empty(rank * min(chunk, sample_count))
     for start in range(0, sample_count, chunk):
         stop = min(start + chunk, sample_count)
-        block = source.block(start, stop, rank)
+        block = source.block(start, stop, rank, buf)
         idx = np.minimum((block * bins_per_axis).astype(np.int64), bins_per_axis - 1)
         flat = idx[:, 0]
         for k in range(1, rank):

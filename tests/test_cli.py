@@ -529,6 +529,11 @@ def _without(cfg, key):
      "source.base.offset"),
     (dict(ROUTED, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1}}),
      "source.kind"),
+    # The certificate's own checks: a unit-cube source, >= 5 expected counts per cell.
+    (dict(CERTIFY, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1}}),
+     "source.kind"),
+    (dict(CERTIFY, budget=10), "budget"),
+    (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4, 64]), "bins_per_axis"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
@@ -543,7 +548,8 @@ def _without(cfg, key):
         "quadratic-form-without-matrix", "weight-borne-alphas-short-of-regularizer-rank",
         "quantiles-unknown-key", "uniform-quantiles-with-widths", "quantile-widths-not-numbers",
         "quantile-family-unknown", "route-over-halton-offset-0", "route-over-weyl-offset-0",
-        "scan-over-halton-offset-0", "pullback-over-weyl-offset-0", "route-over-pullback"])
+        "scan-over-halton-offset-0", "pullback-over-weyl-offset-0", "route-over-pullback",
+        "certify-pullback", "certify-budget-below-bins", "certify-bins-above-budget"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config(json.dumps(cfg))

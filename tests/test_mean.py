@@ -398,9 +398,9 @@ class Recording:
     def __init__(self, inner):
         self.inner, self.calls = inner, []
 
-    def block(self, start, stop, rank):
+    def block(self, start, stop, rank, out=None):
         self.calls.append((start, stop))
-        return self.inner.block(start, stop, rank)
+        return self.inner.block(start, stop, rank, out)
 
 
 def assert_whole_blocks(calls, block_size, budget, n_used):

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from diracmean import seq
@@ -26,8 +28,9 @@ class ArraySource(seq.PointSource):
     def __init__(self, arr):
         self.arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
 
-    def coordinate_block(self, indices, k):
-        return self.arr[indices, k]
+    def coordinate_block(self, indices, k, out):
+        out[...] = self.arr[indices, k]
+        return out
 
 
 def constant_source(value=0.3):
@@ -70,7 +73,8 @@ def radical_inverse_fraction(n, base):
 
 
 def halton_coordinate(n, k):
-    return float(seq.halton_source(0).coordinate_block(np.array([n], dtype=np.int64), k)[0])
+    return float(seq.halton_source(0).coordinate_block(np.array([n], dtype=np.int64), k,
+                                                       np.empty(1))[0])
 
 
 def assert_rounded(x, exact):
@@ -99,8 +103,8 @@ def test_halton_value_does_not_depend_on_the_block():
     h = seq.halton_source(0)
     for k in range(len(HALTON_BASES)):
         idx = np.array([5, 3**33 - 1, 2**40 + 3, 2**62 + 11, 7], dtype=np.int64)
-        together = h.coordinate_block(idx, k)
-        alone = [h.coordinate_block(idx[i:i + 1], k)[0] for i in range(len(idx))]
+        together = h.coordinate_block(idx, k, np.empty(len(idx)))
+        alone = [h.coordinate_block(idx[i:i + 1], k, np.empty(1))[0] for i in range(len(idx))]
         assert together.tolist() == alone
 
 
@@ -167,9 +171,151 @@ def test_blocks_are_column_major_and_agree_with_coordinates_and_points(make, sta
     assert block.flags.f_contiguous
     idx = np.arange(start, stop, dtype=np.int64)
     for k in range(rank):
-        assert np.array_equal(block[:, k], src.coordinate_block(idx, k))
+        assert np.array_equal(block[:, k], src.coordinate_block(idx, k, np.empty(len(idx))))
     for n in (0, (stop - start) // 2, stop - start - 1):
         assert tuple(block[n].tolist()) == src.point_at(start + n, rank).coords
+
+
+# ---------------------------------------------------------------------------
+# the out contract: kernels write into the caller's row, allocating no row
+
+SLICE = 1 << 14
+MAX_INDEX = 2**63 - 1
+# Row lengths on either side of the kernels' slice boundaries.
+LENGTHS = [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 7]
+
+
+def radical_inverse(n, base):
+    """Correctly rounded radical inverse of every index, reversing one digit
+    per pass over the whole array; exact integers where they pass 2^64."""
+    top = int(n.max())
+    count = len(np.base_repr(top, base)) if top else 0
+    den = base**count
+    rest = n.astype(np.uint64 if den < 2**64 else object)
+    num = np.zeros_like(rest)
+    for _ in range(count):
+        rest, digit = rest // base, rest % base
+        num = num * base + digit
+    inv = num / float(den) if den <= 2**53 else np.array([a / den for a in num.tolist()])
+    return np.minimum(inv, BELOW_ONE)
+
+
+def weyl_frac(n, alpha):
+    prod = n * alpha
+    return prod - np.floor(prod)
+
+
+def splitmix_uniform(n, k, seed):
+    """The counter hash of the pseudorandom source, as one expression per step."""
+    with np.errstate(over="ignore"):
+        z = (n.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+             ^ np.uint64(k + 1) * np.uint64(0xC2B2AE3D27D4EB4F)
+             ^ np.uint64(seed) * np.uint64(0xD6E8FEB86659FD93))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def quantiles_of(u, quantile):
+    """``quantile(u)``, or the domain error of the pullback where ``u`` has an
+    exact 0 or 1."""
+    if np.any((u == 0.0) | (u == 1.0)):
+        raise QuantileDomain("exact 0 or 1")
+    return quantile(u)
+
+
+def convergent(n, k):
+    with np.errstate(under="ignore"):
+        return np.clip(0.2 + 0.7 * np.power(0.5, n.astype(np.float64)), 0.0, 1.0)
+
+
+# Each built-in source, the largest index offset it adds, and the whole-array
+# formula of coordinate k at indices n.
+OUT_CASES = {
+    "halton": (lambda: seq.halton_source(3), 3,
+               lambda n, k: radical_inverse(n + 3, HALTON_BASES[k])),
+    "weyl": (lambda: seq.weyl_source(index_offset=1), 1,
+             lambda n, k: weyl_frac(n + 1, seq.weyl_source().generator(k))),
+    "pseudorandom": (lambda: seq.pseudorandom_source(12345), 0,
+                     lambda n, k: splitmix_uniform(n, k, 12345)),
+    "convergent": (lambda: seq.convergent_source(0.2, 0.5, 0.7), 0, convergent),
+    "pullback-normal": (
+        lambda: seq.pullback_source(seq.halton_source(1), seq.normal_quantiles([1.0, 2.0])), 1,
+        lambda n, k: quantiles_of(radical_inverse(n + 1, HALTON_BASES[k]),
+                                  lambda u: [1.0, 2.0][min(k, 1)] * ndtri(u))),
+    "pullback-box": (
+        lambda: seq.pullback_source(seq.weyl_source(index_offset=1), seq.box_quantiles(3.0)), 1,
+        lambda n, k: quantiles_of(weyl_frac(n + 1, seq.weyl_source().generator(k)),
+                                  lambda u: 3.0 * (2.0 * u - 1.0))),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(start=st.integers(min_value=0, max_value=MAX_INDEX),
+       length=st.sampled_from(LENGTHS),
+       k=st.integers(min_value=0, max_value=3))
+@pytest.mark.parametrize("name", list(OUT_CASES))
+def test_coordinate_block_writes_the_whole_array_formula_into_out(name, start, length, k):
+    make, offset, formula = OUT_CASES[name]
+    start = min(start, MAX_INDEX - offset - length + 1)
+    n = np.arange(start, start + length, dtype=np.int64)
+    buf = np.full((4, length + 9), np.nan)
+    out = buf[2, 5:5 + length]
+    try:
+        expected = formula(n, k)
+    except QuantileDomain:
+        # Far out, float64 Weyl products are whole numbers: frac is exactly 0.
+        with pytest.raises(QuantileDomain):
+            make().coordinate_block(n, k, out)
+        return
+    assert make().coordinate_block(n, k, out) is out
+    assert out.tobytes() == expected.tobytes()
+    # The rest of the buffer is untouched.
+    assert np.isnan(buf[[0, 1, 3]]).all() and np.isnan(buf[2, :5]).all()
+    assert np.isnan(buf[2, 5 + length:]).all()
+
+
+def test_block_fills_a_view_of_the_callers_buffer():
+    src = seq.pseudorandom_source(5)
+    buf = np.full(3 * (SLICE + 1) + 4, np.nan)
+    block = src.block(7, SLICE + 8, 3, buf)
+    assert block.flags.f_contiguous and np.shares_memory(block, buf)
+    assert np.array_equal(block, src.block(7, SLICE + 8, 3))
+    assert np.isnan(buf[3 * (SLICE + 1):]).all()
+    with pytest.raises(ValidationError, match="^out: "):
+        src.block(0, 10, 3, np.empty(29))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
+@settings(max_examples=25, deadline=None)
+@given(back=st.integers(min_value=0, max_value=2**20), k=st.integers(min_value=0, max_value=63))
+def test_pseudorandom_is_splitmix64_of_python_integers(seed, back, k):
+    mask = 2**64 - 1
+    n = 2**63 - 1 - back
+    z = (n * 0x9E3779B97F4A7C15 ^ (k + 1) * 0xC2B2AE3D27D4EB4F
+         ^ seed * 0xD6E8FEB86659FD93) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    point = seq.pseudorandom_source(seed).point_at(n, k + 1)
+    assert point.coords[k] == (z >> 11) / 2.0**53
+
+
+@pytest.mark.parametrize("name", list(OUT_CASES))
+def test_coordinate_kernels_allocate_no_row(name):
+    m = 1 << 18
+    src = OUT_CASES[name][0]()
+    n = np.arange(1000, 1000 + m, dtype=np.int64)
+    out = np.empty(m)
+    src.coordinate_block(n, 1, out)  # first use: digit tables, generators
+    tracemalloc.start()
+    try:
+        src.coordinate_block(n, 1, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * 8 / 4
 
 
 def test_cube_sources_stay_in_unit_interval():

@@ -58,7 +58,6 @@ from .oracle import (
 )
 from .seq import (
     EquidistributionReport,
-    Point,
     PointSource,
     QuantileFamily,
     box_quantiles,
@@ -68,7 +67,6 @@ from .seq import (
     normal_quantiles,
     pseudorandom_source,
     pullback_source,
-    star_discrepancy,
     uniform_quantiles,
     weyl_source,
 )

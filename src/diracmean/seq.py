@@ -28,7 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Point",
     "PointSource",
     "QuantileFamily",
     "EquidistributionReport",
@@ -41,7 +40,6 @@ __all__ = [
     "normal_quantiles",
     "box_quantiles",
     "equidistribution_statistic",
-    "star_discrepancy",
 ]
 
 UNIT_CUBE = "unit-cube"
@@ -49,21 +47,6 @@ REAL_PRODUCT = "real-line-product"
 
 # Denominator bound below which a generator counts as rational.
 _RATIONAL_DEN_BOUND = 10**6
-
-
-@dataclass(frozen=True)
-class Point:
-    """A rank-``d`` truncation of a sequence point."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValidationError("coords", "must hold at least one coordinate")
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
 
 
 class PointSource:
@@ -77,9 +60,10 @@ class PointSource:
     kind: str = "abstract"
     codomain: str = UNIT_CUBE
 
-    def coordinate_block(self, indices: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-        """Coordinate ``k`` (0-based) of the points with the given int64
-        indices, written into the float64 row ``out`` and returned.
+    def coordinate_block(self, indices: range, k: int, out: np.ndarray) -> np.ndarray:
+        """Coordinate ``k`` (0-based) of the points ``indices``, a step-1
+        ``range`` within int64, written into the float64 row ``out`` and
+        returned.
 
         Values depend only on ``(index, k)``: never on the other indices or
         on the old contents of ``out``.  The built-in kernels work through
@@ -102,6 +86,9 @@ class PointSource:
         rank = as_count("rank", rank, 1)
         start = as_count("start", start, 0)
         stop = as_count("stop", stop, start)
+        if stop > _MAX_INDEX + 1:
+            raise ValidationError("stop", f"must be at most 2^63, so every index fits in int64, "
+                                  f"got {stop}")
         size = rank * (stop - start)
         if out is None:
             out = np.empty(size)
@@ -111,24 +98,31 @@ class PointSource:
                 f"got {out.dtype} of shape {out.shape}"
             )
         rows = out[:size].reshape(rank, stop - start)
-        idx = np.arange(start, stop, dtype=np.int64)
         for k in range(rank):
-            self.coordinate_block(idx, k, rows[k])
+            self.coordinate_block(range(start, stop), k, rows[k])
         return rows.T
 
-    def point_at(self, n: int, d: int) -> Point:
-        """The rank-``d`` truncation of point ``n``."""
-        n = as_count("n", n, 0)
-        row = self.block(n, n + 1, as_count("d", d, 1))[0]
-        return Point(tuple(float(x) for x in row))
 
-
+_MAX_INDEX = 2**63 - 1
 # Elements per slice of a coordinate kernel: its scratch stays in cache.
 _SLICE = 1 << 14
+# 0, 1, ..., _SLICE - 1: a slice's indices are its first index plus this.
+_RAMP = np.arange(_SLICE, dtype=np.int64)
+_RAMP.flags.writeable = False
 
 
 def _slices(m: int):
     return (slice(lo, min(lo + _SLICE, m)) for lo in range(0, m, _SLICE))
+
+
+def _shifted_start(indices: range, offset: int) -> int:
+    """``indices.start + offset``, once every shifted index is known to fit
+    in int64."""
+    if len(indices) and indices.stop - 1 + offset > _MAX_INDEX:
+        raise ValidationError(
+            "index_offset", f"{offset} moves index {indices.stop - 1} past 2^63 - 1"
+        )
+    return indices.start + offset
 
 
 _TRANSPOSE_ROWS = 4096
@@ -200,58 +194,53 @@ def _digit_table(base: int) -> tuple[int, np.ndarray]:
     return k, table
 
 
-def _reversed_digits(values: np.ndarray, base: int, count: int, out: np.ndarray) -> np.ndarray:
-    """Write into the int64 array ``out`` the integer whose ``count``
-    base-``base`` digits are those of each value (all ``< base**count``) in
-    reverse order, by table lookups of up to ``k`` digits at a time."""
-    k, table = _digit_table(base)
-    step = base**k
-    out[...] = 0
-    rest, high, low = values, None, None
-    while count > 0:
-        width = min(k, count)
-        # After the first pass the quotient is divided in place.
-        high, low = np.divmod(rest, step, out=(high, low))
-        group = table[low]
-        if width < k:
-            group = group // base ** (k - width)
-        out *= base**width
-        out += group
-        rest = high
-        count -= width
+def _reversed(value: int, base: int, count: int) -> int:
+    """The integer whose ``count`` base-``base`` digits are those of
+    ``value`` (``< base**count``) in reverse order."""
+    out = 0
+    for _ in range(count):
+        value, digit = divmod(value, base)
+        out = out * base + digit
     return out
 
 
-def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> np.ndarray:
-    """Van der Corput radical inverse of each index in the given base,
-    written into the float64 array ``out``.
+def _radical_inverse(first: int, base: int, out: np.ndarray) -> np.ndarray:
+    """Van der Corput radical inverse in the given base of each of the
+    consecutive indices ``first, first + 1, ...``, written into the float64
+    array ``out``.
 
-    With ``D`` the digit count, the value is ``N / base**D`` for the
-    digit-reversed integer ``N``, built in ``out``'s own bytes.  While
-    ``base**D <= 2^53`` both are exact float64 values and one division
-    rounds correctly; past that (indices near the top of int64) the
-    quotient of the exact Python integers is taken, which Python also
-    rounds correctly.  Values that round to 1.0 are returned as the largest
-    float below 1, so the result always lies in [0, 1) and within 1 ulp of
-    the exact radical inverse.
+    With ``D`` digits, the value is ``N / base**D`` for the digit-reversed
+    integer ``N``.  The table holds the reversal of the low ``k`` digits,
+    and across a run of indices that share their high digits ``q = n //
+    base**k`` those low digits are a contiguous table slice, so ``N`` is
+    that slice times ``base**(D - k)`` plus the one reversal of ``q``.
+    While ``base**D <= 2^53``, ``N`` is built in ``out``'s own bytes, and
+    both are exact float64 values that one division rounds correctly; past
+    that (indices near the top of int64) the quotient of the exact Python
+    integers is taken, which Python also rounds correctly.  Values that
+    round to 1.0 are returned as the largest float below 1, so the result
+    always lies in [0, 1) and within 1 ulp of the exact radical inverse.
     """
-    head = _digits(_EXACT_DENOMINATOR, base) - 1
-    split = base**head
-    top = int(indices.max(initial=0))
-    count = min(_digits(top, base), head)
+    k, table = _digit_table(base)
+    step = base**k
+    width = _digits((first + len(out) - 1) // step, base)
+    scale, den = base**width, base ** (k + width)
+    exact = den <= _EXACT_DENOMINATOR
     num = out.view(np.int64)
-    if top < split:
-        _reversed_digits(indices, base, count, num)
-        return np.divide(num, float(base**count), out=out)
-    _reversed_digits(indices % split, base, count, num)
-    high = indices // split
-    tail_count = _digits(top // split, base)
-    far = np.flatnonzero(high)
-    tail = _reversed_digits(high[far], base, tail_count, np.empty(len(far), dtype=np.int64))
-    numerator = num[far].astype(object) * base**tail_count + tail
-    exact = numerator / base ** (head + tail_count)
-    np.divide(num, float(base**count), out=out)
-    out[far] = np.minimum(exact.astype(np.float64), _BELOW_ONE)
+    q, lo = divmod(first, step)
+    at = 0
+    while at < len(out):
+        stop = min(at + step - lo, len(out))
+        low, high = table[lo : lo + stop - at], _reversed(q, base, width)
+        if exact:
+            # In int64 explicitly: a small table dtype times an int wraps.
+            np.multiply(low, scale, out=num[at:stop], dtype=np.int64)
+            num[at:stop] += high
+        else:
+            out[at:stop] = [min((t * scale + high) / den, _BELOW_ONE) for t in low.tolist()]
+        at, q, lo = stop, q + 1, 0
+    if exact:
+        np.divide(num, float(den), out=out)
     return out
 
 
@@ -270,8 +259,9 @@ class HaltonSource(PointSource):
 
     def coordinate_block(self, indices, k, out):
         base = self._base(k)
+        first = _shifted_start(indices, self.index_offset)
         for s in _slices(len(out)):
-            _radical_inverse(indices[s] + self.index_offset, base, out[s])
+            _radical_inverse(first + s.start, base, out[s])
         return out
 
 
@@ -380,12 +370,13 @@ class WeylSource(PointSource):
 
     def coordinate_block(self, indices, k, out):
         alpha = self.generator(k)
+        first = _shifted_start(indices, self.index_offset)
         # One scratch slice: the shifted indices, then the floor of the product.
         shifted = np.empty(min(len(out), _SLICE), dtype=np.int64)
         floor = shifted.view(np.float64)
         for s in _slices(len(out)):
             prod, n = out[s], s.stop - s.start
-            np.add(indices[s], self.index_offset, out=shifted[:n])
+            np.add(_RAMP[:n], first + s.start, out=shifted[:n])
             np.multiply(shifted[:n], alpha, out=prod)
             np.floor(prod, out=floor[:n])
             prod -= floor[:n]
@@ -427,10 +418,13 @@ def weyl_source(
 
 _MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MUL2 = np.uint64(0x94D049BB133111EB)
-_KEY_N = np.uint64(0x9E3779B97F4A7C15)
+_KEY_N = 0x9E3779B97F4A7C15
 _KEY_K = 0xC2B2AE3D27D4EB4F
 _KEY_SEED = 0xD6E8FEB86659FD93
 _MASK64 = 2**64 - 1
+# i * K_N for i < _SLICE, wrapping: (n0 + i) * K_N is n0 * K_N plus this.
+_KEY_RAMP = _RAMP.astype(np.uint64) * np.uint64(_KEY_N)
+_KEY_RAMP.flags.writeable = False
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -454,13 +448,14 @@ class PseudorandomSource(PointSource):
         # The key is n * K_N ^ (k + 1) * K_K ^ seed * K_SEED in wrapping
         # 64-bit arithmetic; the hash runs in place on the row's bits.
         salt = np.uint64(((k + 1) * _KEY_K ^ self.seed * _KEY_SEED) & _MASK64)
-        n, bits = indices.view(np.uint64), out.view(np.uint64)
+        bits = out.view(np.uint64)
         tmp = np.empty(min(len(out), _SLICE), dtype=np.uint64)
         for s in _slices(len(out)):
-            z = bits[s]
-            np.multiply(n[s], _KEY_N, out=z)
+            z, n = bits[s], s.stop - s.start
+            key = np.uint64((indices.start + s.start) * _KEY_N & _MASK64)
+            np.add(_KEY_RAMP[:n], key, out=z)
             z ^= salt
-            _mix64(z, tmp[: s.stop - s.start])
+            _mix64(z, tmp[:n])
             z >>= np.uint64(11)
             # Below 2^53 the bits convert exactly, and faster as int64.
             np.multiply(z.view(np.int64), 2.0**-53, out=out[s])
@@ -497,7 +492,8 @@ class ConvergentSource(PointSource):
         self.offset = as_numbers("offset", offset)
 
     def coordinate_block(self, indices, k, out):
-        out[...] = indices
+        for s in _slices(len(out)):
+            np.add(_RAMP[: s.stop - s.start], indices.start + s.start, out=out[s])
         with np.errstate(under="ignore"):
             np.power(self.rate, out, out=out)
             out *= _per_coordinate(self.offset, k)
@@ -638,7 +634,7 @@ class PullbackSource(PointSource):
             row = u[s]
             edge = (row == 0.0) | (row == 1.0)
             if edge.any():
-                bad = int(indices[s][np.argmax(edge)])
+                bad = indices.start + s.start + int(np.argmax(edge))
                 raise QuantileDomain(
                     f"base coordinate {k + 1} of point {bad} is exactly 0 or 1; "
                     "use an index offset >= 1 on the base sequence"
@@ -739,60 +735,3 @@ def equidistribution_statistic(
         threshold=threshold,
         passed=statistic <= threshold,
     )
-
-
-# ---------------------------------------------------------------------------
-# Star discrepancy (exact, ranks 1 and 2)
-
-_STAR_MAX_N = 4096
-
-
-def star_discrepancy(source: PointSource, rank: int, sample_count: int) -> float:
-    """Exact star discrepancy of the first ``sample_count`` points at the
-    given rank, by sweeping the critical boxes anchored at sample
-    coordinates.  Supports ranks 1 and 2 and N <= 4096."""
-    if rank not in (1, 2):
-        raise ValidationError("rank", f"must be 1 or 2, got {rank!r}")
-    if source.codomain != UNIT_CUBE:
-        raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
-    if as_count("sample_count", sample_count, 1) > _STAR_MAX_N:
-        raise ValidationError("sample_count", f"must be at most {_STAR_MAX_N}, got {sample_count}")
-    pts = source.block(0, sample_count, rank)
-    if rank == 1:
-        return _star_1d(np.sort(pts[:, 0]))
-    return _star_2d(pts)
-
-
-def _star_1d(sorted_x: np.ndarray) -> float:
-    n = len(sorted_x)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    over = np.max(i / n - sorted_x)
-    under = np.max(sorted_x - (i - 1.0) / n)
-    return float(max(over, under))
-
-
-def _star_2d(pts: np.ndarray) -> float:
-    # Sweep x-candidates in increasing order; for each, the closed box
-    # count at candidate heights is a rank in the sorted included y's,
-    # and the open count uses the strictly-smaller prefix.
-    n = len(pts)
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs = pts[order, 0]
-    ys = pts[order, 1]
-    all_y = np.sort(pts[:, 1])
-    v_candidates = np.concatenate([all_y, [1.0]])
-    best = 0.0
-    unique_x = np.unique(xs)
-    for u in np.concatenate([unique_x, [1.0]]):
-        j_closed = int(np.searchsorted(xs, u, side="right"))
-        j_open = int(np.searchsorted(xs, u, side="left"))
-        ys_closed = np.sort(ys[:j_closed])
-        ys_open = ys_closed[: j_open] if j_open == j_closed else np.sort(ys[:j_open])
-        if j_closed:
-            ranks = np.searchsorted(ys_closed, ys_closed, side="right")
-            over = np.max(ranks / n - u * ys_closed)
-            best = max(best, float(over))
-        open_counts = np.searchsorted(ys_open, v_candidates, side="left")
-        under = np.max(u * v_candidates - open_counts / n)
-        best = max(best, float(under))
-    return best

@@ -96,11 +96,11 @@ BAD_ARGUMENTS = [
     ("curvature", lambda: dm.complex_gaussian_moment(math.inf, 1.0, 2)),
     ("width", lambda: dm.gaussian_domain(-1.0)),
     ("rank", lambda: dm.gaussian_domain(1.0, 0)),
-    ("coords", lambda: dm.Point(())),
+    ("index_offset", lambda: dm.halton_source(3).block(2**63 - 2, 2**63 - 1, 2)),
     ("start", lambda: dm.halton_source().block(-1, 2, 1)),
     ("rank", lambda: dm.halton_source().block(0, 2, 0)),
-    ("n", lambda: dm.halton_source().point_at(-1, 1)),
-    ("d", lambda: dm.halton_source().point_at(0, 0)),
+    ("start", lambda: dm.halton_source().block(-1, 0, 1)[0]),
+    ("rank", lambda: dm.halton_source().block(0, 1, 0)[0]),
     ("index_offset", lambda: dm.halton_source(-1)),
     ("alphas", lambda: dm.weyl_source(["0.5"])),
     ("alphas", lambda: dm.weyl_source(["abc"])),
@@ -113,8 +113,8 @@ BAD_ARGUMENTS = [
     ("source", lambda: dm.equidistribution_statistic(PULLBACK, 1, 100, 4)),
     ("bins_per_axis", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 1)),
     ("level", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 4, 1.5)),
-    ("rank", lambda: dm.star_discrepancy(dm.halton_source(), 3, 100)),
-    ("sample_count", lambda: dm.star_discrepancy(dm.halton_source(), 1, 5000)),
+    ("rank", lambda: dm.equidistribution_statistic(dm.halton_source(), 0, 100, 4)),
+    ("sample_count", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 2.5, 4)),
     ("rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
     ("index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
     ("index_phase", lambda: dm.product_regularized_policy(REG, ACT, math.inf)),

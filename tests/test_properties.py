@@ -45,16 +45,16 @@ finite_real = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 )
 def test_truncation_consistency(kind, n, d_small, d_extra):
     src = SOURCES[kind]()
-    wide = src.point_at(n, d_small + d_extra)
-    narrow = src.point_at(n, d_small)
-    assert wide.coords[:d_small] == narrow.coords
+    wide = src.block(n, n + 1, d_small + d_extra)[0]
+    narrow = src.block(n, n + 1, d_small)[0]
+    assert wide[:d_small].tolist() == narrow.tolist()
 
 
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(sorted(SOURCES)), n=st.integers(min_value=0, max_value=10**5))
 def test_point_at_is_pure(kind, n):
     src = SOURCES[kind]()
-    assert src.point_at(n, 3).coords == src.point_at(n, 3).coords
+    assert src.block(n, n + 1, 3)[0].tolist() == src.block(n, n + 1, 3)[0].tolist()
 
 
 @settings(max_examples=30, deadline=None)

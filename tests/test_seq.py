@@ -20,7 +20,7 @@ from diracmean.oracle import QuadratureSpec, normalized_expectation
 
 
 class ArraySource(seq.PointSource):
-    """Fixed finite point set, for discrepancy oracles."""
+    """Fixed finite point set, read by indexing an array with the range."""
 
     kind = "fixed"
     codomain = seq.UNIT_CUBE
@@ -37,25 +37,35 @@ def constant_source(value=0.3):
     return seq.convergent_source(value, 0.5, 0.0)
 
 
+def point(src, n, d):
+    """The rank-``d`` truncation of point ``n``, read as a one-row block."""
+    return tuple(src.block(n, n + 1, d)[0].tolist())
+
+
+def test_a_custom_source_may_index_an_array_with_its_range():
+    arr = np.arange(24.0).reshape(8, 3) / 24.0
+    assert np.array_equal(ArraySource(arr).block(2, 7, 3), arr[2:7])
+
+
 # ---------------------------------------------------------------------------
-# point_at / halton
+# halton
 
 
 def test_halton_hand_values():
     h = seq.halton_source(0)
-    assert h.point_at(1, 1).coords == (0.5,)
-    assert h.point_at(3, 1).coords == (0.75,)
-    p = h.point_at(2, 2)
-    assert p.coords[0] == 0.25
-    assert p.coords[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert p.rank == 2
+    assert point(h, 1, 1) == (0.5,)
+    assert point(h, 3, 1) == (0.75,)
+    p = h.block(2, 3, 2)[0]
+    assert p[0] == 0.25
+    assert p[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert p.shape == (2,)
 
 
 def test_halton_offset_shifts_indexing():
     h0 = seq.halton_source(0)
     h1 = seq.halton_source(1)
-    assert h1.point_at(1, 1).coords == h0.point_at(2, 1).coords
-    assert h1.point_at(0, 3).coords == h0.point_at(1, 3).coords
+    assert point(h1, 1, 1) == point(h0, 2, 1)
+    assert point(h1, 0, 3) == point(h0, 1, 3)
 
 
 HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -73,8 +83,7 @@ def radical_inverse_fraction(n, base):
 
 
 def halton_coordinate(n, k):
-    return float(seq.halton_source(0).coordinate_block(np.array([n], dtype=np.int64), k,
-                                                       np.empty(1))[0])
+    return float(seq.halton_source(0).coordinate_block(range(n, n + 1), k, np.empty(1))[0])
 
 
 def assert_rounded(x, exact):
@@ -99,13 +108,22 @@ def test_halton_extreme_indices(k, n):
     assert_rounded(halton_coordinate(n, k), radical_inverse_fraction(n, HALTON_BASES[k]))
 
 
+def exact_head(base):
+    """The largest power of ``base`` within 2^53: from there on a radical
+    inverse's digit-reversed numerator is no longer an exact float64."""
+    return base ** (len(np.base_repr(2**53, base)) - 1)
+
+
 def test_halton_value_does_not_depend_on_the_block():
     h = seq.halton_source(0)
-    for k in range(len(HALTON_BASES)):
-        idx = np.array([5, 3**33 - 1, 2**40 + 3, 2**62 + 11, 7], dtype=np.int64)
-        together = h.coordinate_block(idx, k, np.empty(len(idx)))
-        alone = [h.coordinate_block(idx[i:i + 1], k, np.empty(1))[0] for i in range(len(idx))]
-        assert together.tolist() == alone
+    for k, base in enumerate(HALTON_BASES):
+        # Each range reaches across a run of the digit table, and the last
+        # across the end of the exact float64 path.
+        for n in (5, 3**33 - 1, 2**40 + 3, 2**62 + 11, 7, exact_head(base)):
+            idx = range(n - 3, n + 4)
+            together = h.coordinate_block(idx, k, np.empty(len(idx)))
+            alone = [h.coordinate_block(range(i, i + 1), k, np.empty(1))[0] for i in idx]
+            assert together.tolist() == alone
 
 
 @pytest.mark.parametrize("start", [0, 2**19 - 512])
@@ -129,9 +147,27 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_point_at_validates_arguments():
     h = seq.halton_source(0)
     with pytest.raises(ValueError):
-        h.point_at(-1, 1)
+        h.block(-1, 0, 1)[0]
     with pytest.raises(ValueError):
-        h.point_at(0, 0)
+        h.block(0, 1, 0)[0]
+
+
+@pytest.mark.parametrize("make", [lambda: seq.halton_source(3),
+                                  lambda: seq.weyl_source(index_offset=3)],
+                         ids=["halton", "weyl"])
+def test_an_index_offset_past_int64_is_rejected_naming_it(make):
+    with pytest.raises(ValidationError, match="^index_offset: "):
+        make().block(2**63 - 2, 2**63 - 1, 2)
+    # The last index that fits after the offset is still read.  (Weyl reads
+    # 0 there: its float64 products are whole numbers that far out.)
+    last = make().block(2**63 - 4, 2**63 - 3, 2)
+    assert ((0.0 <= last) & (last < 1.0)).all()
+
+
+def test_block_rejects_an_index_past_int64():
+    with pytest.raises(ValidationError, match="^stop: "):
+        seq.pseudorandom_source(1).block(2**63 - 1, 2**63 + 1, 1)
+    assert seq.pseudorandom_source(1).block(2**63 - 1, 2**63, 1).shape == (1, 1)
 
 
 @pytest.mark.parametrize("make", [
@@ -150,9 +186,7 @@ def test_truncation_consistency_and_purity(make):
         assert np.array_equal(wide[:, :d], narrow)
     again = src.block(0, 64, 5)
     assert np.array_equal(wide, again)
-    p1 = src.point_at(17, 3)
-    p2 = src.point_at(17, 3)
-    assert p1.coords == p2.coords
+    assert point(src, 17, 3) == point(src, 17, 3)
 
 
 @pytest.mark.parametrize("make", [
@@ -169,11 +203,11 @@ def test_blocks_are_column_major_and_agree_with_coordinates_and_points(make, sta
     block = src.block(start, stop, rank)
     assert block.shape == (stop - start, rank)
     assert block.flags.f_contiguous
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = range(start, stop)
     for k in range(rank):
         assert np.array_equal(block[:, k], src.coordinate_block(idx, k, np.empty(len(idx))))
     for n in (0, (stop - start) // 2, stop - start - 1):
-        assert tuple(block[n].tolist()) == src.point_at(start + n, rank).coords
+        assert tuple(block[n].tolist()) == point(src, start + n, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +301,38 @@ def test_coordinate_block_writes_the_whole_array_formula_into_out(name, start, l
     except QuantileDomain:
         # Far out, float64 Weyl products are whole numbers: frac is exactly 0.
         with pytest.raises(QuantileDomain):
-            make().coordinate_block(n, k, out)
+            make().coordinate_block(range(start, start + length), k, out)
         return
-    assert make().coordinate_block(n, k, out) is out
+    assert make().coordinate_block(range(start, start + length), k, out) is out
     assert out.tobytes() == expected.tobytes()
     # The rest of the buffer is untouched.
     assert np.isnan(buf[[0, 1, 3]]).all() and np.isnan(buf[2, :5]).all()
     assert np.isnan(buf[2, 5 + length:]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=0, max_value=len(HALTON_BASES) - 1),
+       length=st.sampled_from(LENGTHS), edge=st.integers(min_value=0, max_value=2),
+       scale=st.integers(min_value=1, max_value=MAX_INDEX),
+       back=st.integers(min_value=0, max_value=LENGTHS[-1] - 1))
+def test_halton_runs_match_the_whole_array_formula(k, length, edge, scale, back):
+    # The kernel reads the digit table in runs that end where the high
+    # digits change (multiples of base**k), where the digit count grows
+    # (base**j) and where the exact float64 path ends (the head power).
+    # Each range starts just below one such edge.
+    base = HALTON_BASES[k]
+    step = base ** seq._digit_table(base)[0]
+    if edge == 0:
+        at = step * (1 + scale % (MAX_INDEX // step))
+    elif edge == 1:
+        at = base ** (1 + scale % (len(np.base_repr(MAX_INDEX, base)) - 1))
+    else:
+        at = exact_head(base)
+    start = max(0, min(at - back % length - 1, MAX_INDEX - length + 1))
+    out = np.full(length, np.nan)
+    seq.halton_source(0).coordinate_block(range(start, start + length), k, out)
+    n = np.arange(start, start + length, dtype=np.int64)
+    assert out.tobytes() == radical_inverse(n, base).tobytes()
 
 
 def test_block_fills_a_view_of_the_callers_buffer():
@@ -298,24 +357,27 @@ def test_pseudorandom_is_splitmix64_of_python_integers(seed, back, k):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     z ^= z >> 31
-    point = seq.pseudorandom_source(seed).point_at(n, k + 1)
-    assert point.coords[k] == (z >> 11) / 2.0**53
+    assert point(seq.pseudorandom_source(seed), n, k + 1)[k] == (z >> 11) / 2.0**53
 
 
 @pytest.mark.parametrize("name", list(OUT_CASES))
 def test_coordinate_kernels_allocate_no_row(name):
+    # The starts reach Halton runs of several digit groups (2^32 + 1000) and
+    # a digit-count step (2^19 - 100).  Past 2^53 Halton divides exact
+    # Python integers, element by element; that far path is not guarded.
     m = 1 << 18
     src = OUT_CASES[name][0]()
-    n = np.arange(1000, 1000 + m, dtype=np.int64)
     out = np.empty(m)
-    src.coordinate_block(n, 1, out)  # first use: digit tables, generators
-    tracemalloc.start()
-    try:
-        src.coordinate_block(n, 1, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < m * 8 / 4
+    for start in (1000, 2**32 + 1000, 2**19 - 100):
+        n = range(start, start + m)
+        src.coordinate_block(n, 1, out)  # first use: digit tables, generators
+        tracemalloc.start()
+        try:
+            src.coordinate_block(n, 1, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * 8 / 4, start
 
 
 def test_cube_sources_stay_in_unit_interval():
@@ -332,8 +394,8 @@ def test_weyl_hand_values():
     w = seq.weyl_source()
     alpha = w.generator(0)
     assert alpha == pytest.approx(math.pi - 3.0, abs=1e-12)
-    assert w.point_at(2, 1).coords[0] == pytest.approx(2 * (math.pi - 3.0), abs=1e-12)
-    assert w.point_at(0, 1).coords == (0.0,)
+    assert point(w, 2, 1)[0] == pytest.approx(2 * (math.pi - 3.0), abs=1e-12)
+    assert point(w, 0, 1) == (0.0,)
 
 
 def test_weyl_rejects_rational_generators():
@@ -373,8 +435,8 @@ def test_weyl_default_generators_survive_large_powers():
 def test_pseudorandom_is_deterministic_and_seed_sensitive():
     a = seq.pseudorandom_source(1)
     b = seq.pseudorandom_source(2)
-    assert a.point_at(0, 2).coords == a.point_at(0, 2).coords
-    assert a.point_at(0, 1).coords != b.point_at(0, 1).coords
+    assert point(a, 0, 2) == point(a, 0, 2)
+    assert point(a, 0, 1) != point(b, 0, 1)
 
 
 def test_pseudorandom_chi_square_passes():
@@ -389,9 +451,9 @@ def test_pseudorandom_chi_square_passes():
 
 def test_convergent_geometric_decay():
     c = seq.convergent_source(0.0, 0.5)
-    assert c.point_at(3, 1).coords == (0.125,)
-    assert c.point_at(0, 1).coords == (1.0,)  # offset point, clamped
-    assert c.point_at(60, 1).coords[0] == pytest.approx(0.0, abs=1e-15)
+    assert point(c, 3, 1) == (0.125,)
+    assert point(c, 0, 1) == (1.0,)  # offset point, clamped
+    assert point(c, 60, 1)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_convergent_rejects_bad_rate():
@@ -403,10 +465,10 @@ def test_convergent_rejects_bad_rate():
 
 def test_convergent_per_coordinate_parameters():
     c = seq.convergent_source([0.1, 0.2], 0.5, [0.4, 0.0])
-    p = c.point_at(1, 3)
-    assert p.coords[0] == pytest.approx(0.1 + 0.2)
-    assert p.coords[1] == pytest.approx(0.2)
-    assert p.coords[2] == pytest.approx(0.2)  # sequences extend with the last entry
+    p = point(c, 1, 3)
+    assert p[0] == pytest.approx(0.1 + 0.2)
+    assert p[1] == pytest.approx(0.2)
+    assert p[2] == pytest.approx(0.2)  # sequences extend with the last entry
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +523,15 @@ def test_pullback_rejects_exact_zero_coordinate():
         pb.block(0, 4, 1)  # weyl point 0 is exactly the origin
     ok = seq.pullback_source(seq.weyl_source(index_offset=1), seq.normal_quantiles())
     assert np.isfinite(ok.block(0, 4, 1)).all()
+
+
+def test_pullback_names_the_point_whose_base_coordinate_is_an_edge():
+    # frac((n + 1) * alpha) of the float64 product is exactly 0 at this index.
+    pb = seq.pullback_source(seq.weyl_source(index_offset=1), seq.box_quantiles(3.0))
+    bad = 34359635698
+    for start in (bad - 8, bad - SLICE - 5):
+        with pytest.raises(QuantileDomain, match=f" of point {bad} is "):
+            pb.block(start, bad + 2, 1)
 
 
 def test_pullback_requires_cube_base():
@@ -542,59 +613,12 @@ def brute_star_1d(pts):
     return best
 
 
-def brute_star_2d(pts):
-    n = len(pts)
-    best = 0.0
-    us = np.concatenate([np.unique(pts[:, 0]), [1.0]])
-    vs = np.concatenate([np.unique(pts[:, 1]), [1.0]])
-    for u in us:
-        for v in vs:
-            closed = np.sum((pts[:, 0] <= u) & (pts[:, 1] <= v))
-            opened = np.sum((pts[:, 0] < u) & (pts[:, 1] < v))
-            best = max(best, closed / n - u * v, u * v - opened / n)
-    return best
-
-
-def test_star_discrepancy_single_point():
-    assert seq.star_discrepancy(ArraySource([[0.5]]), 1, 1) == 0.5
-
-
-def test_star_discrepancy_lattice_is_one_over_n():
-    for n in (10, 64):
-        pts = (np.arange(n) / n)[:, None]
-        assert seq.star_discrepancy(ArraySource(pts), 1, n) == pytest.approx(1.0 / n, abs=1e-12)
-
-
 def test_star_discrepancy_halton_100():
-    d = seq.star_discrepancy(seq.halton_source(0), 1, 100)
-    assert d == pytest.approx(0.023125, abs=1e-12)  # frozen from the sweep oracle
+    d = brute_star_1d(seq.halton_source(0).block(0, 100, 1)[:, 0])
+    assert d == pytest.approx(0.023125, abs=1e-12)  # frozen exact value
     assert d <= 0.035
-
-
-def test_star_discrepancy_matches_brute_force_rank1():
-    rng = np.random.default_rng(7)
-    pts = rng.random((83, 1))
-    got = seq.star_discrepancy(ArraySource(pts), 1, 83)
-    assert got == pytest.approx(brute_star_1d(pts[:, 0]), abs=1e-14)
-
-
-def test_star_discrepancy_matches_brute_force_rank2():
-    rng = np.random.default_rng(11)
-    pts = rng.random((60, 2))
-    got = seq.star_discrepancy(ArraySource(pts), 2, 60)
-    assert got == pytest.approx(brute_star_2d(pts), abs=1e-14)
-    halton_pts = seq.halton_source(0).block(0, 64, 2)
-    got_h = seq.star_discrepancy(seq.halton_source(0), 2, 64)
-    assert got_h == pytest.approx(brute_star_2d(halton_pts), abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_halton_discrepancy_below_log_bound(n):
-    assert seq.star_discrepancy(seq.halton_source(0), 1, n) < 2.0 * math.log(n) / n
-
-
-def test_star_discrepancy_rejects_rank_3_and_large_n():
-    with pytest.raises(ValidationError):
-        seq.star_discrepancy(seq.halton_source(0), 3, 100)
-    with pytest.raises(ValueError):
-        seq.star_discrepancy(seq.halton_source(0), 1, 5000)
+    assert brute_star_1d(seq.halton_source(0).block(0, n, 1)[:, 0]) < 2.0 * math.log(n) / n

@@ -19,7 +19,6 @@ from .action import (
 )
 from .cylinder import (
     CylinderFunction,
-    ProjectionHierarchy,
     cylinder_function,
     hierarchy_certify,
     verify_cylinder,
@@ -52,7 +51,6 @@ from .mean import (
 from .oracle import (
     QuadratureSpec,
     complex_gaussian_moment,
-    gaussian_domain,
     normalized_expectation,
     tensor_quadrature,
 )

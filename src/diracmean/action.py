@@ -258,6 +258,23 @@ def oscillatory_mean(
     return mean_mod.run(src, pol, func, budget, rule, trace_stride, block_size)
 
 
+def _scan_action(action: QuadraticAction) -> None:
+    """Raise unless ``action`` is a rank-1 quadratic action with nonzero
+    curvature, the case whose width scan tends to ``-i / a``."""
+    if action.rank != 1 or action.matrix[0, 0] == 0.0:
+        raise ValidationError(
+            "action", "the width scan needs a rank-1 quadratic action with nonzero curvature")
+
+
+def _scan_widths(widths: Sequence[float], field: str = "widths") -> tuple[float, ...]:
+    """The scan's widths as floats, unless they are not finite, positive
+    and strictly increasing; the error names ``field``."""
+    ws = as_numbers(field, widths, 0.0)
+    if any(b <= a for a, b in zip(ws, ws[1:])):
+        raise ValidationError(field, f"must be strictly increasing, got {list(ws)}")
+    return ws
+
+
 def fresnel_limit_scan(
     base: PointSource,
     action: QuadraticAction,
@@ -274,12 +291,8 @@ def fresnel_limit_scan(
     Degeneracy at one width is reported in that width's entry rather
     than aborting the scan.
     """
-    if action.rank != 1 or action.matrix[0, 0] == 0.0:
-        raise ValidationError("action", "the width scan needs a 1D quadratic action "
-                              "with nonzero curvature")
-    ws = as_numbers("widths", widths, 0.0)
-    if any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ValidationError("widths", f"must be strictly increasing, got {list(ws)}")
+    _scan_action(action)
+    ws = _scan_widths(widths)
     if func is None:
         func = CylinderFunction(1, lambda x: x[:, 0] ** 2, label="x1^2")
     out = []

@@ -18,8 +18,15 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import mean as mean_mod
-from .action import _route, fresnel_limit_scan, gaussian_regularizer, quadratic_action
-from .cylinder import ProjectionHierarchy, _bins_per_rank, hierarchy_certify
+from .action import (
+    _route,
+    _scan_action,
+    _scan_widths,
+    fresnel_limit_scan,
+    gaussian_regularizer,
+    quadratic_action,
+)
+from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_list, _built, build_function
@@ -125,16 +132,11 @@ def _source(spec, field: str = "source"):
         offset = as_count(f"{field}.offset", spec.get("offset", 0), 0)
         return {"kind": kind, "offset": offset}, halton_source(offset)
     if kind == "weyl":
-        _require_keys(spec, {"kind", "alphas", "offset", "precision"}, field)
-        out = {
-            "kind": kind,
-            "offset": as_count(f"{field}.offset", spec.get("offset", 0), 0),
-            "precision": as_count(f"{field}.precision", spec.get("precision", 256), 64),
-        }
+        _require_keys(spec, {"kind", "alphas", "offset"}, field)
+        out = {"kind": kind, "offset": as_count(f"{field}.offset", spec.get("offset", 0), 0)}
         if spec.get("alphas") is not None:
             out["alphas"] = [str(a) for a in _as_list(spec["alphas"], f"{field}.alphas")]
-        return out, _built(f"{field}.alphas", weyl_source,
-                           out.get("alphas"), out["offset"], out["precision"])
+        return out, _built(f"{field}.alphas", weyl_source, out.get("alphas"), out["offset"])
     if kind == "pseudorandom":
         _require_keys(spec, {"kind", "seed"}, field)
         seed = as_count(f"{field}.seed", spec.get("seed", 0))
@@ -359,8 +361,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if resolved_mode == "certify" and hierarchy is None:
         hierarchy = [1, 2, 3]
     if hierarchy is not None:
-        hierarchy = _as_list(hierarchy, "hierarchy")
-        hierarchy = _built("hierarchy", ProjectionHierarchy, hierarchy).ranks
+        hierarchy = _built("hierarchy", _ranks, _as_list(hierarchy, "hierarchy"))
 
     bins = raw.get("bins_per_axis")
     if bins is not None:
@@ -381,13 +382,9 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             sigmas = [1.0, 2.0, 4.0]
         if action is None:
             raise ValidationError("action", "is required for fresnel-scan")
-        if act.rank != 1 or act.matrix[0, 0] == 0.0:
-            raise ValidationError(
-                "action", "fresnel-scan needs a rank-1 action with nonzero curvature")
+        _scan_action(act)
     if sigmas is not None:
-        sigmas = as_numbers("sigmas", _as_list(sigmas, "sigmas"), 0.0)
-        if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-            raise ValidationError("sigmas", f"must be strictly increasing, got {list(sigmas)}")
+        sigmas = _scan_widths(_as_list(sigmas, "sigmas"), "sigmas")
 
     tolerance = raw.get("tolerance")
     if resolved_mode == "compare":

@@ -4,7 +4,11 @@ A cylinder function reads only its first ``rank`` coordinates, so its
 mean over an infinite-dimensional source reduces to the finite-rank
 pushforward: the engine truncates every point block at the declared
 rank before evaluation, and the declaration itself is checkable by
-perturbing the coordinate just beyond it.
+perturbing the coordinate just beyond it.  Functions are evaluated on
+blocks only (:meth:`CylinderFunction.eval_block`; one point is a
+one-row block), and a source is certified on a strictly increasing
+sequence of ranks standing in for a projector family growing to the
+identity.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ __all__ = [
     "CylinderFunction",
     "cylinder_function",
     "verify_cylinder",
-    "ProjectionHierarchy",
     "hierarchy_certify",
-    "default_bins",
 ]
+
+# Points on which verify_cylinder perturbs the coordinate past the rank.
+_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -69,19 +74,13 @@ class CylinderFunction:
             )
         return out
 
-    def __call__(self, point) -> complex | float:
-        coords = getattr(point, "coords", point)
-        block = np.asarray([coords], dtype=np.float64)
-        out = self.eval_block(block)[0]
-        return complex(out) if np.iscomplexobj(out) else float(out)
-
 
 def cylinder_function(rank: int, base, label: str = "") -> CylinderFunction:
     """Declare a function of the first ``rank`` coordinates."""
     return CylinderFunction(rank=rank, base=base, label=label)
 
 
-def verify_cylinder(func: CylinderFunction, probes: int = 16) -> None:
+def verify_cylinder(func: CylinderFunction) -> None:
     """Probe the declared rank: evaluate the raw base on points one
     coordinate wider than the rank and perturb that extra coordinate.
 
@@ -92,15 +91,15 @@ def verify_cylinder(func: CylinderFunction, probes: int = 16) -> None:
     if func.rank == 0 or not callable(func.base):
         return
     rng = np.random.default_rng(0x1CEB00DA)
-    pts = rng.random((probes, func.rank + 1))
+    pts = rng.random((_PROBES, func.rank + 1))
     perturbed = pts.copy()
-    perturbed[:, -1] = rng.random(probes)
+    perturbed[:, -1] = rng.random(_PROBES)
     try:
         a = np.asarray(func.base(pts))
         b = np.asarray(func.base(perturbed))
     except Exception:
         return
-    if a.shape != (probes,) or b.shape != (probes,):
+    if a.shape != (_PROBES,) or b.shape != (_PROBES,):
         return
     if not np.array_equal(a, b):
         raise CylinderViolation(
@@ -109,25 +108,19 @@ def verify_cylinder(func: CylinderFunction, probes: int = 16) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ProjectionHierarchy:
-    """Strictly increasing truncation ranks standing in for a projector
-    family growing to the identity."""
-
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        ranks = tuple(as_count("ranks", r, 1) for r in self.ranks)
-        if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
-            raise ValidationError(
-                "ranks", f"must be nonempty and strictly increasing, got {ranks}")
-        object.__setattr__(self, "ranks", ranks)
+def _ranks(ranks: Sequence[int]) -> tuple[int, ...]:
+    """The truncation ranks as ints, unless they are not a nonempty,
+    strictly increasing sequence of integers >= 1."""
+    ranks = tuple(as_count("ranks", r, 1) for r in ranks)
+    if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
+        raise ValidationError("ranks", f"must be nonempty and strictly increasing, got {ranks}")
+    return ranks
 
 
 _DEFAULT_BINS = {1: 16, 2: 8, 3: 4}
 
 
-def default_bins(rank: int, sample_count: int) -> int:
+def _default_bins(rank: int, sample_count: int) -> int:
     """Bins per axis keeping >= 5 expected counts per cell where 2 do."""
     cap = _DEFAULT_BINS.get(rank, 2)
     feasible = int((sample_count / _MIN_EXPECTED_COUNT) ** (1.0 / rank))
@@ -135,31 +128,29 @@ def default_bins(rank: int, sample_count: int) -> int:
 
 
 def _bins_per_rank(
-    ranks: Sequence[int], sample_count: int, bins_per_axis: Sequence[int] | int | None
+    ranks: Sequence[int], sample_count: int, bins_per_axis: Sequence[int] | None
 ) -> list[int]:
-    """Bins per axis at each rank: the given ones, or :func:`default_bins`."""
+    """Bins per axis at each rank: the given ones, or :func:`_default_bins`."""
     if bins_per_axis is None:
-        return [default_bins(r, sample_count) for r in ranks]
-    if np.isscalar(bins_per_axis):
-        return [bins_per_axis] * len(ranks)
-    bins = list(bins_per_axis)
+        return [_default_bins(r, sample_count) for r in ranks]
+    bins = list(bins_per_axis) if np.iterable(bins_per_axis) else []
     if len(bins) != len(ranks):
-        raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins}")
+        raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins_per_axis!r}")
     return bins
 
 
 def hierarchy_certify(
     source: PointSource,
-    hierarchy: ProjectionHierarchy | Sequence[int],
+    hierarchy: Sequence[int],
     sample_count: int,
     level: float = 0.999,
-    bins_per_axis: Sequence[int] | int | None = None,
+    bins_per_axis: Sequence[int] | None = None,
 ) -> list[EquidistributionReport]:
-    """Chi-square uniformity certificate for every rank in the hierarchy;
-    the source is adequate when all levels pass."""
-    if not isinstance(hierarchy, ProjectionHierarchy):
-        hierarchy = ProjectionHierarchy(tuple(hierarchy))
-    ranks = hierarchy.ranks
+    """Chi-square uniformity certificate for every rank of ``hierarchy``,
+    strictly increasing truncation ranks, with one ``bins_per_axis`` entry
+    per rank; the source is adequate when all levels pass."""
+    ranks = _ranks(hierarchy)
+    sample_count = as_count("sample_count", sample_count, 1)
     bins = _bins_per_rank(ranks, sample_count, bins_per_axis)
     return [
         equidistribution_statistic(source, r, sample_count, b, level)

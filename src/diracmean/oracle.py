@@ -8,7 +8,9 @@ expectation is one quadrature of the stacked integrand
 per grid.  Both quadrature functions return ``(value, cells_used)``.
 Oracle tolerances (1e-8 .. 1e-10) sit two-plus orders below the
 estimator tolerances they back, so oracle error never masks estimator
-error.
+error.  A box for an unbounded measure comes from its quantile family
+(``QuantileFamily.domain``), cut at a truncation multiple of its widest
+scale.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "tensor_quadrature",
     "normalized_expectation",
     "complex_gaussian_moment",
-    "gaussian_domain",
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -62,13 +63,6 @@ class QuadratureSpec:
     @property
     def rank(self) -> int:
         return len(self.domain)
-
-
-def gaussian_domain(width: float = 1.0, rank: int = 1) -> QuadratureSpec:
-    """Truncation box [-8 max(width,1), +8 max(width,1)] per axis; the
-    Gaussian mass outside is below 1e-14 relative."""
-    half = 8.0 * max(as_number("width", width, 0.0), 1.0)
-    return QuadratureSpec(domain=((-half, half),) * as_count("rank", rank, 1))
 
 
 def _axis_rule(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray]:

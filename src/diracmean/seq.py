@@ -5,7 +5,8 @@ point ``n`` depends only on ``(n, k)`` and the source parameters, so
 truncations of the same point at different ranks agree bit for bit and
 concurrent reads need no coordination.  Points are produced lazily, one
 rank-``d`` block at a time; nothing ever materializes more coordinates
-than its consumer asks for.
+than its consumer asks for.  Quantile families map whole coordinate
+rows (:meth:`QuantileFamily.apply`); a single value is a one-element row.
 """
 
 from __future__ import annotations
@@ -312,12 +313,17 @@ def _fraction(alpha) -> Fraction:
         raise ValidationError("alphas", f"generator {alpha!r} is not a decimal number") from None
 
 
-def _pi_power_fraction(k: int, precision_bits: int) -> Fraction:
-    """Fractional part of pi**k at the given binary precision, as the exact
-    rational value of the computed binary approximation."""
+# Bits of pi**k behind a default Weyl generator's fractional part; 64 and
+# 1024 give the same float64 generators for every power up to pi**200.
+_PI_POWER_BITS = 256
+
+
+def _pi_power_fraction(k: int) -> Fraction:
+    """Fractional part of pi**k at ``_PI_POWER_BITS`` + 2k bits, as the
+    exact rational value of the computed binary approximation."""
     import mpmath
 
-    with mpmath.workprec(precision_bits + 2 * k):
+    with mpmath.workprec(_PI_POWER_BITS + 2 * k):
         frac = mpmath.frac(mpmath.pi**k)
         sign, mantissa, exponent, _ = mpmath.mpf(frac)._mpf_
     value = Fraction(int(mantissa)) * Fraction(2) ** int(exponent)
@@ -328,14 +334,8 @@ class WeylSource(PointSource):
     kind = "weyl"
     codomain = UNIT_CUBE
 
-    def __init__(
-        self,
-        alphas: Sequence[str | float] | None = None,
-        index_offset: int = 0,
-        precision: int = 256,
-    ):
+    def __init__(self, alphas: Sequence[str | float] | None = None, index_offset: int = 0):
         self.index_offset = as_count("index_offset", index_offset, 0)
-        self.precision = as_count("precision", precision, 64)
         self._explicit = None
         if alphas is not None:
             self._explicit = [self._check(_fraction(a), str(a)) for a in alphas]
@@ -364,7 +364,7 @@ class WeylSource(PointSource):
             return self._explicit[k]
         while len(self._cache) <= k:
             j = len(self._cache) + 1
-            frac = _pi_power_fraction(j, self.precision)
+            frac = _pi_power_fraction(j)
             self._cache.append(self._check(frac, f"frac(pi^{j})"))
         return self._cache[k]
 
@@ -386,7 +386,6 @@ class WeylSource(PointSource):
 def weyl_source(
     alphas: Sequence[str | float] | None = None,
     index_offset: int = 0,
-    precision: int = 256,
 ) -> PointSource:
     """Kronecker/Weyl points: coordinate ``k`` of point ``n`` is
     ``frac(n * alpha_k)``.
@@ -394,11 +393,10 @@ def weyl_source(
     Parameters
     ----------
     alphas
-        Generators in (0, 1), preferably as decimal strings so no
-        precision is lost before the rationality check.  When omitted,
-        coordinate ``k`` uses ``frac(pi**(k+1))`` computed with at least
-        ``precision`` bits (double-precision ``pi**k`` loses its entire
-        fractional part near k ~ 30).
+        Generators in (0, 1), preferably as decimal strings so no digit
+        is lost before the rationality check.  When omitted, coordinate
+        ``k`` uses ``frac(pi**(k+1))`` computed with at least 256 bits (a
+        float64 ``pi**k`` loses its entire fractional part near k ~ 30).
     index_offset
         Shift of the index; point 0 of the unshifted sequence is exactly
         the origin, so use an offset >= 1 before a quantile pullback.
@@ -410,7 +408,7 @@ def weyl_source(
         (indistinguishable from) a rational with denominator <= 10^6,
         detected by continued-fraction expansion.
     """
-    return WeylSource(alphas, index_offset, precision)
+    return WeylSource(alphas, index_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +529,6 @@ class QuantileFamily:
         """Quantiles of coordinate ``k`` at ``u``, written into ``out`` (which
         may be ``u`` itself) when given."""
         raise NotImplementedError
-
-    def quantile(self, k: int, u: float) -> float:
-        return float(self.apply(k, np.asarray([u], dtype=np.float64))[0])
 
     def domain(self, rank: int, truncation: float) -> tuple[tuple[float, float], ...]:
         """The box of the first ``rank`` axes the oracle integrates over; an
@@ -707,7 +702,7 @@ def equidistribution_statistic(
         raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
     rank = as_count("rank", rank, 1)
     bins_per_axis = as_count("bins_per_axis", bins_per_axis, 2)
-    sample_count = as_count("sample_count", sample_count)
+    sample_count = as_count("sample_count", sample_count, 1)
     level = as_number("level", level, 0.0, 1.0)
     shortfall = _too_few_samples(sample_count, rank, bins_per_axis)
     if shortfall:

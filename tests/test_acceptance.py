@@ -34,8 +34,8 @@ from diracmean import (
 )
 from diracmean.cli import EXIT_DEGENERATE, main
 from diracmean.oracle import (
+    QuadratureSpec,
     complex_gaussian_moment,
-    gaussian_domain,
     normalized_expectation,
 )
 
@@ -107,7 +107,7 @@ def test_criterion_04_oscillatory_fresnel_value(fresnel_pullback):
     oracle = normalized_expectation(
         lambda x: x[:, 0] ** 2,
         lambda x: np.exp(-x[:, 0] ** 2 * (1.0 + 1.0j) / 2.0),
-        gaussian_domain(),
+        QuadratureSpec(((-8.0, 8.0),)),
     )[0]
     oracle_err = abs(oracle - complex_gaussian_moment(1.0, 1.0, 2))
     ok = announce(4, err <= 5e-3 and oracle_err <= 1e-8 and elapsed < 30.0,

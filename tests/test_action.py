@@ -122,9 +122,9 @@ def test_gaussian_regularizer_keeps_its_bits_in_either_layout(widths, extra, dat
 
 def test_gaussian_regularizer_quantiles_are_normal():
     reg = gaussian_regularizer([2.0])
-    q = reg.quantiles()
-    assert q.quantile(0, 0.5) == 0.0
-    assert q.quantile(0, 0.8413447447) == pytest.approx(2.0, abs=1e-6)
+    median, one_sigma = reg.quantiles().apply(0, np.array([0.5, 0.8413447447]))
+    assert median == 0.0
+    assert one_sigma == pytest.approx(2.0, abs=1e-6)
 
 
 def test_gaussian_regularizer_rejects_nonpositive_width():

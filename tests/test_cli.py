@@ -534,6 +534,8 @@ def _without(cfg, key):
      "source.kind"),
     (dict(CERTIFY, budget=10), "budget"),
     (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4, 64]), "bins_per_axis"),
+    # A Weyl source takes its kind, alphas and offset, and no other key.
+    (dict(MINIMAL, source={"kind": "weyl", "offset": 1, "bits": 256}), "source"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
@@ -549,7 +551,8 @@ def _without(cfg, key):
         "quantiles-unknown-key", "uniform-quantiles-with-widths", "quantile-widths-not-numbers",
         "quantile-family-unknown", "route-over-halton-offset-0", "route-over-weyl-offset-0",
         "scan-over-halton-offset-0", "pullback-over-weyl-offset-0", "route-over-pullback",
-        "certify-pullback", "certify-budget-below-bins", "certify-bins-above-budget"])
+        "certify-pullback", "certify-budget-below-bins", "certify-bins-above-budget",
+        "weyl-unknown-key"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config(json.dumps(cfg))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diracmean import (
-    ProjectionHierarchy,
     StoppingRule,
     constant_policy,
     convergent_source,
@@ -21,14 +20,14 @@ from diracmean.oracle import QuadratureSpec, tensor_quadrature
 
 def test_rank_zero_constant():
     f = cylinder_function(0, 3.0, "three")
-    assert f((0.1, 0.9, 0.4)) == 3.0
+    assert f.eval_block(np.array([[0.1, 0.9, 0.4]]))[0] == 3.0
     assert np.array_equal(f.eval_block(np.zeros((4, 2))), np.full(4, 3.0))
 
 
 def test_rank_two_product_evaluation():
     f = cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "uv")
-    assert f((0.5, 0.25, 0.77)) == 0.125
-    assert f((0.5, 0.25, 0.11)) == 0.125  # trailing coordinates never matter
+    values = f.eval_block(np.array([[0.5, 0.25, 0.77], [0.5, 0.25, 0.11]]))
+    assert values.tolist() == [0.125, 0.125]  # trailing coordinates never matter
 
 
 def test_perturbation_beyond_rank_is_exactly_invisible():
@@ -89,13 +88,10 @@ def test_integrate_cylinder_third_coordinate():
 
 
 def test_hierarchy_validation():
-    with pytest.raises(ValueError):
-        ProjectionHierarchy((2, 2))
-    with pytest.raises(ValueError):
-        ProjectionHierarchy((0, 1))
-    with pytest.raises(ValueError):
-        ProjectionHierarchy(())
-    ProjectionHierarchy((1, 2, 3))
+    for ranks in ((2, 2), (0, 1), ()):
+        with pytest.raises(ValidationError, match="^ranks: "):
+            hierarchy_certify(halton_source(0), ranks, 10**4)
+    assert len(hierarchy_certify(halton_source(0), [1, 2, 3], 10**4)) == 3
 
 
 def test_halton_hierarchy_passes_explicit_bins():
@@ -106,7 +102,7 @@ def test_halton_hierarchy_passes_explicit_bins():
 
 
 def test_halton_hierarchy_passes_default_bins():
-    reports = hierarchy_certify(halton_source(0), ProjectionHierarchy((1, 2, 3)), 10**4)
+    reports = hierarchy_certify(halton_source(0), (1, 2, 3), 10**4)
     assert all(r.passed for r in reports)
 
 

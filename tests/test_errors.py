@@ -57,78 +57,82 @@ def _run(**kwargs):
 
 
 # At least one bad argument per public constructor and function that checks any.
+# A case's id is its label and its field, so cases come and go without
+# renaming the others.  The numbered labels are the positions the cases had
+# when ids were positional, kept so that their ids stay as they were.
 BAD_ARGUMENTS = [
-    ("matrix", lambda: dm.quadratic_action([[1.0, 0.2], [0.1, 1.0]])),
-    ("matrix", lambda: dm.quadratic_action(np.eye(17))),
-    ("linear", lambda: dm.quadratic_action([[1.0]], [1.0, 2.0])),
-    ("constant", lambda: dm.quadratic_action([[1.0]], constant=math.nan)),
-    ("rank", lambda: dm.CustomAction(lambda x: x[:, 0], -1)),
-    ("widths", lambda: dm.gaussian_regularizer([])),
-    ("regularizer", lambda: _oscillatory(action=dm.quadratic_action(np.eye(2)))),
-    ("route", lambda: _oscillatory(route="sideways")),
-    ("box_half_width", lambda: _oscillatory(route="weight-borne", box_half_width=0.0)),
-    ("action", lambda: dm.fresnel_limit_scan(dm.halton_source(1), dm.quadratic_action([[0.0]]),
-                                             [1.0, 2.0])),
-    ("widths", lambda: dm.fresnel_limit_scan(dm.halton_source(1), ACT, [2.0, 1.0])),
-    ("rank", lambda: dm.cylinder_function(-1, 1.0)),
-    ("base", lambda: dm.cylinder_function(1, 2.0)),
-    ("points", lambda: F_X1.eval_block(np.zeros((2, 0)))),
-    ("base", lambda: dm.cylinder_function(1, lambda x: x, "column").eval_block(np.zeros((2, 1)))),
-    ("ranks", lambda: dm.ProjectionHierarchy((2, 1))),
-    ("bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(0), [1, 2], 1000, 0.999,
-                                                   [4])),
-    ("values", lambda: dm.MeanAccumulator().add_block(np.ones(2), np.ones(3))),
-    ("delta", lambda: dm.MeanAccumulator().add_block(np.ones(1), np.ones(1)).estimate(1.0)),
-    ("window", lambda: dm.StoppingRule(window=1)),
-    ("rel_tol", lambda: dm.StoppingRule(rel_tol=0.0)),
-    ("min_samples", lambda: dm.StoppingRule(min_samples=0)),
-    ("degeneracy_threshold", lambda: dm.StoppingRule(degeneracy_threshold=1.5)),
-    ("budget", lambda: _run(budget=999)),
-    ("trace_stride", lambda: _run(trace_stride=0)),
-    ("block_size", lambda: _run(block_size=512.0)),
-    ("policy", lambda: _run(policy=ColumnWeights())),
-    ("total", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 4, 8)),
-    ("n_blocks", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 8, 0)),
-    ("domain", lambda: dm.QuadratureSpec(())),
-    ("domain", lambda: dm.QuadratureSpec(((1.0, 0.0),))),
-    ("cells_per_axis", lambda: dm.QuadratureSpec(((0.0, 1.0),), 2)),
-    ("moment", lambda: dm.complex_gaussian_moment(1.0, 1.0, 1)),
-    ("curvature", lambda: dm.complex_gaussian_moment(math.inf, 1.0, 2)),
-    ("width", lambda: dm.gaussian_domain(-1.0)),
-    ("rank", lambda: dm.gaussian_domain(1.0, 0)),
-    ("index_offset", lambda: dm.halton_source(3).block(2**63 - 2, 2**63 - 1, 2)),
-    ("start", lambda: dm.halton_source().block(-1, 2, 1)),
-    ("rank", lambda: dm.halton_source().block(0, 2, 0)),
-    ("start", lambda: dm.halton_source().block(-1, 0, 1)[0]),
-    ("rank", lambda: dm.halton_source().block(0, 1, 0)[0]),
-    ("index_offset", lambda: dm.halton_source(-1)),
-    ("alphas", lambda: dm.weyl_source(["0.5"])),
-    ("alphas", lambda: dm.weyl_source(["abc"])),
-    ("alphas", lambda: dm.weyl_source(["0.6180339887498948482"]).block(0, 2, 2)),
-    ("precision", lambda: dm.weyl_source(precision=32)),
-    ("rate", lambda: dm.convergent_source(0.5, 1.0)),
-    ("widths", lambda: dm.normal_quantiles([1.0, 0.0])),
-    ("half_width", lambda: dm.box_quantiles(-1.0)),
-    ("base", lambda: dm.pullback_source(PULLBACK, dm.normal_quantiles())),
-    ("source", lambda: dm.equidistribution_statistic(PULLBACK, 1, 100, 4)),
-    ("bins_per_axis", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 1)),
-    ("level", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 4, 1.5)),
-    ("rank", lambda: dm.equidistribution_statistic(dm.halton_source(), 0, 100, 4)),
-    ("sample_count", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 2.5, 4)),
-    ("rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
-    ("index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
-    ("index_phase", lambda: dm.product_regularized_policy(REG, ACT, math.inf)),
-    ("matrix", lambda: dm.quadratic_action([["x"]])),
-    ("matrix", lambda: dm.quadratic_action([[1.0], [1.0, 2.0]])),
-    ("linear", lambda: dm.quadratic_action([[1.0]], linear=["y"])),
-    ("target", lambda: dm.convergent_source(math.nan, 0.5)),
-    ("offset", lambda: dm.convergent_source(0.5, 0.5, math.inf)),
-    ("target", lambda: dm.convergent_source([], 0.5)),
+    ("0", "matrix", lambda: dm.quadratic_action([[1.0, 0.2], [0.1, 1.0]])),
+    ("1", "matrix", lambda: dm.quadratic_action(np.eye(17))),
+    ("2", "linear", lambda: dm.quadratic_action([[1.0]], [1.0, 2.0])),
+    ("3", "constant", lambda: dm.quadratic_action([[1.0]], constant=math.nan)),
+    ("4", "rank", lambda: dm.CustomAction(lambda x: x[:, 0], -1)),
+    ("5", "widths", lambda: dm.gaussian_regularizer([])),
+    ("6", "regularizer", lambda: _oscillatory(action=dm.quadratic_action(np.eye(2)))),
+    ("7", "route", lambda: _oscillatory(route="sideways")),
+    ("8", "box_half_width", lambda: _oscillatory(route="weight-borne", box_half_width=0.0)),
+    ("9", "action", lambda: dm.fresnel_limit_scan(dm.halton_source(1),
+                                                  dm.quadratic_action([[0.0]]), [1.0, 2.0])),
+    ("10", "widths", lambda: dm.fresnel_limit_scan(dm.halton_source(1), ACT, [2.0, 1.0])),
+    ("11", "rank", lambda: dm.cylinder_function(-1, 1.0)),
+    ("12", "base", lambda: dm.cylinder_function(1, 2.0)),
+    ("13", "points", lambda: F_X1.eval_block(np.zeros((2, 0)))),
+    ("14", "base", lambda: dm.cylinder_function(1, lambda x: x, "column").eval_block(np.zeros((2, 1)))),
+    ("15", "ranks", lambda: dm.hierarchy_certify(dm.halton_source(0), (2, 1), 1000)),
+    ("16", "bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(0), [1, 2], 1000,
+                                                         0.999, [4])),
+    ("17", "values", lambda: dm.MeanAccumulator().add_block(np.ones(2), np.ones(3))),
+    ("18", "delta", lambda: dm.MeanAccumulator().add_block(np.ones(1), np.ones(1)).estimate(1.0)),
+    ("19", "window", lambda: dm.StoppingRule(window=1)),
+    ("20", "rel_tol", lambda: dm.StoppingRule(rel_tol=0.0)),
+    ("21", "min_samples", lambda: dm.StoppingRule(min_samples=0)),
+    ("22", "degeneracy_threshold", lambda: dm.StoppingRule(degeneracy_threshold=1.5)),
+    ("23", "budget", lambda: _run(budget=999)),
+    ("24", "trace_stride", lambda: _run(trace_stride=0)),
+    ("25", "block_size", lambda: _run(block_size=512.0)),
+    ("26", "policy", lambda: _run(policy=ColumnWeights())),
+    ("27", "total", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 4, 8)),
+    ("28", "n_blocks", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 8, 0)),
+    ("29", "domain", lambda: dm.QuadratureSpec(())),
+    ("30", "domain", lambda: dm.QuadratureSpec(((1.0, 0.0),))),
+    ("31", "cells_per_axis", lambda: dm.QuadratureSpec(((0.0, 1.0),), 2)),
+    ("32", "moment", lambda: dm.complex_gaussian_moment(1.0, 1.0, 1)),
+    ("33", "curvature", lambda: dm.complex_gaussian_moment(math.inf, 1.0, 2)),
+    ("36", "index_offset", lambda: dm.halton_source(3).block(2**63 - 2, 2**63 - 1, 2)),
+    ("37", "start", lambda: dm.halton_source().block(-1, 2, 1)),
+    ("38", "rank", lambda: dm.halton_source().block(0, 2, 0)),
+    ("39", "start", lambda: dm.halton_source().block(-1, 0, 1)[0]),
+    ("40", "rank", lambda: dm.halton_source().block(0, 1, 0)[0]),
+    ("41", "index_offset", lambda: dm.halton_source(-1)),
+    ("42", "alphas", lambda: dm.weyl_source(["0.5"])),
+    ("43", "alphas", lambda: dm.weyl_source(["abc"])),
+    ("44", "alphas", lambda: dm.weyl_source(["0.6180339887498948482"]).block(0, 2, 2)),
+    ("46", "rate", lambda: dm.convergent_source(0.5, 1.0)),
+    ("47", "widths", lambda: dm.normal_quantiles([1.0, 0.0])),
+    ("48", "half_width", lambda: dm.box_quantiles(-1.0)),
+    ("49", "base", lambda: dm.pullback_source(PULLBACK, dm.normal_quantiles())),
+    ("50", "source", lambda: dm.equidistribution_statistic(PULLBACK, 1, 100, 4)),
+    ("51", "bins_per_axis", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 1)),
+    ("52", "level", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 4, 1.5)),
+    ("53", "rank", lambda: dm.equidistribution_statistic(dm.halton_source(), 0, 100, 4)),
+    ("54", "sample_count", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 2.5, 4)),
+    ("55", "rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
+    ("56", "index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
+    ("57", "index_phase", lambda: dm.product_regularized_policy(REG, ACT, math.inf)),
+    ("58", "matrix", lambda: dm.quadratic_action([["x"]])),
+    ("59", "matrix", lambda: dm.quadratic_action([[1.0], [1.0, 2.0]])),
+    ("60", "linear", lambda: dm.quadratic_action([[1.0]], linear=["y"])),
+    ("61", "target", lambda: dm.convergent_source(math.nan, 0.5)),
+    ("62", "offset", lambda: dm.convergent_source(0.5, 0.5, math.inf)),
+    ("63", "target", lambda: dm.convergent_source([], 0.5)),
+    ("equidistribution-negative", "sample_count",
+     lambda: dm.equidistribution_statistic(dm.halton_source(), 1, -1, 4)),
+    ("hierarchy-negative", "sample_count",
+     lambda: dm.hierarchy_certify(dm.halton_source(), (1, 2), -5)),
 ]
 
 
-@pytest.mark.parametrize("field, call", BAD_ARGUMENTS,
-                         ids=[f"{i}-{field}" for i, (field, _) in enumerate(BAD_ARGUMENTS)])
+@pytest.mark.parametrize("field, call", [case[1:] for case in BAD_ARGUMENTS],
+                         ids=[f"{label}-{field}" for label, field, _ in BAD_ARGUMENTS])
 def test_bad_argument_raises_validation_error_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field}: ") as info:
         call()
@@ -155,8 +159,8 @@ def test_non_finite_widths_are_rejected(field, call):
     ("cells_per_axis", lambda: dm.QuadratureSpec(((0.0, 1.0),), 4.5)),
     ("stop", lambda: dm.halton_source().block(0, 2.5, 1)),
     ("bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(0), [1], 1000,
-                                                   bins_per_axis=4.5)),
-    ("ranks", lambda: dm.ProjectionHierarchy((1, 2.5))),
+                                                   bins_per_axis=[4.5])),
+    ("ranks", lambda: dm.hierarchy_certify(dm.halton_source(0), (1, 2.5), 1000)),
 ], ids=["halton-offset", "weyl-offset", "seed", "function-rank", "cells", "block-stop",
         "bins", "hierarchy"])
 def test_non_integer_counts_are_rejected_not_truncated(field, call):

@@ -606,6 +606,21 @@ def test_nonfinite_term_in_an_earlier_block_of_the_stopping_batch_raises():
             (_bits(clean.final_estimate), clean.N_used)
 
 
+# Blocks 0..69999 and 70000..140000, each read as a 65536-point chunk and a
+# short one: the indices sit in the first chunk, in a short chunk and at a
+# block's last point.
+@pytest.mark.parametrize("index", [3, 67000, 69999, 140000])
+def test_run_blocked_rejects_a_nonfinite_weight_or_function_value(index):
+    src = halton_source(1)
+    with pytest.raises(NonFiniteInput, match="weight"):
+        run_blocked(src, NaNAt(index), F_X1, 140001, 2)
+    # Halton coordinates are distinct, so exactly one point has this value.
+    target = src.block(index, index + 1, 1)[0, 0]
+    func = cylinder_function(1, lambda x: np.where(x[:, 0] == target, np.nan, x[:, 0]))
+    with pytest.raises(NonFiniteInput, match="function value"):
+        run_blocked(src, constant_policy(), func, 140001, 2)
+
+
 def _reference_run(src, pol, func, budget, rule, stride, block_size):
     """``run``'s trace columns and final estimate from the definition: whole
     blocks' ``np.sum`` sums folded with ``MeanAccumulator._fold``, in-block

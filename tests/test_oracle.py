@@ -9,7 +9,6 @@ from diracmean.errors import DegenerateOracle, NoConvergence, ValidationError
 from diracmean.oracle import (
     QuadratureSpec,
     complex_gaussian_moment,
-    gaussian_domain,
     normalized_expectation,
     tensor_quadrature,
 )
@@ -22,8 +21,12 @@ def test_linear_exactness():
     assert abs(tensor_quadrature(lambda x: x[:, 0], UNIT_1D)[0] - 0.5) <= 1e-12
 
 
+# The line cut at +-8: the unit Gaussian's mass outside is below 1e-14.
+BOX_8 = QuadratureSpec(((-8.0, 8.0),))
+
+
 def test_gaussian_mass():
-    value = tensor_quadrature(lambda x: np.exp(-x[:, 0] ** 2 / 2.0), gaussian_domain())[0]
+    value = tensor_quadrature(lambda x: np.exp(-x[:, 0] ** 2 / 2.0), BOX_8)[0]
     assert abs(value - math.sqrt(2.0 * math.pi)) <= 1e-9
 
 
@@ -64,7 +67,7 @@ def test_discontinuous_integrand_hits_the_cap():
 
 def test_cell_doubling_reported():
     _, cells = tensor_quadrature(
-        lambda x: np.exp(-x[:, 0] ** 2 / 2.0), gaussian_domain()
+        lambda x: np.exp(-x[:, 0] ** 2 / 2.0), BOX_8
     )
     assert cells >= 8
 
@@ -102,7 +105,7 @@ def test_vector_integrand_converges_only_when_every_component_agrees():
 
 # A non-diagonal rank-2 Fresnel density: a Gaussian regularizer of widths
 # [1, 1] times exp(-i S) for S(x) = x.A.x / 2, A = [[1, .5], [.5, 2]], on the box +-8.
-RANK2_SPEC = gaussian_domain(1.0, rank=2)
+RANK2_SPEC = QuadratureSpec(((-8.0, 8.0),) * 2)
 
 
 def _rank2_density(x):
@@ -159,7 +162,7 @@ def test_complex_gaussian_second_moment_vs_quadrature():
     got = normalized_expectation(
         lambda x: x[:, 0] ** 2,
         lambda x: np.exp(-x[:, 0] ** 2 * (1.0 + 1.0j) / 2.0),
-        gaussian_domain(),
+        BOX_8,
     )[0]
     assert abs(got - (0.5 - 0.5j)) <= 1e-8
 
@@ -184,7 +187,8 @@ def test_closed_form_moments():
 @pytest.mark.parametrize("curvature", [0.0, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
 def test_oracle_self_consistency(curvature, width):
-    spec = gaussian_domain(width)
+    half = 8.0 * max(width, 1.0)
+    spec = QuadratureSpec(((-half, half),))
     got = normalized_expectation(
         lambda x: x[:, 0] ** 2,
         lambda x: np.exp(-x[:, 0] ** 2 / (2.0 * width**2) - 1j * curvature * x[:, 0] ** 2 / 2.0),

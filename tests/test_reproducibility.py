@@ -1,7 +1,9 @@
-"""Pinned bits of seven `run`s and of six CLI quadrature oracles.
+"""Pinned bits of seven `run`s, two `run_blocked`s and six CLI quadrature
+oracles.
 
 For each run: the estimate, N_used, stop reason and trace rows.  For
-each oracle: ``float.hex`` of the value in ``summary.json`` and the cells
+each blocked run: ``float.hex`` of the accumulator's numerator,
+denominator and absolute weight sum, and its count.  For each oracle: ``float.hex`` of the value in ``summary.json`` and the cells
 per axis it used.  A change that moves any of these bits on purpose
 updates the pins and says so in CHANGES.md; any other change must leave
 them as they are.  The rank-8 row sum was pinned when ``run`` began to
@@ -9,7 +11,8 @@ evaluate several blocks per call, which moved its trace rows; the other
 six runs predate that.  The oracle pins predate quantile families
 owning their density and domain.
 ``PYTHONPATH=src python tests/test_reproducibility.py`` prints the
-current values in the layout of ``PINNED`` and ``PINNED_ORACLES``.
+current values in the layout of ``PINNED``, ``PINNED_BLOCKED`` and
+``PINNED_ORACLES``.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ from diracmean import (
     pseudorandom_source,
     quadratic_action,
     run,
+    run_blocked,
 )
 from diracmean.cli import execute, parse_config_dict
 
@@ -94,6 +98,30 @@ PINNED = {
     'window-cauchy-inside-block': (
         ('0x1.1c4a6cad3a051p-1', '0x0.0p+0'), 6566, 'window-cauchy',
         '64f9c3f4a2fcce0420f0b55e4117275dfdd7807dc6fef7fd52ac411340126306'),
+}
+
+# No block edge is a multiple of the 65536-point chunk, so every block
+# ends in a short chunk.
+BLOCKED = {
+    # Edges 0, 70000, 140001.
+    "density-real-two-blocks": lambda: run_blocked(
+        halton_source(1), DENSITY_POL,
+        cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "x1 x2"), 140001, 2),
+    # Edges 0, 66667, 133334, 200001: the odd block waits one merge round.
+    "oscillatory-complex-three-blocks": lambda: run_blocked(
+        pseudorandom_source(3),
+        oscillatory_policy(quadratic_action([[2.0, 0.5], [0.5, 1.0]])),
+        cylinder_function(2, lambda x: np.exp(1j * x[:, 0]) * x[:, 1], "e^{i x1} x2"),
+        200001, 3),
+}
+
+PINNED_BLOCKED = {
+    'density-real-two-blocks': (
+        '0x1.c7b283114bad6p+15', '0x0.0p+0', '0x1.9a27bd6040000p+17', '0x0.0p+0',
+        '0x1.9a27bd6040000p+17', 140001),
+    'oscillatory-complex-three-blocks': (
+        '0x1.70ef3e3f200d4p+16', '-0x1.792ded6be3f43p+14', '0x1.21ea7e66af42ep+17',
+        '-0x1.9c5fe0dd30a54p+16', '0x1.86a0800000000p+17', 200001),
 }
 
 
@@ -160,6 +188,17 @@ def test_run_bits_are_pinned(name):
     assert _fingerprint(RUNS[name]()) == PINNED[name]
 
 
+def _blocked_fingerprint(acc):
+    num, den = acc.numerator, acc.denominator
+    return (num.real.hex(), num.imag.hex(), den.real.hex(), den.imag.hex(),
+            acc.abs_weight_sum.hex(), acc.count)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_run_blocked_bits_are_pinned(name):
+    assert _blocked_fingerprint(BLOCKED[name]()) == PINNED_BLOCKED[name]
+
+
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_oracle_bits_are_pinned(name):
     assert _oracle_fingerprint(ORACLES[name]) == PINNED_ORACLES[name]
@@ -168,5 +207,7 @@ def test_oracle_bits_are_pinned(name):
 if __name__ == "__main__":
     for name in sorted(RUNS):
         print(f"    {name!r}: {_fingerprint(RUNS[name]())!r},")
+    for name in sorted(BLOCKED):
+        print(f"    {name!r}: {_blocked_fingerprint(BLOCKED[name]())!r},")
     for name in sorted(ORACLES):
         print(f"    {name!r}: {_oracle_fingerprint(ORACLES[name])!r},")

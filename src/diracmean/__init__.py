@@ -11,9 +11,7 @@ from .action import (
     ActionFunctional,
     CustomAction,
     QuadraticAction,
-    Regularizer,
     fresnel_limit_scan,
-    gaussian_regularizer,
     oscillatory_mean,
     quadratic_action,
 )

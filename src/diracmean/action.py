@@ -2,11 +2,13 @@
 
 The oscillatory mean estimates the normalized integral of ``f`` against
 the phase density ``exp(-i S)`` after damping it with a positive,
-integrable product regularizer ``xi``.  Two equivalent routes are
-provided: pull the points back through the quantiles of the normalized
-``xi`` measure and weight by ``exp(-i S)`` alone (the default), or keep
-near-Lebesgue points on a finite box and carry ``xi exp(-i S)`` in the
-weights.
+integrable product regularizer ``xi``.  The regularizer is the quantile
+family of its normalized measure: :func:`~diracmean.seq.normal_quantiles`
+with widths ``sigma_k`` is the Gaussian regularizer
+``prod_k exp(-x_k^2 / (2 sigma_k^2))``, its ``density``.  Two equivalent
+routes are provided: pull the points back through the family's quantiles
+and weight by ``exp(-i S)`` alone (the default), or keep near-Lebesgue
+points on a finite box and carry ``xi exp(-i S)`` in the weights.
 """
 
 from __future__ import annotations
@@ -20,20 +22,19 @@ from .cylinder import CylinderFunction, hierarchy_certify, verify_cylinder
 from .errors import CertificationError, ValidationError, as_count, as_number, as_numbers
 from .seq import (
     BoxQuantiles,
-    NormalQuantiles,
     PointSource,
+    QuantileFamily,
     _columns,
+    normal_quantiles,
     pullback_source,
 )
-from .weights import WeightPolicy, oscillatory_policy, product_regularized_policy
+from .weights import WeightPolicy, _covered, oscillatory_policy, product_regularized_policy
 
 __all__ = [
     "ActionFunctional",
     "QuadraticAction",
     "CustomAction",
     "quadratic_action",
-    "Regularizer",
-    "gaussian_regularizer",
     "oscillatory_mean",
     "fresnel_limit_scan",
 ]
@@ -145,44 +146,6 @@ def quadratic_action(matrix, linear=None, constant: float = 0.0) -> QuadraticAct
     return QuadraticAction(matrix, linear, constant)
 
 
-class Regularizer:
-    """Positive integrable product function ``xi(x) = prod_k xi_k(x_k)``
-    whose per-coordinate normalized measures have known quantiles."""
-
-    family: str = "abstract"
-    rank: int = 0
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def quantiles(self):
-        """Quantile family of the normalized product measure ``xi / Z``."""
-        raise NotImplementedError
-
-
-class GaussianRegularizer(Regularizer):
-    family = "gaussian"
-
-    def __init__(self, widths: float | Sequence[float]):
-        self._quantiles = NormalQuantiles(widths)
-        self.widths = self._quantiles.widths
-        self.rank = len(self.widths)
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        """``exp(-sum_k (x_k / sigma_k)^2 / 2)``: the density of
-        :meth:`quantiles` on the first ``rank`` columns."""
-        return self._quantiles.density(points[:, : self.rank])
-
-    def quantiles(self) -> NormalQuantiles:
-        return self._quantiles
-
-
-def gaussian_regularizer(widths: float | Sequence[float]) -> GaussianRegularizer:
-    """Product of centered Gaussian factors ``exp(-t^2 / (2 sigma_k^2))``;
-    its normalized measure is the centered normal with those widths."""
-    return GaussianRegularizer(widths)
-
-
 def _certify_base(base: PointSource, rank: int) -> None:
     ranks = tuple(range(1, min(rank, 3) + 1))
     reports = hierarchy_certify(base, ranks, _CERTIFICATION_SAMPLES, _CERTIFICATION_LEVEL)
@@ -199,7 +162,7 @@ def _certify_base(base: PointSource, rank: int) -> None:
 def _route(
     base: PointSource,
     action: ActionFunctional,
-    regularizer: Regularizer,
+    regularizer: QuantileFamily,
     func: CylinderFunction,
     route: str,
     box_half_width: float | None,
@@ -208,16 +171,15 @@ def _route(
     :func:`oscillatory_mean`.  The regularizer must cover the coordinates
     the action and the function read."""
     rank = max(int(action.rank), int(func.rank), 1)
-    if regularizer.rank < rank:
+    covered = _covered(regularizer)
+    if covered < rank:
         raise ValidationError(
-            "regularizer", f"covers {regularizer.rank} coordinates but the "
-            f"action/function need {rank}"
-        )
+            "regularizer", f"covers {covered} coordinates but the action/function need {rank}")
     if route == "pullback":
-        return pullback_source(base, regularizer.quantiles()), oscillatory_policy(action)
+        return pullback_source(base, regularizer), oscillatory_policy(action)
     if route == "weight-borne":
         if box_half_width is None:
-            box_half_width = regularizer.quantiles().domain(1, 8.0)[0][1]
+            box_half_width = regularizer.domain(1, 8.0)[0][1]
         box = BoxQuantiles(as_number("box_half_width", box_half_width, 0.0))
         return pullback_source(base, box), product_regularized_policy(regularizer, action)
     raise ValidationError("route", f"{route!r} is not one of ['pullback', 'weight-borne']")
@@ -226,7 +188,7 @@ def _route(
 def oscillatory_mean(
     base: PointSource,
     action: ActionFunctional,
-    regularizer: Regularizer,
+    regularizer: QuantileFamily,
     func: CylinderFunction,
     budget: int,
     rule: mean_mod.StoppingRule | None = None,
@@ -240,8 +202,13 @@ def oscillatory_mean(
     """Normalized oscillatory integral of ``func`` against
     ``xi * exp(-i action)``.
 
-    ``route="pullback"`` maps the cube points through the quantiles of
-    the normalized regularizer measure and weights by ``exp(-i action)``;
+    ``regularizer`` is the quantile family of the normalized ``xi``
+    measure, with a ``density`` (``xi``) and one width per coordinate it
+    covers, e.g. ``normal_quantiles([1.0])`` for ``xi(x) = e^{-x^2/2}``;
+    a family without a density raises ``ValidationError``.
+
+    ``route="pullback"`` maps the cube points through the regularizer's
+    quantiles and weights by ``exp(-i action)``;
     ``route="weight-borne"`` maps them to the uniform box
     ``[-L, L]^rank`` (L defaults to 8x the largest regularizer width) and
     carries ``xi * exp(-i action)`` in the weights.  Both estimate the
@@ -298,7 +265,7 @@ def fresnel_limit_scan(
     out = []
     for w in ws:
         report = oscillatory_mean(
-            base, action, gaussian_regularizer([w] * max(func.rank, 1)), func,
+            base, action, normal_quantiles([w] * max(func.rank, 1)), func,
             budget, rule, **kwargs,
         )
         out.append((w, report))

@@ -23,7 +23,6 @@ from .action import (
     _scan_action,
     _scan_widths,
     fresnel_limit_scan,
-    gaussian_regularizer,
     quadratic_action,
 )
 from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
@@ -211,7 +210,7 @@ def _regularizer(spec, field: str = "regularizer"):
     _require_keys(spec, {"family", "widths"}, field)
     if spec.get("family", "gaussian") != "gaussian":
         raise ValidationError(f"{field}.family", "only the 'gaussian' family is configurable")
-    reg = _built(f"{field}.widths", gaussian_regularizer, spec.get("widths", [1.0]))
+    reg = _built(f"{field}.widths", normal_quantiles, spec.get("widths", [1.0]))
     return {"family": "gaussian", "widths": list(reg.widths)}, reg
 
 
@@ -517,9 +516,10 @@ def _oracle_integrand(config: ExperimentConfig, func):
     elif config.mode == "oracle" or config.route is not None:
         act = _action(config.action)[1]
         reg = _regularizer(config.regularizer)[1]
-        rank = max(act.rank, reg.rank, func.rank if config.mode == "compare" else 0)
-        rho = product_regularized_policy(reg, act).weights
-        domain = reg.quantiles().domain(rank, config.truncation)
+        pol = product_regularized_policy(reg, act)
+        rank = max(pol.rank, func.rank if config.mode == "compare" else 0)
+        rho = pol.weights
+        domain = reg.domain(rank, config.truncation)
     else:
         if config.policy.get("index_phase", 0.0) != 0.0:
             raise ValidationError("policy.index_phase",

@@ -111,7 +111,10 @@ def verify_cylinder(func: CylinderFunction) -> None:
 def _ranks(ranks: Sequence[int]) -> tuple[int, ...]:
     """The truncation ranks as ints, unless they are not a nonempty,
     strictly increasing sequence of integers >= 1."""
-    ranks = tuple(as_count("ranks", r, 1) for r in ranks)
+    try:
+        ranks = tuple(as_count("ranks", r, 1) for r in ranks)
+    except TypeError:
+        raise ValidationError("ranks", f"must be a sequence of integers, got {ranks!r}") from None
     if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValidationError("ranks", f"must be nonempty and strictly increasing, got {ranks}")
     return ranks

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import gaussian_regularizer, quadratic_action
+from .action import quadratic_action
 from .cylinder import CylinderFunction
 from .errors import DiracMeanError, ValidationError, as_count, as_number
+from .seq import normal_quantiles
 
 __all__ = ["FUNCTION_NAMES", "build_function"]
 
@@ -76,8 +77,11 @@ def _cosine(params: dict, field: str) -> CylinderFunction:
 
 def _gaussian(params: dict, field: str) -> CylinderFunction:
     ws = _as_list(params.get("widths", [1.0]), f"{field}.widths")
-    reg = _built(f"{field}.widths", gaussian_regularizer, ws)
-    return CylinderFunction(reg.rank, reg.value, label=f"gaussian{list(reg.widths)}")
+    reg = _built(f"{field}.widths", normal_quantiles, ws)
+    rank = len(reg.widths)
+    # The family's density reads every column, so it is handed only its own.
+    return CylinderFunction(rank, lambda x: reg.density(x[:, :rank]),
+                            label=f"gaussian{list(reg.widths)}")
 
 
 def _quadratic_form(params: dict, field: str) -> CylinderFunction:

@@ -3,7 +3,9 @@
 A policy maps the point (and its index) to the complex weight that
 multiplies the function evaluation in the self-normalized mean.  All
 policies are pure functions of ``(point, index)``, so blocks of weights
-can be computed concurrently without coordination.
+can be computed concurrently without coordination.  The product-regularized
+policy's regularizer is a quantile family: its ``density`` is ``xi`` and its
+``widths`` count the coordinates ``xi`` covers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NegativeDensity, WeightOverflow, as_count, as_number
+from .errors import NegativeDensity, ValidationError, WeightOverflow, as_count, as_number
 
 __all__ = [
     "WeightPolicy",
@@ -35,6 +37,25 @@ def _phase(s: np.ndarray) -> np.ndarray:
     np.sin(s, out=out.imag)
     np.negative(out.imag, out=out.imag)
     return out
+
+
+def _action_phase(action, index_phase: float, points: np.ndarray, start_index: int) -> np.ndarray:
+    """``exp(-i (action(x_n) + index_phase * n))`` for a block of points
+    whose first row has index ``start_index``."""
+    s = np.asarray(action(points[:, : int(action.rank)]), dtype=np.float64)
+    if index_phase != 0.0:
+        n = np.arange(start_index, start_index + len(points), dtype=np.float64)
+        s = s + index_phase * n
+    return _phase(s)
+
+
+def _covered(regularizer) -> int:
+    """The number of leading coordinates a regularizer covers: one per
+    width of its quantile family, which must have a ``density``."""
+    if getattr(regularizer, "density", None) is None:
+        family = getattr(regularizer, "family", type(regularizer).__name__)
+        raise ValidationError("regularizer", f"the {family!r} family has no density")
+    return len(regularizer.widths)
 
 
 class WeightPolicy:
@@ -102,11 +123,7 @@ class OscillatoryPolicy(WeightPolicy):
         self.rank = int(action.rank)
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
-        s = np.asarray(self.action(points[:, : self.rank]), dtype=np.float64)
-        if self.index_phase != 0.0:
-            n = np.arange(start_index, start_index + len(points), dtype=np.float64)
-            s = s + self.index_phase * n
-        return _phase(s)
+        return _action_phase(self.action, self.index_phase, points, start_index)
 
 
 class ProductRegularizedPolicy(WeightPolicy):
@@ -114,22 +131,16 @@ class ProductRegularizedPolicy(WeightPolicy):
 
     def __init__(self, regularizer, action, index_phase: float = 0.0):
         self.regularizer = regularizer
+        self.covered = _covered(regularizer)
         self.action = action
         self.index_phase = as_number("index_phase", index_phase)
-        self.rank = max(int(regularizer.rank), int(action.rank))
+        self.rank = max(self.covered, int(action.rank))
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
-        xi = np.asarray(
-            self.regularizer.value(points[:, : self.regularizer.rank]),
-            dtype=np.float64,
-        )
+        xi = np.asarray(self.regularizer.density(points[:, : self.covered]), dtype=np.float64)
         if np.any(xi < 0):
             raise NegativeDensity("regularizer returned a negative value")
-        s = np.asarray(self.action(points[:, : self.action.rank]), dtype=np.float64)
-        if self.index_phase != 0.0:
-            n = np.arange(start_index, start_index + len(points), dtype=np.float64)
-            s = s + self.index_phase * n
-        out = _phase(s)
+        out = _action_phase(self.action, self.index_phase, points, start_index)
         out *= xi
         return out
 
@@ -165,5 +176,10 @@ def oscillatory_policy(action, index_phase: float = 0.0) -> WeightPolicy:
 
 def product_regularized_policy(regularizer, action, index_phase: float = 0.0) -> WeightPolicy:
     """Weights ``xi(x) * exp(-i action(x))`` carrying the integrable
-    product regularizer in the weight instead of the sampling measure."""
+    product regularizer in the weight instead of the sampling measure.
+
+    The regularizer is a quantile family with a ``density`` and ``widths``,
+    such as :func:`~diracmean.seq.normal_quantiles`; ``xi`` is that density
+    on its first ``len(widths)`` coordinates.  A family without a density
+    raises ``ValidationError`` naming ``regularizer``."""
     return ProductRegularizedPolicy(regularizer, action, index_phase)

@@ -20,9 +20,9 @@ from diracmean import (
     cylinder_function,
     density_policy,
     fresnel_limit_scan,
-    gaussian_regularizer,
     halton_source,
     hierarchy_certify,
+    normal_quantiles,
     oscillatory_mean,
     oscillatory_policy,
     product_regularized_policy,
@@ -90,7 +90,7 @@ def test_criterion_03_linear_extension_of_the_limit():
 @pytest.fixture(scope="module")
 def fresnel_pullback():
     return oscillatory_mean(
-        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+        halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
         F_X1SQ, 10**6, full(10**6),
     )
 
@@ -98,7 +98,7 @@ def fresnel_pullback():
 def test_criterion_04_oscillatory_fresnel_value(fresnel_pullback):
     t0 = time.perf_counter()
     report = oscillatory_mean(
-        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+        halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
         F_X1SQ, 10**6, full(10**6),
     )
     elapsed = time.perf_counter() - t0
@@ -119,7 +119,7 @@ def test_criterion_04_oscillatory_fresnel_value(fresnel_pullback):
 
 def test_criterion_05_route_equivalence(fresnel_pullback):
     weight_borne = oscillatory_mean(
-        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+        halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
         F_X1SQ, 10**6, full(10**6), route="weight-borne",
     )
     target = 0.5 - 0.5j
@@ -209,7 +209,7 @@ def test_criterion_09_normalization_and_linearity():
         "boltzmann": boltzmann_policy(quadratic_action([[1.0]])),
         "oscillatory": oscillatory_policy(quadratic_action([[1.0]])),
         "fresnel": product_regularized_policy(
-            gaussian_regularizer([1.0]), quadratic_action([[1.0]])),
+            normal_quantiles([1.0]), quadratic_action([[1.0]])),
     }
     exact = True
     for sname, source in sources.items():

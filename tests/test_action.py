@@ -14,7 +14,6 @@ from diracmean import (
     convergent_source,
     cylinder_function,
     fresnel_limit_scan,
-    gaussian_regularizer,
     halton_source,
     normal_quantiles,
     oscillatory_mean,
@@ -68,23 +67,24 @@ def test_custom_action_evaluates_declared_rank():
     assert ev(act, -2.0) == 8.0
 
 
-def test_gaussian_regularizer_values_and_product_structure():
-    reg = gaussian_regularizer([1.0])
-    assert reg.value(np.array([[0.0]]))[0] == 1.0
-    assert reg.value(np.array([[1.0]]))[0] == pytest.approx(np.exp(-0.5), rel=1e-15)
-    reg2 = gaussian_regularizer([1.0, 2.0])
-    assert reg2.value(np.array([[1.0, 2.0]]))[0] == pytest.approx(np.exp(-1.0), rel=1e-15)
+def test_normal_regularizer_values_and_product_structure():
+    reg = normal_quantiles([1.0])
+    assert reg.density(np.array([[0.0]]))[0] == 1.0
+    assert reg.density(np.array([[1.0]]))[0] == pytest.approx(np.exp(-0.5), rel=1e-15)
+    reg2 = normal_quantiles([1.0, 2.0])
+    assert reg2.density(np.array([[1.0, 2.0]]))[0] == pytest.approx(np.exp(-1.0), rel=1e-15)
     # product structure: log xi(x) = sum_k log xi_k(x_k)
     pts = np.random.default_rng(2).normal(size=(32, 2))
-    joint = np.log(reg2.value(pts))
-    split = (np.log(gaussian_regularizer([1.0]).value(pts[:, :1]))
-             + np.log(gaussian_regularizer([2.0]).value(pts[:, 1:])))
+    joint = np.log(reg2.density(pts))
+    split = (np.log(normal_quantiles([1.0]).density(pts[:, :1]))
+             + np.log(normal_quantiles([2.0]).density(pts[:, 1:])))
     assert np.max(np.abs(joint - split)) <= 1e-12
 
 
 def _reference_gaussian(points, widths):
-    """``GaussianRegularizer.value`` as written before it became the
-    density of ``NormalQuantiles``: the same operations in the same order."""
+    """The Gaussian regularizer ``xi`` on the first ``len(widths)`` columns,
+    as first written: the operations of ``NormalQuantiles.density`` in the
+    same order."""
     cols = np.ascontiguousarray(points[:, : len(widths)].T)
     with np.errstate(over="ignore", under="ignore"):
         q = np.divide(cols[0], widths[0])
@@ -107,38 +107,24 @@ _COORD = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e155, -1e200, 1.7e3
 @settings(max_examples=200, deadline=None)
 @given(widths=st.lists(_WIDTH, min_size=1, max_size=4), extra=st.integers(0, 2),
        data=st.data())
-def test_gaussian_regularizer_keeps_its_bits_in_either_layout(widths, extra, data):
+def test_normal_regularizer_keeps_its_bits_in_either_layout(widths, extra, data):
     rank = len(widths) + extra
     rows = data.draw(st.lists(st.lists(_COORD, min_size=rank, max_size=rank),
                               min_size=1, max_size=6))
     pts = np.array(rows + [[1e200] * rank])
-    reg = gaussian_regularizer(widths)
+    reg = normal_quantiles(widths)
     want = _reference_gaussian(pts, widths).tobytes()
     for block in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert reg.value(block).tobytes() == want
+            assert reg.density(block[:, : len(widths)]).tobytes() == want
 
 
-def test_gaussian_regularizer_quantiles_are_normal():
-    reg = gaussian_regularizer([2.0])
-    median, one_sigma = reg.quantiles().apply(0, np.array([0.5, 0.8413447447]))
-    assert median == 0.0
-    assert one_sigma == pytest.approx(2.0, abs=1e-6)
-
-
-def test_gaussian_regularizer_rejects_nonpositive_width():
-    with pytest.raises(ValidationError):
-        gaussian_regularizer([1.0, -0.5])
-    with pytest.raises(ValidationError):
-        gaussian_regularizer([])
-
-
-def test_gaussian_regularizer_extreme_width_gives_exact_limits():
-    reg = gaussian_regularizer([1e-200])
+def test_normal_regularizer_extreme_width_gives_exact_limits():
+    reg = normal_quantiles([1e-200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        xi = reg.value(np.array([[0.0], [1.0]]))
+        xi = reg.density(np.array([[0.0], [1.0]]))
     assert xi.tolist() == [1.0, 0.0]
 
 
@@ -147,7 +133,7 @@ def test_registry_gaussian_is_the_regularizer():
     func = build_function({"name": "gaussian", "widths": ws})
     x = np.random.default_rng(5).normal(size=(64, 4))
     assert func.rank == 3
-    assert np.array_equal(func.eval_block(x), gaussian_regularizer(ws).value(x))
+    assert np.array_equal(func.eval_block(x), normal_quantiles(ws).density(x[:, :3]))
     with pytest.raises(ValidationError):
         build_function({"name": "gaussian", "widths": [1.0, 0.0]})
 
@@ -158,7 +144,7 @@ def test_registry_gaussian_is_the_regularizer():
 
 def test_oscillatory_mean_plain_gaussian_second_moment():
     report = oscillatory_mean(
-        halton_source(1), quadratic_action([[0.0]]), gaussian_regularizer([1.0]),
+        halton_source(1), quadratic_action([[0.0]]), normal_quantiles([1.0]),
         F_X1SQ, 10**6, FULL(10**6),
     )
     assert abs(report.final_estimate - 1.0) <= 5e-3
@@ -166,7 +152,7 @@ def test_oscillatory_mean_plain_gaussian_second_moment():
 
 def test_oscillatory_mean_complex_gaussian_second_moment():
     report = oscillatory_mean(
-        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+        halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
         F_X1SQ, 10**6, FULL(10**6),
     )
     assert abs(report.final_estimate - (0.5 - 0.5j)) <= 5e-3
@@ -176,7 +162,7 @@ def test_oscillatory_mean_normalization_is_exact():
     one = cylinder_function(0, 1.0, "one")
     report = oscillatory_mean(
         halton_source(1), quadratic_action([[2.5]], constant=1.1),
-        gaussian_regularizer([1.3]), one, 2000,
+        normal_quantiles([1.3]), one, 2000,
     )
     assert report.final_estimate == 1 + 0j
 
@@ -188,7 +174,7 @@ def test_oscillatory_mean_agrees_with_wick_rotated_route():
     zero = quadratic_action([[0.0]])
     boltz = run(src, boltzmann_policy(zero), F_X1SQ, 10**5, FULL(10**5))
     osc = oscillatory_mean(
-        halton_source(1), zero, gaussian_regularizer([1.0]), F_X1SQ, 10**5, FULL(10**5),
+        halton_source(1), zero, normal_quantiles([1.0]), F_X1SQ, 10**5, FULL(10**5),
     )
     assert abs(osc.final_estimate - boltz.final_estimate) <= 1e-12
     assert abs(osc.final_estimate - 1.0) <= 2e-2
@@ -196,7 +182,7 @@ def test_oscillatory_mean_agrees_with_wick_rotated_route():
 
 def test_phase_shift_gauge_invariance():
     base = halton_source(1)
-    reg = gaussian_regularizer([1.0])
+    reg = normal_quantiles([1.0])
     rule = StoppingRule(min_samples=10**4)
     plain = oscillatory_mean(base, quadratic_action([[1.0]]), reg, F_X1SQ,
                              10**4, rule, skip_certification=True, trace_stride=500)
@@ -210,7 +196,7 @@ def test_phase_shift_gauge_invariance():
 def test_partition_function_conditioning_matches_closed_form():
     # |Z_m| / sum|w| approaches |1 + i a s^2|^{-1/2} = 2^{-1/4} for a = s = 1
     report = oscillatory_mean(
-        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+        halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
         F_X1SQ, 10**6, FULL(10**6),
     )
     target = 2.0 ** -0.25
@@ -220,7 +206,7 @@ def test_partition_function_conditioning_matches_closed_form():
 def test_oscillatory_mean_requires_wide_enough_regularizer():
     with pytest.raises(ValidationError):
         oscillatory_mean(
-            halton_source(1), quadratic_action(np.eye(2)), gaussian_regularizer([1.0]),
+            halton_source(1), quadratic_action(np.eye(2)), normal_quantiles([1.0]),
             F_X1SQ, 2000, skip_certification=True,
         )
 
@@ -229,12 +215,12 @@ def test_oscillatory_mean_certifies_the_base_source():
     bad = convergent_source(0.3, 0.5, 0.0)
     with pytest.raises(CertificationError):
         oscillatory_mean(
-            bad, quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+            bad, quadratic_action([[1.0]]), normal_quantiles([1.0]),
             F_X1SQ, 2000,
         )
     # the flag skips the check; the constant point makes a defined ratio
     report = oscillatory_mean(
-        bad, quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+        bad, quadratic_action([[1.0]]), normal_quantiles([1.0]),
         F_X1SQ, 2000, skip_certification=True,
     )
     assert report.final_estimate is not None
@@ -243,7 +229,7 @@ def test_oscillatory_mean_certifies_the_base_source():
 def test_oscillatory_mean_rejects_unknown_route():
     with pytest.raises(ValueError):
         oscillatory_mean(
-            halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer([1.0]),
+            halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
             F_X1SQ, 2000, route="sideways", skip_certification=True,
         )
 

@@ -1,0 +1,33 @@
+"""The public surface: the names ``import diracmean`` exposes."""
+
+import os
+import subprocess
+import sys
+
+# The count of this list is the API size that the roadmap tracks.
+PUBLIC_NAMES = [
+    "ActionFunctional", "CertificationError", "ConvergenceReport", "CustomAction",
+    "CylinderFunction", "CylinderViolation", "DEGENERATE", "Degenerate", "DegenerateOracle",
+    "DiracMeanError", "EmptyAccumulator", "EquidistributionReport", "InsufficientSample",
+    "MeanAccumulator", "NegativeDensity", "NoConvergence", "NonFiniteInput", "ParseError",
+    "PointSource", "QuadraticAction", "QuadratureSpec", "QuantileDomain", "QuantileFamily",
+    "StoppingRule", "ValidationError", "WeightOverflow", "WeightPolicy", "action",
+    "boltzmann_policy", "box_quantiles", "complex_gaussian_moment", "constant_policy",
+    "convergent_source", "cylinder", "cylinder_function", "density_policy",
+    "equidistribution_statistic", "errors", "fresnel_limit_scan", "halton_source",
+    "hierarchy_certify", "mean", "merge", "normal_quantiles", "normalized_expectation",
+    "oracle", "oscillatory_mean", "oscillatory_policy", "product_regularized_policy",
+    "pseudorandom_source", "pullback_source", "quadratic_action", "run", "run_blocked",
+    "seq", "tensor_quadrature", "uniform_quantiles", "verify_cylinder", "weights",
+    "weyl_source",
+]
+
+
+def test_import_exposes_exactly_the_public_names():
+    # A fresh interpreter: importing a submodule such as diracmean.cli
+    # elsewhere in the session would add its name to the package.
+    code = "import diracmean; print(' '.join(n for n in dir(diracmean) if not n.startswith('_')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.split() == PUBLIC_NAMES
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 60

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmean import gaussian_regularizer, halton_source, oscillatory_mean, quadratic_action
+from diracmean import halton_source, normal_quantiles, oscillatory_mean, quadratic_action
 from diracmean.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
@@ -428,7 +428,7 @@ def test_cli_route_run_is_oscillatory_mean_bit_for_bit(route, extra):
     config = parse_config_dict(cfg)
     reg = config.regularizer["widths"]
     direct = oscillatory_mean(
-        halton_source(1), quadratic_action([[1.0]]), gaussian_regularizer(reg),
+        halton_source(1), quadratic_action([[1.0]]), normal_quantiles(reg),
         build_function(cfg["function"]), config.budget, config.stopping_rule(), route=route,
         box_half_width=config.box_half_width, skip_certification=True, trace_stride=700)
 

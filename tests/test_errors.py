@@ -32,7 +32,7 @@ def test_validation_error_is_a_value_error_naming_its_field():
 
 F_X1 = dm.cylinder_function(1, lambda x: x[:, 0], "x1")
 ACT = dm.quadratic_action([[1.0]])
-REG = dm.gaussian_regularizer([1.0])
+REG = dm.normal_quantiles([1.0])
 RULE = dm.StoppingRule(min_samples=1000)
 PULLBACK = dm.pullback_source(dm.halton_source(1), dm.normal_quantiles())
 
@@ -66,7 +66,7 @@ BAD_ARGUMENTS = [
     ("2", "linear", lambda: dm.quadratic_action([[1.0]], [1.0, 2.0])),
     ("3", "constant", lambda: dm.quadratic_action([[1.0]], constant=math.nan)),
     ("4", "rank", lambda: dm.CustomAction(lambda x: x[:, 0], -1)),
-    ("5", "widths", lambda: dm.gaussian_regularizer([])),
+    ("5", "widths", lambda: dm.normal_quantiles([])),
     ("6", "regularizer", lambda: _oscillatory(action=dm.quadratic_action(np.eye(2)))),
     ("7", "route", lambda: _oscillatory(route="sideways")),
     ("8", "box_half_width", lambda: _oscillatory(route="weight-borne", box_half_width=0.0)),
@@ -128,6 +128,16 @@ BAD_ARGUMENTS = [
      lambda: dm.equidistribution_statistic(dm.halton_source(), 1, -1, 4)),
     ("hierarchy-negative", "sample_count",
      lambda: dm.hierarchy_certify(dm.halton_source(), (1, 2), -5)),
+    ("hierarchy-scalar-ranks", "ranks",
+     lambda: dm.hierarchy_certify(dm.halton_source(), 2, 1000)),
+    ("oscillatory-box-regularizer", "regularizer",
+     lambda: _oscillatory(regularizer=dm.box_quantiles(1.0))),
+    ("oscillatory-uniform-regularizer", "regularizer",
+     lambda: _oscillatory(regularizer=dm.uniform_quantiles())),
+    ("policy-box-regularizer", "regularizer",
+     lambda: dm.product_regularized_policy(dm.box_quantiles(1.0), ACT)),
+    ("policy-uniform-regularizer", "regularizer",
+     lambda: dm.product_regularized_policy(dm.uniform_quantiles(), ACT)),
 ]
 
 
@@ -143,7 +153,7 @@ def test_bad_argument_raises_validation_error_naming_it(field, call):
     ("widths", lambda: dm.normal_quantiles([math.nan])),
     ("widths", lambda: dm.normal_quantiles(math.inf)),
     ("half_width", lambda: dm.box_quantiles([math.inf])),
-    ("widths", lambda: dm.gaussian_regularizer([1.0, math.nan])),
+    ("widths", lambda: dm.normal_quantiles([1.0, math.nan])),
     ("width", lambda: dm.complex_gaussian_moment(1.0, math.nan, 2)),
 ], ids=["normal-nan", "normal-inf", "box-inf", "regularizer-nan", "moment-nan"])
 def test_non_finite_widths_are_rejected(field, call):

@@ -10,7 +10,6 @@ from diracmean import (
     boltzmann_policy,
     box_quantiles,
     convergent_source,
-    gaussian_regularizer,
     halton_source,
     merge,
     normal_quantiles,
@@ -19,6 +18,7 @@ from diracmean import (
     pseudorandom_source,
     quadratic_action,
     uniform_quantiles,
+    verify_cylinder,
     weyl_source,
 )
 from diracmean.registry import FUNCTION_NAMES, build_function
@@ -168,7 +168,7 @@ def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_const
     lo = min(lo, m - 1)
     assert np.array_equal(act(x[lo:hi]), s[lo:hi])
     assert np.array_equal(act(x[lo : lo + 1]), s[lo : lo + 1])
-    reg = gaussian_regularizer(rng.uniform(0.5, 3.0, rank))
+    reg = normal_quantiles(rng.uniform(0.5, 3.0, rank))
     policies = (
         boltzmann_policy(act),
         oscillatory_policy(act),
@@ -176,7 +176,8 @@ def test_action_and_weights_are_row_pure(rank, diagonal, with_linear, with_const
     )
     for pol in policies:
         assert pol.weights(x[lo : lo + 1], start_index=lo)[0] == pol.weights(x)[lo]
-    for evaluate in (act, reg.value, *(pol.weights for pol in policies)):
+    for evaluate in (act, lambda p: reg.density(p[:, :rank]),
+                     *(pol.weights for pol in policies)):
         assert np.array_equal(evaluate(xf), evaluate(x))
         assert np.array_equal(evaluate(xf[lo:hi]), evaluate(x[lo:hi]))
     assert np.array_equal(x, before) and np.array_equal(xf, before)
@@ -194,14 +195,20 @@ REGISTRY_SPECS = (
          "linear": [0.1, 0.0, -0.3], "constant": 1.5},
     ]
 )
+REGISTRY_IDS = [f"{spec['name']}-{i}" for i, spec in enumerate(REGISTRY_SPECS)]
 
 
 def test_registry_specs_cover_every_function():
     assert {spec["name"] for spec in REGISTRY_SPECS} == set(FUNCTION_NAMES)
 
 
-@pytest.mark.parametrize("spec", REGISTRY_SPECS,
-                         ids=[f"{spec['name']}-{i}" for i, spec in enumerate(REGISTRY_SPECS)])
+@pytest.mark.parametrize("spec", REGISTRY_SPECS, ids=REGISTRY_IDS)
+def test_registry_functions_read_only_their_declared_rank(spec):
+    """The cylinder probe finds no registry function reading past its rank."""
+    verify_cylinder(build_function(spec))
+
+
+@pytest.mark.parametrize("spec", REGISTRY_SPECS, ids=REGISTRY_IDS)
 @settings(max_examples=6, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=300),

@@ -482,6 +482,9 @@ def test_normal_quantiles_median_and_known_value():
     assert median == 0.0
     assert near == pytest.approx(1.0, abs=1e-4)
     assert one == pytest.approx(1.0, abs=1e-12)
+    median, one_sigma = seq.normal_quantiles([2.0]).apply(0, np.array([0.5, 0.8413447447]))
+    assert median == 0.0
+    assert one_sigma == pytest.approx(2.0, abs=1e-6)
 
 
 def test_quantile_families_are_monotone_with_correct_median():
@@ -541,8 +544,9 @@ def test_pullback_requires_cube_base():
 
 
 def test_nonpositive_widths_rejected():
-    with pytest.raises(ValidationError):
-        seq.normal_quantiles([1.0, 0.0])
+    for widths in ([1.0, 0.0], [1.0, -0.5], []):
+        with pytest.raises(ValidationError):
+            seq.normal_quantiles(widths)
     with pytest.raises(ValidationError):
         seq.box_quantiles(-1.0)
 

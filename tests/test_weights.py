@@ -13,7 +13,6 @@ from diracmean import (
     constant_policy,
     cylinder_function,
     density_policy,
-    gaussian_regularizer,
     halton_source,
     normal_quantiles,
     oscillatory_policy,
@@ -168,14 +167,14 @@ def test_phase_kernel_equals_complex_exp_bit_for_bit(phases, scale):
 
 def test_phase_policies_equal_complex_exp_bit_for_bit():
     act = quadratic_action([[1.0, 0.5], [0.5, 2.0]], linear=[0.3, -1e6])
-    reg = gaussian_regularizer([1.0, 2.0])
+    reg = normal_quantiles([1.0, 2.0])
     pts = halton_source(3).block(0, 5000, 2)
     s = act(pts) + math.pi * np.arange(7, 5007)
     assert np.array_equal(_bits(oscillatory_policy(act, math.pi).weights(pts, start_index=7)),
                           _bits(np.exp(-1j * s)))
     assert np.array_equal(
         _bits(product_regularized_policy(reg, act, math.pi).weights(pts, start_index=7)),
-        _bits(reg.value(pts) * np.exp(-1j * s)))
+        _bits(reg.density(pts) * np.exp(-1j * s)))
 
 
 def test_non_finite_phase_warns_and_gives_a_non_finite_weight():
@@ -185,7 +184,7 @@ def test_non_finite_phase_warns_and_gives_a_non_finite_weight():
 
 
 def test_product_regularized_identity_case_is_constant():
-    reg = gaussian_regularizer([1e6])  # nearly flat on [0,1]
+    reg = normal_quantiles([1e6])  # nearly flat on [0,1]
     zero = quadratic_action([[0.0]])
     pol = product_regularized_policy(reg, zero)
     pts = halton_source(0).block(0, 8, 1)
@@ -196,7 +195,7 @@ def test_product_regularized_complex_gaussian_second_moment():
     # 1D: xi = exp(-x^2/2), S = x^2/2 on a wide box; target 1/(1+i)
     from diracmean.seq import box_quantiles
 
-    reg = gaussian_regularizer([1.0])
+    reg = normal_quantiles([1.0])
     act = quadratic_action([[1.0]])
     src = pullback_source(halton_source(1), box_quantiles(8.0))
     pol = product_regularized_policy(reg, act)
@@ -213,7 +212,7 @@ def test_product_regularized_complex_gaussian_second_moment():
 def test_product_regularized_normalization_ignores_action():
     from diracmean.seq import box_quantiles
 
-    reg = gaussian_regularizer([1.0])
+    reg = normal_quantiles([1.0])
     act = quadratic_action([[3.0]], constant=0.7)
     src = pullback_source(halton_source(1), box_quantiles(8.0))
     pol = product_regularized_policy(reg, act)
@@ -224,9 +223,9 @@ def test_product_regularized_normalization_ignores_action():
 
 def test_product_regularized_rejects_negative_regularizer():
     class Spiky:
-        rank = 1
+        widths = (1.0,)
 
-        def value(self, x):
+        def density(self, x):
             return x[:, 0] - 0.5
 
     pol = product_regularized_policy(Spiky(), quadratic_action([[0.0]]))
@@ -259,7 +258,7 @@ def test_fresnel_route_equivalence_on_gaussian():
 
     base = halton_source(1)
     act = quadratic_action([[1.0]])
-    reg = gaussian_regularizer([1.0])
+    reg = normal_quantiles([1.0])
     n = 10**6
     a = oscillatory_mean(base, act, reg, F_X1SQ, n, FULL(n), route="pullback",
                          skip_certification=True)

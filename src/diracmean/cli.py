@@ -1,9 +1,9 @@
 """Experiment driver: parse a JSON experiment description, wire the
 source/policy/function, run, and emit a CSV trace plus a JSON summary.
 
-Exit codes partition the outcomes: 0 success, 1 config or runtime
-error, 2 degenerate normalization, 3 non-convergence within budget,
-4 certification or comparison failure.
+Exit codes partition the outcomes: 0 success, 1 usage, config or
+runtime error, 2 degenerate normalization, 3 non-convergence within
+budget, 4 certification or comparison failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -48,7 +47,7 @@ from .weights import (
     product_regularized_policy,
 )
 
-__all__ = ["ExperimentConfig", "parse_config", "execute", "main"]
+__all__ = ["ExperimentConfig", "parse_config_dict", "execute", "main"]
 
 MODES = ("estimate", "certify", "oracle", "fresnel-scan", "compare")
 SOURCE_KINDS = ("halton", "weyl", "pseudorandom", "convergent", "pullback")
@@ -60,8 +59,6 @@ EXIT_ERROR = 1
 EXIT_DEGENERATE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CHECK_FAILED = 4
-
-OUT_DIR_ENV = "DIRACMEAN_OUT"
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,6 @@ class ExperimentConfig:
     tolerance: float | None
     truncation: float
     cells_per_axis: int
-    out: str | None
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -244,35 +240,27 @@ def _policy(spec, field: str = "policy"):
     return out, product_regularized_policy(reg, act, out["index_phase"])
 
 
-_TOP_KEYS = {
-    "mode", "budget", "source", "policy", "function", "density", "hierarchy",
-    "bins_per_axis", "stopping", "trace_stride", "significance", "block_size",
-    "action", "regularizer", "route", "box_half_width", "sigmas", "tolerance",
-    "truncation", "cells_per_axis", "out",
-}
-
-
-def _load(text: str) -> dict:
+def _load(data: bytes) -> dict:
+    """The JSON object in ``data``, which must be UTF-8; ``ParseError`` else."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the experiment description is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("the experiment description must be a JSON object")
     return raw
 
 
-def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment description.
-
-    Raises ``ParseError`` for malformed JSON (with line/column) and
-    ``ValidationError`` naming the offending field otherwise.
-    """
-    return parse_config_dict(_load(text), mode)
-
-
 def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
-    _require_keys(raw, _TOP_KEYS, "config")
+    """Validate a decoded experiment description, whose top-level keys are
+    ``ExperimentConfig``'s fields; a ``ValidationError`` names a bad field."""
+    _require_keys(raw, {f.name for f in fields(ExperimentConfig)}, "config")
     cfg_mode = raw.get("mode")
     if cfg_mode is not None and mode is not None and cfg_mode != mode:
         raise ValidationError("mode",
@@ -296,11 +284,8 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     truncation = as_number("truncation", raw.get("truncation", 8.0), 0.0)
 
     budget = raw.get("budget")
-    needs_budget = resolved_mode in ("estimate", "compare", "fresnel-scan", "certify")
-    if needs_budget:
-        budget = as_count("budget", budget if budget is not None else 0, 1)
-    elif budget is not None:
-        budget = as_count("budget", budget, 1)
+    if budget is not None or resolved_mode != "oracle":
+        budget = as_count("budget", 0 if budget is None else budget, 1)
     if resolved_mode in ("estimate", "compare", "fresnel-scan"):
         if budget < stopping["min_samples"]:
             raise ValidationError(
@@ -395,10 +380,6 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     if box_half_width is not None:
         box_half_width = as_number("box_half_width", box_half_width, 0.0)
 
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ValidationError("out", "expected a path string")
-
     config = ExperimentConfig(
         mode=resolved_mode,
         budget=budget,
@@ -420,7 +401,6 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
         tolerance=tolerance,
         truncation=truncation,
         cells_per_axis=cells,
-        out=out,
     )
     if resolved_mode != "oracle":
         # The coordinates the run reads, which explicit alphas must cover.
@@ -626,11 +606,11 @@ _MODE_HANDLERS = {
 }
 
 
-def execute(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    """Run the configured experiment, write ``summary.json`` (and any
-    mode-specific CSVs) into the output directory, and return the exit
-    code."""
-    outdir = Path(out_dir or config.out or os.environ.get(OUT_DIR_ENV) or ".")
+def execute(config: ExperimentConfig, out_dir: str | Path) -> int:
+    """Run the configured experiment into the directory ``out_dir`` (made
+    if missing) and return the exit code: ``summary.json`` goes there, with
+    ``trace.csv`` (estimate, compare) or ``scan.csv`` (fresnel-scan)."""
+    outdir = Path(out_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -650,23 +630,17 @@ def execute(config: ExperimentConfig, out_dir: str | None = None) -> int:
     return code
 
 
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    if args.budget is not None:
-        raw["budget"] = args.budget
-    if args.blocks is not None:
-        raw["block_size"] = args.blocks
-    if args.seed is not None:
-        source = raw.get("source")
-        if not (isinstance(source, dict) and source.get("kind") == "pseudorandom"):
-            raise ValidationError("--seed", "applies only to a pseudorandom source")
-        source = dict(source)
-        source["seed"] = args.seed
-        raw["source"] = source
-    return raw
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 1, like any other
+    error: argparse's exit 2 means a degenerate normalization here."""
+
+    def error(self, message):
+        raise DiracMeanError(f"{message} (see '{self.prog} --help')")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    """Run the subcommand in ``argv`` (default: the command line); return its exit code."""
+    parser = _Parser(
         prog="diracmean",
         description="Self-normalized weighted means over deterministic point sequences.",
     )
@@ -674,21 +648,14 @@ def main(argv: list[str] | None = None) -> int:
     for name in MODES:
         p = sub.add_parser(name, help=f"run in {name} mode")
         p.add_argument("--config", required=True, help="path to the JSON experiment description")
-        p.add_argument("--out", default=None, help="output directory (default: config, env, or cwd)")
-        p.add_argument("--budget", type=int, default=None, help="override the sample budget")
-        p.add_argument("--blocks", type=int, default=None,
-                       help="index block size for accumulation (reproducibility knob)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed of a pseudorandom source")
-    args = parser.parse_args(argv)
+        p.add_argument("--out", default=".", help="output directory (default: the working directory)")
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        config = parse_config_dict(_apply_overrides(_load(text), args), mode=args.command)
-        return execute(config, out_dir=args.out)
+        args = parser.parse_args(argv)
+        try:
+            data = Path(args.config).read_bytes()
+        except OSError as exc:
+            raise DiracMeanError(f"cannot read config: {exc}") from exc
+        return execute(parse_config_dict(_load(data), mode=args.command), args.out)
     except DiracMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -407,8 +407,6 @@ def run(
     recent: deque[complex | None] = deque(maxlen=rule.window)
     checkpoints = _checkpoints(budget, rule)
     checks = set(checkpoints)
-    # Marks, where the running sums are read: trace rows and checkpoints.
-    marks = sorted(checks.union(range(trace_stride, budget + 1, trace_stride)))
     # The run can stop only at a checkpoint with a full window, from min_samples on.
     stops = [m for i, m in enumerate(checkpoints)
              if i >= rule.window - 1 and m >= rule.min_samples] + [budget]
@@ -417,7 +415,7 @@ def run(
     buf = np.empty(rank * min(batch, budget))
 
     stop_reason = None
-    start = next_stop = next_mark = 0
+    start = next_stop = 0
     while stop_reason is None and start < budget:
         # A batch of whole blocks, ending at the latest with the block that
         # holds the next possible stop.
@@ -428,12 +426,14 @@ def run(
         pts = source.block(start, end, rank, buf)
         w = _weights(policy, pts, start)
         v = func.eval_block(pts)
-        after = bisect.bisect_right(marks, end, next_mark)
+        # The batch's marks, where the running sums are read: the checkpoints
+        # and trace rows in (start, end].
+        marks = set(checkpoints[bisect.bisect_right(checkpoints, start):
+                                bisect.bisect_right(checkpoints, end)])
+        marks.update(range(start - start % trace_stride + trace_stride, end + 1, trace_stride))
         # Batch offsets of the marks strictly inside a block; a mark at a
         # block's end reads the folded accumulator.
-        inner = [o for o in (m - start for m in marks[next_mark:after])
-                 if o % block_size and o < n]
-        next_mark = after
+        inner = sorted(o for o in (m - start for m in marks) if o < n and o % block_size)
         # A mark inside a block reads the sum of the segment from the
         # previous mark in that block, or else from the block's start.
         cuts: list[int] = []

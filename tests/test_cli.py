@@ -23,12 +23,10 @@ from diracmean.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     _run_estimate,
-    execute,
     main,
-    parse_config,
     parse_config_dict,
 )
-from diracmean.errors import ParseError, ValidationError
+from diracmean.errors import ValidationError
 from diracmean.registry import build_function
 
 MINIMAL = {
@@ -61,12 +59,12 @@ ROUTED = {"mode": "estimate", "source": {"kind": "halton", "offset": 1}, "route"
           "function": {"name": "coordinate", "index": 1}, "budget": 2000}
 
 
-def run_cli(tmp_path, cfg, command=None, extra=()):
+def run_cli(tmp_path, cfg, command=None):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     cmd = command or cfg["mode"]
     out = tmp_path / "out"
-    code = main([cmd, "--config", str(path), "--out", str(out), *extra])
+    code = main([cmd, "--config", str(path), "--out", str(out)])
     summary = None
     if (out / "summary.json").exists():
         summary = json.loads((out / "summary.json").read_text())
@@ -78,7 +76,7 @@ def run_cli(tmp_path, cfg, command=None, extra=()):
 
 
 def test_minimal_config_fills_defaults():
-    cfg = parse_config(json.dumps(MINIMAL))
+    cfg = parse_config_dict(MINIMAL)
     assert cfg.stopping == {"window": 8, "rel_tol": 1e-4, "min_samples": 1000,
                             "degeneracy_threshold": 1e-8}
     assert cfg.trace_stride == 1000
@@ -89,34 +87,37 @@ def test_minimal_config_fills_defaults():
 def test_unknown_policy_name_is_a_validation_error():
     bad = dict(MINIMAL, policy={"kind": "frenel"})
     with pytest.raises(ValidationError, match="policy"):
-        parse_config(json.dumps(bad))
+        parse_config_dict(bad)
 
 
 def test_unknown_function_name_is_a_validation_error():
     bad = dict(MINIMAL, function={"name": "coordinate-prodct"})
     with pytest.raises(ValidationError, match="function"):
-        parse_config(json.dumps(bad))
+        parse_config_dict(bad)
 
 
 def test_budget_below_min_samples_rejected():
     bad = dict(MINIMAL, budget=10)
     with pytest.raises(ValidationError, match="budget"):
-        parse_config(json.dumps(bad))
+        parse_config_dict(bad)
 
 
-def test_malformed_json_is_a_parse_error_with_location():
-    with pytest.raises(ParseError, match="line"):
-        parse_config("{not json")
+def test_malformed_json_is_a_parse_error_with_location(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{not json")
+    assert main(["estimate", "--config", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON at line 1, column 2") and err.count("\n") == 1
 
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ValidationError, match="unknown keys"):
-        parse_config(json.dumps(dict(MINIMAL, sigma=3)))
+        parse_config_dict(dict(MINIMAL, sigma=3))
 
 
 def test_mode_mismatch_rejected():
     with pytest.raises(ValidationError, match="mode"):
-        parse_config(json.dumps(MINIMAL), mode="certify")
+        parse_config_dict(MINIMAL, mode="certify")
 
 
 @pytest.mark.parametrize("text, field", [
@@ -130,7 +131,7 @@ def test_mode_mismatch_rejected():
 def test_bad_stopping_values_name_the_field(text, field):
     config = json.dumps(MINIMAL)[:-1] + f', "stopping": {text}}}'
     with pytest.raises(ValidationError, match=f"^{field}: "):
-        parse_config(config)
+        parse_config_dict(json.loads(config))
 
 
 def test_route_and_policy_are_exclusive():
@@ -138,7 +139,7 @@ def test_route_and_policy_are_exclusive():
                action={"matrix": [[1.0]]},
                regularizer={"family": "gaussian", "widths": [1.0]})
     with pytest.raises(ValidationError, match="policy"):
-        parse_config(json.dumps(bad))
+        parse_config_dict(bad)
 
 
 def test_config_round_trip_through_echo():
@@ -317,56 +318,68 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 
 def test_block_size_flag_changes_nothing_material(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(DENSITY, stopping={"min_samples": 100000})))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["estimate", "--config", str(path), "--out", str(out1), "--blocks", "4096"])
-    main(["estimate", "--config", str(path), "--out", str(out2), "--blocks", "12500"])
-    e1 = json.loads((out1 / "summary.json").read_text())["result"]["final_estimate"]
-    e2 = json.loads((out2 / "summary.json").read_text())["result"]["final_estimate"]
-    assert abs(complex(e1["re"], e1["im"]) - complex(e2["re"], e2["im"])) <= 1e-12
+    # The block size is the file's `block_size`.
+    estimates = []
+    for block_size in (4096, 12500):
+        cfg = dict(DENSITY, stopping={"min_samples": 100000}, block_size=block_size)
+        (tmp_path / str(block_size)).mkdir()
+        _, summary, _ = run_cli(tmp_path / str(block_size), cfg)
+        assert summary["settings"]["block_size"] == block_size
+        est = summary["result"]["final_estimate"]
+        estimates.append(complex(est["re"], est["im"]))
+    assert abs(estimates[0] - estimates[1]) <= 1e-12
 
 
 def test_seed_flag_overrides_pseudorandom_source(tmp_path):
-    cfg = dict(MINIMAL, source={"kind": "pseudorandom", "seed": 1}, budget=5000)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    # The seed is the file's `source.seed`.
     outs = []
-    for seed in ("7", "8"):
-        out = tmp_path / f"s{seed}"
-        main(["estimate", "--config", str(path), "--out", str(out), "--seed", seed])
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["settings"]["source"]["seed"] == int(seed)
+    for seed in (7, 8):
+        cfg = dict(MINIMAL, source={"kind": "pseudorandom", "seed": seed}, budget=5000)
+        (tmp_path / str(seed)).mkdir()
+        _, summary, _ = run_cli(tmp_path / str(seed), cfg)
+        assert summary["settings"]["source"]["seed"] == seed
         outs.append(summary["result"]["final_estimate"]["re"])
     assert outs[0] != outs[1]
 
 
-def test_seed_flag_rejected_for_deterministic_sources(tmp_path):
+def test_out_defaults_to_the_working_directory(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(DENSITY))
-    code = main(["estimate", "--config", str(path), "--out", str(tmp_path / "o"),
-                 "--seed", "3"])
-    assert code == EXIT_ERROR
-
-
-def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("DIRACMEAN_OUT", str(target))
-    cfg = parse_config_dict(dict(MINIMAL, budget=2000,
-                                 stopping={"min_samples": 2000}))
-    assert execute(cfg) == EXIT_NOT_CONVERGED
-    assert (target / "summary.json").exists()
+    path.write_text(json.dumps(dict(MINIMAL, budget=2000, stopping={"min_samples": 2000})))
+    monkeypatch.chdir(tmp_path)
+    assert main(["estimate", "--config", str(path)]) == EXIT_NOT_CONVERGED
+    assert (tmp_path / "summary.json").exists() and (tmp_path / "trace.csv").exists()
 
 
 def test_missing_config_file_is_exit_1(tmp_path):
     assert main(["estimate", "--config", str(tmp_path / "nope.json")]) == EXIT_ERROR
 
 
-def test_budget_flag_overrides_config(tmp_path):
-    cfg = dict(DENSITY, budget=50000)
-    code, summary, _ = run_cli(tmp_path, cfg, extra=("--budget", "25000"))
-    assert summary["settings"]["budget"] == 25000
-    assert summary["result"]["N_used"] <= 25000
+@pytest.mark.parametrize("argv, message", [
+    (["estimate"], "the following arguments are required: --config"),
+    (["estimate", "--config", "c.json", "--budget", "5"], "unrecognized arguments: --budget 5"),
+    (["estimate", "--config", "c.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ([], "the following arguments are required: command"),
+    (["estmate", "--config", "c.json"], "invalid choice: 'estmate'"),
+], ids=["no-config", "budget-flag", "seed-flag", "no-subcommand", "unknown-subcommand"])
+def test_usage_error_is_exit_1_with_one_error_line(capsys, argv, message):
+    # Exit 2 is reserved for a degenerate normalization.
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{\x00}\x00", "error: the experiment description is not UTF-8: "),
+    (b"[" * 200000 + b"]" * 200000, "error: invalid JSON: nested too deeply"),
+    (b'{"budget": ' + b"9" * 5000 + b"}", "error: invalid JSON: Exceeds the limit"),
+], ids=["utf16-bom", "nested-200000-deep", "integer-of-5000-digits"])
+def test_undecodable_config_is_one_error_line(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +516,8 @@ def _without(cfg, key):
     (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4]), "bins_per_axis"),
     (_without(SCAN, "action"), "action"),
     (dict(SCAN, sigmas=[2.0, 1.0]), "sigmas"),
-    (dict(MINIMAL, out=3), "out"),
+    # The output directory is the command's `--out`, not a config key.
+    (dict(MINIMAL, out="results"), "config"),
     (dict(MINIMAL, function={"name": "polynomial", "coeffs": []}), "function.coeffs"),
     (dict(MINIMAL, function={"name": "quadratic-form"}), "function.matrix"),
     # A weight-borne route reads every regularizer width.
@@ -546,7 +560,7 @@ def _without(cfg, key):
         "oracle-function-above-density-rank", "action-kind", "action-without-matrix",
         "no-source", "neither-policy-nor-route", "route-without-regularizer",
         "oracle-without-density", "bins-per-hierarchy-rank", "scan-without-action",
-        "sigmas-decreasing", "out-not-a-string", "polynomial-without-coeffs",
+        "sigmas-decreasing", "out-key", "polynomial-without-coeffs",
         "quadratic-form-without-matrix", "weight-borne-alphas-short-of-regularizer-rank",
         "quantiles-unknown-key", "uniform-quantiles-with-widths", "quantile-widths-not-numbers",
         "quantile-family-unknown", "route-over-halton-offset-0", "route-over-weyl-offset-0",
@@ -555,7 +569,7 @@ def _without(cfg, key):
         "weyl-unknown-key"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
-        parse_config(json.dumps(cfg))
+        parse_config_dict(cfg)
     code, summary, out = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
@@ -586,7 +600,7 @@ def test_uncreatable_output_directory_is_one_error_line(tmp_path, capsys):
 ])
 def test_registry_rejects_non_integer_parameters(params, field):
     with pytest.raises(ValidationError, match=f"^{field}: "):
-        parse_config(json.dumps(dict(MINIMAL, function=params)))
+        parse_config_dict(dict(MINIMAL, function=params))
 
 
 @pytest.mark.parametrize("cfg, field", [

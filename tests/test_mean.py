@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -460,6 +461,21 @@ def test_no_point_past_the_stopping_block_is_evaluated(block_size):
     report = run(halton_source(1), RaisesFrom(limit), F_X1, 10**6, rule, block_size=block_size)
     assert (report.N_used, _bits(report.final_estimate)) == \
         (clean.N_used, _bits(clean.final_estimate))
+
+
+def test_setup_memory_does_not_grow_with_the_budget():
+    # This run stops at 1545 points whatever the budget, so no setup may
+    # scale with the budget: trace marks listed up to 10**9 take 74 MiB.
+    rule = StoppingRule(rel_tol=1e-3)
+    run(halton_source(), constant_policy(), F_X1, 10**4, rule)  # fills one-time caches
+    tracemalloc.start()
+    try:
+        report = run(halton_source(), constant_policy(), F_X1, 10**9, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.stop_reason, report.N_used) == ("window-cauchy", 1545)
+    assert peak < 4 * 2**20
 
 
 class AbsWeights:

@@ -163,19 +163,22 @@ def _route(
     base: PointSource,
     action: ActionFunctional,
     regularizer: QuantileFamily,
-    func: CylinderFunction,
+    func_rank: int,
     route: str,
     box_half_width: float | None,
 ) -> tuple[PointSource, WeightPolicy]:
     """The source and policy of an oscillatory route over ``base``; see
     :func:`oscillatory_mean`.  The regularizer must cover the coordinates
-    the action and the function read."""
-    rank = max(int(action.rank), int(func.rank), 1)
+    the action and the function (of rank ``func_rank``) read, and only the
+    weight-borne route takes a ``box_half_width``."""
+    rank = max(int(action.rank), int(func_rank), 1)
     covered = _covered(regularizer)
     if covered < rank:
         raise ValidationError(
             "regularizer", f"covers {covered} coordinates but the action/function need {rank}")
     if route == "pullback":
+        if box_half_width is not None:
+            raise ValidationError("box_half_width", "is read only by the 'weight-borne' route")
         return pullback_source(base, regularizer), oscillatory_policy(action)
     if route == "weight-borne":
         if box_half_width is None:
@@ -210,15 +213,16 @@ def oscillatory_mean(
     ``route="pullback"`` maps the cube points through the regularizer's
     quantiles and weights by ``exp(-i action)``;
     ``route="weight-borne"`` maps them to the uniform box
-    ``[-L, L]^rank`` (L defaults to 8x the largest regularizer width) and
-    carries ``xi * exp(-i action)`` in the weights.  Both estimate the
-    same ratio up to box truncation.
+    ``[-L, L]^rank`` (L is ``box_half_width``, by default 8x the largest
+    regularizer width) and carries ``xi * exp(-i action)`` in the weights.
+    Both estimate the same ratio up to box truncation.  A
+    ``box_half_width`` with the pullback route raises ``ValidationError``.
 
     Unless ``skip_certification``, the base source must first pass the
     chi-square uniformity certificate (10^4 points, level 0.999, ranks 1
     to ``min(rank, 3)``), or ``CertificationError`` is raised.
     """
-    src, pol = _route(base, action, regularizer, func, route, box_half_width)
+    src, pol = _route(base, action, regularizer, func.rank, route, box_half_width)
     verify_cylinder(func)
     if not skip_certification:
         _certify_base(base, max(int(action.rank), int(func.rank), 1))

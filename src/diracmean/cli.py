@@ -27,7 +27,7 @@ from .action import (
 from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
-from .registry import _as_list, _built, build_function
+from .registry import _as_list, _built, _require_keys, build_function
 from .seq import (
     _too_few_samples,
     box_quantiles,
@@ -49,10 +49,8 @@ from .weights import (
 
 __all__ = ["ExperimentConfig", "parse_config_dict", "execute", "main"]
 
-MODES = ("estimate", "certify", "oracle", "fresnel-scan", "compare")
 SOURCE_KINDS = ("halton", "weyl", "pseudorandom", "convergent", "pullback")
 POLICY_KINDS = ("constant", "density", "boltzmann", "oscillatory", "fresnel")
-ROUTES = ("pullback", "weight-borne")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -63,7 +61,8 @@ EXIT_CHECK_FAILED = 4
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description with defaults filled."""
+    """Validated experiment description with defaults filled; a field its
+    mode does not read is ``None``."""
 
     mode: str
     budget: int | None
@@ -73,18 +72,18 @@ class ExperimentConfig:
     density: dict | None
     hierarchy: tuple[int, ...] | None
     bins_per_axis: tuple[int, ...] | None
-    stopping: dict
-    trace_stride: int
-    significance: float
-    block_size: int
+    stopping: dict | None
+    trace_stride: int | None
+    significance: float | None
+    block_size: int | None
     action: dict | None
     regularizer: dict | None
     route: str | None
     box_half_width: float | None
     sigmas: tuple[float, ...] | None
     tolerance: float | None
-    truncation: float
-    cells_per_axis: int
+    truncation: float | None
+    cells_per_axis: int | None
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -109,12 +108,6 @@ class ExperimentConfig:
 def _require_object(spec, field: str, needs: str) -> None:
     if not isinstance(spec, dict):
         raise ValidationError(field, f"expected an object with {needs}")
-
-
-def _require_keys(obj: dict, allowed: set[str], field: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ValidationError(field, f"unknown keys {sorted(extra)} (allowed: {sorted(allowed)})")
 
 
 def _source(spec, field: str = "source"):
@@ -230,10 +223,7 @@ def _policy(spec, field: str = "policy"):
     if kind == "boltzmann":
         return out, boltzmann_policy(act)
     if kind == "fresnel":
-        out["regularizer"], reg = _regularizer(
-            spec.get("regularizer", {"family": "gaussian", "widths": [1.0]}),
-            f"{field}.regularizer",
-        )
+        out["regularizer"], reg = _regularizer(spec.get("regularizer", {}), f"{field}.regularizer")
     out["index_phase"] = as_number(f"{field}.index_phase", spec.get("index_phase", 0.0))
     if kind == "oscillatory":
         return out, oscillatory_policy(act, out["index_phase"])
@@ -257,10 +247,73 @@ def _load(data: bytes) -> dict:
     return raw
 
 
+def _stopping(spec) -> dict:
+    """The stopping rule's fields, the defaults filled."""
+    _require_object(spec, "stopping", "stopping-rule fields")
+    stopping = asdict(mean_mod.StoppingRule())
+    _require_keys(spec, set(stopping), "stopping")
+    for name, value in spec.items():
+        _built(f"stopping.{name}", mean_mod.StoppingRule, **{name: value})
+    return dict(stopping, **spec)
+
+
+def _function(spec, field: str) -> dict:
+    build_function(spec, field)
+    return spec
+
+
+# Each config key's check, returning the normalized value ``settings`` echoes.
+_CHECKS = {
+    "budget": lambda v: as_count("budget", v, 1),
+    "source": lambda v: _source(v)[0],
+    "policy": lambda v: _policy(v)[0],
+    "function": lambda v: _function(v, "function"),
+    "density": lambda v: _function(v, "density"),
+    "hierarchy": lambda v: _built("hierarchy", _ranks, _as_list(v, "hierarchy")),
+    "bins_per_axis": lambda v: tuple(as_count("bins_per_axis", b, 2)
+                                     for b in _as_list(v, "bins_per_axis")),
+    "stopping": _stopping,
+    "trace_stride": lambda v: as_count("trace_stride", v, 1),
+    "significance": lambda v: as_number("significance", v, 0.0, 1.0),
+    "block_size": lambda v: as_count("block_size", v, 1),
+    "action": lambda v: _action(v)[0],
+    "regularizer": lambda v: _regularizer(v)[0],
+    "route": lambda v: v,  # checked by ``_route``, which parsing calls
+    "box_half_width": lambda v: as_number("box_half_width", v, 0.0),
+    "sigmas": lambda v: _scan_widths(_as_list(v, "sigmas"), "sigmas"),
+    "tolerance": lambda v: as_number("tolerance", v, 0.0),
+    "truncation": lambda v: as_number("truncation", v, 0.0),
+    "cells_per_axis": lambda v: as_count("cells_per_axis", v, 4),
+}
+
+_REQUIRED = object()
+_RUN = {"budget": _REQUIRED, "source": _REQUIRED, "stopping": {}, "trace_stride": 1000,
+        "block_size": 4096}
+_ROUTE = {"route": None, "action": None, "regularizer": None, "box_half_width": None}
+_QUADRATURE = {"truncation": 8.0, "cells_per_axis": 4}
+_ESTIMATE = {**_RUN, "function": _REQUIRED, "policy": None, **_ROUTE}
+
+# The keys each mode reads, each with the value it takes when a config
+# leaves it out (``_REQUIRED``: none, the config must give it; ``None``:
+# optional, with no default); a config may give no other key.
+_READS = {
+    "estimate": _ESTIMATE,
+    "certify": {"budget": _REQUIRED, "source": _REQUIRED, "hierarchy": [1, 2, 3],
+                "bins_per_axis": None, "significance": 0.999},
+    "oracle": {"function": _REQUIRED, "density": None, "action": None, "regularizer": None,
+               **_QUADRATURE},
+    "fresnel-scan": {**_RUN, "action": _REQUIRED, "sigmas": [1.0, 2.0, 4.0], "function": None,
+                     "route": "pullback", "box_half_width": None},
+    "compare": {**_ESTIMATE, "tolerance": 5e-3, **_QUADRATURE},
+}
+MODES = tuple(_READS)
+
+
 def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     """Validate a decoded experiment description, whose top-level keys are
-    ``ExperimentConfig``'s fields; a ``ValidationError`` names a bad field."""
-    _require_keys(raw, {f.name for f in fields(ExperimentConfig)}, "config")
+    keys its mode reads; a ``ValidationError`` names a bad field."""
+    names = [f.name for f in fields(ExperimentConfig)]
+    _require_keys(raw, set(names), "config")
     cfg_mode = raw.get("mode")
     if cfg_mode is not None and mode is not None and cfg_mode != mode:
         raise ValidationError("mode",
@@ -268,152 +321,72 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
     resolved_mode = cfg_mode or mode
     if resolved_mode not in MODES:
         raise ValidationError("mode", f"{resolved_mode!r} is not one of {list(MODES)}")
+    reads = _READS[resolved_mode]
+    for key in raw:
+        if key != "mode" and key not in reads:
+            raise ValidationError(key, f"not read by mode {resolved_mode!r}")
 
-    stopping = asdict(mean_mod.StoppingRule())
-    raw_stopping = raw.get("stopping", {})
-    _require_object(raw_stopping, "stopping", "stopping-rule fields")
-    _require_keys(raw_stopping, set(stopping), "stopping")
-    for name, value in raw_stopping.items():
-        _built(f"stopping.{name}", mean_mod.StoppingRule, **{name: value})
-    stopping.update(raw_stopping)
+    settings = dict.fromkeys(names)
+    settings["mode"] = resolved_mode
+    for key, default in reads.items():
+        if key in raw:
+            settings[key] = _CHECKS[key](raw[key])
+        elif default is _REQUIRED:
+            raise ValidationError(key, "is required for this mode")
+        elif default is not None:
+            settings[key] = _CHECKS[key](default)
+    config = ExperimentConfig(**settings)
+    _check_across(config)
+    return config
 
-    trace_stride = as_count("trace_stride", raw.get("trace_stride", 1000), 1)
-    block_size = as_count("block_size", raw.get("block_size", 4096), 1)
-    significance = as_number("significance", raw.get("significance", 0.999), 0.0, 1.0)
-    cells = as_count("cells_per_axis", raw.get("cells_per_axis", 4), 4)
-    truncation = as_number("truncation", raw.get("truncation", 8.0), 0.0)
 
-    budget = raw.get("budget")
-    if budget is not None or resolved_mode != "oracle":
-        budget = as_count("budget", 0 if budget is None else budget, 1)
-    if resolved_mode in ("estimate", "compare", "fresnel-scan"):
-        if budget < stopping["min_samples"]:
-            raise ValidationError(
-                "budget", f"{budget} is below stopping.min_samples {stopping['min_samples']}")
-
-    source = raw.get("source")
-    if resolved_mode != "oracle" and source is None:
-        raise ValidationError("source", "is required for this mode")
-    if source is not None:
-        source = _source(source)[0]
-
-    function = raw.get("function")
-    if resolved_mode in ("estimate", "compare", "oracle"):
-        if function is None:
-            raise ValidationError("function", "is required for this mode")
-    f_rank = 0 if function is None else build_function(function, "function").rank
-
-    density = raw.get("density")
-    if density is not None:
-        build_function(density, "density")
-
-    route = raw.get("route")
-    if route is not None and route not in ROUTES:
-        raise ValidationError("route", f"{route!r} is not one of {list(ROUTES)}")
-    action = raw.get("action")
-    if action is not None:
-        action, act = _action(action)
-    regularizer = raw.get("regularizer")
-    if regularizer is not None:
-        regularizer = _regularizer(regularizer)[0]
-
-    policy = raw.get("policy")
-    if resolved_mode in ("estimate", "compare"):
-        if route is None and policy is None:
+def _check_across(cfg: ExperimentConfig) -> None:
+    """The rules that tie one key of a checked config to another."""
+    if cfg.mode in ("estimate", "compare"):
+        route_keys = (cfg.route, cfg.action, cfg.regularizer, cfg.box_half_width)
+        if cfg.policy is not None and any(v is not None for v in route_keys):
+            raise ValidationError("policy", "give either a policy or a route, not both")
+        if cfg.policy is None and cfg.route is None:
             raise ValidationError(
                 "policy", "either a policy or a route (action + regularizer) is required")
-        if route is not None:
-            if policy is not None:
-                raise ValidationError("policy", "give either a policy or a route, not both")
-            if action is None:
-                raise ValidationError("action", "is required when a route is set")
-            if regularizer is None:
-                raise ValidationError("regularizer", "is required when a route is set")
-    # A route pulls the configured source back itself; fresnel-scan always routes.
-    routed = resolved_mode == "fresnel-scan" or (
-        resolved_mode in ("estimate", "compare") and route is not None)
-    if routed and source["kind"] == "pullback":
-        raise ValidationError("source.kind", "a route needs a unit-cube source, not 'pullback'")
-    if policy is not None:
-        policy = _policy(policy)[0]
-
-    if resolved_mode == "oracle" and density is None and (action is None or regularizer is None):
+        for key in ("action", "regularizer"):
+            if cfg.route is not None and getattr(cfg, key) is None:
+                raise ValidationError(key, "is required when a route is set")
+    if cfg.stopping is not None and cfg.budget < cfg.stopping["min_samples"]:
         raise ValidationError(
-            "density", "oracle mode needs a density, or an action plus a regularizer")
+            "budget", f"{cfg.budget} is below stopping.min_samples {cfg.stopping['min_samples']}")
+    # A route pulls the configured source back itself; fresnel-scan always routes.
+    if (cfg.route is not None or cfg.mode == "certify") and cfg.source["kind"] == "pullback":
+        what = "certify" if cfg.mode == "certify" else "a route"
+        raise ValidationError("source.kind", f"{what} needs a unit-cube source, not 'pullback'")
 
-    hierarchy = raw.get("hierarchy")
-    if resolved_mode == "certify" and hierarchy is None:
-        hierarchy = [1, 2, 3]
-    if hierarchy is not None:
-        hierarchy = _built("hierarchy", _ranks, _as_list(hierarchy, "hierarchy"))
-
-    bins = raw.get("bins_per_axis")
-    if bins is not None:
-        bins = tuple(as_count("bins_per_axis", b, 2) for b in _as_list(bins, "bins_per_axis"))
-        if hierarchy is not None and len(bins) != len(hierarchy):
-            raise ValidationError("bins_per_axis", "needs one entry per hierarchy rank")
-    if resolved_mode == "certify":
-        if source["kind"] == "pullback":
-            raise ValidationError("source.kind", "certify needs a unit-cube source, not 'pullback'")
-        for rank, b in zip(hierarchy, _bins_per_rank(hierarchy, budget, bins)):
-            shortfall = _too_few_samples(budget, rank, b)
+    if cfg.mode == "oracle":
+        pair = [v for v in (cfg.action, cfg.regularizer) if v is not None]
+        if len(pair) != (0 if cfg.density is not None else 2):
+            raise ValidationError(
+                "density", "oracle mode needs a density, or an action plus a regularizer, not both")
+    elif cfg.mode == "certify":
+        bins = _bins_per_rank(cfg.hierarchy, cfg.budget, cfg.bins_per_axis)
+        for rank, b in zip(cfg.hierarchy, bins):
+            shortfall = _too_few_samples(cfg.budget, rank, b)
             if shortfall:
-                raise ValidationError("budget" if bins is None else "bins_per_axis", shortfall)
-
-    sigmas = raw.get("sigmas")
-    if resolved_mode == "fresnel-scan":
-        if sigmas is None:
-            sigmas = [1.0, 2.0, 4.0]
-        if action is None:
-            raise ValidationError("action", "is required for fresnel-scan")
+                raise ValidationError("budget" if cfg.bins_per_axis is None else "bins_per_axis",
+                                      shortfall)
+        rank = max(cfg.hierarchy)
+    elif cfg.mode == "fresnel-scan":
+        act = _action(cfg.action)[1]
         _scan_action(act)
-    if sigmas is not None:
-        sigmas = _scan_widths(_as_list(sigmas, "sigmas"), "sigmas")
-
-    tolerance = raw.get("tolerance")
-    if resolved_mode == "compare":
-        tolerance = as_number("tolerance", tolerance if tolerance is not None else 5e-3, 0.0)
-    elif tolerance is not None:
-        tolerance = as_number("tolerance", tolerance)
-
-    box_half_width = raw.get("box_half_width")
-    if box_half_width is not None:
-        box_half_width = as_number("box_half_width", box_half_width, 0.0)
-
-    config = ExperimentConfig(
-        mode=resolved_mode,
-        budget=budget,
-        source=source,
-        policy=policy,
-        function=function,
-        density=density,
-        hierarchy=hierarchy,
-        bins_per_axis=bins,
-        stopping=stopping,
-        trace_stride=trace_stride,
-        significance=significance,
-        block_size=block_size,
-        action=action,
-        regularizer=regularizer,
-        route=route,
-        box_half_width=box_half_width,
-        sigmas=sigmas,
-        tolerance=tolerance,
-        truncation=truncation,
-        cells_per_axis=cells,
-    )
-    if resolved_mode != "oracle":
+        rank = max(0 if cfg.function is None else build_function(cfg.function, "function").rank, 1)
+        # The scan's first route, built here so that its errors fail at parse.
+        _route(_source(cfg.source)[1], act, normal_quantiles([cfg.sigmas[0]] * rank), rank,
+               cfg.route, cfg.box_half_width)
+    else:
         # The coordinates the run reads, which explicit alphas must cover.
-        if resolved_mode == "certify":
-            rank = max(hierarchy)
-        elif resolved_mode == "fresnel-scan":
-            rank = max(f_rank, 1)
-        else:
-            rank = mean_mod._rank(*_estimate_inputs(config)[1:])
-        _check_source(source, rank, routed)
-    if resolved_mode in ("oracle", "compare"):
-        _oracle_integrand(config, build_function(function, "function"))
-    return config
+        rank = mean_mod._rank(*_estimate_inputs(cfg)[1:])
+    if cfg.source is not None:  # every mode but oracle
+        _check_source(cfg.source, rank, cfg.route is not None)
+    if cfg.mode in ("oracle", "compare"):
+        _oracle_integrand(cfg, build_function(cfg.function, "function"))
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +413,8 @@ def _estimate_inputs(config: ExperimentConfig):
     func = build_function(config.function, "function")
     if config.route is None:
         return source, _policy(config.policy)[1], func
-    source, policy = _built(
-        "regularizer.widths", _route, source, _action(config.action)[1],
-        _regularizer(config.regularizer)[1], func, config.route, config.box_half_width)
+    source, policy = _route(source, _action(config.action)[1], _regularizer(config.regularizer)[1],
+                            func.rank, config.route, config.box_half_width)
     return source, policy, func
 
 
@@ -490,10 +462,10 @@ def _oracle_integrand(config: ExperimentConfig, func):
     regularizer and action's ``xi e^{-iS}`` on the regularizer measure's
     truncated domain, for an oracle or a compare route; else the source's
     sampling density times the policy's weights on the source's domain."""
-    if config.mode == "oracle" and config.density is not None:
+    if config.density is not None:
         density = build_function(config.density, "density")
         rho, domain = density.eval_block, ((0.0, 1.0),) * max(density.rank, 1)
-    elif config.mode == "oracle" or config.route is not None:
+    elif config.regularizer is not None:
         act = _action(config.action)[1]
         reg = _regularizer(config.regularizer)[1]
         pol = product_regularized_policy(reg, act)
@@ -566,7 +538,7 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
         None if config.function is None else build_function(config.function, "function"),
         config.budget,
         config.stopping_rule(),
-        route=config.route or "pullback",
+        route=config.route,
         box_half_width=config.box_half_width,
         skip_certification=True,
         trace_stride=config.trace_stride,

@@ -24,6 +24,12 @@ def _as_list(value, field: str) -> list:
     return value
 
 
+def _require_keys(obj: dict, allowed: set[str], field: str) -> None:
+    extra = set(obj) - allowed
+    if extra:
+        raise ValidationError(field, f"unknown keys {sorted(extra)} (allowed: {sorted(allowed)})")
+
+
 def _built(field: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, a library call, with its error re-raised
     as a ``ValidationError`` naming the config ``field`` once: the library
@@ -92,13 +98,14 @@ def _quadratic_form(params: dict, field: str) -> CylinderFunction:
     return CylinderFunction(action.rank, action, label="quadratic form")
 
 
+# Each builder with the keys it reads besides ``name``.
 _BUILDERS = {
-    "coordinate": _coordinate,
-    "coordinate-product": _coordinate_product,
-    "polynomial": _polynomial,
-    "cosine": _cosine,
-    "gaussian": _gaussian,
-    "quadratic-form": _quadratic_form,
+    "coordinate": (_coordinate, {"index"}),
+    "coordinate-product": (_coordinate_product, {"rank"}),
+    "polynomial": (_polynomial, {"coeffs", "index"}),
+    "cosine": (_cosine, {"index", "frequency"}),
+    "gaussian": (_gaussian, {"widths"}),
+    "quadratic-form": (_quadratic_form, {"matrix", "linear", "constant"}),
 }
 
 FUNCTION_NAMES = tuple(sorted(_BUILDERS))
@@ -114,4 +121,6 @@ def build_function(spec: dict, field: str = "function") -> CylinderFunction:
         raise ValidationError(
             f"{field}.name",
             f"{name!r} is not a registered function (choose from {', '.join(FUNCTION_NAMES)})")
-    return _BUILDERS[name](spec, field)
+    build, keys = _BUILDERS[name]
+    _require_keys(spec, {"name"} | keys, field)
+    return build(spec, field)

@@ -4,11 +4,13 @@ import contextlib
 import copy
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ from diracmean.cli import (
     EXIT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    MODES,
+    ExperimentConfig,
     _run_estimate,
     main,
     parse_config_dict,
@@ -80,7 +84,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.stopping == {"window": 8, "rel_tol": 1e-4, "min_samples": 1000,
                             "degeneracy_threshold": 1e-8}
     assert cfg.trace_stride == 1000
-    assert cfg.significance == 0.999
+    assert cfg.significance is None  # read only by certify
     assert cfg.source == {"kind": "halton", "offset": 0}
 
 
@@ -143,10 +147,72 @@ def test_route_and_policy_are_exclusive():
 
 
 def test_config_round_trip_through_echo():
-    for raw in (MINIMAL, DENSITY, ALTERNATING):
+    for raw in (MINIMAL, DENSITY, ALTERNATING, ROUTED, NORMAL_PULLBACK, CERTIFY, ORACLE, SCAN):
         cfg = parse_config_dict(dict(raw))
         echoed = json.loads(json.dumps(cfg.to_dict()))
+        assert set(echoed) <= READS[cfg.mode] | {"mode"}
         assert parse_config_dict(echoed) == cfg
+
+
+# The keys each mode reads; the config of a mode may give no other.
+READS = {
+    "estimate": {"budget", "source", "stopping", "trace_stride", "block_size", "function",
+                 "policy", "route", "action", "regularizer", "box_half_width"},
+    "certify": {"budget", "source", "hierarchy", "bins_per_axis", "significance"},
+    "oracle": {"function", "density", "action", "regularizer", "truncation", "cells_per_axis"},
+    "fresnel-scan": {"budget", "source", "stopping", "trace_stride", "block_size", "action",
+                     "sigmas", "function", "route", "box_half_width"},
+}
+READS["compare"] = READS["estimate"] | {"tolerance", "truncation", "cells_per_axis"}
+
+# A valid value of each key, not its default.
+KEY_VALUES = {
+    "budget": 4000, "source": {"kind": "halton", "offset": 2}, "policy": {"kind": "constant"},
+    "function": {"name": "coordinate", "index": 1},
+    "density": {"name": "coordinate-product", "rank": 1}, "hierarchy": [2],
+    "bins_per_axis": [4, 4, 4], "stopping": {"rel_tol": 1e-3}, "trace_stride": 500,
+    "significance": 0.99, "block_size": 512, "action": {"matrix": [[2.0]]},
+    "regularizer": {"widths": [0.5]}, "route": "weight-borne", "box_half_width": 6.0,
+    "sigmas": [1.0, 3.0], "tolerance": 0.5, "truncation": 6.0, "cells_per_axis": 8,
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_each_key_is_read_or_rejected(mode, key):
+    base = {"estimate": dict(ROUTED, route="weight-borne"),
+            "compare": dict(ROUTED, mode="compare", route="weight-borne"),
+            "certify": CERTIFY, "fresnel-scan": SCAN,
+            "oracle": {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
+                       "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0]}}}[mode]
+    reads = READS[mode] | {"mode"}
+    try:
+        cfg = parse_config_dict(dict(base, **{key: mode if key == "mode" else KEY_VALUES[key]}))
+    except ValidationError as exc:
+        # A key the mode reads may still break a rule that ties it to another.
+        assert exc.field == key
+        assert (exc.message == f"not read by mode {mode!r}") == (key not in reads)
+    else:
+        assert key in reads and key in cfg.to_dict()
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, which imports nothing of this package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 19])
+def test_benchmark_cli_configs_parse(seed):
+    workloads = _bench_workloads()
+    jobs = [job for name in workloads.WORKLOADS for job in workloads.build_jobs(name, seed)
+            if job["api"] == "cli"]
+    assert jobs
+    for job in jobs:
+        parse_config_dict(json.loads(json.dumps(job["config"])), mode=job["mode"])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +504,11 @@ def test_pullback_settings_echo_normalized_quantiles():
 def test_cli_route_run_is_oscillatory_mean_bit_for_bit(route, extra):
     cfg = dict(ROUTED, route=route, function={"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
                budget=20000, trace_stride=700, **extra)
+    if route == "pullback" and "box_half_width" in extra:
+        # Only the weight-borne route reads a box, in the CLI as in oscillatory_mean.
+        with pytest.raises(ValidationError, match="^box_half_width: "):
+            parse_config_dict(cfg)
+        return
     config = parse_config_dict(cfg)
     reg = config.regularizer["widths"]
     direct = oscillatory_mean(
@@ -492,7 +563,7 @@ def _without(cfg, key):
      "source.alphas"),
     ({"mode": "estimate", "source": {"kind": "halton"}, "route": "pullback",
       "action": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "regularizer": {"widths": [1.0]},
-      "function": {"name": "coordinate", "index": 1}, "budget": 2000}, "regularizer.widths"),
+      "function": {"name": "coordinate", "index": 1}, "budget": 2000}, "regularizer"),
     # The oracle integrand's own checks, built at parse too.
     (dict(ALTERNATING, mode="compare", tolerance=1e-2, policy={
         "kind": "oscillatory", "action": {"matrix": [[0.0]]}, "index_phase": 0.5}),
@@ -550,6 +621,23 @@ def _without(cfg, key):
     (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4, 64]), "bins_per_axis"),
     # A Weyl source takes its kind, alphas and offset, and no other key.
     (dict(MINIMAL, source={"kind": "weyl", "offset": 1, "bits": 256}), "source"),
+    # A function entry takes only the keys its builder reads.
+    (dict(MINIMAL, function={"name": "coordinate", "idx": 5}), "function"),
+    (dict(MINIMAL, function={"name": "cosine", "index": 2, "freq": 3.0}), "function"),
+    (dict(MINIMAL, function={"name": "gaussian", "width": [2.0]}), "function"),
+    (dict(MINIMAL, function={"name": "coordinate-product", "rnak": 4}), "function"),
+    (dict(ORACLE, density={"name": "coordinate", "index": 1, "rank": 1}), "density"),
+    (dict(MINIMAL, policy={"kind": "density", "function": {"name": "polynomial",
+                                                           "coeffs": [1.0], "idx": 1}}),
+     "policy.function"),
+    # A config gives only the keys its mode reads.
+    (dict(SCAN, regularizer={"widths": [5.0]}), "regularizer"),
+    (dict(ORACLE, budget=1000), "budget"),
+    (dict(MINIMAL, significance=0.99), "significance"),
+    (dict(MINIMAL, action={"matrix": [[1.0]]}), "policy"),
+    (dict(ORACLE, action={"matrix": [[1.0]]}, regularizer={"widths": [1.0]}), "density"),
+    (dict(SCAN, box_half_width=6.0), "box_half_width"),
+    (dict(ROUTED, route="sideways"), "route"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
@@ -566,7 +654,11 @@ def _without(cfg, key):
         "quantile-family-unknown", "route-over-halton-offset-0", "route-over-weyl-offset-0",
         "scan-over-halton-offset-0", "pullback-over-weyl-offset-0", "route-over-pullback",
         "certify-pullback", "certify-budget-below-bins", "certify-bins-above-budget",
-        "weyl-unknown-key"])
+        "weyl-unknown-key", "coordinate-idx", "cosine-freq", "gaussian-width",
+        "coordinate-product-rnak", "density-unknown-key", "policy-function-unknown-key",
+        "scan-regularizer", "oracle-budget", "estimate-significance", "policy-and-action",
+        "oracle-density-and-action", "scan-pullback-box-half-width",
+        "route-unknown"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config_dict(cfg)
@@ -623,7 +715,7 @@ FUZZ_BASES = [
     dict(DENSITY, budget=2000),
     ALTERNATING,
     dict(NORMAL_PULLBACK, budget=2000, stopping={"min_samples": 2000}),
-    dict(SCAN, regularizer={"family": "gaussian", "widths": [1.0]}, route="weight-borne",
+    dict(SCAN, route="weight-borne", box_half_width=6.0,
          function={"name": "coordinate", "index": 1}, stopping={"min_samples": 1000}),
     dict(CERTIFY, budget=2000, source={"kind": "weyl", "alphas": ["0.4142135623730951"]},
          hierarchy=[1], bins_per_axis=[4]),
@@ -639,7 +731,7 @@ FUZZ_BASES = [
     {"mode": "estimate", "source": {"kind": "halton", "offset": 1},
      "policy": {"kind": "boltzmann", "action": {"matrix": [[1.0]], "constant": 0.5}},
      "function": {"name": "coordinate", "index": 1}, "budget": 2000, "trace_stride": 500,
-     "block_size": 512, "box_half_width": 2.0},
+     "block_size": 512},
 ]
 FUZZ_POOL = [None, "x", 1.5, True, [], {}, -1, [1]]
 

@@ -138,6 +138,10 @@ BAD_ARGUMENTS = [
      lambda: dm.product_regularized_policy(dm.box_quantiles(1.0), ACT)),
     ("policy-uniform-regularizer", "regularizer",
      lambda: dm.product_regularized_policy(dm.uniform_quantiles(), ACT)),
+    ("oscillatory-pullback-box", "box_half_width", lambda: _oscillatory(box_half_width=6.0)),
+    ("scan-pullback-box", "box_half_width",
+     lambda: dm.fresnel_limit_scan(dm.halton_source(1), ACT, [1.0, 2.0], budget=2000, rule=RULE,
+                                   box_half_width=6.0, skip_certification=True)),
 ]
 
 

@@ -9,14 +9,12 @@ deterministic quadrature oracles.
 
 from .action import (
     ActionFunctional,
-    CustomAction,
-    QuadraticAction,
     fresnel_limit_scan,
     oscillatory_mean,
     quadratic_action,
 )
 from .cylinder import (
-    CylinderFunction,
+    EquidistributionReport,
     cylinder_function,
     hierarchy_certify,
     verify_cylinder,
@@ -39,7 +37,6 @@ from .errors import (
 from .mean import (
     DEGENERATE,
     ConvergenceReport,
-    Degenerate,
     MeanAccumulator,
     StoppingRule,
     merge,
@@ -53,12 +50,10 @@ from .oracle import (
     tensor_quadrature,
 )
 from .seq import (
-    EquidistributionReport,
     PointSource,
     QuantileFamily,
     box_quantiles,
     convergent_source,
-    equidistribution_statistic,
     halton_source,
     normal_quantiles,
     pseudorandom_source,

@@ -13,13 +13,13 @@ points on a finite box and carry ``xi exp(-i S)`` in the weights.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import mean as mean_mod
 from .cylinder import CylinderFunction, hierarchy_certify, verify_cylinder
-from .errors import CertificationError, ValidationError, as_count, as_number, as_numbers
+from .errors import CertificationError, ValidationError, as_number, as_numbers
 from .seq import (
     BoxQuantiles,
     PointSource,
@@ -33,7 +33,6 @@ from .weights import WeightPolicy, _covered, oscillatory_policy, product_regular
 __all__ = [
     "ActionFunctional",
     "QuadraticAction",
-    "CustomAction",
     "quadratic_action",
     "oscillatory_mean",
     "fresnel_limit_scan",
@@ -123,21 +122,6 @@ class QuadraticAction(ActionFunctional):
         if self.constant != 0.0:
             s += self.constant
         return s
-
-
-class CustomAction(ActionFunctional):
-    """User-supplied scalar functional; accepted but only property-checked
-    (no closed-form value verification exists for it)."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], rank: int, label: str = ""):
-        self.fn = fn
-        self.rank = as_count("rank", rank, 0)
-        self.label = label
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros(len(points)) + self.fn(points[:, :0])
-        return np.asarray(self.fn(points[:, : self.rank]), dtype=np.float64)
 
 
 def quadratic_action(matrix, linear=None, constant: float = 0.0) -> QuadraticAction:

@@ -24,12 +24,11 @@ from .action import (
     fresnel_limit_scan,
     quadratic_action,
 )
-from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
+from .cylinder import _bins_per_rank, _ranks, _shortfall, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_list, _built, _require_keys, build_function
 from .seq import (
-    _too_few_samples,
     box_quantiles,
     convergent_source,
     halton_source,
@@ -270,8 +269,7 @@ _CHECKS = {
     "function": lambda v: _function(v, "function"),
     "density": lambda v: _function(v, "density"),
     "hierarchy": lambda v: _built("hierarchy", _ranks, _as_list(v, "hierarchy")),
-    "bins_per_axis": lambda v: tuple(as_count("bins_per_axis", b, 2)
-                                     for b in _as_list(v, "bins_per_axis")),
+    "bins_per_axis": lambda v: tuple(_as_list(v, "bins_per_axis")),  # checked by _bins_per_rank
     "stopping": _stopping,
     "trace_stride": lambda v: as_count("trace_stride", v, 1),
     "significance": lambda v: as_number("significance", v, 0.0, 1.0),
@@ -335,9 +333,25 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
             raise ValidationError(key, "is required for this mode")
         elif default is not None:
             settings[key] = _CHECKS[key](default)
+    if settings["truncation"] is not None and not _reads_truncation(settings):
+        if "truncation" in raw:
+            raise ValidationError("truncation", "is read only where the oracle's measure is "
+                                  "unbounded: an action + regularizer, a route, or a pullback "
+                                  "through 'normal' quantiles")
+        settings["truncation"] = None
     config = ExperimentConfig(**settings)
     _check_across(config)
     return config
+
+
+def _reads_truncation(settings: dict) -> bool:
+    """Whether the oracle of an ``oracle`` or ``compare`` run integrates
+    over an unbounded measure, whose domain it cuts at ``truncation``."""
+    if settings["mode"] == "oracle":
+        return settings["density"] is None
+    source = settings["source"]
+    return settings["route"] is not None or (
+        source["kind"] == "pullback" and source["quantiles"]["family"] == "normal")
 
 
 def _check_across(cfg: ExperimentConfig) -> None:
@@ -367,11 +381,10 @@ def _check_across(cfg: ExperimentConfig) -> None:
                 "density", "oracle mode needs a density, or an action plus a regularizer, not both")
     elif cfg.mode == "certify":
         bins = _bins_per_rank(cfg.hierarchy, cfg.budget, cfg.bins_per_axis)
-        for rank, b in zip(cfg.hierarchy, bins):
-            shortfall = _too_few_samples(cfg.budget, rank, b)
-            if shortfall:
-                raise ValidationError("budget" if cfg.bins_per_axis is None else "bins_per_axis",
-                                      shortfall)
+        shortfall = _shortfall(cfg.hierarchy, cfg.budget, bins)
+        if shortfall:
+            raise ValidationError("budget" if cfg.bins_per_axis is None else "bins_per_axis",
+                                  shortfall)
         rank = max(cfg.hierarchy)
     elif cfg.mode == "fresnel-scan":
         act = _action(cfg.action)[1]
@@ -427,8 +440,9 @@ def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.Converg
         code = EXIT_OK
     else:
         code = EXIT_NOT_CONVERGED
-    result = report.summary_dict()
-    result["final_estimate"] = _estimate_json(report.final_estimate)
+    result = {"final_estimate": _estimate_json(report.final_estimate),
+              "converged": report.converged, "stop_reason": report.stop_reason,
+              "N_used": report.N_used}
     return code, result, report
 
 

@@ -17,17 +17,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaincinv
 
-from .errors import CylinderViolation, ValidationError, as_count
-from .seq import (
-    _MIN_EXPECTED_COUNT,
-    EquidistributionReport,
-    PointSource,
-    equidistribution_statistic,
-)
+from .errors import CylinderViolation, InsufficientSample, ValidationError, as_count, as_number
+from .seq import UNIT_CUBE, PointSource
 
 __all__ = [
     "CylinderFunction",
+    "EquidistributionReport",
     "cylinder_function",
     "verify_cylinder",
     "hierarchy_certify",
@@ -108,6 +105,36 @@ def verify_cylinder(func: CylinderFunction) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# Equidistribution certificate
+
+
+@dataclass(frozen=True)
+class EquidistributionReport:
+    """Chi-square uniformity certificate for one rank."""
+
+    rank: int
+    sample_count: int
+    bins_per_axis: int
+    statistic: float
+    threshold: float
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "rank": self.rank,
+            "sample_count": self.sample_count,
+            "bins_per_axis": self.bins_per_axis,
+            "statistic": self.statistic,
+            "threshold": self.threshold,
+            "pass": self.passed,
+        }
+
+
+# The chi-square approximation needs this many expected counts per cell.
+_MIN_EXPECTED_COUNT = 5
+
+
 def _ranks(ranks: Sequence[int]) -> tuple[int, ...]:
     """The truncation ranks as ints, unless they are not a nonempty,
     strictly increasing sequence of integers >= 1."""
@@ -133,13 +160,58 @@ def _default_bins(rank: int, sample_count: int) -> int:
 def _bins_per_rank(
     ranks: Sequence[int], sample_count: int, bins_per_axis: Sequence[int] | None
 ) -> list[int]:
-    """Bins per axis at each rank: the given ones, or :func:`_default_bins`."""
+    """Bins per axis at each rank: the given ones, each >= 2, or :func:`_default_bins`."""
     if bins_per_axis is None:
         return [_default_bins(r, sample_count) for r in ranks]
     bins = list(bins_per_axis) if np.iterable(bins_per_axis) else []
     if len(bins) != len(ranks):
         raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins_per_axis!r}")
-    return bins
+    return [as_count("bins_per_axis", b, 2) for b in bins]
+
+
+def _shortfall(ranks: Sequence[int], sample_count: int, bins: Sequence[int]) -> str | None:
+    """Why ``sample_count`` points are too few for the chi-square test at
+    some rank on its ``bins``-per-axis grid, or None when they suffice."""
+    for rank, b in zip(ranks, bins):
+        cells = b**rank
+        if cells * _MIN_EXPECTED_COUNT > sample_count:
+            return (f"{sample_count} samples give fewer than {_MIN_EXPECTED_COUNT} expected "
+                    f"counts per cell ({cells} cells); increase N or lower the resolution")
+    return None
+
+
+def _equidistribution_statistic(
+    source: PointSource, rank: int, sample_count: int, bins_per_axis: int, level: float
+) -> EquidistributionReport:
+    """Chi-square test of the first ``sample_count`` rank-truncated points
+    against the uniform expectation on a ``bins_per_axis``-per-axis grid.
+
+    The threshold is the chi-square quantile at ``level`` with
+    ``bins_per_axis**rank - 1`` degrees of freedom.
+    """
+    cells = bins_per_axis**rank
+    counts = np.zeros(cells, dtype=np.int64)
+    chunk = 1 << 16
+    buf = np.empty(rank * min(chunk, sample_count))
+    for start in range(0, sample_count, chunk):
+        stop = min(start + chunk, sample_count)
+        block = source.block(start, stop, rank, buf)
+        idx = np.minimum((block * bins_per_axis).astype(np.int64), bins_per_axis - 1)
+        flat = idx[:, 0]
+        for k in range(1, rank):
+            flat = flat * bins_per_axis + idx[:, k]
+        counts += np.bincount(flat, minlength=cells)
+    expected = sample_count / cells
+    statistic = float(np.sum((counts - expected) ** 2) / expected)
+    threshold = float(2.0 * gammaincinv((cells - 1) / 2.0, level))
+    return EquidistributionReport(
+        rank=rank,
+        sample_count=sample_count,
+        bins_per_axis=bins_per_axis,
+        statistic=statistic,
+        threshold=threshold,
+        passed=statistic <= threshold,
+    )
 
 
 def hierarchy_certify(
@@ -149,13 +221,20 @@ def hierarchy_certify(
     level: float = 0.999,
     bins_per_axis: Sequence[int] | None = None,
 ) -> list[EquidistributionReport]:
-    """Chi-square uniformity certificate for every rank of ``hierarchy``,
-    strictly increasing truncation ranks, with one ``bins_per_axis`` entry
-    per rank; the source is adequate when all levels pass."""
+    """Chi-square uniformity certificate of a unit-cube source for every
+    rank of ``hierarchy``, strictly increasing truncation ranks, with one
+    ``bins_per_axis`` entry per rank; the source is adequate when all
+    levels pass.  Each level needs at least 5 expected counts per cell."""
+    if source.codomain != UNIT_CUBE:
+        raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
     ranks = _ranks(hierarchy)
     sample_count = as_count("sample_count", sample_count, 1)
+    level = as_number("level", level, 0.0, 1.0)
     bins = _bins_per_rank(ranks, sample_count, bins_per_axis)
+    shortfall = _shortfall(ranks, sample_count, bins)
+    if shortfall:
+        raise InsufficientSample(shortfall)
     return [
-        equidistribution_statistic(source, r, sample_count, b, level)
+        _equidistribution_statistic(source, r, sample_count, b, level)
         for r, b in zip(ranks, bins)
     ]

@@ -281,18 +281,6 @@ class ConvergenceReport:
             writer.writerow(TRACE_COLUMNS)
             writer.writerows(self.trace_rows())
 
-    def summary_dict(self) -> dict:
-        if self.degenerate:
-            final = "degenerate"
-        else:
-            final = {"re": self.final_estimate.real, "im": self.final_estimate.imag}
-        return {
-            "final_estimate": final,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "N_used": self.N_used,
-        }
-
 
 def _checkpoints(budget: int, rule: StoppingRule) -> list[int]:
     """Stopping checkpoints of a run, increasing and ending at ``budget``.

@@ -12,15 +12,13 @@ rows (:meth:`QuantileFamily.apply`); a single value is a one-element row.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+from scipy.special import ndtri
 
 from .errors import (
-    InsufficientSample,
     QuantileDomain,
     ValidationError,
     as_count,
@@ -31,7 +29,6 @@ from .errors import (
 __all__ = [
     "PointSource",
     "QuantileFamily",
-    "EquidistributionReport",
     "halton_source",
     "weyl_source",
     "pseudorandom_source",
@@ -40,7 +37,6 @@ __all__ = [
     "uniform_quantiles",
     "normal_quantiles",
     "box_quantiles",
-    "equidistribution_statistic",
 ]
 
 UNIT_CUBE = "unit-cube"
@@ -642,91 +638,3 @@ def pullback_source(base: PointSource, quantiles: QuantileFamily) -> PointSource
     """Map a cube source through per-coordinate quantile functions, turning
     uniform coordinates into samples of a product measure on R^N."""
     return PullbackSource(base, quantiles)
-
-
-# ---------------------------------------------------------------------------
-# Equidistribution certificate
-
-
-@dataclass(frozen=True)
-class EquidistributionReport:
-    """Chi-square uniformity certificate for one rank."""
-
-    rank: int
-    sample_count: int
-    bins_per_axis: int
-    statistic: float
-    threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "sample_count": self.sample_count,
-            "bins_per_axis": self.bins_per_axis,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
-
-
-# The chi-square approximation needs this many expected counts per cell.
-_MIN_EXPECTED_COUNT = 5
-
-
-def _too_few_samples(sample_count: int, rank: int, bins_per_axis: int) -> str | None:
-    """Why ``sample_count`` points are too few for a chi-square test on a
-    ``bins_per_axis``-per-axis grid at ``rank``, or None when they suffice."""
-    cells = bins_per_axis**rank
-    if cells * _MIN_EXPECTED_COUNT <= sample_count:
-        return None
-    return (f"{sample_count} samples give fewer than {_MIN_EXPECTED_COUNT} expected counts "
-            f"per cell ({cells} cells); increase N or lower the resolution")
-
-
-def equidistribution_statistic(
-    source: PointSource,
-    rank: int,
-    sample_count: int,
-    bins_per_axis: int,
-    level: float = 0.999,
-) -> EquidistributionReport:
-    """Chi-square test of the first ``sample_count`` rank-truncated points
-    against the uniform expectation on a ``bins_per_axis``-per-axis grid.
-
-    The threshold is the chi-square quantile at ``level`` with
-    ``bins_per_axis**rank - 1`` degrees of freedom; the test requires at
-    least 5 expected counts per cell.
-    """
-    if source.codomain != UNIT_CUBE:
-        raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
-    rank = as_count("rank", rank, 1)
-    bins_per_axis = as_count("bins_per_axis", bins_per_axis, 2)
-    sample_count = as_count("sample_count", sample_count, 1)
-    level = as_number("level", level, 0.0, 1.0)
-    shortfall = _too_few_samples(sample_count, rank, bins_per_axis)
-    if shortfall:
-        raise InsufficientSample(shortfall)
-    cells = bins_per_axis**rank
-    counts = np.zeros(cells, dtype=np.int64)
-    chunk = 1 << 16
-    buf = np.empty(rank * min(chunk, sample_count))
-    for start in range(0, sample_count, chunk):
-        stop = min(start + chunk, sample_count)
-        block = source.block(start, stop, rank, buf)
-        idx = np.minimum((block * bins_per_axis).astype(np.int64), bins_per_axis - 1)
-        flat = idx[:, 0]
-        for k in range(1, rank):
-            flat = flat * bins_per_axis + idx[:, k]
-        counts += np.bincount(flat, minlength=cells)
-    expected = sample_count / cells
-    statistic = float(np.sum((counts - expected) ** 2) / expected)
-    threshold = float(2.0 * gammaincinv((cells - 1) / 2.0, level))
-    return EquidistributionReport(
-        rank=rank,
-        sample_count=sample_count,
-        bins_per_axis=bins_per_axis,
-        statistic=statistic,
-        threshold=threshold,
-        passed=statistic <= threshold,
-    )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmean import (
-    CustomAction,
+    ActionFunctional,
     StoppingRule,
     boltzmann_policy,
     convergent_source,
@@ -62,9 +62,19 @@ def test_quadratic_action_rejects_asymmetry_and_large_rank():
         quadratic_action(np.eye(17))
 
 
-def test_custom_action_evaluates_declared_rank():
-    act = CustomAction(lambda x: np.abs(x[:, 0]) ** 3, rank=1, label="cubic")
-    assert ev(act, -2.0) == 8.0
+class Quartic(ActionFunctional):
+    rank = 1
+
+    def __call__(self, points):
+        return points[:, 0] ** 4 / 4
+
+
+def test_action_subclass_drives_the_action_policies():
+    pts = np.array([[1.0], [-2.0]])
+    assert ev(Quartic(), -2.0) == 4.0
+    assert np.array_equal(boltzmann_policy(Quartic()).weights(pts), np.exp([-0.25, -4.0]))
+    assert np.allclose(oscillatory_policy(Quartic()).weights(pts), np.exp([-0.25j, -4.0j]),
+                       rtol=1e-15, atol=0)
 
 
 def test_normal_regularizer_values_and_product_structure():

@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmean import halton_source, normal_quantiles, oscillatory_mean, quadratic_action
+from diracmean import (
+    StoppingRule,
+    constant_policy,
+    halton_source,
+    normal_quantiles,
+    oscillatory_mean,
+    quadratic_action,
+    run,
+)
 from diracmean.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
@@ -247,6 +255,18 @@ def test_estimate_non_convergence_exits_3(tmp_path):
     code, summary, _ = run_cli(tmp_path, cfg)
     assert code == EXIT_NOT_CONVERGED
     assert summary["result"]["stop_reason"] == "budget-exhausted"
+
+
+def test_estimate_result_is_the_run_report(tmp_path):
+    cfg = dict(MINIMAL, function={"name": "coordinate", "index": 1}, budget=2000,
+               stopping={"min_samples": 2000})
+    code, summary, _ = run_cli(tmp_path, cfg)
+    report = run(halton_source(0), constant_policy(), build_function(cfg["function"]), 2000,
+                 StoppingRule(min_samples=2000))
+    assert code == EXIT_NOT_CONVERGED
+    assert summary["result"] == {
+        "final_estimate": {"re": report.final_estimate.real, "im": report.final_estimate.imag},
+        "converged": False, "stop_reason": "budget-exhausted", "N_used": 2000}
 
 
 def test_certify_constant_source_fails(tmp_path):
@@ -638,6 +658,13 @@ def _without(cfg, key):
     (dict(ORACLE, action={"matrix": [[1.0]]}, regularizer={"widths": [1.0]}), "density"),
     (dict(SCAN, box_half_width=6.0), "box_half_width"),
     (dict(ROUTED, route="sideways"), "route"),
+    # `truncation` cuts only an unbounded oracle measure.
+    (dict(ORACLE, density={"name": "polynomial", "coeffs": [1.0, 1.0]}, truncation=0.5),
+     "truncation"),
+    (dict(DENSITY, mode="compare", truncation=8.0), "truncation"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
+                                   "quantiles": {"family": "uniform-box", "widths": [1.0, 0.5]}},
+          truncation=0.5), "truncation"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
@@ -658,7 +685,8 @@ def _without(cfg, key):
         "coordinate-product-rnak", "density-unknown-key", "policy-function-unknown-key",
         "scan-regularizer", "oracle-budget", "estimate-significance", "policy-and-action",
         "oracle-density-and-action", "scan-pullback-box-half-width",
-        "route-unknown"])
+        "route-unknown", "oracle-density-truncation", "compare-cube-truncation",
+        "compare-uniform-box-truncation"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config_dict(cfg)
@@ -668,6 +696,17 @@ def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, c
     assert summary is None and not out.exists()
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_truncation_is_echoed_only_where_read():
+    # Read by an oracle over an unbounded measure: a regularizer's or a normal pullback's.
+    gaussian = {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
+                "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0]}}
+    for cfg in (gaussian, dict(ROUTED, mode="compare"), NORMAL_PULLBACK):
+        assert parse_config_dict(cfg).to_dict()["truncation"] == 8.0
+        assert parse_config_dict(dict(cfg, truncation=0.5)).truncation == 0.5
+    for cfg in (ORACLE, dict(DENSITY, mode="compare")):
+        assert "truncation" not in parse_config_dict(cfg).to_dict()
 
 
 def test_uncreatable_output_directory_is_one_error_line(tmp_path, capsys):

@@ -117,14 +117,6 @@ def test_weyl_hierarchy_passes_ranks_1_and_2():
     assert all(r.passed for r in reports)
 
 
-def test_singleton_hierarchy_equals_single_statistic():
-    from diracmean import equidistribution_statistic
-
-    reports = hierarchy_certify(halton_source(0), (1,), 10**4, bins_per_axis=(16,))
-    single = equidistribution_statistic(halton_source(0), 1, 10**4, 16)
-    assert reports[0] == single
-
-
 def test_insufficient_sample_propagates_per_level():
     with pytest.raises(InsufficientSample):
         hierarchy_certify(halton_source(0), (1, 2, 3), 30, bins_per_axis=(2, 2, 2))

@@ -65,7 +65,6 @@ BAD_ARGUMENTS = [
     ("1", "matrix", lambda: dm.quadratic_action(np.eye(17))),
     ("2", "linear", lambda: dm.quadratic_action([[1.0]], [1.0, 2.0])),
     ("3", "constant", lambda: dm.quadratic_action([[1.0]], constant=math.nan)),
-    ("4", "rank", lambda: dm.CustomAction(lambda x: x[:, 0], -1)),
     ("5", "widths", lambda: dm.normal_quantiles([])),
     ("6", "regularizer", lambda: _oscillatory(action=dm.quadratic_action(np.eye(2)))),
     ("7", "route", lambda: _oscillatory(route="sideways")),
@@ -110,11 +109,13 @@ BAD_ARGUMENTS = [
     ("47", "widths", lambda: dm.normal_quantiles([1.0, 0.0])),
     ("48", "half_width", lambda: dm.box_quantiles(-1.0)),
     ("49", "base", lambda: dm.pullback_source(PULLBACK, dm.normal_quantiles())),
-    ("50", "source", lambda: dm.equidistribution_statistic(PULLBACK, 1, 100, 4)),
-    ("51", "bins_per_axis", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 1)),
-    ("52", "level", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 100, 4, 1.5)),
-    ("53", "rank", lambda: dm.equidistribution_statistic(dm.halton_source(), 0, 100, 4)),
-    ("54", "sample_count", lambda: dm.equidistribution_statistic(dm.halton_source(), 1, 2.5, 4)),
+    ("50", "source", lambda: dm.hierarchy_certify(PULLBACK, [1], 100, bins_per_axis=[4])),
+    ("51", "bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 100,
+                                                         bins_per_axis=[1])),
+    ("52", "level", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 100, 1.5, [4])),
+    ("53", "ranks", lambda: dm.hierarchy_certify(dm.halton_source(), [0], 100, bins_per_axis=[4])),
+    ("54", "sample_count", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 2.5,
+                                                        bins_per_axis=[4])),
     ("55", "rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
     ("56", "index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
     ("57", "index_phase", lambda: dm.product_regularized_policy(REG, ACT, math.inf)),
@@ -125,7 +126,7 @@ BAD_ARGUMENTS = [
     ("62", "offset", lambda: dm.convergent_source(0.5, 0.5, math.inf)),
     ("63", "target", lambda: dm.convergent_source([], 0.5)),
     ("equidistribution-negative", "sample_count",
-     lambda: dm.equidistribution_statistic(dm.halton_source(), 1, -1, 4)),
+     lambda: dm.hierarchy_certify(dm.halton_source(), [1], -1, bins_per_axis=[4])),
     ("hierarchy-negative", "sample_count",
      lambda: dm.hierarchy_certify(dm.halton_source(), (1, 2), -5)),
     ("hierarchy-scalar-ranks", "ranks",

@@ -763,10 +763,6 @@ def test_report_serialization_round_trip():
                  StoppingRule(min_samples=2000))
     rows = report.trace_rows()
     assert len(rows) == len(report.trace["m"])
-    summary = report.summary_dict()
-    assert summary["stop_reason"] == "budget-exhausted"
-    assert summary["N_used"] == 2000
-    assert summary["final_estimate"]["re"] == report.final_estimate.real
 
 
 def test_stopping_rule_validation():

@@ -15,6 +15,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from diracmean import seq
+from diracmean.cylinder import hierarchy_certify
 from diracmean.errors import InsufficientSample, QuantileDomain, ValidationError
 from diracmean.oracle import QuadratureSpec, normalized_expectation
 
@@ -441,7 +442,7 @@ def test_pseudorandom_is_deterministic_and_seed_sensitive():
 
 def test_pseudorandom_chi_square_passes():
     src = seq.pseudorandom_source(2024)
-    report = seq.equidistribution_statistic(src, 1, 10**4, 16, level=0.999)
+    report = hierarchy_certify(src, [1], 10**4, 0.999, [16])[0]
     assert report.passed
 
 
@@ -556,13 +557,13 @@ def test_nonpositive_widths_rejected():
 
 
 def test_halton_rank2_four_bins_passes():
-    report = seq.equidistribution_statistic(seq.halton_source(0), 2, 10**4, 4)
+    report = hierarchy_certify(seq.halton_source(0), [2], 10**4, bins_per_axis=[4])[0]
     assert report.passed
     assert report.statistic <= report.threshold
 
 
 def test_weyl_rank1_threshold_matches_chi_square_table():
-    report = seq.equidistribution_statistic(seq.weyl_source(), 1, 10**4, 16)
+    report = hierarchy_certify(seq.weyl_source(), [1], 10**4, bins_per_axis=[16])[0]
     assert report.threshold == pytest.approx(37.70, abs=0.01)
     assert report.statistic <= 37.70
     assert report.passed
@@ -571,34 +572,34 @@ def test_weyl_rank1_threshold_matches_chi_square_table():
 @pytest.mark.parametrize("rank,bins", [(1, 16), (2, 8), (3, 4)])
 @pytest.mark.parametrize("make", [seq.halton_source, lambda: seq.weyl_source()])
 def test_low_discrepancy_sources_pass_ranks_1_to_3(make, rank, bins):
-    report = seq.equidistribution_statistic(make(), rank, 10**4, bins)
+    report = hierarchy_certify(make(), [rank], 10**4, bins_per_axis=[bins])[0]
     assert report.passed
 
 
 @pytest.mark.parametrize("level", [0.9, 0.99, 0.999, 0.9999])
 def test_constant_source_fails_at_every_level(level):
-    report = seq.equidistribution_statistic(constant_source(), 1, 10**4, 16, level)
+    report = hierarchy_certify(constant_source(), [1], 10**4, level, [16])[0]
     assert not report.passed
     # all mass in one bin: statistic is N (bins - 1) in closed form
     assert report.statistic == pytest.approx(10**4 * 15, rel=1e-12)
 
 
 def test_sample_count_boundary_is_accepted():
-    report = seq.equidistribution_statistic(seq.halton_source(0), 1, 16 * 5, 16)
+    report = hierarchy_certify(seq.halton_source(0), [1], 16 * 5, bins_per_axis=[16])[0]
     assert report.sample_count == 80
     with pytest.raises(InsufficientSample):
-        seq.equidistribution_statistic(seq.halton_source(0), 1, 16 * 5 - 1, 16)
+        hierarchy_certify(seq.halton_source(0), [1], 16 * 5 - 1, bins_per_axis=[16])
 
 
 def test_equidistribution_requires_cube_codomain():
     pb = seq.pullback_source(seq.halton_source(1), seq.normal_quantiles())
     with pytest.raises(ValueError):
-        seq.equidistribution_statistic(pb, 1, 1000, 4)
+        hierarchy_certify(pb, [1], 1000, bins_per_axis=[4])
 
 
 def test_report_pass_iff_statistic_below_threshold():
-    good = seq.equidistribution_statistic(seq.halton_source(0), 1, 10**4, 16)
-    bad = seq.equidistribution_statistic(constant_source(), 1, 10**4, 16)
+    good = hierarchy_certify(seq.halton_source(0), [1], 10**4, bins_per_axis=[16])[0]
+    bad = hierarchy_certify(constant_source(), [1], 10**4, bins_per_axis=[16])[0]
     for r in (good, bad):
         assert r.passed == (r.statistic <= r.threshold)
         d = r.to_dict()

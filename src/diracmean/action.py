@@ -39,9 +39,8 @@ __all__ = [
 ]
 
 _MAX_QUADRATIC_RANK = 16
-# Points and level of the base-source uniformity certificate of oscillatory_mean.
+# Points of the base-source uniformity certificate of oscillatory_mean.
 _CERTIFICATION_SAMPLES = 10**4
-_CERTIFICATION_LEVEL = 0.999
 
 
 class ActionFunctional:
@@ -132,7 +131,7 @@ def quadratic_action(matrix, linear=None, constant: float = 0.0) -> QuadraticAct
 
 def _certify_base(base: PointSource, rank: int) -> None:
     ranks = tuple(range(1, min(rank, 3) + 1))
-    reports = hierarchy_certify(base, ranks, _CERTIFICATION_SAMPLES, _CERTIFICATION_LEVEL)
+    reports = hierarchy_certify(base, ranks, _CERTIFICATION_SAMPLES)
     bad = [r for r in reports if not r.passed]
     if bad:
         worst = bad[0]

@@ -24,7 +24,7 @@ from .action import (
     fresnel_limit_scan,
     quadratic_action,
 )
-from .cylinder import _bins_per_rank, _ranks, _shortfall, hierarchy_certify
+from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
 from .oracle import QuadratureSpec, normalized_expectation
 from .registry import _as_list, _built, _require_keys, build_function
@@ -380,11 +380,8 @@ def _check_across(cfg: ExperimentConfig) -> None:
             raise ValidationError(
                 "density", "oracle mode needs a density, or an action plus a regularizer, not both")
     elif cfg.mode == "certify":
-        bins = _bins_per_rank(cfg.hierarchy, cfg.budget, cfg.bins_per_axis)
-        shortfall = _shortfall(cfg.hierarchy, cfg.budget, bins)
-        if shortfall:
-            raise ValidationError("budget" if cfg.bins_per_axis is None else "bins_per_axis",
-                                  shortfall)
+        _built("budget" if cfg.bins_per_axis is None else "bins_per_axis", _bins_per_rank,
+               cfg.hierarchy, cfg.budget, cfg.bins_per_axis)
         rank = max(cfg.hierarchy)
     elif cfg.mode == "fresnel-scan":
         act = _action(cfg.action)[1]

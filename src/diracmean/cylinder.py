@@ -160,58 +160,25 @@ def _default_bins(rank: int, sample_count: int) -> int:
 def _bins_per_rank(
     ranks: Sequence[int], sample_count: int, bins_per_axis: Sequence[int] | None
 ) -> list[int]:
-    """Bins per axis at each rank: the given ones, each >= 2, or :func:`_default_bins`."""
+    """The sample plan: bins per axis at each rank, the given ones, each
+    >= 2, or :func:`_default_bins`; ``InsufficientSample`` when
+    ``sample_count`` points give some rank fewer than 5 expected counts
+    per cell."""
     if bins_per_axis is None:
-        return [_default_bins(r, sample_count) for r in ranks]
-    bins = list(bins_per_axis) if np.iterable(bins_per_axis) else []
-    if len(bins) != len(ranks):
-        raise ValidationError("bins_per_axis", f"needs one entry per rank, got {bins_per_axis!r}")
-    return [as_count("bins_per_axis", b, 2) for b in bins]
-
-
-def _shortfall(ranks: Sequence[int], sample_count: int, bins: Sequence[int]) -> str | None:
-    """Why ``sample_count`` points are too few for the chi-square test at
-    some rank on its ``bins``-per-axis grid, or None when they suffice."""
+        bins = [_default_bins(r, sample_count) for r in ranks]
+    else:
+        bins = list(bins_per_axis) if np.iterable(bins_per_axis) else []
+        if len(bins) != len(ranks):
+            raise ValidationError("bins_per_axis",
+                                  f"needs one entry per rank, got {bins_per_axis!r}")
+        bins = [as_count("bins_per_axis", b, 2) for b in bins]
     for rank, b in zip(ranks, bins):
         cells = b**rank
         if cells * _MIN_EXPECTED_COUNT > sample_count:
-            return (f"{sample_count} samples give fewer than {_MIN_EXPECTED_COUNT} expected "
-                    f"counts per cell ({cells} cells); increase N or lower the resolution")
-    return None
-
-
-def _equidistribution_statistic(
-    source: PointSource, rank: int, sample_count: int, bins_per_axis: int, level: float
-) -> EquidistributionReport:
-    """Chi-square test of the first ``sample_count`` rank-truncated points
-    against the uniform expectation on a ``bins_per_axis``-per-axis grid.
-
-    The threshold is the chi-square quantile at ``level`` with
-    ``bins_per_axis**rank - 1`` degrees of freedom.
-    """
-    cells = bins_per_axis**rank
-    counts = np.zeros(cells, dtype=np.int64)
-    chunk = 1 << 16
-    buf = np.empty(rank * min(chunk, sample_count))
-    for start in range(0, sample_count, chunk):
-        stop = min(start + chunk, sample_count)
-        block = source.block(start, stop, rank, buf)
-        idx = np.minimum((block * bins_per_axis).astype(np.int64), bins_per_axis - 1)
-        flat = idx[:, 0]
-        for k in range(1, rank):
-            flat = flat * bins_per_axis + idx[:, k]
-        counts += np.bincount(flat, minlength=cells)
-    expected = sample_count / cells
-    statistic = float(np.sum((counts - expected) ** 2) / expected)
-    threshold = float(2.0 * gammaincinv((cells - 1) / 2.0, level))
-    return EquidistributionReport(
-        rank=rank,
-        sample_count=sample_count,
-        bins_per_axis=bins_per_axis,
-        statistic=statistic,
-        threshold=threshold,
-        passed=statistic <= threshold,
-    )
+            raise InsufficientSample(
+                f"{sample_count} samples give fewer than {_MIN_EXPECTED_COUNT} expected "
+                f"counts per cell ({cells} cells); increase N or lower the resolution")
+    return bins
 
 
 def hierarchy_certify(
@@ -224,17 +191,35 @@ def hierarchy_certify(
     """Chi-square uniformity certificate of a unit-cube source for every
     rank of ``hierarchy``, strictly increasing truncation ranks, with one
     ``bins_per_axis`` entry per rank; the source is adequate when all
-    levels pass.  Each level needs at least 5 expected counts per cell."""
+    levels pass.  Each level needs at least 5 expected counts per cell.
+
+    The first ``sample_count`` points are read once, at the top rank; a
+    source is truncation-consistent, so each rank bins the first ``rank``
+    columns of that block on its ``bins_per_axis``-per-axis grid.  A
+    level's threshold is the chi-square quantile at ``level`` with
+    ``bins_per_axis**rank - 1`` degrees of freedom."""
     if source.codomain != UNIT_CUBE:
         raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
     ranks = _ranks(hierarchy)
     sample_count = as_count("sample_count", sample_count, 1)
     level = as_number("level", level, 0.0, 1.0)
     bins = _bins_per_rank(ranks, sample_count, bins_per_axis)
-    shortfall = _shortfall(ranks, sample_count, bins)
-    if shortfall:
-        raise InsufficientSample(shortfall)
-    return [
-        _equidistribution_statistic(source, r, sample_count, b, level)
-        for r, b in zip(ranks, bins)
-    ]
+    counts = [np.zeros(b**r, dtype=np.int64) for r, b in zip(ranks, bins)]
+    chunk = 1 << 16
+    buf = np.empty(ranks[-1] * min(chunk, sample_count))
+    for start in range(0, sample_count, chunk):
+        block = source.block(start, min(start + chunk, sample_count), ranks[-1], buf)
+        for rank, b, count in zip(ranks, bins, counts):
+            idx = np.minimum((block[:, :rank] * b).astype(np.int64), b - 1)
+            flat = idx[:, 0]
+            for k in range(1, rank):
+                flat = flat * b + idx[:, k]
+            count += np.bincount(flat, minlength=len(count))
+    reports = []
+    for rank, b, count in zip(ranks, bins, counts):
+        expected = sample_count / len(count)
+        statistic = float(np.sum((count - expected) ** 2) / expected)
+        threshold = float(2.0 * gammaincinv((len(count) - 1) / 2.0, level))
+        reports.append(EquidistributionReport(rank, sample_count, b, statistic, threshold,
+                                              statistic <= threshold))
+    return reports

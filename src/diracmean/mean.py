@@ -141,8 +141,13 @@ class MeanAccumulator:
             raise NonFiniteInput("non-finite weight in block")
         if not np.isfinite(values).all():
             raise NonFiniteInput("non-finite function value in block")
-        self._fold(np.sum(np.multiply(weights, values)), np.sum(weights),
-                   np.sum(np.abs(weights)), len(weights))
+        # Finite terms can still overflow; that is the error below, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (np.sum(np.multiply(weights, values)), np.sum(weights),
+                    np.sum(np.abs(weights)))
+        if not np.isfinite(sums).all():
+            raise NonFiniteInput("block sums overflow: weights or values too large")
+        self._fold(*sums, len(weights))
         return self
 
     def _fold(self, num, den, aw, count: int) -> None:
@@ -430,9 +435,9 @@ def run(
             cuts += (max(o - o % block_size, prev), o)
             prev = o
         at = np.asarray(cuts, dtype=np.intp)
-        # A non-finite term is an error only before the stop, where add_block
-        # raises; until then its sums are formed in silence.
-        with np.errstate(invalid="ignore"):
+        # A non-finite term or sum is an error only before the stop, where
+        # add_block raises; until then its sums are formed in silence.
+        with np.errstate(over="ignore", invalid="ignore"):
             num_sums = _term_sums(np.multiply(w, v), block_size, at)
             den_sums = _term_sums(w, block_size, at)
             aw_sums = _term_sums(np.abs(w), block_size, at)

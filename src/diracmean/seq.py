@@ -122,25 +122,14 @@ def _shifted_start(indices: range, offset: int) -> int:
     return indices.start + offset
 
 
-_TRANSPOSE_ROWS = 4096
-
-
 def _columns(points: np.ndarray, rank: int) -> np.ndarray:
     """The first ``rank`` columns as a C-contiguous ``(rank, m)`` array.
 
     A column-major block (every source block) is returned as a view,
-    without a copy, so callers must not write into it.  Any other layout
-    is copied ``_TRANSPOSE_ROWS`` rows at a time: a single transposing
-    pass over a large row-major block fetches each source cache line
-    ``rank`` times, and measured 2-2.5x slower at 65536 x 8.
+    without a copy, so callers must not write into it; any other layout
+    is copied.
     """
-    cols = points[:, :rank].T
-    if cols.flags.c_contiguous:
-        return cols
-    cols = np.empty((rank, len(points)))
-    for k in range(0, len(points), _TRANSPOSE_ROWS):
-        cols[:, k : k + _TRANSPOSE_ROWS] = points[k : k + _TRANSPOSE_ROWS, :rank].T
-    return cols
+    return np.ascontiguousarray(points[:, :rank].T)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,15 @@ def test_quadratic_action_hand_values():
     assert ev(with_linear, 3.0) == 9.0 + 3.0 + 0.5
 
 
+def test_linear_only_row_matches_its_closed_form_in_either_layout():
+    # Row 1 has a linear term and no quadratic term: S = x1^2 + 3 x2.
+    action = quadratic_action([[2.0, 0.0], [0.0, 0.0]], [0.0, 3.0])
+    pts = np.random.default_rng(3).normal(size=(64, 3))
+    want = pts[:, 0] ** 2 + 3.0 * pts[:, 1]
+    for block in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+        assert np.array_equal(action(block), want)
+
+
 def test_constant_pi_action_flips_every_weight():
     pol = oscillatory_policy(quadratic_action([[0.0]], constant=np.pi))
     w = pol.weights(halton_source(0).block(0, 16, 1))

@@ -132,6 +132,11 @@ def test_mode_mismatch_rejected():
         parse_config_dict(MINIMAL, mode="certify")
 
 
+def test_unknown_mode_is_a_validation_error():
+    with pytest.raises(ValidationError, match="^mode: 'bogus' is not one of"):
+        parse_config_dict({"mode": "bogus"})
+
+
 @pytest.mark.parametrize("text, field", [
     ('{"rel_tol": NaN}', "stopping.rel_tol"),
     ('{"rel_tol": Infinity}', "stopping.rel_tol"),
@@ -458,7 +463,8 @@ def test_usage_error_is_exit_1_with_one_error_line(capsys, argv, message):
     (b"\xff\xfe{\x00}\x00", "error: the experiment description is not UTF-8: "),
     (b"[" * 200000 + b"]" * 200000, "error: invalid JSON: nested too deeply"),
     (b'{"budget": ' + b"9" * 5000 + b"}", "error: invalid JSON: Exceeds the limit"),
-], ids=["utf16-bom", "nested-200000-deep", "integer-of-5000-digits"])
+    (b"[1, 2]", "error: the experiment description must be a JSON object"),
+], ids=["utf16-bom", "nested-200000-deep", "integer-of-5000-digits", "json-array"])
 def test_undecodable_config_is_one_error_line(tmp_path, capsys, data, message):
     path = tmp_path / "config.json"
     path.write_bytes(data)

@@ -10,6 +10,7 @@ from diracmean import (
     cylinder_function,
     halton_source,
     hierarchy_certify,
+    pseudorandom_source,
     run,
     verify_cylinder,
     weyl_source,
@@ -131,6 +132,37 @@ def test_monotone_certification_for_halton():
     for rank in (1, 2):
         low = hierarchy_certify(halton_source(0), (rank,), n, bins_per_axis=(bins,))[0]
         assert low.passed
+
+
+class Recording:
+    """Point source that records the arguments of every ``block`` call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+        self.codomain = inner.codomain
+
+    def block(self, start, stop, rank, out=None):
+        self.calls.append((start, stop, rank))
+        return self.inner.block(start, stop, rank, out)
+
+
+def test_certificate_reads_each_point_once_at_the_top_rank():
+    src = Recording(halton_source(0))
+    hierarchy_certify(src, (1, 2, 3), 2 * 65536 + 100)
+    assert src.calls == [(0, 65536, 3), (65536, 131072, 3), (131072, 131172, 3)]
+
+
+@pytest.mark.parametrize("source", [
+    halton_source(0), weyl_source(), pseudorandom_source(11),
+    convergent_source(0.3, 0.9995, 0.5),
+], ids=["halton", "weyl", "pseudorandom", "convergent"])
+def test_each_level_is_its_single_rank_certificate(source):
+    n = 65536 + 4000  # a full chunk and a short one
+    for level in hierarchy_certify(source, (1, 2, 3), n):
+        alone = hierarchy_certify(source, (level.rank,), n,
+                                  bins_per_axis=[level.bins_per_axis])[0]
+        assert (level.statistic, level.threshold) == (alone.statistic, alone.threshold)
+        assert level == alone
 
 
 def star_discrepancy(points):

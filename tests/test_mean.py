@@ -16,6 +16,7 @@ from diracmean import (
     MeanAccumulator,
     StoppingRule,
     WeightPolicy,
+    boltzmann_policy,
     constant_policy,
     convergent_source,
     cylinder_function,
@@ -620,6 +621,16 @@ def test_nonfinite_term_in_an_earlier_block_of_the_stopping_batch_raises():
         past = run(halton_source(1), NaNAt(index), F_X1, 10**6, rule, block_size=1024)
         assert (_bits(past.final_estimate), past.N_used) == \
             (_bits(clean.final_estimate), clean.N_used)
+
+
+def test_overflowing_block_sums_raise_nonfinite_input():
+    # Each weight e^690 and value 1e10 is finite; their products are not.
+    pol = boltzmann_policy(quadratic_action([[0.0]], constant=-690))
+    func = cylinder_function(1, lambda x: np.full(len(x), 1e10), "1e10")
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        run(halton_source(1), pol, func, 5000, StoppingRule(min_samples=5000))
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        run_blocked(halton_source(1), pol, func, 5000, 2)
 
 
 # Blocks 0..69999 and 70000..140000, each read as a 65536-point chunk and a

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import CylinderViolation, InsufficientSample, ValidationError, as_count, as_number
 from .seq import UNIT_CUBE, PointSource
@@ -197,7 +196,11 @@ def hierarchy_certify(
     source is truncation-consistent, so each rank bins the first ``rank``
     columns of that block on its ``bins_per_axis``-per-axis grid.  A
     level's threshold is the chi-square quantile at ``level`` with
-    ``bins_per_axis**rank - 1`` degrees of freedom."""
+    ``bins_per_axis**rank - 1`` degrees of freedom, from
+    ``scipy.special.gammaincinv``, which is imported when this function
+    is called, not when the package is."""
+    from scipy.special import gammaincinv
+
     if source.codomain != UNIT_CUBE:
         raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
     ranks = _ranks(hierarchy)

@@ -151,13 +151,18 @@ class MeanAccumulator:
         return self
 
     def _fold(self, num, den, aw, count: int) -> None:
-        """Fold one block's sums in as single compensated addends."""
+        """Fold one block's sums in as single compensated addends; if a
+        running total would overflow, raise ``NonFiniteInput`` and keep the
+        accumulator as it was."""
         num, den = complex(num), complex(den)
-        self._nr, self._nrc = _kbn_add(self._nr, self._nrc, num.real)
-        self._ni, self._nic = _kbn_add(self._ni, self._nic, num.imag)
-        self._dr, self._drc = _kbn_add(self._dr, self._drc, den.real)
-        self._di, self._dic = _kbn_add(self._di, self._dic, den.imag)
-        self._aw, self._awc = _kbn_add(self._aw, self._awc, float(aw))
+        totals = (
+            _kbn_add(self._nr, self._nrc, num.real), _kbn_add(self._ni, self._nic, num.imag),
+            _kbn_add(self._dr, self._drc, den.real), _kbn_add(self._di, self._dic, den.imag),
+            _kbn_add(self._aw, self._awc, float(aw)))
+        if not all(math.isfinite(total + carry) for total, carry in totals):
+            raise NonFiniteInput("running totals overflow: weights or values too large")
+        ((self._nr, self._nrc), (self._ni, self._nic), (self._dr, self._drc),
+         (self._di, self._dic), (self._aw, self._awc)) = totals
         self.count += count
 
     def estimate(self, delta: float = 1e-8):
@@ -178,16 +183,12 @@ class MeanAccumulator:
 
 def merge(a: MeanAccumulator, b: MeanAccumulator) -> MeanAccumulator:
     """Combine accumulators built from disjoint index blocks of the same
-    source/policy/function triple; componentwise compensated sums."""
+    source/policy/function triple: ``b``'s totals, then its carries, folded
+    into a copy of ``a`` as compensated addends.  ``NonFiniteInput`` if a
+    combined total overflows."""
     out = a.copy()
-    for s, c in (("_nr", "_nrc"), ("_ni", "_nic"), ("_dr", "_drc"),
-                 ("_di", "_dic"), ("_aw", "_awc")):
-        total, carry = getattr(out, s), getattr(out, c)
-        total, carry = _kbn_add(total, carry, getattr(b, s))
-        total, carry = _kbn_add(total, carry, getattr(b, c))
-        setattr(out, s, total)
-        setattr(out, c, carry)
-    out.count = a.count + b.count
+    out._fold(complex(b._nr, b._ni), complex(b._dr, b._di), b._aw, b.count)
+    out._fold(complex(b._nrc, b._nic), complex(b._drc, b._dic), b._awc, 0)
     return out
 
 

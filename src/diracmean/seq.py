@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     QuantileDomain,
@@ -301,18 +300,43 @@ def _fraction(alpha) -> Fraction:
 # Bits of pi**k behind a default Weyl generator's fractional part; 64 and
 # 1024 give the same float64 generators for every power up to pi**200.
 _PI_POWER_BITS = 256
+# Bits of pi beyond those the kept bits and the power's error growth use
+# up; the Machin series' truncation, 20 units per term, stays far below
+# 2^64 units.
+_GUARD_BITS = 64
+
+
+def _arctan_inverse(x: int, one: int) -> int:
+    """``arctan(1 / x) * one``, to within a unit per series term, by the
+    alternating series in integers scaled by ``one``."""
+    term = one // x
+    total, n, sign = term, 1, -1
+    x2 = x * x
+    while term:
+        term //= x2
+        n += 2
+        total += sign * (term // n)
+        sign = -sign
+    return total
 
 
 def _pi_power_fraction(k: int) -> Fraction:
-    """Fractional part of pi**k at ``_PI_POWER_BITS`` + 2k bits, as the
-    exact rational value of the computed binary approximation."""
-    import mpmath
+    """Fractional part of pi**k to ``_PI_POWER_BITS`` + 2k bits, truncated,
+    as an exact dyadic rational.
 
-    with mpmath.workprec(_PI_POWER_BITS + 2 * k):
-        frac = mpmath.frac(mpmath.pi**k)
-        sign, mantissa, exponent, _ = mpmath.mpf(frac)._mpf_
-    value = Fraction(int(mantissa)) * Fraction(2) ** int(exponent)
-    return -value if sign else value
+    pi comes from Machin's formula ``pi = 16 atan(1/5) - 4 atan(1/239)``
+    in integers scaled by 2^bits, off by at most 20 units per series
+    term.  Its k-th power is taken exactly, so the only error is pi's,
+    grown at most k * 4^(k-1) times; ``bits`` covers that growth and the
+    kept bits with ``_GUARD_BITS`` to spare, so the result is within
+    2^-(``_PI_POWER_BITS`` + 2k) of the exact fractional part."""
+    keep = _PI_POWER_BITS + 2 * k
+    bits = keep + 2 * k + k.bit_length() + _GUARD_BITS
+    one = 1 << bits
+    pi = 16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)
+    power = pi**k
+    fraction = (power & ((1 << (bits * k)) - 1)) >> (bits * k - keep)
+    return Fraction(fraction, 1 << keep)
 
 
 class WeylSource(PointSource):
@@ -537,15 +561,23 @@ class UniformQuantiles(QuantileFamily):
 
 
 class NormalQuantiles(QuantileFamily):
-    """Centered normal quantiles with per-coordinate standard deviations."""
+    """Centered normal quantiles with per-coordinate standard deviations.
+
+    The quantile is ``scipy.special.ndtri``, imported when the family is
+    built: a run that builds no normal family never loads ``scipy``, and
+    one that does pays for the import before its first ``apply``.
+    """
 
     family = "normal"
 
     def __init__(self, widths: float | Sequence[float] = 1.0):
+        from scipy.special import ndtri
+
         self.widths = as_numbers("widths", widths, 0.0)
+        self._ndtri = ndtri
 
     def apply(self, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.multiply(ndtri(u, out=out), _per_coordinate(self.widths, k), out=out)
+        return np.multiply(self._ndtri(u, out=out), _per_coordinate(self.widths, k), out=out)
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """``exp(-sum_k (x_k / sigma_k)^2 / 2)`` over every column, summed in

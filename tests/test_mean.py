@@ -633,6 +633,29 @@ def test_overflowing_block_sums_raise_nonfinite_input():
         run_blocked(halton_source(1), pol, func, 5000, 2)
 
 
+def test_overflowing_running_totals_raise_nonfinite_input():
+    # Each 4096-point block of weights e^700 sums to about 4e307, which is
+    # finite; the fifth block takes the running total past 1.8e308.
+    pol = boltzmann_policy(quadratic_action([[0.0]], constant=-700))
+    with pytest.raises(NonFiniteInput, match="running totals overflow"):
+        run(halton_source(1), pol, cylinder_function(0, 1.0), 20000,
+            StoppingRule(min_samples=20000))
+    acc = MeanAccumulator()
+    for _ in range(4):
+        acc.add_block(np.full(4096, math.exp(700)), np.ones(4096))
+    before = (acc.numerator, acc.denominator, acc.abs_weight_sum, acc.count)
+    with pytest.raises(NonFiniteInput, match="running totals overflow"):
+        acc.add_block(np.full(4096, math.exp(700)), np.ones(4096))
+    assert (acc.numerator, acc.denominator, acc.abs_weight_sum, acc.count) == before
+
+
+def test_merge_whose_totals_overflow_raises_nonfinite_input():
+    a, b = filled([(1e308, 1.0)]), filled([(1e308, 1.0)])
+    with pytest.raises(NonFiniteInput, match="running totals overflow"):
+        merge(a, b)
+    assert (a.denominator, a.count) == (b.denominator, b.count) == (1e308, 1)
+
+
 # Blocks 0..69999 and 70000..140000, each read as a 65536-point chunk and a
 # short one: the indices sit in the first chunk, in a short chunk and at a
 # block's last point.

@@ -1,12 +1,10 @@
 """Point source behavior: indexing, truncation, certification, discrepancy."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,13 +134,6 @@ def test_halton_agrees_with_scipy(start):
     ref = engine.random(1024)
     ours = seq.halton_source(0).block(start, start + 1024, len(HALTON_BASES))
     assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, diracmean; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "False"
 
 
 def test_point_at_validates_arguments():
@@ -427,6 +418,20 @@ def test_weyl_default_generators_survive_large_powers():
     w = seq.weyl_source()
     alpha = w.generator(39)
     assert 0.0 < alpha < 1.0
+
+
+def test_weyl_default_generators_match_mpmath():
+    # The integer series for pi against mpmath's frac(pi**k) at the same
+    # 256 + 2k bits of working precision, for every power up to pi**200.
+    generators = seq.weyl_source()
+    for k in range(1, 201):
+        with mpmath.workprec(256 + 2 * k):
+            ref = mpmath.frac(mpmath.pi**k)
+        assert generators.generator(k - 1) == float(ref), f"frac(pi^{k})"
+        frac = seq._pi_power_fraction(k)
+        with mpmath.workprec(4 * (256 + 2 * k)):
+            error = mpmath.mpf(frac.numerator) / frac.denominator - mpmath.frac(mpmath.pi**k)
+            assert abs(error) <= mpmath.ldexp(1, -(256 + 2 * k)), f"frac(pi^{k})"
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,11 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import mean as mean_mod
-from .action import (
-    _route,
-    _scan_action,
-    _scan_widths,
-    fresnel_limit_scan,
-    quadratic_action,
-)
+from .action import _route, _scan_action, _scan_widths, fresnel_limit_scan
 from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
-from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number, as_numbers
+from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number
 from .oracle import QuadratureSpec, normalized_expectation
-from .registry import _as_list, _built, _require_keys, build_function
+from .registry import _as_list, _built, _quadratic, _require_keys, _widths, build_function
 from .seq import (
     box_quantiles,
     convergent_source,
@@ -159,7 +153,7 @@ def _quantiles(spec, field: str):
                               f"{family!r} is not one of ['uniform', 'normal', 'uniform-box']")
     _require_keys(spec, {"family", "widths"}, field)
     build = normal_quantiles if family == "normal" else box_quantiles
-    widths = as_numbers(f"{field}.widths", spec.get("widths", 1.0), 0.0)
+    widths = _widths(spec, field)
     return {"family": family, "widths": list(widths)}, build(widths)
 
 
@@ -184,13 +178,8 @@ def _action(spec, field: str = "action"):
     _require_keys(spec, {"kind", "matrix", "linear", "constant"}, field)
     if spec.get("kind", "quadratic") != "quadratic":
         raise ValidationError(f"{field}.kind", "only 'quadratic' actions are configurable")
-    if "matrix" not in spec:
-        raise ValidationError(f"{field}.matrix", "is required")
-    out = {"kind": "quadratic", "matrix": spec["matrix"]}
-    if spec.get("linear") is not None:
-        out["linear"] = spec["linear"]
-    out["constant"] = as_number(f"{field}.constant", spec.get("constant", 0.0))
-    return out, _built(field, quadratic_action, out["matrix"], out.get("linear"), out["constant"])
+    out, act = _quadratic(spec, field)
+    return {"kind": "quadratic", **out}, act
 
 
 def _regularizer(spec, field: str = "regularizer"):
@@ -198,7 +187,7 @@ def _regularizer(spec, field: str = "regularizer"):
     _require_keys(spec, {"family", "widths"}, field)
     if spec.get("family", "gaussian") != "gaussian":
         raise ValidationError(f"{field}.family", "only the 'gaussian' family is configurable")
-    reg = _built(f"{field}.widths", normal_quantiles, spec.get("widths", [1.0]))
+    reg = normal_quantiles(_widths(spec, field))
     return {"family": "gaussian", "widths": list(reg.widths)}, reg
 
 
@@ -214,8 +203,7 @@ def _policy(spec, field: str = "policy"):
         _require_keys(spec, {"kind", "function"}, field)
         fn = build_function(spec.get("function"), f"{field}.function")
         return {"kind": kind, "function": spec["function"]}, density_policy(fn.eval_block, fn.rank)
-    extra = {"boltzmann": set(), "oscillatory": {"index_phase"},
-             "fresnel": {"index_phase", "regularizer"}}[kind]
+    extra = {"boltzmann": set(), "oscillatory": {"index_phase"}, "fresnel": {"regularizer"}}[kind]
     _require_keys(spec, {"kind", "action"} | extra, field)
     out = {"kind": kind}
     out["action"], act = _action(spec.get("action"), f"{field}.action")
@@ -223,10 +211,9 @@ def _policy(spec, field: str = "policy"):
         return out, boltzmann_policy(act)
     if kind == "fresnel":
         out["regularizer"], reg = _regularizer(spec.get("regularizer", {}), f"{field}.regularizer")
+        return out, product_regularized_policy(reg, act)
     out["index_phase"] = as_number(f"{field}.index_phase", spec.get("index_phase", 0.0))
-    if kind == "oscillatory":
-        return out, oscillatory_policy(act, out["index_phase"])
-    return out, product_regularized_policy(reg, act, out["index_phase"])
+    return out, oscillatory_policy(act, out["index_phase"])
 
 
 def _load(data: bytes) -> dict:

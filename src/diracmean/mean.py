@@ -7,13 +7,14 @@ is their ratio, declared degenerate instead of divided when the weight
 sum has cancelled below ``delta`` times the absolute-weight sum, so no
 NaN or infinity can ever leak out of a run.
 
-``run`` drives a source/policy/function triple through a finite budget
-in batches of whole blocks, records a trace of raw partial sums, and
-stops on a window-Cauchy criterion, persistent degeneracy, or budget
-exhaustion.  Disjoint index blocks accumulated independently merge
-deterministically, which is the whole parallelism contract: sources and
-policies are pure, accumulators are single-writer, and ``merge`` is the
-only cross-block operation.
+``run`` drives a source/policy/function triple through a finite budget,
+records a trace of raw partial sums, and stops on a window-Cauchy
+criterion, persistent degeneracy, or budget exhaustion.  ``run_blocked``
+merges disjoint index blocks accumulated independently, deterministically:
+sources and policies are pure, accumulators are single-writer, and
+``merge`` is the only cross-block operation.  Both share one chunk loop,
+which reads each batch of whole blocks in one ordered pass over its marks
+and block ends.
 """
 
 from __future__ import annotations
@@ -305,24 +306,19 @@ def _checkpoints(budget: int, rule: StoppingRule) -> list[int]:
     return checks
 
 
-def _block_sums(terms: np.ndarray, block_size: int) -> list:
+def _term_sums(terms: np.ndarray, block_size: int, cuts: np.ndarray) -> tuple[list, list]:
     """``np.sum`` of each ``block_size`` slice of ``terms`` (the last may be
-    short), bit for bit: pairwise row sums of the whole blocks."""
+    short), bit for bit as row sums of the whole blocks; and the sums of its
+    segments ``[cuts[0], cuts[1])``, ``[cuts[2], cuts[3])``, ... by ``reduceat``."""
     k = len(terms) // block_size
     sums = terms[:k * block_size].reshape(k, block_size).sum(axis=1).tolist()
     if len(terms) % block_size:
         sums.append(np.sum(terms[k * block_size:]))
-    return sums
-
-
-def _term_sums(terms: np.ndarray, block_size: int, cuts: np.ndarray) -> tuple[list, list]:
-    """:func:`_block_sums` of ``terms``, and the sums of its segments
-    ``[cuts[0], cuts[1])``, ``[cuts[2], cuts[3])``, ... in one ``reduceat``."""
     segments = np.add.reduceat(terms[:cuts[-1]], cuts[:-1])[::2].tolist() if len(cuts) else []
-    return _block_sums(terms, block_size), segments
+    return sums, segments
 
 
-# Points per batch of ``run``: as many whole blocks as fit, at least one.
+# Points per batch: as many whole blocks as fit, at least one.
 _BATCH_POINTS = 16384
 
 
@@ -341,6 +337,75 @@ def _weights(policy, points: np.ndarray, start: int) -> np.ndarray:
             f"points; expected ({len(points)},)"
         )
     return w
+
+
+def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np.ndarray,
+                marks=lambda start, end: (), stops=(), observe=None) -> MeanAccumulator:
+    """Accumulate points ``lo..hi-1`` in blocks of ``block_size`` counted from
+    ``lo``, each folded in as ``add_block`` would; a batch's points are a view
+    of ``buf``, sized for ``max(_BATCH_POINTS, block_size)`` points or ``hi - lo``.
+    ``marks(start, end)`` gives a batch's marks in ``(start, end]``; at each,
+    ``observe(m, num, den, aw)`` reads the sums of the points before ``m``, and
+    a true return ends the walk there.  A batch never runs past the block
+    holding the next of the sorted ``stops``, the marks where it may."""
+    rank = _rank(policy, func)
+    batch = max(1, _BATCH_POINTS // block_size) * block_size
+    acc = MeanAccumulator()
+    start = lo
+    while start < hi:
+        i = bisect.bisect_right(stops, start)
+        stop = stops[i] if i < len(stops) else hi
+        # Up to the end of the block holding the next stop.
+        end = min(start + batch, stop + (lo - stop) % block_size, hi)
+        n = end - start
+        pts = source.block(start, end, rank, buf)
+        w = _weights(policy, pts, start)
+        v = func.eval_block(pts)
+        marked = {m - start for m in marks(start, end)}
+        # The batch's marks and block ends as offsets; a mark inside a block
+        # reads the sum of the segment from the one before it.
+        events = sorted(marked.union(range(block_size, n, block_size), (n,)))
+        cuts = np.array([(p, o) for p, o in zip([0] + events, events) if o < n and o % block_size],
+                        dtype=np.intp).ravel()
+        # A non-finite term or sum is an error only before the stop, where
+        # add_block raises; until then its sums are formed in silence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nums, num_segs = _term_sums(np.multiply(w, v), block_size, cuts)
+            dens, den_segs = _term_sums(w, block_size, cuts)
+            aws, aw_segs = _term_sums(np.abs(w), block_size, cuts)
+        finite = np.isfinite((nums, dens, aws)).all(axis=0).tolist()
+        segments = zip(num_segs, den_segs, aw_segs)
+        # One ordered pass: a block end folds the block in, and a mark inside
+        # a block reads the committed totals plus the block's running prefix
+        # of segment sums.  The prefix starts at +0.0, which can change only
+        # the sign of a zero, and adding the totals (never -0.0) undoes that.
+        com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
+        pre_num = pre_den = pre_aw = 0.0
+        for o in events:
+            j = (o - 1) // block_size  # the block holding point o - 1
+            inner = o < n and o % block_size
+            if inner:
+                seg_num, seg_den, seg_aw = next(segments)
+                pre_num, pre_den, pre_aw = pre_num + seg_num, pre_den + seg_den, pre_aw + seg_aw
+                num = com_num + complex(pre_num)
+                den, aw = com_den + complex(pre_den), com_aw + pre_aw
+            else:
+                if finite[j]:
+                    acc._fold(nums[j], dens[j], aws[j], o - j * block_size)
+                else:  # raises the error add_block names
+                    acc.add_block(w[j * block_size:o], v[j * block_size:o])
+                num, den, aw = com_num, com_den, com_aw = (
+                    acc.numerator, acc.denominator, acc.abs_weight_sum)
+                pre_num = pre_den = pre_aw = 0.0
+                if o not in marked:
+                    continue
+            if observe(start + o, num, den, aw):
+                if inner:  # commit just the block's prefix
+                    acc.add_block(w[j * block_size:o], v[j * block_size:o])
+                return acc
+        start = end
+        del w, v  # so the next batch reuses their memory instead of regrowing the heap
+    return acc
 
 
 def run(
@@ -378,11 +443,13 @@ def run(
         Points per block, the only partition of the sum: runs with equal
         block size that stop at the same point are reproducible bit for
         bit, whatever the trace stride, and different block sizes agree to
-        compensated-summation accuracy.  Points are evaluated in batches of
-        whole blocks (up to 16384 points, or one larger block) that never
-        run past the block holding the next checkpoint where the run can
-        stop.  A stop inside a block commits only the block's prefix up to
-        the stopping point; the at most ``block_size - 1`` terms after it
+        compensated-summation accuracy; at 65536, a run to its budget sums
+        as ``run_blocked`` with one block does.  Points are evaluated in
+        batches of whole blocks (up to 16384 points, or one larger block)
+        that never run past the block holding the next checkpoint where the
+        run can stop, each read in one ordered pass over its snapshots,
+        checkpoints and block ends.  A stop inside a block commits only the
+        block's prefix; the at most ``block_size - 1`` terms after the stop
         are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
@@ -391,112 +458,44 @@ def run(
     block_size = as_count("block_size", block_size, 1)
     if budget < rule.min_samples:
         raise ValidationError("budget", f"{budget} is below min_samples {rule.min_samples}")
-    rank = _rank(policy, func)
     delta = rule.degeneracy_threshold
 
-    acc = MeanAccumulator()
     # Raw trace rows: m, numerator, denominator and absolute-weight sum.
     rows: list[tuple[int, complex, complex, float]] = []
     # Estimates at the last ``window`` checkpoints; None where degenerate.
     recent: deque[complex | None] = deque(maxlen=rule.window)
     checkpoints = _checkpoints(budget, rule)
     checks = set(checkpoints)
-    # The run can stop only at a checkpoint with a full window, from min_samples on.
-    stops = [m for i, m in enumerate(checkpoints)
-             if i >= rule.window - 1 and m >= rule.min_samples] + [budget]
-    batch = max(1, _BATCH_POINTS // block_size) * block_size
-    # Every batch's block is a view of this one buffer.
-    buf = np.empty(rank * min(batch, budget))
-
     stop_reason = None
-    start = next_stop = 0
-    while stop_reason is None and start < budget:
-        # A batch of whole blocks, ending at the latest with the block that
-        # holds the next possible stop.
-        while stops[next_stop] <= start:
-            next_stop += 1
-        end = min(start + batch, -(-stops[next_stop] // block_size) * block_size, budget)
-        n = end - start
-        pts = source.block(start, end, rank, buf)
-        w = _weights(policy, pts, start)
-        v = func.eval_block(pts)
-        # The batch's marks, where the running sums are read: the checkpoints
-        # and trace rows in (start, end].
-        marks = set(checkpoints[bisect.bisect_right(checkpoints, start):
-                                bisect.bisect_right(checkpoints, end)])
-        marks.update(range(start - start % trace_stride + trace_stride, end + 1, trace_stride))
-        # Batch offsets of the marks strictly inside a block; a mark at a
-        # block's end reads the folded accumulator.
-        inner = sorted(o for o in (m - start for m in marks) if o < n and o % block_size)
-        # A mark inside a block reads the sum of the segment from the
-        # previous mark in that block, or else from the block's start.
-        cuts: list[int] = []
-        prev = 0
-        for o in inner:
-            cuts += (max(o - o % block_size, prev), o)
-            prev = o
-        at = np.asarray(cuts, dtype=np.intp)
-        # A non-finite term or sum is an error only before the stop, where
-        # add_block raises; until then its sums are formed in silence.
-        with np.errstate(over="ignore", invalid="ignore"):
-            num_sums = _term_sums(np.multiply(w, v), block_size, at)
-            den_sums = _term_sums(w, block_size, at)
-            aw_sums = _term_sums(np.abs(w), block_size, at)
-        sums = (num_sums[0], den_sums[0], aw_sums[0])
-        segments = zip(num_sums[1], den_sums[1], aw_sums[1])
-        finite = np.isfinite(sums).all(axis=0).tolist()
-        com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
-        k = 0  # the first inner mark not yet read
-        for j, ok in enumerate(finite):
-            lo, hi = j * block_size, min((j + 1) * block_size, n)
-            inside = bisect.bisect_left(inner, hi, k)
-            # The block's marks, then its end, where it is folded in.
-            for o in inner[k:inside] + [hi]:
-                if o < hi:
-                    # The committed totals plus the block's running prefix, in
-                    # numpy's complex + real arithmetic; the block's first mark
-                    # starts the prefix.
-                    seg_num, seg_den, seg_aw = next(segments)
-                    if o == inner[k]:
-                        pre_num, pre_den, pre_aw = seg_num, seg_den, seg_aw
-                    else:
-                        pre_num, pre_den, pre_aw = (
-                            pre_num + seg_num, pre_den + seg_den, pre_aw + seg_aw)
-                    num = com_num + complex(pre_num)
-                    den = com_den + complex(pre_den)
-                    aw = com_aw + pre_aw
-                else:
-                    if ok:
-                        acc._fold(sums[0][j], sums[1][j], sums[2][j], hi - lo)
-                    else:
-                        acc.add_block(w[lo:hi], v[lo:hi])
-                    num, den, aw = com_num, com_den, com_aw = (
-                        acc.numerator, acc.denominator, acc.abs_weight_sum)
-                m = start + o
-                if m % trace_stride == 0 or m == budget:
-                    rows.append((m, num, den, aw))
-                if m not in checks:
-                    continue
-                est = _ratio(num, den, aw, delta)
-                recent.append(None if est is DEGENERATE else est)
-                if m < rule.min_samples or len(recent) < rule.window:
-                    continue
-                if all(e is None for e in recent):
-                    stop_reason = "degenerate"
-                elif None not in recent:
-                    tol = rule.rel_tol * (1.0 + abs(est))
-                    spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
-                    if spread <= tol:
-                        stop_reason = "window-cauchy"
-                if stop_reason is not None:
-                    break
-            if stop_reason is not None:
-                if o < hi:
-                    # A stop inside a block commits just its prefix.
-                    acc.add_block(w[lo:o], v[lo:o])
-                break
-            k = inside
-        start = end
+
+    def observe(m, num, den, aw) -> bool:
+        """Record a trace row or checkpoint at ``m``; true where the run stops."""
+        nonlocal stop_reason
+        if m % trace_stride == 0 or m == budget:
+            rows.append((m, num, den, aw))
+        if m not in checks:
+            return False
+        est = _ratio(num, den, aw, delta)
+        recent.append(None if est is DEGENERATE else est)
+        if m < rule.min_samples or len(recent) < rule.window:
+            return False
+        if all(e is None for e in recent):
+            stop_reason = "degenerate"
+        elif None not in recent and rule.rel_tol * (1.0 + abs(est)) >= max(
+                abs(a - b) for a, b in itertools.combinations(recent, 2)):
+            stop_reason = "window-cauchy"
+        return stop_reason is not None
+
+    def marks(start, end):
+        """The checkpoints and trace rows in ``(start, end]``."""
+        return [*checkpoints[bisect.bisect_right(checkpoints, start):
+                             bisect.bisect_right(checkpoints, end)],
+                *range(start - start % trace_stride + trace_stride, end + 1, trace_stride)]
+
+    # The run can stop only at a checkpoint with a full window, from min_samples on.
+    stops = [m for m in checkpoints[rule.window - 1:] if m >= rule.min_samples]
+    buf = np.empty(_rank(policy, func) * min(max(_BATCH_POINTS, block_size), budget))
+    acc = _accumulate(source, policy, func, 0, budget, block_size, buf, marks, stops, observe)
 
     n_used = acc.count
     final = acc.estimate(delta)
@@ -517,23 +516,15 @@ def run_blocked(
     total: int,
     n_blocks: int,
 ) -> MeanAccumulator:
-    """Accumulate ``total`` points as ``n_blocks`` disjoint index blocks
-    and merge them in a deterministic pairwise tree; the block-parallel
-    evaluation contract."""
+    """Accumulate ``total`` points as ``n_blocks`` disjoint index blocks,
+    each in 65536-point blocks from its first index, and merge them in a
+    deterministic pairwise tree; the block-parallel evaluation contract."""
     n_blocks = as_count("n_blocks", n_blocks, 1)
     total = as_count("total", total, n_blocks)
-    rank = _rank(policy, func)
     edges = [round(i * total / n_blocks) for i in range(n_blocks + 1)]
-    chunk = 1 << 16
-    buf = np.empty(rank * min(chunk, total))
-    accs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        acc = MeanAccumulator()
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            pts = source.block(start, stop, rank, buf)
-            acc.add_block(_weights(policy, pts, start), func.eval_block(pts))
-        accs.append(acc)
+    buf = np.empty(_rank(policy, func) * min(1 << 16, total))
+    accs = [_accumulate(source, policy, func, lo, hi, 1 << 16, buf)
+            for lo, hi in zip(edges[:-1], edges[1:])]
     while len(accs) > 1:
         paired = [merge(accs[i], accs[i + 1]) for i in range(0, len(accs) - 1, 2)]
         if len(accs) % 2:

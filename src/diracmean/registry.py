@@ -12,7 +12,7 @@ import numpy as np
 
 from .action import quadratic_action
 from .cylinder import CylinderFunction
-from .errors import DiracMeanError, ValidationError, as_count, as_number
+from .errors import DiracMeanError, ValidationError, as_count, as_number, as_numbers
 from .seq import normal_quantiles
 
 __all__ = ["FUNCTION_NAMES", "build_function"]
@@ -46,6 +46,24 @@ def _built(field: str, build, *args, **kwargs):
         raise ValidationError(field, f"{exc.field} {exc.message}") from exc
     except (DiracMeanError, TypeError, ValueError) as exc:
         raise ValidationError(field, str(exc)) from exc
+
+
+def _widths(spec: dict, field: str) -> tuple[float, ...]:
+    """The ``widths`` of a config entry, 1.0 where left out, checked as
+    ``normal_quantiles`` checks them; an error names ``field.widths``."""
+    return as_numbers(f"{field}.widths", spec.get("widths", 1.0), 0.0)
+
+
+def _quadratic(spec: dict, field: str):
+    """The ``matrix``, ``linear`` and ``constant`` of an action or a
+    quadratic-form entry, as ``summary.json`` echoes them, and their action."""
+    if "matrix" not in spec:
+        raise ValidationError(f"{field}.matrix", "is required")
+    out = {"matrix": spec["matrix"]}
+    if spec.get("linear") is not None:
+        out["linear"] = spec["linear"]
+    out["constant"] = as_number(f"{field}.constant", spec.get("constant", 0.0))
+    return out, _built(field, quadratic_action, out["matrix"], out.get("linear"), out["constant"])
 
 
 def _coordinate(params: dict, field: str) -> CylinderFunction:
@@ -82,8 +100,7 @@ def _cosine(params: dict, field: str) -> CylinderFunction:
 
 
 def _gaussian(params: dict, field: str) -> CylinderFunction:
-    ws = _as_list(params.get("widths", [1.0]), f"{field}.widths")
-    reg = _built(f"{field}.widths", normal_quantiles, ws)
+    reg = normal_quantiles(_widths(params, field))
     rank = len(reg.widths)
     # The family's density reads every column, so it is handed only its own.
     return CylinderFunction(rank, lambda x: reg.density(x[:, :rank]),
@@ -91,10 +108,7 @@ def _gaussian(params: dict, field: str) -> CylinderFunction:
 
 
 def _quadratic_form(params: dict, field: str) -> CylinderFunction:
-    if "matrix" not in params:
-        raise ValidationError(f"{field}.matrix", "is required for 'quadratic-form'")
-    constant = as_number(f"{field}.constant", params.get("constant", 0.0))
-    action = _built(field, quadratic_action, params["matrix"], params.get("linear"), constant)
+    action = _quadratic(params, field)[1]
     return CylinderFunction(action.rank, action, label="quadratic form")
 
 

@@ -39,14 +39,9 @@ def _phase(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _action_phase(action, index_phase: float, points: np.ndarray, start_index: int) -> np.ndarray:
-    """``exp(-i (action(x_n) + index_phase * n))`` for a block of points
-    whose first row has index ``start_index``."""
-    s = np.asarray(action(points[:, : int(action.rank)]), dtype=np.float64)
-    if index_phase != 0.0:
-        n = np.arange(start_index, start_index + len(points), dtype=np.float64)
-        s = s + index_phase * n
-    return _phase(s)
+def _action_values(action, points: np.ndarray) -> np.ndarray:
+    """The action of each point, read from its first ``action.rank`` columns."""
+    return np.asarray(action(points[:, : int(action.rank)]), dtype=np.float64)
 
 
 def _covered(regularizer) -> int:
@@ -104,7 +99,7 @@ class BoltzmannPolicy(WeightPolicy):
         self.rank = int(action.rank)
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
-        s = np.asarray(self.action(points[:, : self.rank]), dtype=np.float64)
+        s = _action_values(self.action, points)
         if np.any(s < -_EXP_OVERFLOW):
             raise WeightOverflow(
                 f"action below {-_EXP_OVERFLOW} would overflow exp(-action)"
@@ -123,24 +118,27 @@ class OscillatoryPolicy(WeightPolicy):
         self.rank = int(action.rank)
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
-        return _action_phase(self.action, self.index_phase, points, start_index)
+        s = _action_values(self.action, points)
+        if self.index_phase != 0.0:
+            s = s + self.index_phase * np.arange(start_index, start_index + len(points),
+                                                 dtype=np.float64)
+        return _phase(s)
 
 
 class ProductRegularizedPolicy(WeightPolicy):
     kind = "product-regularized"
 
-    def __init__(self, regularizer, action, index_phase: float = 0.0):
+    def __init__(self, regularizer, action):
         self.regularizer = regularizer
         self.covered = _covered(regularizer)
         self.action = action
-        self.index_phase = as_number("index_phase", index_phase)
         self.rank = max(self.covered, int(action.rank))
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
         xi = np.asarray(self.regularizer.density(points[:, : self.covered]), dtype=np.float64)
         if np.any(xi < 0):
             raise NegativeDensity("regularizer returned a negative value")
-        out = _action_phase(self.action, self.index_phase, points, start_index)
+        out = _phase(_action_values(self.action, points))
         out *= xi
         return out
 
@@ -174,7 +172,7 @@ def oscillatory_policy(action, index_phase: float = 0.0) -> WeightPolicy:
     return OscillatoryPolicy(action, index_phase)
 
 
-def product_regularized_policy(regularizer, action, index_phase: float = 0.0) -> WeightPolicy:
+def product_regularized_policy(regularizer, action) -> WeightPolicy:
     """Weights ``xi(x) * exp(-i action(x))`` carrying the integrable
     product regularizer in the weight instead of the sampling measure.
 
@@ -182,4 +180,4 @@ def product_regularized_policy(regularizer, action, index_phase: float = 0.0) ->
     such as :func:`~diracmean.seq.normal_quantiles`; ``xi`` is that density
     on its first ``len(widths)`` coordinates.  A family without a density
     raises ``ValidationError`` naming ``regularizer``."""
-    return ProductRegularizedPolicy(regularizer, action, index_phase)
+    return ProductRegularizedPolicy(regularizer, action)

@@ -34,7 +34,9 @@ from diracmean.cli import (
     EXIT_OK,
     MODES,
     ExperimentConfig,
+    _regularizer,
     _run_estimate,
+    _source,
     main,
     parse_config_dict,
 )
@@ -516,6 +518,35 @@ def test_pullback_settings_echo_normalized_quantiles():
             source["quantiles"] = quantiles
         cfg = parse_config_dict(dict(NORMAL_PULLBACK, source=source))
         assert cfg.to_dict()["source"]["quantiles"] == echo
+
+
+# The three config fields that build a normal family, each with a config
+# around it and the family's density built from that config.
+WIDTHS_FIELDS = {
+    "regularizer.widths": (lambda w: dict(ROUTED, regularizer={"widths": w}),
+                           lambda cfg: _regularizer(cfg["regularizer"])[1].density),
+    "source.quantiles.widths": (
+        lambda w: dict(NORMAL_PULLBACK, source={"kind": "pullback",
+                                                "base": {"kind": "halton", "offset": 1},
+                                                "quantiles": {"family": "normal", "widths": w}}),
+        lambda cfg: _source(cfg["source"])[1].quantiles.density),
+    "function.widths": (lambda w: dict(MINIMAL, function={"name": "gaussian", "widths": w}),
+                        lambda cfg: build_function(cfg["function"]).eval_block),
+}
+
+
+@pytest.mark.parametrize("field", WIDTHS_FIELDS)
+def test_widths_take_a_number_or_a_list_in_every_field(field):
+    make, density = WIDTHS_FIELDS[field]
+    pts = halton_source(1).block(0, 1000, 2)
+    values = []
+    for widths in (2.0, [2.0]):
+        parse_config_dict(make(widths))
+        values.append(density(make(widths))(pts).tobytes())
+    assert values[0] == values[1]
+    for bad in ([], "2", [0.0], [math.nan]):
+        with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
+            parse_config_dict(make(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,6 @@ BAD_ARGUMENTS = [
                                                         bins_per_axis=[4])),
     ("55", "rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
     ("56", "index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
-    ("57", "index_phase", lambda: dm.product_regularized_policy(REG, ACT, math.inf)),
     ("58", "matrix", lambda: dm.quadratic_action([["x"]])),
     ("59", "matrix", lambda: dm.quadratic_action([[1.0], [1.0, 2.0]])),
     ("60", "linear", lambda: dm.quadratic_action([[1.0]], linear=["y"])),

@@ -28,6 +28,7 @@ from diracmean import (
     quadratic_action,
     run,
     run_blocked,
+    weyl_source,
 )
 from diracmean import mean as mean_mod
 from diracmean.errors import EmptyAccumulator, NonFiniteInput, ValidationError
@@ -310,6 +311,59 @@ def test_blocked_run_agrees_with_sequential():
         acc = run_blocked(halton_source(0), pol, F_X1, 10**5, n_blocks)
         assert acc.count == 10**5
         assert abs(acc.estimate() - sequential) <= 1e-12 * abs(sequential)
+
+
+# One chunk loop: ``run_blocked`` walks each index block as ``run`` walks its
+# budget, in 65536-point blocks, so the sums agree bit for bit.
+WALK_SOURCES = {"halton": lambda: halton_source(3), "weyl": lambda: weyl_source(index_offset=3),
+                "pseudorandom": lambda: pseudorandom_source(3)}
+WALK_ACTION = quadratic_action([[2.0, 0.5], [0.5, 1.0]], linear=[0.3, -0.2])
+WALK_POLICIES = {"boltzmann": boltzmann_policy(WALK_ACTION),
+                 "oscillatory": oscillatory_policy(WALK_ACTION)}
+F_X1X2 = cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "x1 x2")
+
+
+def _sums_bits(num, den, aw, count):
+    return num.real.hex(), num.imag.hex(), den.real.hex(), den.imag.hex(), aw.hex(), count
+
+
+@pytest.mark.parametrize("total", [2 * 65536, 140001], ids=["whole-blocks", "short-block"])
+@pytest.mark.parametrize("pol", WALK_POLICIES)
+@pytest.mark.parametrize("src", WALK_SOURCES)
+def test_run_blocked_with_one_block_is_run_to_its_budget(src, pol, total):
+    acc = run_blocked(WALK_SOURCES[src](), WALK_POLICIES[pol], F_X1X2, total, 1)
+    report = run(WALK_SOURCES[src](), WALK_POLICIES[pol], F_X1X2, total,
+                 StoppingRule(min_samples=total), block_size=65536)
+    ms, nums, dens, aws = report._columns
+    assert _sums_bits(nums[-1], dens[-1], aws[-1], ms[-1]) == _sums_bits(
+        acc.numerator, acc.denominator, acc.abs_weight_sum, acc.count)
+
+
+def _blocked_reference(src, pol, func, total, n_blocks):
+    """``run_blocked`` from its definition: ``add_block`` over 65536-point
+    chunks counted from each index block's first point, and the blocks
+    merged pairwise, an odd one out waiting a round."""
+    rank = max(pol.rank, func.rank, 1)
+    edges = [round(i * total / n_blocks) for i in range(n_blocks + 1)]
+    accs = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        acc = MeanAccumulator()
+        for start in range(lo, hi, 65536):
+            pts = src.block(start, min(start + 65536, hi), rank)
+            acc.add_block(pol.weights(pts, start_index=start), func.eval_block(pts))
+        accs.append(acc)
+    while len(accs) > 1:
+        accs = [merge(a, b) for a, b in zip(accs[::2], accs[1::2])] + accs[len(accs) // 2 * 2:]
+    return accs[0]
+
+
+@pytest.mark.parametrize("pol", WALK_POLICIES)
+def test_run_blocked_with_uneven_blocks_matches_its_definition(pol):
+    # Eight index blocks of 75000 or 75001 points: each a whole chunk and a short one.
+    got = run_blocked(pseudorandom_source(3), WALK_POLICIES[pol], F_X1X2, 600005, 8)
+    want = _blocked_reference(pseudorandom_source(3), WALK_POLICIES[pol], F_X1X2, 600005, 8)
+    assert _sums_bits(got.numerator, got.denominator, got.abs_weight_sum, got.count) == \
+        _sums_bits(want.numerator, want.denominator, want.abs_weight_sum, want.count)
 
 
 def test_same_block_size_is_bit_identical():

@@ -173,8 +173,8 @@ def test_phase_policies_equal_complex_exp_bit_for_bit():
     assert np.array_equal(_bits(oscillatory_policy(act, math.pi).weights(pts, start_index=7)),
                           _bits(np.exp(-1j * s)))
     assert np.array_equal(
-        _bits(product_regularized_policy(reg, act, math.pi).weights(pts, start_index=7)),
-        _bits(reg.density(pts) * np.exp(-1j * s)))
+        _bits(product_regularized_policy(reg, act).weights(pts, start_index=7)),
+        _bits(reg.density(pts) * np.exp(-1j * act(pts))))
 
 
 def test_non_finite_phase_warns_and_gives_a_non_finite_weight():

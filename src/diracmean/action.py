@@ -182,7 +182,6 @@ def oscillatory_mean(
     route: str = "pullback",
     box_half_width: float | None = None,
     skip_certification: bool = False,
-    trace_stride: int = 1000,
     block_size: int = 4096,
 ) -> mean_mod.ConvergenceReport:
     """Normalized oscillatory integral of ``func`` against
@@ -209,7 +208,7 @@ def oscillatory_mean(
     verify_cylinder(func)
     if not skip_certification:
         _certify_base(base, max(int(action.rank), int(func.rank), 1))
-    return mean_mod.run(src, pol, func, budget, rule, trace_stride, block_size)
+    return mean_mod.run(src, pol, func, budget, rule, block_size)
 
 
 def _scan_action(action: QuadraticAction) -> None:

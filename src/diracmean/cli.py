@@ -66,7 +66,6 @@ class ExperimentConfig:
     hierarchy: tuple[int, ...] | None
     bins_per_axis: tuple[int, ...] | None
     stopping: dict | None
-    trace_stride: int | None
     significance: float | None
     block_size: int | None
     action: dict | None
@@ -258,7 +257,6 @@ _CHECKS = {
     "hierarchy": lambda v: _built("hierarchy", _ranks, _as_list(v, "hierarchy")),
     "bins_per_axis": lambda v: tuple(_as_list(v, "bins_per_axis")),  # checked by _bins_per_rank
     "stopping": _stopping,
-    "trace_stride": lambda v: as_count("trace_stride", v, 1),
     "significance": lambda v: as_number("significance", v, 0.0, 1.0),
     "block_size": lambda v: as_count("block_size", v, 1),
     "action": lambda v: _action(v)[0],
@@ -272,8 +270,7 @@ _CHECKS = {
 }
 
 _REQUIRED = object()
-_RUN = {"budget": _REQUIRED, "source": _REQUIRED, "stopping": {}, "trace_stride": 1000,
-        "block_size": 4096}
+_RUN = {"budget": _REQUIRED, "source": _REQUIRED, "stopping": {}, "block_size": 4096}
 _ROUTE = {"route": None, "action": None, "regularizer": None, "box_half_width": None}
 _QUADRATURE = {"truncation": 8.0, "cells_per_axis": 4}
 _ESTIMATE = {**_RUN, "function": _REQUIRED, "policy": None, **_ROUTE}
@@ -417,7 +414,7 @@ def _estimate_inputs(config: ExperimentConfig):
 
 def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.ConvergenceReport]:
     report = mean_mod.run(*_estimate_inputs(config), config.budget, config.stopping_rule(),
-                          config.trace_stride, config.block_size)
+                          config.block_size)
     if report.degenerate:
         code = EXIT_DEGENERATE
     elif report.converged:
@@ -539,7 +536,6 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
         route=config.route,
         box_half_width=config.box_half_width,
         skip_certification=True,
-        trace_stride=config.trace_stride,
         block_size=config.block_size,
     )
     rows = []

@@ -8,13 +8,13 @@ sum has cancelled below ``delta`` times the absolute-weight sum, so no
 NaN or infinity can ever leak out of a run.
 
 ``run`` drives a source/policy/function triple through a finite budget,
-records a trace of raw partial sums, and stops on a window-Cauchy
-criterion, persistent degeneracy, or budget exhaustion.  ``run_blocked``
-merges disjoint index blocks accumulated independently, deterministically:
-sources and policies are pure, accumulators are single-writer, and
-``merge`` is the only cross-block operation.  Both share one chunk loop,
-which reads each batch of whole blocks in one ordered pass over its marks
-and block ends.
+records a trace row at each stopping checkpoint, and stops on a
+window-Cauchy criterion, persistent degeneracy, or budget exhaustion.
+``run_blocked`` merges disjoint index blocks accumulated independently,
+deterministically: sources and policies are pure, accumulators are
+single-writer, and ``merge`` is the only cross-block operation.  Both
+share one chunk loop, which reads each batch of whole blocks in one
+ordered pass over its checkpoints and block ends.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ __all__ = [
     "run_blocked",
 ]
 
-TRACE_COLUMNS = ("m", "re_num", "im_num", "re_den", "im_den", "re_est", "im_est", "den_ratio")
+TRACE_COLUMNS = ("m", "re_num", "im_num", "re_den", "im_den", "re_est", "im_est", "den_ratio",
+                 "spread", "tolerance")
 
 
 class Degenerate:
@@ -227,18 +228,15 @@ class StoppingRule:
 class ConvergenceReport:
     """Outcome of a finite-budget run.
 
-    The trace is kept as the raw columns of its snapshots: the point count,
-    numerator, denominator and absolute-weight sum.  Estimates and
-    ``den_ratio`` are derived from them, under the run's degeneracy
-    threshold, only when :attr:`trace`, :meth:`trace_rows` or
-    :meth:`write_csv` reads them.
+    The trace keeps one row per checkpoint the run reached, with the
+    estimate, window spread and tolerance the run computed there; see
+    :attr:`trace`.
     """
 
     final_estimate: complex | Degenerate
     stop_reason: str  # "window-cauchy" | "budget-exhausted" | "degenerate"
     N_used: int
-    _columns: tuple[list[int], list[complex], list[complex], list[float]] = field(repr=False)
-    _delta: float = field(repr=False)
+    _columns: tuple[list, ...] = field(repr=False)
 
     @property
     def converged(self) -> bool:
@@ -250,35 +248,38 @@ class ConvergenceReport:
 
     @property
     def den_ratio(self) -> float:
-        """``den_ratio`` of the final state, without deriving the trace."""
-        _, _, dens, aws = self._columns
+        """``den_ratio`` of the final state."""
+        _, _, dens, aws, *_ = self._columns
         return _den_ratio(dens[-1], aws[-1])
 
     @functools.cached_property
     def trace(self) -> dict[str, list]:
-        """Snapshots as columns ``m``, ``numerator``, ``denominator``,
-        ``estimate`` (None where degenerate) and ``den_ratio``, one entry per
-        snapshot after ``m`` terms; the last is the final state.  Derived on
-        the first read and kept."""
-        ms, nums, dens, aws = self._columns
-        ests = [_ratio(num, den, aw, self._delta) for num, den, aw in zip(nums, dens, aws)]
+        """Rows as columns ``m``, ``numerator``, ``denominator``,
+        ``estimate`` (None where degenerate), ``den_ratio``, ``spread`` (the
+        window's largest pairwise distance) and ``tolerance``
+        (``rel_tol * (1 + |estimate|)``), one entry per checkpoint reached
+        after ``m`` terms; the last is the final state.  ``spread`` and
+        ``tolerance`` are None where the window was not full, ``m`` was
+        below ``min_samples`` or the window held a degenerate estimate."""
+        ms, nums, dens, aws, ests, spreads, tols = self._columns
         return {
             "m": list(ms),
             "numerator": list(nums),
             "denominator": list(dens),
-            "estimate": [None if e is DEGENERATE else e for e in ests],
+            "estimate": list(ests),
             "den_ratio": [_den_ratio(den, aw) for den, aw in zip(dens, aws)],
+            "spread": list(spreads),
+            "tolerance": list(tols),
         }
 
     def trace_rows(self) -> list[tuple]:
-        """Trace as rows under :data:`TRACE_COLUMNS`; degenerate snapshots
-        leave the estimate cells empty."""
+        """Trace as rows under :data:`TRACE_COLUMNS`; a None leaves its
+        cells empty."""
         t = self.trace
         return [(m, repr(num.real), repr(num.imag), repr(den.real), repr(den.imag),
-                 "" if est is None else repr(est.real), "" if est is None else repr(est.imag),
-                 repr(ratio))
-                for m, num, den, est, ratio in zip(t["m"], t["numerator"], t["denominator"],
-                                                   t["estimate"], t["den_ratio"])]
+                 *(("", "") if est is None else (repr(est.real), repr(est.imag))),
+                 repr(ratio), *("" if x is None else repr(x) for x in (spread, tol)))
+                for m, num, den, est, ratio, spread, tol in zip(*t.values())]
 
     def write_csv(self, path) -> None:
         import csv
@@ -340,14 +341,14 @@ def _weights(policy, points: np.ndarray, start: int) -> np.ndarray:
 
 
 def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np.ndarray,
-                marks=lambda start, end: (), stops=(), observe=None) -> MeanAccumulator:
+                marks=(), stops=(), observe=None) -> MeanAccumulator:
     """Accumulate points ``lo..hi-1`` in blocks of ``block_size`` counted from
     ``lo``, each folded in as ``add_block`` would; a batch's points are a view
     of ``buf``, sized for ``max(_BATCH_POINTS, block_size)`` points or ``hi - lo``.
-    ``marks(start, end)`` gives a batch's marks in ``(start, end]``; at each,
-    ``observe(m, num, den, aw)`` reads the sums of the points before ``m``, and
-    a true return ends the walk there.  A batch never runs past the block
-    holding the next of the sorted ``stops``, the marks where it may."""
+    At each of the sorted ``marks``, ``observe(m, num, den, aw)`` reads the
+    sums of the points before ``m``, and a true return ends the walk there.
+    A batch never runs past the block holding the next of the sorted
+    ``stops``, the marks where it may."""
     rank = _rank(policy, func)
     batch = max(1, _BATCH_POINTS // block_size) * block_size
     acc = MeanAccumulator()
@@ -361,7 +362,8 @@ def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np
         pts = source.block(start, end, rank, buf)
         w = _weights(policy, pts, start)
         v = func.eval_block(pts)
-        marked = {m - start for m in marks(start, end)}
+        marked = {m - start for m in marks[bisect.bisect_right(marks, start):
+                                            bisect.bisect_right(marks, end)]}
         # The batch's marks and block ends as offsets; a mark inside a block
         # reads the sum of the segment from the one before it.
         events = sorted(marked.union(range(block_size, n, block_size), (n,)))
@@ -414,7 +416,6 @@ def run(
     func,
     budget: int,
     rule: StoppingRule | None = None,
-    trace_stride: int = 1000,
     block_size: int = 4096,
 ) -> ConvergenceReport:
     """Accumulate ``weight(x_n) * func(x_n)`` for ``n = 0..N-1`` and report
@@ -430,72 +431,64 @@ def run(
     budget
         Maximum number of points (must be >= ``rule.min_samples``).
     rule
-        Stopping rule; defaults to ``StoppingRule()``.
-    trace_stride
-        Record a trace snapshot every this many points (the final state
-        is always recorded).  Snapshots are only recorded: the stopping
-        window counts the rule's checkpoints, so the stride does not decide
-        the stop.  Snapshots and checkpoints inside a block are read from the
-        block's prefix sums; they never split it.  A snapshot keeps its raw
-        sums only; the report derives its estimate and ``den_ratio`` when
-        the trace is read, so only checkpoints divide during the run.
+        Stopping rule; defaults to ``StoppingRule()``.  Its checkpoints are
+        the only points where the run looks at its sums: each reached
+        checkpoint is one trace row, with the estimate and, where the rule
+        compared a full window, the window spread and tolerance that
+        decided whether to stop there.  The last row is the final state.
+        For a denser trace, raise ``window`` or ``min_samples``.
     block_size
         Points per block, the only partition of the sum: runs with equal
         block size that stop at the same point are reproducible bit for
-        bit, whatever the trace stride, and different block sizes agree to
-        compensated-summation accuracy; at 65536, a run to its budget sums
-        as ``run_blocked`` with one block does.  Points are evaluated in
-        batches of whole blocks (up to 16384 points, or one larger block)
-        that never run past the block holding the next checkpoint where the
-        run can stop, each read in one ordered pass over its snapshots,
-        checkpoints and block ends.  A stop inside a block commits only the
+        bit, and different block sizes agree to compensated-summation
+        accuracy; at 65536, a run to its budget sums as ``run_blocked``
+        with one block does.  Points are evaluated in batches of whole
+        blocks (up to 16384 points, or one larger block) that never run past
+        the block holding the next checkpoint where the run can stop, each
+        read in one ordered pass over its checkpoints and block ends.  A
+        checkpoint inside a block is read from the block's prefix sums; it
+        never splits the block.  A stop inside a block commits only the
         block's prefix; the at most ``block_size - 1`` terms after the stop
         are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
     budget = as_count("budget", budget, 1)
-    trace_stride = as_count("trace_stride", trace_stride, 1)
     block_size = as_count("block_size", block_size, 1)
     if budget < rule.min_samples:
         raise ValidationError("budget", f"{budget} is below min_samples {rule.min_samples}")
     delta = rule.degeneracy_threshold
 
-    # Raw trace rows: m, numerator, denominator and absolute-weight sum.
-    rows: list[tuple[int, complex, complex, float]] = []
+    # Trace rows: m, numerator, denominator, absolute-weight sum, estimate,
+    # window spread and tolerance.
+    rows: list[tuple] = []
     # Estimates at the last ``window`` checkpoints; None where degenerate.
     recent: deque[complex | None] = deque(maxlen=rule.window)
-    checkpoints = _checkpoints(budget, rule)
-    checks = set(checkpoints)
     stop_reason = None
 
     def observe(m, num, den, aw) -> bool:
-        """Record a trace row or checkpoint at ``m``; true where the run stops."""
+        """Record the checkpoint at ``m``; true where the run stops."""
         nonlocal stop_reason
-        if m % trace_stride == 0 or m == budget:
-            rows.append((m, num, den, aw))
-        if m not in checks:
-            return False
         est = _ratio(num, den, aw, delta)
-        recent.append(None if est is DEGENERATE else est)
-        if m < rule.min_samples or len(recent) < rule.window:
-            return False
-        if all(e is None for e in recent):
-            stop_reason = "degenerate"
-        elif None not in recent and rule.rel_tol * (1.0 + abs(est)) >= max(
-                abs(a - b) for a, b in itertools.combinations(recent, 2)):
-            stop_reason = "window-cauchy"
+        est = None if est is DEGENERATE else est
+        recent.append(est)
+        spread = tolerance = None
+        if m >= rule.min_samples and len(recent) == rule.window:
+            if all(e is None for e in recent):
+                stop_reason = "degenerate"
+            elif None not in recent:
+                spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
+                tolerance = rule.rel_tol * (1.0 + abs(est))
+                if tolerance >= spread:
+                    stop_reason = "window-cauchy"
+        rows.append((m, num, den, aw, est, spread, tolerance))
         return stop_reason is not None
 
-    def marks(start, end):
-        """The checkpoints and trace rows in ``(start, end]``."""
-        return [*checkpoints[bisect.bisect_right(checkpoints, start):
-                             bisect.bisect_right(checkpoints, end)],
-                *range(start - start % trace_stride + trace_stride, end + 1, trace_stride)]
-
+    checkpoints = _checkpoints(budget, rule)
     # The run can stop only at a checkpoint with a full window, from min_samples on.
     stops = [m for m in checkpoints[rule.window - 1:] if m >= rule.min_samples]
     buf = np.empty(_rank(policy, func) * min(max(_BATCH_POINTS, block_size), budget))
-    acc = _accumulate(source, policy, func, 0, budget, block_size, buf, marks, stops, observe)
+    acc = _accumulate(source, policy, func, 0, budget, block_size, buf, checkpoints, stops,
+                      observe)
 
     n_used = acc.count
     final = acc.estimate(delta)
@@ -503,10 +496,13 @@ def run(
         stop_reason = "degenerate"
     elif stop_reason is None:
         stop_reason = "budget-exhausted"
-    if rows and rows[-1][0] == n_used:
-        rows.pop()
-    rows.append((n_used, acc.numerator, acc.denominator, acc.abs_weight_sum))
-    return ConvergenceReport(final, stop_reason, n_used, tuple(map(list, zip(*rows))), delta)
+    # The run ends at a checkpoint, whose row the final state replaces: the
+    # stop may have committed a block's prefix with other bits than the
+    # prefix sums that checkpoint read.  The row keeps its spread and tolerance.
+    *_, spread, tolerance = rows.pop()
+    rows.append((n_used, acc.numerator, acc.denominator, acc.abs_weight_sum,
+                 None if final is DEGENERATE else final, spread, tolerance))
+    return ConvergenceReport(final, stop_reason, n_used, tuple(map(list, zip(*rows))))
 
 
 def run_blocked(

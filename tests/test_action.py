@@ -202,12 +202,11 @@ def test_oscillatory_mean_agrees_with_wick_rotated_route():
 def test_phase_shift_gauge_invariance():
     base = halton_source(1)
     reg = normal_quantiles([1.0])
-    rule = StoppingRule(min_samples=10**4)
+    rule = StoppingRule(window=20, min_samples=10**4)  # a trace row every 500 points
     plain = oscillatory_mean(base, quadratic_action([[1.0]]), reg, F_X1SQ,
-                             10**4, rule, skip_certification=True, trace_stride=500)
+                             10**4, rule, skip_certification=True)
     shifted = oscillatory_mean(base, quadratic_action([[1.0]], constant=0.77), reg,
-                               F_X1SQ, 10**4, rule, skip_certification=True,
-                               trace_stride=500)
+                               F_X1SQ, 10**4, rule, skip_certification=True)
     for a, b in zip(plain.trace["estimate"], shifted.trace["estimate"]):
         assert abs(a - b) <= 1e-12 * abs(a)
 

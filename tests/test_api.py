@@ -65,13 +65,13 @@ def test_benchmark_harness_binds_to_the_package():
 # names only the file and the output directory.
 CONFIG_KEYS = [
     "mode", "budget", "source", "policy", "function", "density", "hierarchy", "bins_per_axis",
-    "stopping", "trace_stride", "significance", "block_size", "action", "regularizer", "route",
+    "stopping", "significance", "block_size", "action", "regularizer", "route",
     "box_half_width", "sigmas", "tolerance", "truncation", "cells_per_axis",
 ]
 
 
 def test_config_keys_are_the_experiment_config_fields():
-    assert [f.name for f in fields(ExperimentConfig)] == CONFIG_KEYS and len(CONFIG_KEYS) == 20
+    assert [f.name for f in fields(ExperimentConfig)] == CONFIG_KEYS and len(CONFIG_KEYS) == 19
     with pytest.raises(ValidationError) as exc:
         parse_config_dict({"mode": "oracle", "out": "results"})
     assert str(exc.value) == f"config: unknown keys ['out'] (allowed: {sorted(CONFIG_KEYS)})"

@@ -26,6 +26,7 @@ from diracmean import (
     quadratic_action,
     run,
 )
+from diracmean import mean as mean_mod
 from diracmean.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
@@ -34,6 +35,7 @@ from diracmean.cli import (
     EXIT_OK,
     MODES,
     ExperimentConfig,
+    _READS,
     _regularizer,
     _run_estimate,
     _source,
@@ -93,7 +95,7 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config_dict(MINIMAL)
     assert cfg.stopping == {"window": 8, "rel_tol": 1e-4, "min_samples": 1000,
                             "degeneracy_threshold": 1e-8}
-    assert cfg.trace_stride == 1000
+    assert cfg.block_size == 4096
     assert cfg.significance is None  # read only by certify
     assert cfg.source == {"kind": "halton", "offset": 0}
 
@@ -171,21 +173,36 @@ def test_config_round_trip_through_echo():
 
 # The keys each mode reads; the config of a mode may give no other.
 READS = {
-    "estimate": {"budget", "source", "stopping", "trace_stride", "block_size", "function",
-                 "policy", "route", "action", "regularizer", "box_half_width"},
+    "estimate": {"budget", "source", "stopping", "block_size", "function", "policy", "route",
+                 "action", "regularizer", "box_half_width"},
     "certify": {"budget", "source", "hierarchy", "bins_per_axis", "significance"},
     "oracle": {"function", "density", "action", "regularizer", "truncation", "cells_per_axis"},
-    "fresnel-scan": {"budget", "source", "stopping", "trace_stride", "block_size", "action",
-                     "sigmas", "function", "route", "box_half_width"},
+    "fresnel-scan": {"budget", "source", "stopping", "block_size", "action", "sigmas",
+                     "function", "route", "box_half_width"},
 }
 READS["compare"] = READS["estimate"] | {"tolerance", "truncation", "cells_per_axis"}
+
+def test_readme_key_table_is_what_each_mode_reads():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header, _, *lines = text[text.index("| key |"):].split("\n\n")[0].splitlines()
+    modes = [cell.strip() for cell in header.strip("|").split("|")][1:]
+    assert sorted(modes) == sorted(_READS)
+    table = {}
+    for line in lines:
+        key, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        table[key.strip("`")] = dict(zip(modes, cells, strict=True))
+    assert set(table) == set().union(*_READS.values())
+    for key, cells in table.items():
+        for mode, cell in cells.items():
+            assert (cell == "-") == (key not in _READS[mode]), (key, mode, cell)
+
 
 # A valid value of each key, not its default.
 KEY_VALUES = {
     "budget": 4000, "source": {"kind": "halton", "offset": 2}, "policy": {"kind": "constant"},
     "function": {"name": "coordinate", "index": 1},
     "density": {"name": "coordinate-product", "rank": 1}, "hierarchy": [2],
-    "bins_per_axis": [4, 4, 4], "stopping": {"rel_tol": 1e-3}, "trace_stride": 500,
+    "bins_per_axis": [4, 4, 4], "stopping": {"rel_tol": 1e-3},
     "significance": 0.99, "block_size": 512, "action": {"matrix": [[2.0]]},
     "regularizer": {"widths": [0.5]}, "route": "weight-borne", "box_half_width": 6.0,
     "sigmas": [1.0, 3.0], "tolerance": 0.5, "truncation": 6.0, "cells_per_axis": 8,
@@ -242,7 +259,7 @@ def test_estimate_density_example(tmp_path):
     assert est["im"] == 0.0
     rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))
     assert rows[0] == ["m", "re_num", "im_num", "re_den", "im_den",
-                       "re_est", "im_est", "den_ratio"]
+                       "re_est", "im_est", "den_ratio", "spread", "tolerance"]
     assert len(rows) > 2
 
 
@@ -262,6 +279,33 @@ def test_estimate_non_convergence_exits_3(tmp_path):
     code, summary, _ = run_cli(tmp_path, cfg)
     assert code == EXIT_NOT_CONVERGED
     assert summary["result"]["stop_reason"] == "budget-exhausted"
+
+
+def _stop_from_trace_csv(path):
+    """The stop reason as ``trace.csv`` alone tells it, from its last row."""
+    header, *rows = csv.reader(path.read_text().splitlines())
+    last = dict(zip(header, rows[-1]))
+    if last["re_est"] == "":
+        return "degenerate"
+    if last["spread"] and float(last["spread"]) <= float(last["tolerance"]):
+        return "window-cauchy"
+    return "budget-exhausted"
+
+
+@pytest.mark.parametrize("cfg, code", [
+    (DENSITY, EXIT_OK),
+    (dict(DENSITY, budget=2000, stopping={"rel_tol": 1e-12}), EXIT_NOT_CONVERGED),
+    (ALTERNATING, EXIT_DEGENERATE),
+], ids=["converged", "not-converged", "degenerate"])
+def test_trace_csv_has_a_row_per_reached_checkpoint_and_tells_the_stop(tmp_path, cfg, code):
+    got, summary, out = run_cli(tmp_path, cfg)
+    assert got == code
+    result = summary["result"]
+    rule = StoppingRule(**summary["settings"]["stopping"])
+    reached = [m for m in mean_mod._checkpoints(cfg["budget"], rule) if m < result["N_used"]]
+    rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))[1:]
+    assert [int(row[0]) for row in rows] == reached + [result["N_used"]]
+    assert _stop_from_trace_csv(out / "trace.csv") == result["stop_reason"]
 
 
 def test_estimate_result_is_the_run_report(tmp_path):
@@ -560,7 +604,7 @@ def test_widths_take_a_number_or_a_list_in_every_field(field):
 ], ids=["regularizer-wider-than-action", "box-half-width"])
 def test_cli_route_run_is_oscillatory_mean_bit_for_bit(route, extra):
     cfg = dict(ROUTED, route=route, function={"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
-               budget=20000, trace_stride=700, **extra)
+               budget=20000, **extra)
     if route == "pullback" and "box_half_width" in extra:
         # Only the weight-borne route reads a box, in the CLI as in oscillatory_mean.
         with pytest.raises(ValidationError, match="^box_half_width: "):
@@ -571,7 +615,7 @@ def test_cli_route_run_is_oscillatory_mean_bit_for_bit(route, extra):
     direct = oscillatory_mean(
         halton_source(1), quadratic_action([[1.0]]), normal_quantiles(reg),
         build_function(cfg["function"]), config.budget, config.stopping_rule(), route=route,
-        box_half_width=config.box_half_width, skip_certification=True, trace_stride=700)
+        box_half_width=config.box_half_width, skip_certification=True)
 
     def fingerprint(report):
         est = report.final_estimate
@@ -806,7 +850,7 @@ FUZZ_BASES = [
      "density": {"name": "coordinate-product", "rank": 1}, "cells_per_axis": 4},
     {"mode": "estimate", "source": {"kind": "halton", "offset": 1},
      "policy": {"kind": "boltzmann", "action": {"matrix": [[1.0]], "constant": 0.5}},
-     "function": {"name": "coordinate", "index": 1}, "budget": 2000, "trace_stride": 500,
+     "function": {"name": "coordinate", "index": 1}, "budget": 2000,
      "block_size": 512},
 ]
 FUZZ_POOL = [None, "x", 1.5, True, [], {}, -1, [1]]

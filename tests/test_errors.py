@@ -86,7 +86,6 @@ BAD_ARGUMENTS = [
     ("21", "min_samples", lambda: dm.StoppingRule(min_samples=0)),
     ("22", "degeneracy_threshold", lambda: dm.StoppingRule(degeneracy_threshold=1.5)),
     ("23", "budget", lambda: _run(budget=999)),
-    ("24", "trace_stride", lambda: _run(trace_stride=0)),
     ("25", "block_size", lambda: _run(block_size=512.0)),
     ("26", "policy", lambda: _run(policy=ColumnWeights())),
     ("27", "total", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 4, 8)),

@@ -212,9 +212,10 @@ def test_alternating_phases_stop_degenerate():
     assert report.final_estimate is DEGENERATE
     assert not report.converged
     trace = report.trace
-    for est, den_ratio, num, den in zip(trace["estimate"], trace["den_ratio"],
-                                        trace["numerator"], trace["denominator"]):
-        assert est is None
+    assert {m % 2 for m in trace["m"]} == {0, 1}  # checkpoints every 125 points
+    for m, est, den_ratio, num, den in zip(trace["m"], trace["estimate"], trace["den_ratio"],
+                                           trace["numerator"], trace["denominator"]):
+        assert (est is None) == (m % 2 == 0)
         assert math.isfinite(den_ratio)
         assert math.isfinite(abs(num))
         assert math.isfinite(abs(den))
@@ -226,8 +227,9 @@ def test_budget_below_min_samples_rejected():
 
 
 def test_trace_is_strictly_increasing_and_strided():
+    # Checkpoints, and so trace rows, every min_samples // window points.
     report = run(halton_source(0), constant_policy(), F_X1, 5000,
-                 StoppingRule(min_samples=5000), trace_stride=1000)
+                 StoppingRule(window=5, min_samples=5000))
     ms = report.trace["m"]
     assert ms == sorted(set(ms))
     assert ms == [1000, 2000, 3000, 4000, 5000]
@@ -270,9 +272,9 @@ def test_gauge_invariance_of_partial_estimates():
 
     pol = density_policy(lambda x: 1.0 + x[:, 0], 1)
     c = 2.0 * np.exp(1j * np.pi / 3.0)
-    rule = StoppingRule(min_samples=10**4)
-    plain = run(halton_source(0), pol, F_X1, 10**4, rule, trace_stride=500)
-    scaled = run(halton_source(0), Scaled(pol, c), F_X1, 10**4, rule, trace_stride=500)
+    rule = StoppingRule(window=20, min_samples=10**4)  # a trace row every 500 points
+    plain = run(halton_source(0), pol, F_X1, 10**4, rule)
+    scaled = run(halton_source(0), Scaled(pol, c), F_X1, 10**4, rule)
     a_est, b_est = plain.trace["estimate"], scaled.trace["estimate"]
     assert len(a_est) == len(b_est)
     for a, b in zip(a_est, b_est):
@@ -334,7 +336,7 @@ def test_run_blocked_with_one_block_is_run_to_its_budget(src, pol, total):
     acc = run_blocked(WALK_SOURCES[src](), WALK_POLICIES[pol], F_X1X2, total, 1)
     report = run(WALK_SOURCES[src](), WALK_POLICIES[pol], F_X1X2, total,
                  StoppingRule(min_samples=total), block_size=65536)
-    ms, nums, dens, aws = report._columns
+    ms, nums, dens, aws, *_ = report._columns
     assert _sums_bits(nums[-1], dens[-1], aws[-1], ms[-1]) == _sums_bits(
         acc.numerator, acc.denominator, acc.abs_weight_sum, acc.count)
 
@@ -398,54 +400,30 @@ DENSITY_POL = density_policy(lambda x: 1.0 + x[:, 0], 1)
 ALTERNATING_POL = oscillatory_policy(quadratic_action([[0.0]]), index_phase=math.pi)
 
 
-@pytest.mark.parametrize("pol, rule, budget, strides, block_size, reason, n_used", [
+@pytest.mark.parametrize("pol, rule, budget, block_size, reason, n_used", [
     (DENSITY_POL, StoppingRule(min_samples=STOP_RULE.min_samples, rel_tol=1e-4), 2 * 10**5,
-     (7, 1000, 2 * 10**5), 1024, "window-cauchy", None),
+     1024, "window-cauchy", 6566),
     (DENSITY_POL, StoppingRule(min_samples=STOP_RULE.min_samples, rel_tol=1e-13), 2 * 10**5,
-     (7, 1000, 2 * 10**5), 1024, "budget-exhausted", None),
-    # Checkpoints every min_samples // window = 125 points whatever the stride.
-    (constant_policy(), StoppingRule(rel_tol=1e-3), 60000, (1, 7, 1000, 60000), 4096,
-     "window-cauchy", 1190),
+     1024, "budget-exhausted", 2 * 10**5),
+    # Checkpoints every min_samples // window = 125 points.
+    (constant_policy(), StoppingRule(rel_tol=1e-3), 60000, 4096, "window-cauchy", 1190),
     # Alternating weights cancel exactly at every even m and never at an odd
     # one, so no window of checkpoints is all degenerate: the run reaches the
     # budget, and its parity decides the outcome.
-    (ALTERNATING_POL, StoppingRule(), 10000, (7, 1000), 4096, "degenerate", 10000),
-    (ALTERNATING_POL, StoppingRule(), 10001, (7, 1000), 4096, "budget-exhausted", 10001),
+    (ALTERNATING_POL, StoppingRule(), 10000, 4096, "degenerate", 10000),
+    (ALTERNATING_POL, StoppingRule(), 10001, 4096, "budget-exhausted", 10001),
 ], ids=["0.0001-window-cauchy", "1e-13-budget-exhausted", "default-min-samples",
         "alternating-even", "alternating-odd"])
-def test_trace_stride_never_moves_the_result(pol, rule, budget, strides, block_size, reason,
-                                             n_used):
-    reports = [run(halton_source(1), pol, F_X1, budget, rule, trace_stride=stride,
-                   block_size=block_size) for stride in strides]
-    for report in reports:
-        assert report.stop_reason == reason
-        assert report.final_estimate == reports[0].final_estimate
-        assert report.N_used == reports[0].N_used
+def test_checkpoints_decide_the_stop_reason_and_points_used(pol, rule, budget, block_size,
+                                                            reason, n_used):
+    report = run(halton_source(1), pol, F_X1, budget, rule, block_size=block_size)
+    assert (report.stop_reason, report.N_used) == (reason, n_used)
     if reason == "window-cauchy":
-        assert reports[0].N_used % block_size != 0  # the stop fell inside a block
-    if n_used is not None:
-        assert reports[0].N_used == n_used
+        assert report.N_used % block_size != 0  # the stop fell inside a block
 
 
 def _bits(estimate):
     return estimate if estimate is DEGENERATE else (estimate.real.hex(), estimate.imag.hex())
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    offset=st.integers(0, 10**6),
-    pol=st.sampled_from([constant_policy(), DENSITY_POL, ALTERNATING_POL,
-                         oscillatory_policy(quadratic_action([[2.0]]))]),
-    stride=st.integers(1, 25000),
-    block_size=st.integers(64, 8192),
-    rel_tol=st.floats(1e-6, 1e-2),
-)
-def test_stopping_never_depends_on_the_stride(offset, pol, stride, block_size, rel_tol):
-    rule = StoppingRule(rel_tol=rel_tol)
-    ref, got = (run(halton_source(offset), pol, F_X1, 20000, rule, trace_stride=s,
-                    block_size=block_size) for s in (1000, stride))
-    assert (got.N_used, got.stop_reason) == (ref.N_used, ref.stop_reason)
-    assert _bits(got.final_estimate) == _bits(ref.final_estimate)
 
 
 class Recording:
@@ -472,23 +450,21 @@ def assert_whole_blocks(calls, block_size, budget, n_used):
 
 def test_blocks_are_the_only_partition():
     src = Recording(halton_source(1))
-    report = run(src, constant_policy(), F_X1, 10**5, STOP_RULE, trace_stride=7,
-                 block_size=1024)
+    report = run(src, constant_policy(), F_X1, 10**5, STOP_RULE, block_size=1024)
     assert_whole_blocks(src.calls, 1024, 10**5, report.N_used)
     assert src.calls[-1][0] < report.N_used <= src.calls[-1][1]
 
 
-@pytest.mark.parametrize("pol, rule, budget, stride, block_size", [
-    (DENSITY_POL, StoppingRule(rel_tol=1e-5), 10**5, 1000, 4096),
-    (DENSITY_POL, StoppingRule(min_samples=10**5), 10**5, 1000, 5000),
-    (ALTERNATING_POL, StoppingRule(), 10**4, 1000, 7),
-    (DENSITY_POL, StoppingRule(min_samples=1000, rel_tol=1e-5), 2 * 10**5, 1000, 70000),
-    (DENSITY_POL, StoppingRule(min_samples=300, rel_tol=1e-3), 3000, 7, 1),
+@pytest.mark.parametrize("pol, rule, budget, block_size", [
+    (DENSITY_POL, StoppingRule(rel_tol=1e-5), 10**5, 4096),
+    (DENSITY_POL, StoppingRule(min_samples=10**5), 10**5, 5000),
+    (ALTERNATING_POL, StoppingRule(), 10**4, 7),
+    (DENSITY_POL, StoppingRule(min_samples=1000, rel_tol=1e-5), 2 * 10**5, 70000),
+    (DENSITY_POL, StoppingRule(min_samples=300, rel_tol=1e-3), 3000, 1),
 ], ids=["geometric-checkpoints", "fixed-budget", "degenerate", "huge-blocks", "single-points"])
-def test_batches_are_whole_blocks_up_to_the_stopping_block(pol, rule, budget, stride,
-                                                           block_size):
+def test_batches_are_whole_blocks_up_to_the_stopping_block(pol, rule, budget, block_size):
     src = Recording(halton_source(1))
-    report = run(src, pol, F_X1, budget, rule, trace_stride=stride, block_size=block_size)
+    report = run(src, pol, F_X1, budget, rule, block_size=block_size)
     assert_whole_blocks(src.calls, block_size, budget, report.N_used)
 
 
@@ -598,12 +574,13 @@ def test_weights_of_the_wrong_shape_are_rejected():
 
 def test_trace_rows_match_filled_accumulators():
     pol = oscillatory_policy(quadratic_action([[2.0]]))
-    report = run(halton_source(1), pol, F_X1, 20000, StoppingRule(min_samples=20000),
-                 trace_stride=777, block_size=4096)
+    # Checkpoints every 800 points, most of them inside a 4096-point block.
+    rule = StoppingRule(window=25, min_samples=20000)
+    report = run(halton_source(1), pol, F_X1, 20000, rule, block_size=4096)
     pts = halton_source(1).block(0, 20000, 1)
     w, v = pol.weights(pts), F_X1.eval_block(pts)
     trace = report.trace
-    assert trace["m"][:-1] == list(range(777, 20000, 777))
+    assert trace["m"] == list(range(800, 20001, 800))
     for m, num, den, est, den_ratio in zip(trace["m"], trace["numerator"], trace["denominator"],
                                            trace["estimate"], trace["den_ratio"]):
         acc = MeanAccumulator().add_block(w[:m], v[:m])
@@ -615,7 +592,7 @@ def test_trace_rows_match_filled_accumulators():
 
 def test_last_trace_row_is_the_final_state():
     src, pol = halton_source(1), density_policy(lambda x: 1.0 + x[:, 0], 1)
-    report = run(src, pol, F_X1, 2 * 10**5, STOP_RULE, trace_stride=7, block_size=1024)
+    report = run(src, pol, F_X1, 2 * 10**5, STOP_RULE, block_size=1024)
     last = {name: column[-1] for name, column in report.trace.items()}
     acc = MeanAccumulator()
     for start in range(0, report.N_used, 1024):
@@ -725,14 +702,15 @@ def test_run_blocked_rejects_a_nonfinite_weight_or_function_value(index):
         run_blocked(src, constant_policy(), func, 140001, 2)
 
 
-def _reference_run(src, pol, func, budget, rule, stride, block_size):
+def _reference_run(src, pol, func, budget, rule, block_size):
     """``run``'s trace columns and final estimate from the definition: whole
     blocks' ``np.sum`` sums folded with ``MeanAccumulator._fold``, in-block
-    prefixes as ``np.cumsum`` of ``np.add.reduceat`` cut at the block's marks
-    (added to the committed totals in numpy), and estimates from ``_ratio``."""
+    prefixes as ``np.cumsum`` of ``np.add.reduceat`` cut at the block's
+    checkpoints (added to the committed totals in numpy), estimates from
+    ``_ratio``, and the window's spread and tolerance where it is full,
+    from ``min_samples`` on, and free of degenerate estimates."""
     delta = rule.degeneracy_threshold
-    checks = set(mean_mod._checkpoints(budget, rule))
-    marks = sorted(checks | set(range(stride, budget + 1, stride)))
+    marks = mean_mod._checkpoints(budget, rule)
     pts = src.block(0, budget, 1)
     w = pol.weights(pts)
     terms = (w * func.eval_block(pts), w, np.abs(w))
@@ -741,17 +719,14 @@ def _reference_run(src, pol, func, budget, rule, stride, block_size):
     def observe(m, num, den, aw):
         est = mean_mod._ratio(num, den, aw, delta)
         est = None if est is DEGENERATE else est
-        if m % stride == 0 or m == budget:
-            rows.append((m, num, den, aw))
-        if m not in checks:
-            return False
         recent.append(est)
-        if m < rule.min_samples or len(recent) < rule.window:
-            return False
-        if all(e is None for e in recent):
-            return True
-        return None not in recent and rule.rel_tol * (1.0 + abs(est)) >= max(
-            abs(a - b) for a, b in itertools.combinations(recent, 2))
+        full = m >= rule.min_samples and len(recent) == rule.window
+        spread = tol = None
+        if full and None not in recent:
+            spread = max(abs(a - b) for a, b in itertools.combinations(recent, 2))
+            tol = rule.rel_tol * (1.0 + abs(est))
+        rows.append((m, num, den, aw, est, spread, tol))
+        return full and (all(e is None for e in recent) or spread is not None and spread <= tol)
 
     def fold(lo, hi):
         acc._fold(*(np.sum(t[lo:hi]) for t in terms), hi - lo)
@@ -776,16 +751,19 @@ def _reference_run(src, pol, func, budget, rule, stride, block_size):
         fold(lo, hi)
         if hi in marks and observe(hi, acc.numerator, acc.denominator, acc.abs_weight_sum):
             break
-    final = (acc.count, acc.numerator, acc.denominator, acc.abs_weight_sum)
-    rows = [r for r in rows if r[0] != acc.count] + [final]
-    ests = [mean_mod._ratio(num, den, aw, delta) for _, num, den, aw in rows]
+    final = acc.estimate(delta)
+    assert rows[-1][0] == acc.count
+    rows[-1] = (acc.count, acc.numerator, acc.denominator, acc.abs_weight_sum,
+                None if final is DEGENERATE else final, *rows[-1][5:])
     return {
         "m": [r[0] for r in rows],
         "numerator": [r[1] for r in rows],
         "denominator": [r[2] for r in rows],
-        "estimate": [None if e is DEGENERATE else e for e in ests],
-        "den_ratio": [abs(den) / aw if aw > 0.0 else 0.0 for _, _, den, aw in rows],
-    }, acc.estimate(delta)
+        "estimate": [r[4] for r in rows],
+        "den_ratio": [abs(den) / aw if aw > 0.0 else 0.0 for _, _, den, aw, *_ in rows],
+        "spread": [r[5] for r in rows],
+        "tolerance": [r[6] for r in rows],
+    }, final
 
 
 class SignedWeights:
@@ -805,27 +783,24 @@ class SignedWeights:
                          oscillatory_policy(quadratic_action([[2.0]])),
                          oscillatory_policy(quadratic_action([[40.0]]))]),
     block_size=st.sampled_from([1, 3, 1000, 4096, 5000, 20000]),
-    stride=st.one_of(st.sampled_from([1, 7, 1000]), st.integers(1, 30000)),
     window=st.integers(2, 8),
     min_samples=st.sampled_from([1, 7, 56, 1000, 3000]),
     budget=st.integers(3000, 40000),
     rel_tol=st.floats(1e-7, 1e-2),
 )
 def test_trace_rows_and_estimate_match_the_definition_bit_for_bit(
-        offset, pol, block_size, stride, window, min_samples, budget, rel_tol):
+        offset, pol, block_size, window, min_samples, budget, rel_tol):
     if block_size < 1000:
         budget //= 10  # keep the one-block-at-a-time reference quick
     rule = StoppingRule(window=window, rel_tol=rel_tol, min_samples=min(min_samples, budget))
-    report = run(halton_source(offset), pol, F_X1, budget, rule, trace_stride=stride,
-                 block_size=block_size)
-    trace, final = _reference_run(halton_source(offset), pol, F_X1, budget, rule, stride,
-                                  block_size)
+    report = run(halton_source(offset), pol, F_X1, budget, rule, block_size=block_size)
+    trace, final = _reference_run(halton_source(offset), pol, F_X1, budget, rule, block_size)
     assert report.N_used == trace["m"][-1]
     assert repr(report.trace) == repr(trace)  # repr keeps every bit, signed zeros too
     assert _bits(report.final_estimate) == _bits(final)
 
 
-def test_run_derives_trace_estimates_only_when_the_trace_is_read(monkeypatch):
+def test_run_computes_one_estimate_per_reached_checkpoint(monkeypatch, tmp_path):
     ratio, ratios = mean_mod._ratio, []
 
     def counted(*args):
@@ -834,16 +809,58 @@ def test_run_derives_trace_estimates_only_when_the_trace_is_read(monkeypatch):
 
     monkeypatch.setattr(mean_mod, "_ratio", counted)
     rule = StoppingRule(rel_tol=1e-5)
-    report = run(halton_source(1), DENSITY_POL, F_X1, 10**5, rule, trace_stride=7,
-                 block_size=1024)
+    report = run(halton_source(1), DENSITY_POL, F_X1, 10**5, rule, block_size=1024)
     reached = [m for m in mean_mod._checkpoints(10**5, rule) if m <= report.N_used]
-    n_rows = (report.N_used - 1) // 7 + 1  # every 7th point before the stop, and the stop
-    assert n_rows > 10 * len(reached)
+    assert report.stop_reason == "window-cauchy" and len(reached) > rule.window
     assert len(ratios) == len(reached) + 1  # each checkpoint, and the final estimate
-    assert len(report.trace["m"]) == n_rows
-    assert len(ratios) == len(reached) + 1 + n_rows
     report.trace_rows()
-    assert len(ratios) == len(reached) + 1 + n_rows  # the derived trace is kept
+    report.write_csv(tmp_path / "trace.csv")
+    assert len(ratios) == len(reached) + 1  # reading the trace divides nothing
+
+
+@pytest.mark.parametrize("rule, budget", [
+    (StoppingRule(rel_tol=1e-5), 10**5),  # stops window-cauchy inside a block
+    (StoppingRule(rel_tol=1e-13, min_samples=3000), 20000),  # runs to the budget
+    (StoppingRule(window=3, min_samples=7), 3000),  # linear checkpoints every 2 points
+], ids=["window-cauchy", "budget-exhausted", "short-window"])
+def test_trace_rows_are_the_reached_checkpoints(rule, budget):
+    report = run(halton_source(1), DENSITY_POL, F_X1, budget, rule, block_size=1024)
+    reached = [m for m in mean_mod._checkpoints(budget, rule) if m < report.N_used]
+    assert report.trace["m"] == reached + [report.N_used]
+
+
+class CancelsAt:
+    """Weights 1, then -1, on the two halves of the first ``n`` points and 0
+    after them: every sum from ``n`` points on has cancelled exactly."""
+
+    rank = 1
+
+    def __init__(self, n):
+        self.n = n
+
+    def weights(self, pts, start_index=0):
+        i = np.arange(start_index, start_index + len(pts))
+        return np.where(i < self.n // 2, 1.0, np.where(i < self.n, -1.0, 0.0))
+
+
+def test_trace_says_why_the_run_stopped():
+    converged = run(halton_source(1), DENSITY_POL, F_X1, 10**5, StoppingRule(rel_tol=1e-5),
+                    block_size=1024).trace
+    assert converged["spread"][-1] <= converged["tolerance"][-1]
+    earlier = [(s, t) for s, t in zip(converged["spread"][:-1], converged["tolerance"][:-1])
+               if s is not None]
+    assert earlier and all(s > t for s, t in earlier)
+    # Before min_samples no window is compared, so nothing is filled in.
+    assert all(s is None for m, s in zip(converged["m"], converged["spread"]) if m < 1000)
+
+    rule = StoppingRule()
+    degenerate = run(halton_source(1), CancelsAt(3000), F_X1, 10**4, rule)
+    trace = degenerate.trace
+    assert degenerate.stop_reason == "degenerate" and degenerate.N_used < 10**4
+    assert trace["estimate"][-rule.window:] == [None] * rule.window
+    assert trace["estimate"][-rule.window - 1] is not None
+    # A window holding a degenerate estimate has no spread.
+    assert trace["spread"][-rule.window:] == [None] * rule.window
 
 
 def test_report_serialization_round_trip():
@@ -881,7 +898,7 @@ def test_stopping_rule_rejects_values_that_fail_late_or_never_stop(field, value)
         StoppingRule(**{field: value})
 
 
-RUN_COUNTS = {"budget": 5000, "trace_stride": 1000, "block_size": 4096}
+RUN_COUNTS = {"budget": 5000, "block_size": 4096}
 BLOCKED_COUNTS = {"total": 10**5, "n_blocks": 8}
 
 
@@ -889,9 +906,6 @@ BLOCKED_COUNTS = {"total": 10**5, "n_blocks": 8}
     ("budget", 5000.0),
     ("budget", True),
     ("budget", "5000"),
-    ("trace_stride", True),
-    ("trace_stride", 10.0),
-    ("trace_stride", 0),
     ("block_size", 4096.0),
     ("block_size", -1),
     ("total", 10.0**5),
@@ -909,5 +923,5 @@ def test_run_and_run_blocked_reject_non_integer_counts(name, value):
 def test_stopping_rule_accepts_numpy_scalars():
     rule = StoppingRule(window=np.int64(4), rel_tol=np.float64(1e-3),
                         min_samples=np.int32(56))
-    report = run(halton_source(1), constant_policy(), F_X1, 200, rule, trace_stride=7)
+    report = run(halton_source(1), constant_policy(), F_X1, 200, rule)
     assert report.N_used <= 200

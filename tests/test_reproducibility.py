@@ -8,16 +8,27 @@ per axis it used.  A change that moves any of these bits on purpose
 updates the pins and says so in CHANGES.md; any other change must leave
 them as they are.  The rank-8 row sum was pinned when ``run`` began to
 evaluate several blocks per call, which moved its trace rows; the other
-six runs predate that.  The oracle pins predate quantile families
-owning their density and domain.
+six runs predate that.  All seven trace-row hashes were re-pinned when
+the trace became one row per reached checkpoint with a ``spread`` and a
+``tolerance`` column; their estimate bits, N_used and stop reasons did
+not move.  The oracle pins predate quantile families owning their
+density and domain.
 ``PYTHONPATH=src python tests/test_reproducibility.py`` prints the
 current values in the layout of ``PINNED``, ``PINNED_BLOCKED`` and
 ``PINNED_ORACLES``.
+
+The bits are fixed per numpy version and per SIMD dispatch level, which
+numpy picks from the CPU at import; the pins were taken under AVX512
+dispatch with numpy 2.4.  The last test reruns them under the x86-64-v2
+baseline and checks which of them depend on the dispatch.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -45,7 +56,7 @@ RUNS = {
     # A free window-Cauchy stop inside a 1024-point block.
     "window-cauchy-inside-block": lambda: run(
         halton_source(1), DENSITY_POL, F_X1, 2 * 10**5,
-        StoppingRule(min_samples=56, rel_tol=1e-4), trace_stride=7, block_size=1024),
+        StoppingRule(min_samples=56, rel_tol=1e-4), block_size=1024),
     # Weights alternate in sign, so every even m is degenerate.
     "alternating-degenerate": lambda: run(
         halton_source(0), oscillatory_policy(quadratic_action([[0.0]]), index_phase=math.pi),
@@ -54,15 +65,15 @@ RUNS = {
         pseudorandom_source(3),
         oscillatory_policy(quadratic_action([[2.0, 0.5], [0.5, 1.0]])),
         cylinder_function(2, lambda x: np.exp(1j * x[:, 0]) * x[:, 1], "e^{i x1} x2"),
-        60000, StoppingRule(rel_tol=1e-3), trace_stride=500),
+        60000, StoppingRule(rel_tol=1e-3)),
     "block-size-1": lambda: run(
         halton_source(2), DENSITY_POL, F_X1, 3000,
-        StoppingRule(min_samples=200, rel_tol=1e-3), trace_stride=7, block_size=1),
+        StoppingRule(min_samples=200, rel_tol=1e-3), block_size=1),
     # 5000 does not divide the 16384-point batch.
     "block-size-5000": lambda: run(
         halton_source(3), DENSITY_POL,
         cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "x1 x2"), 10**5,
-        StoppingRule(rel_tol=3e-5, min_samples=42000), trace_stride=333, block_size=5000),
+        StoppingRule(rel_tol=3e-5, min_samples=42000), block_size=5000),
     # A block larger than a batch is its own batch.
     "block-size-70000": lambda: run(
         halton_source(0), constant_policy(), F_X1, 2 * 10**5,
@@ -73,31 +84,31 @@ RUNS = {
     "rank-8-row-sum-block-size-1": lambda: run(
         pseudorandom_source(5), constant_policy(),
         cylinder_function(8, lambda x: x.sum(axis=1), "x1 + ... + x8"), 3000,
-        StoppingRule(min_samples=3000), trace_stride=7, block_size=1),
+        StoppingRule(min_samples=3000), block_size=1),
 }
 
 PINNED = {
     'alternating-degenerate': (
         'degenerate', 10000, 'degenerate',
-        '8630b0fa38f6a53acea025b764aba09488bca5538dc012a424ef1687510a709a'),
+        'c7f7a528a95f1c5fabf5b0098edb36dd10abeaeb75c866ca9cd8e992e782f186'),
     'block-size-1': (
         ('0x1.1baaa1f0d54f5p-1', '0x0.0p+0'), 815, 'window-cauchy',
-        'a2092c4b85ba324029da33ab13873de4ab1bbde0d4980e06f98bbe13762d9b4e'),
+        'ad9cdf03fefcef212413d73f8b711cb6ac68835ebda57050d3d90666c4e66888'),
     'block-size-5000': (
         ('0x1.1c6a29ed96aaap-2', '0x0.0p+0'), 59399, 'window-cauchy',
-        '67cc62c61ceed77448a16eba75d51319b5c18125dcd24e9eee19fca200cbd14c'),
+        '0c46dfb37f18b99b6dc22b944d2d009e716e0f9ef9a5a52bd35e81819e6ca99b'),
     'block-size-70000': (
         ('0x1.fff9874222aa6p-2', '0x0.0p+0'), 117995, 'window-cauchy',
-        '9594889baec80a10daa7a6c0fd6d2e1139f5158bbd17de0c1874dd6859800c34'),
+        'd4da088cca164df61427d4354e4e9653e3e675c9c4c2dbb597de0e36726ef555'),
     'oscillatory-complex': (
         ('0x1.fdf20b1664a55p-2', '0x1.88662c6071b58p-3'), 41714, 'window-cauchy',
-        'c20857df4cff5aa1eede80d53d090e5be1826cf10de7ca7680d606647e402214'),
+        '049abbab48c4a446741b2c79bbc59bcdeeb40bc52276cbd2508705c30030a777'),
     'rank-8-row-sum-block-size-1': (
         ('0x1.01386d5e4e056p+2', '0x0.0p+0'), 3000, 'budget-exhausted',
-        '8c55993bd86bf0042c06615f53ffd9636b30e02f7efcbce7a336da9469c85233'),
+        'bd7612037a087be77f7a17c9c1b911380b2e908431085113fe7037f186db9322'),
     'window-cauchy-inside-block': (
         ('0x1.1c4a6cad3a051p-1', '0x0.0p+0'), 6566, 'window-cauchy',
-        '64f9c3f4a2fcce0420f0b55e4117275dfdd7807dc6fef7fd52ac411340126306'),
+        '1294ebc2ab9bcc2e9bd75ac15b9af107c670094e759cce5c7f2eaf80ee76033f'),
 }
 
 # No block edge is a multiple of the 65536-point chunk, so every block
@@ -202,6 +213,36 @@ def test_run_blocked_bits_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_oracle_bits_are_pinned(name):
     assert _oracle_fingerprint(ORACLES[name]) == PINNED_ORACLES[name]
+
+
+def _moved() -> list[str]:
+    """The names of the pins whose bits differ from their pinned values."""
+    return sorted([name for name in RUNS if _fingerprint(RUNS[name]()) != PINNED[name]]
+                  + [name for name in BLOCKED
+                     if _blocked_fingerprint(BLOCKED[name]()) != PINNED_BLOCKED[name]]
+                  + [name for name in ORACLES
+                     if _oracle_fingerprint(ORACLES[name]) != PINNED_ORACLES[name]])
+
+
+def test_only_the_complex_products_depend_on_the_simd_dispatch():
+    from numpy._core import _multiarray_umath as umath
+
+    if "X86_V2" not in umath.__cpu_baseline__:
+        pytest.skip(f"the dispatch dependence is recorded for an x86-64-v2 baseline; this "
+                    f"numpy's baseline is {umath.__cpu_baseline__}")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("this CPU has no numpy dispatch target above the x86-64-v2 baseline")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import test_reproducibility as t; print(json.dumps(t._moved()))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                         capture_output=True, text=True, env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    # Complex-weight, complex-value products: presumably FMA from AVX2 on.
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        "oscillatory-complex", "oscillatory-complex-three-blocks"]
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .mean import (
     run_blocked,
 )
 from .oracle import (
-    QuadratureSpec,
     complex_gaussian_moment,
     normalized_expectation,
     tensor_quadrature,

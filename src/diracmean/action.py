@@ -8,7 +8,8 @@ with widths ``sigma_k`` is the Gaussian regularizer
 ``prod_k exp(-x_k^2 / (2 sigma_k^2))``, its ``density``.  Two equivalent
 routes are provided: pull the points back through the family's quantiles
 and weight by ``exp(-i S)`` alone (the default), or keep near-Lebesgue
-points on a finite box and carry ``xi exp(-i S)`` in the weights.
+points on a box of half-width 8x the widest regularizer width and carry
+``xi exp(-i S)`` in the weights.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from . import mean as mean_mod
 from .cylinder import CylinderFunction, hierarchy_certify, verify_cylinder
 from .errors import CertificationError, ValidationError, as_number, as_numbers
 from .seq import (
-    BoxQuantiles,
     PointSource,
     QuantileFamily,
     _columns,
+    box_quantiles,
     normal_quantiles,
     pullback_source,
 )
@@ -41,6 +42,8 @@ __all__ = [
 _MAX_QUADRATIC_RANK = 16
 # Points of the base-source uniformity certificate of oscillatory_mean.
 _CERTIFICATION_SAMPLES = 10**4
+# Half-width of the weight-borne route's box, in widest regularizer widths.
+_BOX_WIDTHS = 8.0
 
 
 class ActionFunctional:
@@ -148,25 +151,19 @@ def _route(
     regularizer: QuantileFamily,
     func_rank: int,
     route: str,
-    box_half_width: float | None,
 ) -> tuple[PointSource, WeightPolicy]:
     """The source and policy of an oscillatory route over ``base``; see
     :func:`oscillatory_mean`.  The regularizer must cover the coordinates
-    the action and the function (of rank ``func_rank``) read, and only the
-    weight-borne route takes a ``box_half_width``."""
+    the action and the function (of rank ``func_rank``) read."""
     rank = max(int(action.rank), int(func_rank), 1)
     covered = _covered(regularizer)
     if covered < rank:
         raise ValidationError(
             "regularizer", f"covers {covered} coordinates but the action/function need {rank}")
     if route == "pullback":
-        if box_half_width is not None:
-            raise ValidationError("box_half_width", "is read only by the 'weight-borne' route")
         return pullback_source(base, regularizer), oscillatory_policy(action)
     if route == "weight-borne":
-        if box_half_width is None:
-            box_half_width = regularizer.domain(1, 8.0)[0][1]
-        box = BoxQuantiles(as_number("box_half_width", box_half_width, 0.0))
+        box = box_quantiles(_BOX_WIDTHS * max(regularizer.widths))
         return pullback_source(base, box), product_regularized_policy(regularizer, action)
     raise ValidationError("route", f"{route!r} is not one of ['pullback', 'weight-borne']")
 
@@ -180,7 +177,6 @@ def oscillatory_mean(
     rule: mean_mod.StoppingRule | None = None,
     *,
     route: str = "pullback",
-    box_half_width: float | None = None,
     skip_certification: bool = False,
     block_size: int = 4096,
 ) -> mean_mod.ConvergenceReport:
@@ -195,16 +191,17 @@ def oscillatory_mean(
     ``route="pullback"`` maps the cube points through the regularizer's
     quantiles and weights by ``exp(-i action)``;
     ``route="weight-borne"`` maps them to the uniform box
-    ``[-L, L]^rank`` (L is ``box_half_width``, by default 8x the largest
-    regularizer width) and carries ``xi * exp(-i action)`` in the weights.
-    Both estimate the same ratio up to box truncation.  A
-    ``box_half_width`` with the pullback route raises ``ValidationError``.
+    ``[-L, L]^rank``, L = 8x the largest regularizer width, and carries
+    ``xi * exp(-i action)`` in the weights.  Both estimate the same ratio
+    up to box truncation.  Another box is
+    ``run(pullback_source(base, box_quantiles(L)),
+    product_regularized_policy(regularizer, action), func, ...)``.
 
     Unless ``skip_certification``, the base source must first pass the
     chi-square uniformity certificate (10^4 points, level 0.999, ranks 1
     to ``min(rank, 3)``), or ``CertificationError`` is raised.
     """
-    src, pol = _route(base, action, regularizer, func.rank, route, box_half_width)
+    src, pol = _route(base, action, regularizer, func.rank, route)
     verify_cylinder(func)
     if not skip_certification:
         _certify_base(base, max(int(action.rank), int(func.rank), 1))

@@ -20,7 +20,7 @@ from . import mean as mean_mod
 from .action import _route, _scan_action, _scan_widths, fresnel_limit_scan
 from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number
-from .oracle import QuadratureSpec, normalized_expectation
+from .oracle import _box, normalized_expectation
 from .registry import _as_list, _built, _quadratic, _require_keys, _widths, build_function
 from .seq import (
     box_quantiles,
@@ -43,7 +43,7 @@ from .weights import (
 __all__ = ["ExperimentConfig", "parse_config_dict", "execute", "main"]
 
 SOURCE_KINDS = ("halton", "weyl", "pseudorandom", "convergent", "pullback")
-POLICY_KINDS = ("constant", "density", "boltzmann", "oscillatory", "fresnel")
+POLICY_KINDS = ("constant", "density", "boltzmann", "oscillatory")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,7 +55,9 @@ EXIT_CHECK_FAILED = 4
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description with defaults filled; a field its
-    mode does not read is ``None``."""
+    mode does not read is ``None``.  The weight-borne route's box (8x the
+    widest regularizer width) and the oracle's first grid (4 cells per
+    axis) are not fields: the library fixes both."""
 
     mode: str
     budget: int | None
@@ -71,11 +73,9 @@ class ExperimentConfig:
     action: dict | None
     regularizer: dict | None
     route: str | None
-    box_half_width: float | None
     sigmas: tuple[float, ...] | None
     tolerance: float | None
     truncation: float | None
-    cells_per_axis: int | None
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -202,15 +202,12 @@ def _policy(spec, field: str = "policy"):
         _require_keys(spec, {"kind", "function"}, field)
         fn = build_function(spec.get("function"), f"{field}.function")
         return {"kind": kind, "function": spec["function"]}, density_policy(fn.eval_block, fn.rank)
-    extra = {"boltzmann": set(), "oscillatory": {"index_phase"}, "fresnel": {"regularizer"}}[kind]
-    _require_keys(spec, {"kind", "action"} | extra, field)
+    keys = {"kind", "action", "index_phase"} if kind == "oscillatory" else {"kind", "action"}
+    _require_keys(spec, keys, field)
     out = {"kind": kind}
     out["action"], act = _action(spec.get("action"), f"{field}.action")
     if kind == "boltzmann":
         return out, boltzmann_policy(act)
-    if kind == "fresnel":
-        out["regularizer"], reg = _regularizer(spec.get("regularizer", {}), f"{field}.regularizer")
-        return out, product_regularized_policy(reg, act)
     out["index_phase"] = as_number(f"{field}.index_phase", spec.get("index_phase", 0.0))
     return out, oscillatory_policy(act, out["index_phase"])
 
@@ -262,18 +259,15 @@ _CHECKS = {
     "action": lambda v: _action(v)[0],
     "regularizer": lambda v: _regularizer(v)[0],
     "route": lambda v: v,  # checked by ``_route``, which parsing calls
-    "box_half_width": lambda v: as_number("box_half_width", v, 0.0),
     "sigmas": lambda v: _scan_widths(_as_list(v, "sigmas"), "sigmas"),
     "tolerance": lambda v: as_number("tolerance", v, 0.0),
     "truncation": lambda v: as_number("truncation", v, 0.0),
-    "cells_per_axis": lambda v: as_count("cells_per_axis", v, 4),
 }
 
 _REQUIRED = object()
 _RUN = {"budget": _REQUIRED, "source": _REQUIRED, "stopping": {}, "block_size": 4096}
-_ROUTE = {"route": None, "action": None, "regularizer": None, "box_half_width": None}
-_QUADRATURE = {"truncation": 8.0, "cells_per_axis": 4}
-_ESTIMATE = {**_RUN, "function": _REQUIRED, "policy": None, **_ROUTE}
+_ESTIMATE = {**_RUN, "function": _REQUIRED, "policy": None, "route": None, "action": None,
+             "regularizer": None}
 
 # The keys each mode reads, each with the value it takes when a config
 # leaves it out (``_REQUIRED``: none, the config must give it; ``None``:
@@ -283,10 +277,10 @@ _READS = {
     "certify": {"budget": _REQUIRED, "source": _REQUIRED, "hierarchy": [1, 2, 3],
                 "bins_per_axis": None, "significance": 0.999},
     "oracle": {"function": _REQUIRED, "density": None, "action": None, "regularizer": None,
-               **_QUADRATURE},
+               "truncation": 8.0},
     "fresnel-scan": {**_RUN, "action": _REQUIRED, "sigmas": [1.0, 2.0, 4.0], "function": None,
-                     "route": "pullback", "box_half_width": None},
-    "compare": {**_ESTIMATE, "tolerance": 5e-3, **_QUADRATURE},
+                     "route": "pullback"},
+    "compare": {**_ESTIMATE, "tolerance": 5e-3, "truncation": 8.0},
 }
 MODES = tuple(_READS)
 
@@ -341,7 +335,7 @@ def _reads_truncation(settings: dict) -> bool:
 def _check_across(cfg: ExperimentConfig) -> None:
     """The rules that tie one key of a checked config to another."""
     if cfg.mode in ("estimate", "compare"):
-        route_keys = (cfg.route, cfg.action, cfg.regularizer, cfg.box_half_width)
+        route_keys = (cfg.route, cfg.action, cfg.regularizer)
         if cfg.policy is not None and any(v is not None for v in route_keys):
             raise ValidationError("policy", "give either a policy or a route, not both")
         if cfg.policy is None and cfg.route is None:
@@ -373,7 +367,7 @@ def _check_across(cfg: ExperimentConfig) -> None:
         rank = max(0 if cfg.function is None else build_function(cfg.function, "function").rank, 1)
         # The scan's first route, built here so that its errors fail at parse.
         _route(_source(cfg.source)[1], act, normal_quantiles([cfg.sigmas[0]] * rank), rank,
-               cfg.route, cfg.box_half_width)
+               cfg.route)
     else:
         # The coordinates the run reads, which explicit alphas must cover.
         rank = mean_mod._rank(*_estimate_inputs(cfg)[1:])
@@ -408,7 +402,7 @@ def _estimate_inputs(config: ExperimentConfig):
     if config.route is None:
         return source, _policy(config.policy)[1], func
     source, policy = _route(source, _action(config.action)[1], _regularizer(config.regularizer)[1],
-                            func.rank, config.route, config.box_half_width)
+                            func.rank, config.route)
     return source, policy, func
 
 
@@ -452,7 +446,7 @@ def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
 
 
 def _oracle_integrand(config: ExperimentConfig, func):
-    """The quadrature oracle's density and spec for an ``oracle`` or
+    """The quadrature oracle's density and box for an ``oracle`` or
     ``compare`` run: an oracle's ``density`` on the unit cube; else the
     regularizer and action's ``xi e^{-iS}`` on the regularizer measure's
     truncated domain, for an oracle or a compare route; else the source's
@@ -484,7 +478,8 @@ def _oracle_integrand(config: ExperimentConfig, func):
         if config.mode == "oracle":
             raise ValidationError("density", "oracle mode supports ranks up to 3")
         raise ValidationError("function", "compare mode supports oracle ranks up to 3")
-    return rho, _built("cells_per_axis", QuadratureSpec, domain, config.cells_per_axis)
+    # Only a truncation past the float range makes a box the oracle refuses.
+    return rho, _built("truncation", _box, domain)
 
 
 def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
@@ -500,7 +495,7 @@ def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dic
 
 def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
     func = build_function(config.function, "function")
-    rho, spec = _oracle_integrand(config, func)
+    rho, domain = _oracle_integrand(config, func)
     report = _run_estimate(config)[2]
     trace_path = outdir / "trace.csv"
     report.write_csv(trace_path)
@@ -509,7 +504,7 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
         result = {"estimate": "degenerate", "oracle": None, "pass": False,
                   "tolerance": config.tolerance}
         return EXIT_DEGENERATE, result, files
-    oracle_value, cells = normalized_expectation(func.eval_block, rho, spec)
+    oracle_value, cells = normalized_expectation(func.eval_block, rho, domain)
     error = abs(report.final_estimate - oracle_value)
     ok = error <= config.tolerance
     result = {
@@ -534,7 +529,6 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
         config.budget,
         config.stopping_rule(),
         route=config.route,
-        box_half_width=config.box_half_width,
         skip_certification=True,
         block_size=config.block_size,
     )

@@ -5,7 +5,9 @@ refined by cell doubling until two successive resolutions agree, plus
 the closed-form moments of complex Gaussian densities.  A normalized
 expectation is one quadrature of the stacked integrand
 ``(density, |density|, f * density)``, so the density is evaluated once
-per grid.  Both quadrature functions return ``(value, cells_used)``.
+per grid.  Both quadrature functions take the box as a tuple of
+``(lo, hi)`` pairs, 1 to 3 finite axes, and return
+``(value, cells_used)``; doubling starts at 4 cells per axis.
 Oracle tolerances (1e-8 .. 1e-10) sit two-plus orders below the
 estimator tolerances they back, so oracle error never masks estimator
 error.  A box for an unbounded measure comes from its quantile family
@@ -15,54 +17,40 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateOracle, NoConvergence, ValidationError, as_count, as_number
+from .errors import DegenerateOracle, NoConvergence, ValidationError, as_number
 
 __all__ = [
-    "QuadratureSpec",
     "tensor_quadrature",
     "normalized_expectation",
     "complex_gaussian_moment",
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
+_START_CELLS = 4
 _CELL_CAP = {1: 4096, 2: 512, 3: 128}
 _REL_TOL = 1e-10
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor grid description: per-axis finite intervals and the starting
-    resolution for cell doubling, which must leave room for one doubling
-    below the rank's cap (4096 / 512 / 128 cells per axis)."""
-
-    domain: tuple[tuple[float, float], ...]
-    cells_per_axis: int = 4
-
-    def __post_init__(self):
-        rank = len(self.domain)
-        if not (1 <= rank <= 3):
-            raise ValidationError("domain", f"must have 1 to 3 axes, got {rank}")
-        cells = as_count("cells_per_axis", self.cells_per_axis, 4)
-        if 2 * cells > _CELL_CAP[rank]:
-            raise ValidationError(
-                "cells_per_axis", f"must be <= {_CELL_CAP[rank] // 2} at rank {rank}, "
-                f"so that cells can double once below the cap, got {cells}"
-            )
-        object.__setattr__(self, "cells_per_axis", cells)
-        for lo, hi in self.domain:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValidationError("domain", f"each axis needs a finite interval lo < hi, "
-                                      f"got ({lo}, {hi})")
-
-    @property
-    def rank(self) -> int:
-        return len(self.domain)
+def _box(domain) -> tuple[tuple[float, float], ...]:
+    """``domain`` as float ``(lo, hi)`` pairs, unless it is not 1 to 3
+    finite intervals with ``lo < hi``; the error names ``domain``."""
+    try:
+        box = tuple((float(lo), float(hi)) for lo, hi in domain)
+    except (TypeError, ValueError):
+        raise ValidationError("domain", f"must be (lo, hi) pairs, got {domain!r}") from None
+    if not 1 <= len(box) <= 3:
+        raise ValidationError("domain", f"must have 1 to 3 axes, got {len(box)}")
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValidationError("domain", f"each axis needs a finite interval lo < hi, "
+                                  f"got ({lo}, {hi})")
+    return box
 
 
 def _axis_rule(lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,11 +86,13 @@ def _integrate_once(g: Callable, domain, cells: int) -> np.complex128 | np.ndarr
     return total
 
 
-def tensor_quadrature(g: Callable, spec: QuadratureSpec) -> tuple[complex | list[complex], int]:
-    """Integral of ``g`` over the spec's box by composite 7-node
-    Gauss-Legendre rule, doubling cells per axis until two successive
-    values agree within 1e-10 (relative, floored at 1), and the cells per
-    axis at which they agreed.
+def tensor_quadrature(g: Callable, domain) -> tuple[complex | list[complex], int]:
+    """Integral of ``g`` over the box ``domain``, a tuple of one finite
+    ``(lo, hi)`` interval per axis for 1 to 3 axes, by composite 7-node
+    Gauss-Legendre rule, doubling cells per axis from 4 until two
+    successive values agree within 1e-10 (relative, floored at 1); and
+    the cells per axis at which they agreed.  Any other box raises
+    ``ValidationError`` naming ``domain``.
 
     ``g`` maps an ``(m, rank)`` grid to ``(m,)`` values, and the value is
     a Python complex; or to ``(k, m)`` values, and the value is a list of
@@ -110,28 +100,28 @@ def tensor_quadrature(g: Callable, spec: QuadratureSpec) -> tuple[complex | list
     Raises ``NoConvergence`` at the per-rank resolution cap
     (4096 / 512 / 128 cells per axis for ranks 1 / 2 / 3).
     """
-    cap = _CELL_CAP[spec.rank]
-    cells = spec.cells_per_axis
+    box = _box(domain)
+    cap = _CELL_CAP[len(box)]
+    cells = _START_CELLS
     prev = None
     while cells <= cap:
-        val = _integrate_once(g, spec.domain, cells)
+        val = _integrate_once(g, box, cells)
         if prev is not None and np.all(abs(val - prev) <= _REL_TOL * np.maximum(1.0, abs(val))):
             # tolist() gives Python complexes, never numpy scalars.
             return val.tolist(), cells
         prev = val
         cells *= 2
     raise NoConvergence(
-        f"cell doubling hit the rank-{spec.rank} cap ({cap} cells/axis) "
+        f"cell doubling hit the rank-{len(box)} cap ({cap} cells/axis) "
         "before successive values agreed"
     )
 
 
-def normalized_expectation(
-    f: Callable, density: Callable, spec: QuadratureSpec
-) -> tuple[complex, int]:
+def normalized_expectation(f: Callable, density: Callable, domain) -> tuple[complex, int]:
     """The ratio ``integral(f * density) / integral(density)`` over the
-    spec's box, for a possibly complex density, and the cells per axis at
-    which ``density``, ``|density|`` and ``f * density`` all agreed.
+    box ``domain`` (as :func:`tensor_quadrature` takes it), for a possibly
+    complex density, and the cells per axis at which ``density``,
+    ``|density|`` and ``f * density`` all agreed.
 
     The three integrals are one quadrature of a stacked integrand, so the
     density is evaluated once per grid.  Raises ``DegenerateOracle`` when
@@ -142,7 +132,7 @@ def normalized_expectation(
         rho = np.asarray(density(x))
         return np.stack([rho, np.abs(rho), np.asarray(f(x)) * rho])
 
-    (z, a, num), cells = tensor_quadrature(stacked, spec)
+    (z, a, num), cells = tensor_quadrature(stacked, domain)
     if abs(z) < 1e-10 * abs(a):
         raise DegenerateOracle(
             "the normalizing integral is below 1e-10 of the absolute-density "

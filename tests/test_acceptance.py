@@ -33,11 +33,7 @@ from diracmean import (
     weyl_source,
 )
 from diracmean.cli import EXIT_DEGENERATE, main
-from diracmean.oracle import (
-    QuadratureSpec,
-    complex_gaussian_moment,
-    normalized_expectation,
-)
+from diracmean.oracle import complex_gaussian_moment, normalized_expectation
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
 F_X1SQ = cylinder_function(1, lambda x: x[:, 0] ** 2, "x1^2")
@@ -107,7 +103,7 @@ def test_criterion_04_oscillatory_fresnel_value(fresnel_pullback):
     oracle = normalized_expectation(
         lambda x: x[:, 0] ** 2,
         lambda x: np.exp(-x[:, 0] ** 2 * (1.0 + 1.0j) / 2.0),
-        QuadratureSpec(((-8.0, 8.0),)),
+        ((-8.0, 8.0),),
     )[0]
     oracle_err = abs(oracle - complex_gaussian_moment(1.0, 1.0, 2))
     ok = announce(4, err <= 5e-3 and oracle_err <= 1e-8 and elapsed < 30.0,
@@ -207,7 +203,7 @@ def test_criterion_09_normalization_and_linearity():
         "density": density_policy(lambda x: 1.0 + x[:, 0], 1),
         "boltzmann": boltzmann_policy(quadratic_action([[1.0]])),
         "oscillatory": oscillatory_policy(quadratic_action([[1.0]])),
-        "fresnel": product_regularized_policy(
+        "product-regularized": product_regularized_policy(
             normal_quantiles([1.0]), quadratic_action([[1.0]])),
     }
     exact = True

@@ -11,6 +11,7 @@ from diracmean import (
     ActionFunctional,
     StoppingRule,
     boltzmann_policy,
+    box_quantiles,
     convergent_source,
     cylinder_function,
     fresnel_limit_scan,
@@ -18,6 +19,7 @@ from diracmean import (
     normal_quantiles,
     oscillatory_mean,
     oscillatory_policy,
+    product_regularized_policy,
     pullback_source,
     quadratic_action,
     run,
@@ -250,6 +252,27 @@ def test_oscillatory_mean_rejects_unknown_route():
             halton_source(1), quadratic_action([[1.0]]), normal_quantiles([1.0]),
             F_X1SQ, 2000, route="sideways", skip_certification=True,
         )
+
+
+def test_routes_are_compositions_of_public_parts():
+    # The weight-borne box is 8x the widest regularizer width; another box is
+    # the same composition with another half-width.
+    base, act = halton_source(1), quadratic_action([[1.0, 0.5], [0.5, 2.0]])
+    reg, f = normal_quantiles([1.0, 0.7]), build_function(
+        {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": 2})
+    composed = {
+        "pullback": (pullback_source(base, reg), oscillatory_policy(act)),
+        "weight-borne": (pullback_source(base, box_quantiles(8 * max(reg.widths))),
+                         product_regularized_policy(reg, act)),
+    }
+    for route, (source, policy) in composed.items():
+        got = oscillatory_mean(base, act, reg, f, 20000, FULL(5000), route=route,
+                               skip_certification=True)
+        want = run(source, policy, f, 20000, FULL(5000))
+        assert got.final_estimate.real.hex() == want.final_estimate.real.hex()
+        assert got.final_estimate.imag.hex() == want.final_estimate.imag.hex()
+        assert (got.N_used, got.stop_reason) == (want.N_used, want.stop_reason)
+        assert got.trace_rows() == want.trace_rows()
 
 
 # ---------------------------------------------------------------------------

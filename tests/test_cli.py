@@ -174,13 +174,13 @@ def test_config_round_trip_through_echo():
 # The keys each mode reads; the config of a mode may give no other.
 READS = {
     "estimate": {"budget", "source", "stopping", "block_size", "function", "policy", "route",
-                 "action", "regularizer", "box_half_width"},
+                 "action", "regularizer"},
     "certify": {"budget", "source", "hierarchy", "bins_per_axis", "significance"},
-    "oracle": {"function", "density", "action", "regularizer", "truncation", "cells_per_axis"},
+    "oracle": {"function", "density", "action", "regularizer", "truncation"},
     "fresnel-scan": {"budget", "source", "stopping", "block_size", "action", "sigmas",
-                     "function", "route", "box_half_width"},
+                     "function", "route"},
 }
-READS["compare"] = READS["estimate"] | {"tolerance", "truncation", "cells_per_axis"}
+READS["compare"] = READS["estimate"] | {"tolerance", "truncation"}
 
 def test_readme_key_table_is_what_each_mode_reads():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -204,13 +204,16 @@ KEY_VALUES = {
     "density": {"name": "coordinate-product", "rank": 1}, "hierarchy": [2],
     "bins_per_axis": [4, 4, 4], "stopping": {"rel_tol": 1e-3},
     "significance": 0.99, "block_size": 512, "action": {"matrix": [[2.0]]},
-    "regularizer": {"widths": [0.5]}, "route": "weight-borne", "box_half_width": 6.0,
-    "sigmas": [1.0, 3.0], "tolerance": 0.5, "truncation": 6.0, "cells_per_axis": 8,
+    "regularizer": {"widths": [0.5]}, "route": "weight-borne",
+    "sigmas": [1.0, 3.0], "tolerance": 0.5, "truncation": 6.0,
 }
+# Keys that were settable once: the weight-borne box is 8x the widest
+# regularizer width, and the oracle's cell doubling starts at 4.
+DELETED_KEYS = {"box_half_width": 6.0, "cells_per_axis": 8}
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)] + list(DELETED_KEYS))
 def test_each_key_is_read_or_rejected(mode, key):
     base = {"estimate": dict(ROUTED, route="weight-borne"),
             "compare": dict(ROUTED, mode="compare", route="weight-borne"),
@@ -218,6 +221,10 @@ def test_each_key_is_read_or_rejected(mode, key):
             "oracle": {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
                        "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0]}}}[mode]
     reads = READS[mode] | {"mode"}
+    if key in DELETED_KEYS:
+        with pytest.raises(ValidationError, match=rf"^config: unknown keys \['{key}'\]"):
+            parse_config_dict(dict(base, **{key: DELETED_KEYS[key]}))
+        return
     try:
         cfg = parse_config_dict(dict(base, **{key: mode if key == "mode" else KEY_VALUES[key]}))
     except ValidationError as exc:
@@ -600,22 +607,16 @@ def test_widths_take_a_number_or_a_list_in_every_field(field):
 @pytest.mark.parametrize("route", ["pullback", "weight-borne"])
 @pytest.mark.parametrize("extra", [
     {"regularizer": {"widths": [1.0, 0.7]}},
-    {"box_half_width": 6.0},
-], ids=["regularizer-wider-than-action", "box-half-width"])
+], ids=["regularizer-wider-than-action"])
 def test_cli_route_run_is_oscillatory_mean_bit_for_bit(route, extra):
     cfg = dict(ROUTED, route=route, function={"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
                budget=20000, **extra)
-    if route == "pullback" and "box_half_width" in extra:
-        # Only the weight-borne route reads a box, in the CLI as in oscillatory_mean.
-        with pytest.raises(ValidationError, match="^box_half_width: "):
-            parse_config_dict(cfg)
-        return
     config = parse_config_dict(cfg)
     reg = config.regularizer["widths"]
     direct = oscillatory_mean(
         halton_source(1), quadratic_action([[1.0]]), normal_quantiles(reg),
         build_function(cfg["function"]), config.budget, config.stopping_rule(), route=route,
-        box_half_width=config.box_half_width, skip_certification=True)
+        skip_certification=True)
 
     def fingerprint(report):
         est = report.final_estimate
@@ -653,9 +654,6 @@ def _without(cfg, key):
     (dict(SCAN, sigmas=[]), "sigmas"),
     (dict(SCAN, action={"matrix": [[1.0, 0.0], [0.0, 1.0]]}), "action"),
     (dict(SCAN, action={"matrix": [[0.0]]}), "action"),
-    (dict(ORACLE, cells_per_axis=4096), "cells_per_axis"),
-    (dict(ORACLE, density={"name": "coordinate-product", "rank": 2}, cells_per_axis=512),
-     "cells_per_axis"),
     (dict(ORACLE, density={"name": "coordinate-product", "rank": 4}), "density"),
     (dict(MINIMAL, source={"kind": "weyl", "alphas": [ALPHA]}), "source.alphas"),
     (dict(MINIMAL, source={"kind": "pullback", "base": {"kind": "weyl", "alphas": [ALPHA]}}),
@@ -737,8 +735,15 @@ def _without(cfg, key):
     (dict(MINIMAL, significance=0.99), "significance"),
     (dict(MINIMAL, action={"matrix": [[1.0]]}), "policy"),
     (dict(ORACLE, action={"matrix": [[1.0]]}, regularizer={"widths": [1.0]}), "density"),
-    (dict(SCAN, box_half_width=6.0), "box_half_width"),
     (dict(ROUTED, route="sideways"), "route"),
+    # Settings that are no longer configurable.
+    (dict(ROUTED, route="weight-borne", box_half_width=6.0), "config"),
+    (dict(ORACLE, cells_per_axis=8), "config"),
+    (dict(MINIMAL, policy={"kind": "fresnel", "action": {"matrix": [[1.0]]},
+                           "regularizer": {"widths": [1.0]}}), "policy.kind"),
+    # A box past the float range, which the oracle would refuse.
+    (dict(ROUTED, mode="compare", truncation=1e308, regularizer={"widths": [10.0]}),
+     "truncation"),
     # `truncation` cuts only an unbounded oracle measure.
     (dict(ORACLE, density={"name": "polynomial", "coeffs": [1.0, 1.0]}, truncation=0.5),
      "truncation"),
@@ -748,8 +753,8 @@ def _without(cfg, key):
           truncation=0.5), "truncation"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
-        "scan-rank-2", "scan-zero-curvature", "cells-no-room-rank-1", "cells-no-room-rank-2",
-        "oracle-rank-4", "alphas-short-of-function-rank", "base-alphas-short-of-function-rank",
+        "scan-rank-2", "scan-zero-curvature", "oracle-rank-4", "alphas-short-of-function-rank",
+        "base-alphas-short-of-function-rank",
         "alphas-short-of-hierarchy", "route-widths-short-of-action-rank",
         "compare-index-phase", "compare-convergent-source", "convergent-target",
         "convergent-offset", "scan-matrix-not-numbers", "compare-rank-4",
@@ -765,8 +770,9 @@ def _without(cfg, key):
         "weyl-unknown-key", "coordinate-idx", "cosine-freq", "gaussian-width",
         "coordinate-product-rnak", "density-unknown-key", "policy-function-unknown-key",
         "scan-regularizer", "oracle-budget", "estimate-significance", "policy-and-action",
-        "oracle-density-and-action", "scan-pullback-box-half-width",
-        "route-unknown", "oracle-density-truncation", "compare-cube-truncation",
+        "oracle-density-and-action", "route-unknown", "route-box-half-width",
+        "oracle-cells-per-axis", "policy-fresnel", "compare-truncation-past-float-range",
+        "oracle-density-truncation", "compare-cube-truncation",
         "compare-uniform-box-truncation"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
@@ -777,6 +783,14 @@ def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, c
     assert summary is None and not out.exists()
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_policy_kinds_are_listed_where_a_kind_is_unknown():
+    # Weights xi e^{-iS} are the weight-borne route, not a policy kind.
+    with pytest.raises(ValidationError) as exc:
+        parse_config_dict(dict(MINIMAL, policy={"kind": "fresnel", "action": {"matrix": [[1.0]]}}))
+    assert str(exc.value) == ("policy.kind: 'fresnel' is not one of "
+                              "['constant', 'density', 'boltzmann', 'oscillatory']")
 
 
 def test_truncation_is_echoed_only_where_read():
@@ -835,19 +849,19 @@ FUZZ_BASES = [
     dict(DENSITY, budget=2000),
     ALTERNATING,
     dict(NORMAL_PULLBACK, budget=2000, stopping={"min_samples": 2000}),
-    dict(SCAN, route="weight-borne", box_half_width=6.0,
-         function={"name": "coordinate", "index": 1}, stopping={"min_samples": 1000}),
+    dict(SCAN, route="weight-borne", function={"name": "coordinate", "index": 1},
+         stopping={"min_samples": 1000}),
     dict(CERTIFY, budget=2000, source={"kind": "weyl", "alphas": ["0.4142135623730951"]},
          hierarchy=[1], bins_per_axis=[4]),
     {"mode": "estimate", "source": {"kind": "convergent", "target": [0.3], "rate": 0.5},
-     "policy": {"kind": "fresnel", "action": {"matrix": [[1.0]], "linear": [0.5]},
-                "regularizer": {"widths": [1.0]}},
+     "route": "weight-borne", "action": {"matrix": [[1.0]], "linear": [0.5]},
+     "regularizer": {"widths": [1.0]},
      "function": {"name": "cosine", "index": 1, "frequency": 2.0}, "budget": 2000},
     {"mode": "compare", "source": {"kind": "pseudorandom", "seed": 3}, "route": "pullback",
      "action": {"matrix": [[1.0]]}, "regularizer": {"family": "gaussian", "widths": [1.0]},
      "function": {"name": "gaussian", "widths": [2.0]}, "budget": 2000, "tolerance": 0.5},
     {"mode": "oracle", "function": {"name": "quadratic-form", "matrix": [[1.0]]},
-     "density": {"name": "coordinate-product", "rank": 1}, "cells_per_axis": 4},
+     "density": {"name": "coordinate-product", "rank": 1}},
     {"mode": "estimate", "source": {"kind": "halton", "offset": 1},
      "policy": {"kind": "boltzmann", "action": {"matrix": [[1.0]], "constant": 0.5}},
      "function": {"name": "coordinate", "index": 1}, "budget": 2000,

@@ -16,7 +16,7 @@ from diracmean import (
     weyl_source,
 )
 from diracmean.errors import CylinderViolation, InsufficientSample, ValidationError
-from diracmean.oracle import QuadratureSpec, tensor_quadrature
+from diracmean.oracle import tensor_quadrature
 
 
 def test_rank_zero_constant():
@@ -186,12 +186,12 @@ def test_variation_envelope_for_smooth_cylinder_functions():
     # star discrepancy and a configured variation bound
     cases = [
         (cylinder_function(1, lambda x: np.cos(x[:, 0]), "cos"), 1,
-         QuadratureSpec(domain=((0.0, 1.0),)), np.sin(1.0)),
+         ((0.0, 1.0),), np.sin(1.0)),
         (cylinder_function(2, lambda x: x[:, 0] * x[:, 1], "xy"), 2,
-         QuadratureSpec(domain=((0.0, 1.0), (0.0, 1.0))), 3.0),
+         ((0.0, 1.0), (0.0, 1.0)), 3.0),
     ]
-    for func, rank, spec, variation in cases:
-        exact = tensor_quadrature(func.eval_block, spec)[0]
+    for func, rank, domain, variation in cases:
+        exact = tensor_quadrature(func.eval_block, domain)[0]
         for n in (256, 1024):
             d_star = star_discrepancy(halton_source(0).block(0, n, rank))
             report = run(halton_source(0), constant_policy(), func, n,

@@ -68,7 +68,6 @@ BAD_ARGUMENTS = [
     ("5", "widths", lambda: dm.normal_quantiles([])),
     ("6", "regularizer", lambda: _oscillatory(action=dm.quadratic_action(np.eye(2)))),
     ("7", "route", lambda: _oscillatory(route="sideways")),
-    ("8", "box_half_width", lambda: _oscillatory(route="weight-borne", box_half_width=0.0)),
     ("9", "action", lambda: dm.fresnel_limit_scan(dm.halton_source(1),
                                                   dm.quadratic_action([[0.0]]), [1.0, 2.0])),
     ("10", "widths", lambda: dm.fresnel_limit_scan(dm.halton_source(1), ACT, [2.0, 1.0])),
@@ -90,9 +89,8 @@ BAD_ARGUMENTS = [
     ("26", "policy", lambda: _run(policy=ColumnWeights())),
     ("27", "total", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 4, 8)),
     ("28", "n_blocks", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 8, 0)),
-    ("29", "domain", lambda: dm.QuadratureSpec(())),
-    ("30", "domain", lambda: dm.QuadratureSpec(((1.0, 0.0),))),
-    ("31", "cells_per_axis", lambda: dm.QuadratureSpec(((0.0, 1.0),), 2)),
+    ("29", "domain", lambda: dm.tensor_quadrature(lambda x: x[:, 0], ())),
+    ("30", "domain", lambda: dm.tensor_quadrature(lambda x: x[:, 0], ((1.0, 0.0),))),
     ("32", "moment", lambda: dm.complex_gaussian_moment(1.0, 1.0, 1)),
     ("33", "curvature", lambda: dm.complex_gaussian_moment(math.inf, 1.0, 2)),
     ("36", "index_offset", lambda: dm.halton_source(3).block(2**63 - 2, 2**63 - 1, 2)),
@@ -137,10 +135,8 @@ BAD_ARGUMENTS = [
      lambda: dm.product_regularized_policy(dm.box_quantiles(1.0), ACT)),
     ("policy-uniform-regularizer", "regularizer",
      lambda: dm.product_regularized_policy(dm.uniform_quantiles(), ACT)),
-    ("oscillatory-pullback-box", "box_half_width", lambda: _oscillatory(box_half_width=6.0)),
-    ("scan-pullback-box", "box_half_width",
-     lambda: dm.fresnel_limit_scan(dm.halton_source(1), ACT, [1.0, 2.0], budget=2000, rule=RULE,
-                                   box_half_width=6.0, skip_certification=True)),
+    ("domain-rank-4", "domain",
+     lambda: dm.normalized_expectation(lambda x: x[:, 0], lambda x: x[:, 0], ((0.0, 1.0),) * 4)),
 ]
 
 
@@ -169,12 +165,11 @@ def test_non_finite_widths_are_rejected(field, call):
     ("index_offset", lambda: dm.weyl_source(index_offset=1.5)),
     ("seed", lambda: dm.pseudorandom_source(seed=1.5)),
     ("rank", lambda: dm.cylinder_function(1.5, lambda x: x[:, 0])),
-    ("cells_per_axis", lambda: dm.QuadratureSpec(((0.0, 1.0),), 4.5)),
     ("stop", lambda: dm.halton_source().block(0, 2.5, 1)),
     ("bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(0), [1], 1000,
                                                    bins_per_axis=[4.5])),
     ("ranks", lambda: dm.hierarchy_certify(dm.halton_source(0), (1, 2.5), 1000)),
-], ids=["halton-offset", "weyl-offset", "seed", "function-rank", "cells", "block-stop",
+], ids=["halton-offset", "weyl-offset", "seed", "function-rank", "block-stop",
         "bins", "hierarchy"])
 def test_non_integer_counts_are_rejected_not_truncated(field, call):
     with pytest.raises(ValidationError, match=rf"^{field}: must be an integer"):
@@ -189,8 +184,6 @@ def test_non_finite_matrix_is_reported_as_non_finite():
 def test_numpy_integer_counts_still_pass():
     f = dm.cylinder_function(np.int32(1), lambda x: x[:, 0])
     assert type(f.rank) is int and f.rank == 1
-    spec = dm.QuadratureSpec(((0.0, 1.0),), np.int64(8))
-    assert type(spec.cells_per_axis) is int and spec.cells_per_axis == 8
     block = dm.halton_source(np.int64(1)).block(np.int64(0), np.int64(5), np.int64(2))
     assert np.array_equal(block, dm.halton_source(1).block(0, 5, 2))
     assert np.array_equal(dm.pseudorandom_source(np.uint32(3)).block(0, 5, 1),

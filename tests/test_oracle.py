@@ -1,20 +1,16 @@
 """Quadrature oracle: exactness, refinement behavior, closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from diracmean.errors import DegenerateOracle, NoConvergence, ValidationError
-from diracmean.oracle import (
-    QuadratureSpec,
-    complex_gaussian_moment,
-    normalized_expectation,
-    tensor_quadrature,
-)
+from diracmean.oracle import complex_gaussian_moment, normalized_expectation, tensor_quadrature
 
-UNIT_1D = QuadratureSpec(domain=((0.0, 1.0),))
-UNIT_2D = QuadratureSpec(domain=((0.0, 1.0), (0.0, 1.0)))
+UNIT_1D = ((0.0, 1.0),)
+UNIT_2D = ((0.0, 1.0), (0.0, 1.0))
 
 
 def test_linear_exactness():
@@ -22,7 +18,7 @@ def test_linear_exactness():
 
 
 # The line cut at +-8: the unit Gaussian's mass outside is below 1e-14.
-BOX_8 = QuadratureSpec(((-8.0, 8.0),))
+BOX_8 = ((-8.0, 8.0),)
 
 
 def test_gaussian_mass():
@@ -35,8 +31,7 @@ def test_product_exactness_rank2():
 
 
 def test_rank3_product():
-    spec = QuadratureSpec(domain=((0.0, 1.0),) * 3)
-    got = tensor_quadrature(lambda x: x[:, 0] * x[:, 1] * x[:, 2], spec)[0]
+    got = tensor_quadrature(lambda x: x[:, 0] * x[:, 1] * x[:, 2], ((0.0, 1.0),) * 3)[0]
     assert abs(got - 0.125) <= 1e-12
 
 
@@ -48,8 +43,7 @@ def test_integrand_receives_column_major_grids(rank):
         seen.append((x.shape, x.flags.f_contiguous, x.copy()))
         return np.prod(x, axis=1)
 
-    spec = QuadratureSpec(domain=((0.0, 1.0),) * rank)
-    assert abs(tensor_quadrature(probe, spec)[0] - 0.5**rank) <= 1e-12
+    assert abs(tensor_quadrature(probe, ((0.0, 1.0),) * rank)[0] - 0.5**rank) <= 1e-12
     assert seen and all(shape[1] == rank and f_contig for shape, f_contig, _ in seen)
     # The first grid of a doubling pass is the x-major tensor product of the
     # axis nodes.
@@ -105,7 +99,7 @@ def test_vector_integrand_converges_only_when_every_component_agrees():
 
 # A non-diagonal rank-2 Fresnel density: a Gaussian regularizer of widths
 # [1, 1] times exp(-i S) for S(x) = x.A.x / 2, A = [[1, .5], [.5, 2]], on the box +-8.
-RANK2_SPEC = QuadratureSpec(((-8.0, 8.0),) * 2)
+RANK2_BOX = ((-8.0, 8.0),) * 2
 
 
 def _rank2_density(x):
@@ -128,7 +122,7 @@ def test_normalized_expectation_evaluates_the_density_once_per_grid():
         f_grids.append(x.copy())
         return _x1_squared(x)
 
-    _, cells = normalized_expectation(f, density, RANK2_SPEC)
+    _, cells = normalized_expectation(f, density, RANK2_BOX)
     assert len(density_grids) == len(f_grids)
     assert all(np.array_equal(a, b) for a, b in zip(density_grids, f_grids))
     points = sum(len(g) for g in density_grids)
@@ -136,10 +130,10 @@ def test_normalized_expectation_evaluates_the_density_once_per_grid():
 
 
 def test_normalized_expectation_matches_three_separate_quadratures():
-    value, cells = normalized_expectation(_x1_squared, _rank2_density, RANK2_SPEC)
-    z, z_cells = tensor_quadrature(_rank2_density, RANK2_SPEC)
-    a, a_cells = tensor_quadrature(lambda x: np.abs(_rank2_density(x)), RANK2_SPEC)
-    num, num_cells = tensor_quadrature(lambda x: _x1_squared(x) * _rank2_density(x), RANK2_SPEC)
+    value, cells = normalized_expectation(_x1_squared, _rank2_density, RANK2_BOX)
+    z, z_cells = tensor_quadrature(_rank2_density, RANK2_BOX)
+    a, a_cells = tensor_quadrature(lambda x: np.abs(_rank2_density(x)), RANK2_BOX)
+    num, num_cells = tensor_quadrature(lambda x: _x1_squared(x) * _rank2_density(x), RANK2_BOX)
     assert type(value) is complex
     assert cells == max(z_cells, a_cells, num_cells)
     assert abs(value - num / z) <= 1e-14 * abs(num / z)
@@ -151,9 +145,8 @@ def test_normalized_expectation_closed_form_ratio():
 
 
 def test_odd_moments_of_even_densities_vanish():
-    spec = QuadratureSpec(domain=((-8.0, 8.0),))
     got = normalized_expectation(
-        lambda x: x[:, 0] ** 3, lambda x: np.exp(-x[:, 0] ** 2 / 2.0), spec
+        lambda x: x[:, 0] ** 3, lambda x: np.exp(-x[:, 0] ** 2 / 2.0), BOX_8
     )[0]
     assert abs(got) <= 1e-10
 
@@ -168,9 +161,8 @@ def test_complex_gaussian_second_moment_vs_quadrature():
 
 
 def test_degenerate_oracle_detected():
-    spec = QuadratureSpec(domain=((-1.0, 1.0),))
     with pytest.raises(DegenerateOracle):
-        normalized_expectation(lambda x: x[:, 0] ** 2, lambda x: x[:, 0], spec)
+        normalized_expectation(lambda x: x[:, 0] ** 2, lambda x: x[:, 0], ((-1.0, 1.0),))
 
 
 def test_closed_form_moments():
@@ -188,27 +180,28 @@ def test_closed_form_moments():
 @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
 def test_oracle_self_consistency(curvature, width):
     half = 8.0 * max(width, 1.0)
-    spec = QuadratureSpec(((-half, half),))
     got = normalized_expectation(
         lambda x: x[:, 0] ** 2,
         lambda x: np.exp(-x[:, 0] ** 2 / (2.0 * width**2) - 1j * curvature * x[:, 0] ** 2 / 2.0),
-        spec,
+        ((-half, half),),
     )[0]
     assert abs(got - complex_gaussian_moment(curvature, width, 2)) <= 1e-8
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(domain=())
-    with pytest.raises(ValueError):
-        QuadratureSpec(domain=((0.0, 1.0),) * 4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(domain=((0.0, 1.0),), cells_per_axis=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(domain=((1.0, 0.0),))
-    # the starting resolution must leave room for one doubling below the cap
-    for rank, cap in ((1, 4096), (2, 512), (3, 128)):
-        QuadratureSpec(domain=((0.0, 1.0),) * rank, cells_per_axis=cap // 2)
-        with pytest.raises(ValueError, match=f"<= {cap // 2} at rank {rank}"):
-            QuadratureSpec(domain=((0.0, 1.0),) * rank, cells_per_axis=cap // 2 + 1)
-    assert tensor_quadrature(lambda x: x[:, 0], QuadratureSpec(((0.0, 1.0),), 2048)) == (0.5, 4096)
+def test_domain_validation():
+    # The box is checked where every oracle path passes, in tensor_quadrature.
+    for domain, message in [
+        ((), "must have 1 to 3 axes, got 0"),
+        (((0.0, 1.0),) * 4, "must have 1 to 3 axes, got 4"),
+        (((1.0, 0.0),), "each axis needs a finite interval lo < hi"),
+        (((0.0, math.inf),), "each axis needs a finite interval lo < hi"),
+        (((0.0, 1.0, 2.0),), "must be (lo, hi) pairs"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^domain: {re.escape(message)}"):
+            tensor_quadrature(lambda x: x[:, 0], domain)
+        with pytest.raises(ValidationError, match="^domain: "):
+            normalized_expectation(lambda x: x[:, 0], lambda x: np.ones(len(x)), domain)
+    # Doubling starts at 4 cells per axis, so a linear integrand agrees at 8;
+    # a box may be any sequence of number pairs.
+    assert tensor_quadrature(lambda x: x[:, 0], UNIT_1D) == (0.5, 8)
+    assert tensor_quadrature(lambda x: x[:, 0], [[0, 1]]) == (0.5, 8)

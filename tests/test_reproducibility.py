@@ -159,7 +159,7 @@ ORACLES = {
                    "quantiles": {"family": "uniform-box", "widths": [1.0, 2.0]}},
         "policy": {"kind": "constant"}, "function": F_X2SQ, "budget": 2000, "tolerance": 0.5},
     "compare-route-pullback": dict(ROUTE, route="pullback"),
-    "compare-route-weight-borne": dict(ROUTE, route="weight-borne", box_half_width=6.0),
+    "compare-route-weight-borne": dict(ROUTE, route="weight-borne"),
     "oracle-rank3": {
         "mode": "oracle",
         "action": {"matrix": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]]},

@@ -15,7 +15,7 @@ from scipy.stats import qmc
 from diracmean import seq
 from diracmean.cylinder import hierarchy_certify
 from diracmean.errors import InsufficientSample, QuantileDomain, ValidationError
-from diracmean.oracle import QuadratureSpec, normalized_expectation
+from diracmean.oracle import normalized_expectation
 
 
 class ArraySource(seq.PointSource):
@@ -512,10 +512,10 @@ def test_quantile_families_are_monotone_with_correct_median():
     (seq.box_quantiles([1.0, 2.0]), (1.0 / 3.0, 4.0 / 3.0)),
 ], ids=["uniform", "normal", "uniform-box"])
 def test_family_density_on_its_domain_gives_closed_form_second_moments(family, second_moments):
-    spec = QuadratureSpec(family.domain(2, 8.0))
+    domain = family.domain(2, 8.0)
     density = family.density or (lambda x: np.ones(len(x)))
     for k, moment in enumerate(second_moments):
-        value, _ = normalized_expectation(lambda x, k=k: x[:, k] ** 2, density, spec)
+        value, _ = normalized_expectation(lambda x, k=k: x[:, k] ** 2, density, domain)
         assert abs(value - moment) <= 1e-9
 
 

@@ -22,12 +22,12 @@ from diracmean import (
     run,
 )
 from diracmean.errors import NegativeDensity, WeightOverflow
-from diracmean.oracle import QuadratureSpec, normalized_expectation
+from diracmean.oracle import normalized_expectation
 from diracmean.weights import _phase
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
 # The line cut at +-8, where a unit-scale Gaussian has no mass left to see.
-BOX_8 = QuadratureSpec(((-8.0, 8.0),))
+BOX_8 = ((-8.0, 8.0),)
 F_X1SQ = cylinder_function(1, lambda x: x[:, 0] ** 2, "x1^2")
 FULL = lambda n: StoppingRule(min_samples=n)  # noqa: E731  (run the whole budget)
 
@@ -54,8 +54,7 @@ def test_density_policy_matches_closed_form_ratio():
     pol = density_policy(lambda x: 1.0 + x[:, 0], 1)
     report = run(halton_source(0), pol, F_X1, 10**5, FULL(10**5))
     assert abs(report.final_estimate - 5.0 / 9.0) <= 1e-3
-    spec = QuadratureSpec(domain=((0.0, 1.0),))
-    oracle = normalized_expectation(lambda x: x[:, 0], lambda x: 1.0 + x[:, 0], spec)[0]
+    oracle = normalized_expectation(lambda x: x[:, 0], lambda x: 1.0 + x[:, 0], ((0.0, 1.0),))[0]
     assert abs(oracle - 5.0 / 9.0) <= 1e-10
 
 

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateOracle,
     DiracMeanError,
     EmptyAccumulator,
-    InsufficientSample,
     NegativeDensity,
     NoConvergence,
     NonFiniteInput,

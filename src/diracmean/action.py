@@ -178,7 +178,6 @@ def oscillatory_mean(
     *,
     route: str = "pullback",
     skip_certification: bool = False,
-    block_size: int = 4096,
 ) -> mean_mod.ConvergenceReport:
     """Normalized oscillatory integral of ``func`` against
     ``xi * exp(-i action)``.
@@ -197,6 +196,10 @@ def oscillatory_mean(
     ``run(pullback_source(base, box_quantiles(L)),
     product_regularized_policy(regularizer, action), func, ...)``.
 
+    The run sums in ``run``'s default blocks of 4096 points; another block
+    size is ``run(pullback_source(base, regularizer),
+    oscillatory_policy(action), func, budget, rule, block_size)``.
+
     Unless ``skip_certification``, the base source must first pass the
     chi-square uniformity certificate (10^4 points, level 0.999, ranks 1
     to ``min(rank, 3)``), or ``CertificationError`` is raised.
@@ -205,7 +208,7 @@ def oscillatory_mean(
     verify_cylinder(func)
     if not skip_certification:
         _certify_base(base, max(int(action.rank), int(func.rank), 1))
-    return mean_mod.run(src, pol, func, budget, rule, block_size)
+    return mean_mod.run(src, pol, func, budget, rule)
 
 
 def _scan_action(action: QuadraticAction) -> None:

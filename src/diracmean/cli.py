@@ -16,9 +16,11 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import mean as mean_mod
 from .action import _route, _scan_action, _scan_widths, fresnel_limit_scan
-from .cylinder import _bins_per_rank, _ranks, hierarchy_certify
+from .cylinder import _SIGNIFICANCE, _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number
 from .oracle import _box, normalized_expectation
 from .registry import _as_list, _built, _quadratic, _require_keys, _widths, build_function
@@ -55,9 +57,10 @@ EXIT_CHECK_FAILED = 4
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description with defaults filled; a field its
-    mode does not read is ``None``.  The weight-borne route's box (8x the
-    widest regularizer width) and the oracle's first grid (4 cells per
-    axis) are not fields: the library fixes both."""
+    mode does not read is ``None``.  What the library fixes is not a field:
+    the certificate's bins and level (0.999), a run's blocks of 4096
+    points, the weight-borne route's box (8x the widest regularizer width)
+    and the oracle's first grid (4 cells per axis)."""
 
     mode: str
     budget: int | None
@@ -66,10 +69,7 @@ class ExperimentConfig:
     function: dict | None
     density: dict | None
     hierarchy: tuple[int, ...] | None
-    bins_per_axis: tuple[int, ...] | None
     stopping: dict | None
-    significance: float | None
-    block_size: int | None
     action: dict | None
     regularizer: dict | None
     route: str | None
@@ -252,10 +252,7 @@ _CHECKS = {
     "function": lambda v: _function(v, "function"),
     "density": lambda v: _function(v, "density"),
     "hierarchy": lambda v: _built("hierarchy", _ranks, _as_list(v, "hierarchy")),
-    "bins_per_axis": lambda v: tuple(_as_list(v, "bins_per_axis")),  # checked by _bins_per_rank
     "stopping": _stopping,
-    "significance": lambda v: as_number("significance", v, 0.0, 1.0),
-    "block_size": lambda v: as_count("block_size", v, 1),
     "action": lambda v: _action(v)[0],
     "regularizer": lambda v: _regularizer(v)[0],
     "route": lambda v: v,  # checked by ``_route``, which parsing calls
@@ -265,7 +262,7 @@ _CHECKS = {
 }
 
 _REQUIRED = object()
-_RUN = {"budget": _REQUIRED, "source": _REQUIRED, "stopping": {}, "block_size": 4096}
+_RUN = {"budget": _REQUIRED, "source": _REQUIRED, "stopping": {}}
 _ESTIMATE = {**_RUN, "function": _REQUIRED, "policy": None, "route": None, "action": None,
              "regularizer": None}
 
@@ -274,8 +271,7 @@ _ESTIMATE = {**_RUN, "function": _REQUIRED, "policy": None, "route": None, "acti
 # optional, with no default); a config may give no other key.
 _READS = {
     "estimate": _ESTIMATE,
-    "certify": {"budget": _REQUIRED, "source": _REQUIRED, "hierarchy": [1, 2, 3],
-                "bins_per_axis": None, "significance": 0.999},
+    "certify": {"budget": _REQUIRED, "source": _REQUIRED, "hierarchy": [1, 2, 3]},
     "oracle": {"function": _REQUIRED, "density": None, "action": None, "regularizer": None,
                "truncation": 8.0},
     "fresnel-scan": {**_RUN, "action": _REQUIRED, "sigmas": [1.0, 2.0, 4.0], "function": None,
@@ -358,8 +354,7 @@ def _check_across(cfg: ExperimentConfig) -> None:
             raise ValidationError(
                 "density", "oracle mode needs a density, or an action plus a regularizer, not both")
     elif cfg.mode == "certify":
-        _built("budget" if cfg.bins_per_axis is None else "bins_per_axis", _bins_per_rank,
-               cfg.hierarchy, cfg.budget, cfg.bins_per_axis)
+        _built("budget", _bins_per_rank, cfg.hierarchy, cfg.budget)
         rank = max(cfg.hierarchy)
     elif cfg.mode == "fresnel-scan":
         act = _action(cfg.action)[1]
@@ -407,8 +402,7 @@ def _estimate_inputs(config: ExperimentConfig):
 
 
 def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.ConvergenceReport]:
-    report = mean_mod.run(*_estimate_inputs(config), config.budget, config.stopping_rule(),
-                          config.block_size)
+    report = mean_mod.run(*_estimate_inputs(config), config.budget, config.stopping_rule())
     if report.degenerate:
         code = EXIT_DEGENERATE
     elif report.converged:
@@ -429,18 +423,12 @@ def _mode_estimate(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, d
 
 
 def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
-    reports = hierarchy_certify(
-        _source(config.source)[1],
-        config.hierarchy,
-        config.budget,
-        config.significance,
-        config.bins_per_axis,
-    )
+    reports = hierarchy_certify(_source(config.source)[1], config.hierarchy, config.budget)
     all_pass = all(r.passed for r in reports)
     result = {
         "levels": [r.to_dict() for r in reports],
         "pass": all_pass,
-        "significance": config.significance,
+        "significance": _SIGNIFICANCE,
     }
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), result, {}
 
@@ -530,7 +518,6 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
         config.stopping_rule(),
         route=config.route,
         skip_certification=True,
-        block_size=config.block_size,
     )
     rows = []
     entries = []
@@ -615,7 +602,10 @@ def main(argv: list[str] | None = None) -> int:
             data = Path(args.config).read_bytes()
         except OSError as exc:
             raise DiracMeanError(f"cannot read config: {exc}") from exc
-        return execute(parse_config_dict(_load(data), mode=args.command), args.out)
+        # A non-finite value is refused by the run or by ``_finite``; numpy's
+        # warnings on the way there would print lines before that one error.
+        with np.errstate(all="ignore"):
+            return execute(parse_config_dict(_load(data), mode=args.command), args.out)
     except DiracMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

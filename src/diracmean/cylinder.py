@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CylinderViolation, InsufficientSample, ValidationError, as_count, as_number
+from .errors import CylinderViolation, ValidationError, as_count
 from .seq import UNIT_CUBE, PointSource
 
 __all__ = [
@@ -132,6 +132,8 @@ class EquidistributionReport:
 
 # The chi-square approximation needs this many expected counts per cell.
 _MIN_EXPECTED_COUNT = 5
+# The chi-square level at which every certificate decides.
+_SIGNIFICANCE = 0.999
 
 
 def _ranks(ranks: Sequence[int]) -> tuple[int, ...]:
@@ -156,27 +158,19 @@ def _default_bins(rank: int, sample_count: int) -> int:
     return max(2, min(cap, feasible))
 
 
-def _bins_per_rank(
-    ranks: Sequence[int], sample_count: int, bins_per_axis: Sequence[int] | None
-) -> list[int]:
-    """The sample plan: bins per axis at each rank, the given ones, each
-    >= 2, or :func:`_default_bins`; ``InsufficientSample`` when
-    ``sample_count`` points give some rank fewer than 5 expected counts
-    per cell."""
-    if bins_per_axis is None:
-        bins = [_default_bins(r, sample_count) for r in ranks]
-    else:
-        bins = list(bins_per_axis) if np.iterable(bins_per_axis) else []
-        if len(bins) != len(ranks):
-            raise ValidationError("bins_per_axis",
-                                  f"needs one entry per rank, got {bins_per_axis!r}")
-        bins = [as_count("bins_per_axis", b, 2) for b in bins]
+def _bins_per_rank(ranks: Sequence[int], sample_count: int) -> list[int]:
+    """The sample plan: :func:`_default_bins` at each rank; ``ValidationError``
+    naming ``sample_count`` when its points give some rank fewer than 5
+    expected counts per cell, that is when there are fewer than
+    ``5 * 2**rank``."""
+    bins = [_default_bins(r, sample_count) for r in ranks]
     for rank, b in zip(ranks, bins):
         cells = b**rank
         if cells * _MIN_EXPECTED_COUNT > sample_count:
-            raise InsufficientSample(
-                f"{sample_count} samples give fewer than {_MIN_EXPECTED_COUNT} expected "
-                f"counts per cell ({cells} cells); increase N or lower the resolution")
+            raise ValidationError(
+                "sample_count", f"must be at least {cells * _MIN_EXPECTED_COUNT} for "
+                f"{_MIN_EXPECTED_COUNT} expected counts in each of the {cells} cells at rank "
+                f"{rank}, got {sample_count}")
     return bins
 
 
@@ -184,29 +178,28 @@ def hierarchy_certify(
     source: PointSource,
     hierarchy: Sequence[int],
     sample_count: int,
-    level: float = 0.999,
-    bins_per_axis: Sequence[int] | None = None,
 ) -> list[EquidistributionReport]:
     """Chi-square uniformity certificate of a unit-cube source for every
-    rank of ``hierarchy``, strictly increasing truncation ranks, with one
-    ``bins_per_axis`` entry per rank; the source is adequate when all
-    levels pass.  Each level needs at least 5 expected counts per cell.
+    rank of ``hierarchy``, strictly increasing truncation ranks; the source
+    is adequate when all levels pass.
 
     The first ``sample_count`` points are read once, at the top rank; a
     source is truncation-consistent, so each rank bins the first ``rank``
-    columns of that block on its ``bins_per_axis``-per-axis grid.  A
-    level's threshold is the chi-square quantile at ``level`` with
-    ``bins_per_axis**rank - 1`` degrees of freedom, from
-    ``scipy.special.gammaincinv``, which is imported when this function
-    is called, not when the package is."""
+    columns of that block on a grid of ``b`` bins per axis: 16, 8 and 4 at
+    ranks 1, 2 and 3 and 2 above, fewer where ``sample_count`` cannot give
+    every cell 5 expected counts.  A rank that 2 bins per axis cannot give
+    them (fewer than ``5 * 2**rank`` points) raises ``ValidationError``
+    naming ``sample_count``.  A level's threshold is the chi-square
+    quantile at level 0.999 with ``b**rank - 1`` degrees of freedom, from
+    ``scipy.special.gammaincinv``, which is imported when this function is
+    called, not when the package is."""
     from scipy.special import gammaincinv
 
     if source.codomain != UNIT_CUBE:
         raise ValidationError("source", f"must have a {UNIT_CUBE} codomain, got {source.codomain}")
     ranks = _ranks(hierarchy)
     sample_count = as_count("sample_count", sample_count, 1)
-    level = as_number("level", level, 0.0, 1.0)
-    bins = _bins_per_rank(ranks, sample_count, bins_per_axis)
+    bins = _bins_per_rank(ranks, sample_count)
     counts = [np.zeros(b**r, dtype=np.int64) for r, b in zip(ranks, bins)]
     chunk = 1 << 16
     buf = np.empty(ranks[-1] * min(chunk, sample_count))
@@ -222,7 +215,7 @@ def hierarchy_certify(
     for rank, b, count in zip(ranks, bins, counts):
         expected = sample_count / len(count)
         statistic = float(np.sum((count - expected) ** 2) / expected)
-        threshold = float(2.0 * gammaincinv((len(count) - 1) / 2.0, level))
+        threshold = float(2.0 * gammaincinv((len(count) - 1) / 2.0, _SIGNIFICANCE))
         reports.append(EquidistributionReport(rank, sample_count, b, statistic, threshold,
                                               statistic <= threshold))
     return reports

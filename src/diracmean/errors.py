@@ -79,11 +79,6 @@ class QuantileDomain(DiracMeanError):
     is undefined."""
 
 
-class InsufficientSample(DiracMeanError):
-    """Too few points for the requested binning (needs >= 5 expected
-    counts per cell)."""
-
-
 class CylinderViolation(DiracMeanError):
     """A declared finite-rank function was observed to depend on a
     coordinate beyond its rank."""

@@ -12,6 +12,8 @@ rows (:meth:`QuantileFamily.apply`); a single value is a one-element row.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -135,11 +137,15 @@ def _columns(points: np.ndarray, rank: int) -> np.ndarray:
 # Halton
 
 
-def _primes(count: int) -> list[int]:
-    primes: list[int] = []
-    candidate = 2
+def _primes(count: int, known: Sequence[int] = ()) -> list[int]:
+    """The first ``count`` primes, as a new list continuing ``known``, the
+    first primes in order; a candidate is divided only by the primes up to
+    its root."""
+    primes = list(known)
+    candidate = primes[-1] + 1 if primes else 2
     while len(primes) < count:
-        if all(candidate % p for p in primes):
+        root = math.isqrt(candidate)
+        if all(candidate % p for p in itertools.takewhile(lambda p: p <= root, primes)):
             primes.append(candidate)
         candidate += 1
     return primes
@@ -238,9 +244,11 @@ class HaltonSource(PointSource):
         self._bases: list[int] = []
 
     def _base(self, k: int) -> int:
-        while len(self._bases) <= k:
-            self._bases = _primes(len(self._bases) + 8)
-        return self._bases[k]
+        # Swapped in whole, so a concurrent reader never sees a partial list.
+        bases = self._bases
+        if len(bases) <= k:
+            bases = self._bases = _primes(k + 1, bases)
+        return bases[k]
 
     def coordinate_block(self, indices, k, out):
         base = self._base(k)

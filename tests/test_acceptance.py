@@ -233,12 +233,12 @@ def test_criterion_09_normalization_and_linearity():
 
 def test_criterion_10_hierarchy_certification():
     halton_ok = all(r.passed for r in
-                    hierarchy_certify(halton_source(0), (1, 2, 3), 10**4, 0.999))
+                    hierarchy_certify(halton_source(0), (1, 2, 3), 10**4))
     constant = convergent_source(0.3, 0.5, 0.0)
     constant_fails = not any(r.passed for r in
-                             hierarchy_certify(constant, (1, 2, 3), 10**4, 0.999))
+                             hierarchy_certify(constant, (1, 2, 3), 10**4))
     weyl_ok = all(r.passed for r in
-                  hierarchy_certify(weyl_source(), (1, 2), 10**4, 0.999))
+                  hierarchy_certify(weyl_source(), (1, 2), 10**4))
     ok = announce(10, halton_ok and constant_fails and weyl_ok,
                   f"halton ranks 1-3 pass: {halton_ok}; constant fails all: "
                   f"{constant_fails}; weyl ranks 1-2 pass: {weyl_ok}")
@@ -253,7 +253,6 @@ def test_criterion_11_reproducibility(tmp_path):
                    "function": {"name": "polynomial", "coeffs": [1.0, 1.0]}},
         "function": {"name": "coordinate", "index": 1},
         "budget": 100000,
-        "block_size": 4096,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

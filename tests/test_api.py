@@ -16,9 +16,9 @@ from diracmean.errors import ValidationError
 PUBLIC_NAMES = [
     "ActionFunctional", "CertificationError", "ConvergenceReport", "CylinderViolation",
     "DEGENERATE", "DegenerateOracle", "DiracMeanError", "EmptyAccumulator",
-    "EquidistributionReport", "InsufficientSample", "MeanAccumulator", "NegativeDensity",
-    "NoConvergence", "NonFiniteInput", "ParseError", "PointSource", "QuantileDomain",
-    "QuantileFamily", "StoppingRule", "ValidationError", "WeightOverflow",
+    "EquidistributionReport", "MeanAccumulator", "NegativeDensity", "NoConvergence",
+    "NonFiniteInput", "ParseError", "PointSource", "QuantileDomain", "QuantileFamily",
+    "StoppingRule", "ValidationError", "WeightOverflow",
     "WeightPolicy", "action", "boltzmann_policy", "box_quantiles", "complex_gaussian_moment",
     "constant_policy", "convergent_source", "cylinder", "cylinder_function", "density_policy",
     "errors", "fresnel_limit_scan", "halton_source", "hierarchy_certify", "mean", "merge",
@@ -36,7 +36,7 @@ def test_import_exposes_exactly_the_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.split() == PUBLIC_NAMES
-    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 54
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 53
 
 
 def test_benchmark_harness_binds_to_the_package():
@@ -64,14 +64,13 @@ def test_benchmark_harness_binds_to_the_package():
 # Every setting of an experiment is a key of its file; the command line
 # names only the file and the output directory.
 CONFIG_KEYS = [
-    "mode", "budget", "source", "policy", "function", "density", "hierarchy", "bins_per_axis",
-    "stopping", "significance", "block_size", "action", "regularizer", "route", "sigmas",
-    "tolerance", "truncation",
+    "mode", "budget", "source", "policy", "function", "density", "hierarchy", "stopping",
+    "action", "regularizer", "route", "sigmas", "tolerance", "truncation",
 ]
 
 
 def test_config_keys_are_the_experiment_config_fields():
-    assert [f.name for f in fields(ExperimentConfig)] == CONFIG_KEYS and len(CONFIG_KEYS) == 17
+    assert [f.name for f in fields(ExperimentConfig)] == CONFIG_KEYS and len(CONFIG_KEYS) == 14
     with pytest.raises(ValidationError) as exc:
         parse_config_dict({"mode": "oracle", "out": "results"})
     assert str(exc.value) == f"config: unknown keys ['out'] (allowed: {sorted(CONFIG_KEYS)})"

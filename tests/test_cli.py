@@ -95,8 +95,7 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config_dict(MINIMAL)
     assert cfg.stopping == {"window": 8, "rel_tol": 1e-4, "min_samples": 1000,
                             "degeneracy_threshold": 1e-8}
-    assert cfg.block_size == 4096
-    assert cfg.significance is None  # read only by certify
+    assert cfg.hierarchy is None  # read only by certify
     assert cfg.source == {"kind": "halton", "offset": 0}
 
 
@@ -173,12 +172,11 @@ def test_config_round_trip_through_echo():
 
 # The keys each mode reads; the config of a mode may give no other.
 READS = {
-    "estimate": {"budget", "source", "stopping", "block_size", "function", "policy", "route",
-                 "action", "regularizer"},
-    "certify": {"budget", "source", "hierarchy", "bins_per_axis", "significance"},
+    "estimate": {"budget", "source", "stopping", "function", "policy", "route", "action",
+                 "regularizer"},
+    "certify": {"budget", "source", "hierarchy"},
     "oracle": {"function", "density", "action", "regularizer", "truncation"},
-    "fresnel-scan": {"budget", "source", "stopping", "block_size", "action", "sigmas",
-                     "function", "route"},
+    "fresnel-scan": {"budget", "source", "stopping", "action", "sigmas", "function", "route"},
 }
 READS["compare"] = READS["estimate"] | {"tolerance", "truncation"}
 
@@ -202,14 +200,15 @@ KEY_VALUES = {
     "budget": 4000, "source": {"kind": "halton", "offset": 2}, "policy": {"kind": "constant"},
     "function": {"name": "coordinate", "index": 1},
     "density": {"name": "coordinate-product", "rank": 1}, "hierarchy": [2],
-    "bins_per_axis": [4, 4, 4], "stopping": {"rel_tol": 1e-3},
-    "significance": 0.99, "block_size": 512, "action": {"matrix": [[2.0]]},
+    "stopping": {"rel_tol": 1e-3}, "action": {"matrix": [[2.0]]},
     "regularizer": {"widths": [0.5]}, "route": "weight-borne",
     "sigmas": [1.0, 3.0], "tolerance": 0.5, "truncation": 6.0,
 }
-# Keys that were settable once: the weight-borne box is 8x the widest
-# regularizer width, and the oracle's cell doubling starts at 4.
-DELETED_KEYS = {"box_half_width": 6.0, "cells_per_axis": 8}
+# Keys of settings the library fixes: the weight-borne box is 8x the widest
+# regularizer width, the oracle's cell doubling starts at 4, the certificate
+# plans its own bins at level 0.999, and a run sums blocks of 4096 points.
+DELETED_KEYS = {"box_half_width": 6.0, "cells_per_axis": 8, "bins_per_axis": [4, 4, 4],
+                "significance": 0.99, "block_size": 512}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -461,18 +460,6 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
-def test_block_size_flag_changes_nothing_material(tmp_path):
-    # The block size is the file's `block_size`.
-    estimates = []
-    for block_size in (4096, 12500):
-        cfg = dict(DENSITY, stopping={"min_samples": 100000}, block_size=block_size)
-        (tmp_path / str(block_size)).mkdir()
-        _, summary, _ = run_cli(tmp_path / str(block_size), cfg)
-        assert summary["settings"]["block_size"] == block_size
-        est = summary["result"]["final_estimate"]
-        estimates.append(complex(est["re"], est["im"]))
-    assert abs(estimates[0] - estimates[1]) <= 1e-12
-
 
 def test_seed_flag_overrides_pseudorandom_source(tmp_path):
     # The seed is the file's `source.seed`.
@@ -649,7 +636,6 @@ def _without(cfg, key):
     (dict(MINIMAL, source={"kind": "weyl", "alphas": ["0.25", "0.5"]}), "source.alphas"),
     (dict(CERTIFY, hierarchy=2), "hierarchy"),
     (dict(CERTIFY, hierarchy=[]), "hierarchy"),
-    (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=4), "bins_per_axis"),
     (dict(SCAN, sigmas=2.0), "sigmas"),
     (dict(SCAN, sigmas=[]), "sigmas"),
     (dict(SCAN, action={"matrix": [[1.0, 0.0], [0.0, 1.0]]}), "action"),
@@ -683,7 +669,6 @@ def _without(cfg, key):
     (_without(MINIMAL, "policy"), "policy"),
     (_without(ROUTED, "regularizer"), "regularizer"),
     (_without(ORACLE, "density"), "density"),
-    (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4]), "bins_per_axis"),
     (_without(SCAN, "action"), "action"),
     (dict(SCAN, sigmas=[2.0, 1.0]), "sigmas"),
     # The output directory is the command's `--out`, not a config key.
@@ -717,7 +702,6 @@ def _without(cfg, key):
     (dict(CERTIFY, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1}}),
      "source.kind"),
     (dict(CERTIFY, budget=10), "budget"),
-    (dict(CERTIFY, hierarchy=[1, 2], bins_per_axis=[4, 64]), "bins_per_axis"),
     # A Weyl source takes its kind, alphas and offset, and no other key.
     (dict(MINIMAL, source={"kind": "weyl", "offset": 1, "bits": 256}), "source"),
     # A function entry takes only the keys its builder reads.
@@ -732,13 +716,13 @@ def _without(cfg, key):
     # A config gives only the keys its mode reads.
     (dict(SCAN, regularizer={"widths": [5.0]}), "regularizer"),
     (dict(ORACLE, budget=1000), "budget"),
-    (dict(MINIMAL, significance=0.99), "significance"),
     (dict(MINIMAL, action={"matrix": [[1.0]]}), "policy"),
     (dict(ORACLE, action={"matrix": [[1.0]]}, regularizer={"widths": [1.0]}), "density"),
     (dict(ROUTED, route="sideways"), "route"),
     # Settings that are no longer configurable.
     (dict(ROUTED, route="weight-borne", box_half_width=6.0), "config"),
     (dict(ORACLE, cells_per_axis=8), "config"),
+    (dict(MINIMAL, significance=0.99), "config"),
     (dict(MINIMAL, policy={"kind": "fresnel", "action": {"matrix": [[1.0]]},
                            "regularizer": {"widths": [1.0]}}), "policy.kind"),
     # A box past the float range, which the oracle would refuse.
@@ -752,7 +736,7 @@ def _without(cfg, key):
                                    "quantiles": {"family": "uniform-box", "widths": [1.0, 0.5]}},
           truncation=0.5), "truncation"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
-        "hierarchy-scalar", "hierarchy-empty", "bins-scalar", "sigmas-scalar", "sigmas-empty",
+        "hierarchy-scalar", "hierarchy-empty", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "oracle-rank-4", "alphas-short-of-function-rank",
         "base-alphas-short-of-function-rank",
         "alphas-short-of-hierarchy", "route-widths-short-of-action-rank",
@@ -760,18 +744,18 @@ def _without(cfg, key):
         "convergent-offset", "scan-matrix-not-numbers", "compare-rank-4",
         "oracle-function-above-density-rank", "action-kind", "action-without-matrix",
         "no-source", "neither-policy-nor-route", "route-without-regularizer",
-        "oracle-without-density", "bins-per-hierarchy-rank", "scan-without-action",
+        "oracle-without-density", "scan-without-action",
         "sigmas-decreasing", "out-key", "polynomial-without-coeffs",
         "quadratic-form-without-matrix", "weight-borne-alphas-short-of-regularizer-rank",
         "quantiles-unknown-key", "uniform-quantiles-with-widths", "quantile-widths-not-numbers",
         "quantile-family-unknown", "route-over-halton-offset-0", "route-over-weyl-offset-0",
         "scan-over-halton-offset-0", "pullback-over-weyl-offset-0", "route-over-pullback",
-        "certify-pullback", "certify-budget-below-bins", "certify-bins-above-budget",
+        "certify-pullback", "certify-budget-below-bins",
         "weyl-unknown-key", "coordinate-idx", "cosine-freq", "gaussian-width",
         "coordinate-product-rnak", "density-unknown-key", "policy-function-unknown-key",
-        "scan-regularizer", "oracle-budget", "estimate-significance", "policy-and-action",
+        "scan-regularizer", "oracle-budget", "policy-and-action",
         "oracle-density-and-action", "route-unknown", "route-box-half-width",
-        "oracle-cells-per-axis", "policy-fresnel", "compare-truncation-past-float-range",
+        "oracle-cells-per-axis", "estimate-significance", "policy-fresnel", "compare-truncation-past-float-range",
         "oracle-density-truncation", "compare-cube-truncation",
         "compare-uniform-box-truncation"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
@@ -830,15 +814,26 @@ def test_registry_rejects_non_integer_parameters(params, field):
 
 
 @pytest.mark.parametrize("cfg, field", [
-    (dict(CERTIFY, significance=10**400), "significance"),
     (dict(SCAN, sigmas=[1.0, 10**400]), "sigmas"),
     (dict(MINIMAL, stopping={"rel_tol": -(10**400)}), "stopping.rel_tol"),
-], ids=["significance", "sigmas", "rel_tol"])
+], ids=["sigmas", "rel_tol"])
 def test_integer_beyond_the_float_range_is_one_error_line(tmp_path, capsys, cfg, field):
     code, summary, _ = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == EXIT_ERROR and summary is None
     assert err.startswith(f"error: {field}: must be a finite number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(SCAN, sigmas=[1e200]), "non-finite weight in block"),
+    (dict(MINIMAL, function={"name": "polynomial", "coeffs": [1e308, 1e308]}),
+     "non-finite function value in block"),
+], ids=["scan-width-1e200", "polynomial-overflow"])
+def test_non_finite_run_value_is_one_error_line(tmp_path, capsys, cfg, message):
+    # The run refuses the value; numpy's overflow warnings print nothing first.
+    code, summary, _ = run_cli(tmp_path, cfg)
+    assert code == EXIT_ERROR and summary is None
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +847,7 @@ FUZZ_BASES = [
     dict(SCAN, route="weight-borne", function={"name": "coordinate", "index": 1},
          stopping={"min_samples": 1000}),
     dict(CERTIFY, budget=2000, source={"kind": "weyl", "alphas": ["0.4142135623730951"]},
-         hierarchy=[1], bins_per_axis=[4]),
+         hierarchy=[1]),
     {"mode": "estimate", "source": {"kind": "convergent", "target": [0.3], "rate": 0.5},
      "route": "weight-borne", "action": {"matrix": [[1.0]], "linear": [0.5]},
      "regularizer": {"widths": [1.0]},
@@ -864,8 +859,7 @@ FUZZ_BASES = [
      "density": {"name": "coordinate-product", "rank": 1}},
     {"mode": "estimate", "source": {"kind": "halton", "offset": 1},
      "policy": {"kind": "boltzmann", "action": {"matrix": [[1.0]], "constant": 0.5}},
-     "function": {"name": "coordinate", "index": 1}, "budget": 2000,
-     "block_size": 512},
+     "function": {"name": "coordinate", "index": 1}, "budget": 2000},
 ]
 FUZZ_POOL = [None, "x", 1.5, True, [], {}, -1, [1]]
 

@@ -15,7 +15,7 @@ from diracmean import (
     verify_cylinder,
     weyl_source,
 )
-from diracmean.errors import CylinderViolation, InsufficientSample, ValidationError
+from diracmean.errors import CylinderViolation, ValidationError
 from diracmean.oracle import tensor_quadrature
 
 
@@ -95,15 +95,9 @@ def test_hierarchy_validation():
     assert len(hierarchy_certify(halton_source(0), [1, 2, 3], 10**4)) == 3
 
 
-def test_halton_hierarchy_passes_explicit_bins():
-    reports = hierarchy_certify(halton_source(0), (1, 2, 3), 10**4,
-                                bins_per_axis=(16, 8, 2))
-    assert [r.rank for r in reports] == [1, 2, 3]
-    assert all(r.passed for r in reports)
-
-
 def test_halton_hierarchy_passes_default_bins():
     reports = hierarchy_certify(halton_source(0), (1, 2, 3), 10**4)
+    assert [(r.rank, r.bins_per_axis) for r in reports] == [(1, 16), (2, 8), (3, 4)]
     assert all(r.passed for r in reports)
 
 
@@ -119,18 +113,19 @@ def test_weyl_hierarchy_passes_ranks_1_and_2():
 
 
 def test_insufficient_sample_propagates_per_level():
-    with pytest.raises(InsufficientSample):
-        hierarchy_certify(halton_source(0), (1, 2, 3), 30, bins_per_axis=(2, 2, 2))
+    # 30 points fill 6 bins at rank 1 and 2^2 at rank 2, but not 2^3 at rank 3.
+    with pytest.raises(ValidationError, match="^sample_count: must be at least 40 .* rank 3"):
+        hierarchy_certify(halton_source(0), (1, 2, 3), 30)
 
 
 def test_monotone_certification_for_halton():
-    # same N and bins: passing at a higher rank comes with passing at the
-    # marginal ranks too (marginal of uniform is uniform)
-    n, bins = 10**4, 4
-    top = hierarchy_certify(halton_source(0), (3,), n, bins_per_axis=(bins,))[0]
+    # same N: passing at a higher rank comes with passing at the marginal
+    # ranks too (marginal of uniform is uniform)
+    n = 10**4
+    top = hierarchy_certify(halton_source(0), (3,), n)[0]
     assert top.passed
     for rank in (1, 2):
-        low = hierarchy_certify(halton_source(0), (rank,), n, bins_per_axis=(bins,))[0]
+        low = hierarchy_certify(halton_source(0), (rank,), n)[0]
         assert low.passed
 
 
@@ -159,8 +154,7 @@ def test_certificate_reads_each_point_once_at_the_top_rank():
 def test_each_level_is_its_single_rank_certificate(source):
     n = 65536 + 4000  # a full chunk and a short one
     for level in hierarchy_certify(source, (1, 2, 3), n):
-        alone = hierarchy_certify(source, (level.rank,), n,
-                                  bins_per_axis=[level.bins_per_axis])[0]
+        alone = hierarchy_certify(source, (level.rank,), n)[0]
         assert (level.statistic, level.threshold) == (alone.statistic, alone.threshold)
         assert level == alone
 

@@ -11,7 +11,7 @@ from diracmean.errors import DiracMeanError, ValidationError
 
 RUN_TIME = {
     "CertificationError", "CylinderViolation", "DegenerateOracle", "EmptyAccumulator",
-    "InsufficientSample", "NegativeDensity", "NoConvergence", "NonFiniteInput", "ParseError",
+    "NegativeDensity", "NoConvergence", "NonFiniteInput", "ParseError",
     "QuantileDomain", "WeightOverflow",
 }
 
@@ -76,8 +76,6 @@ BAD_ARGUMENTS = [
     ("13", "points", lambda: F_X1.eval_block(np.zeros((2, 0)))),
     ("14", "base", lambda: dm.cylinder_function(1, lambda x: x, "column").eval_block(np.zeros((2, 1)))),
     ("15", "ranks", lambda: dm.hierarchy_certify(dm.halton_source(0), (2, 1), 1000)),
-    ("16", "bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(0), [1, 2], 1000,
-                                                         0.999, [4])),
     ("17", "values", lambda: dm.MeanAccumulator().add_block(np.ones(2), np.ones(3))),
     ("18", "delta", lambda: dm.MeanAccumulator().add_block(np.ones(1), np.ones(1)).estimate(1.0)),
     ("19", "window", lambda: dm.StoppingRule(window=1)),
@@ -106,13 +104,9 @@ BAD_ARGUMENTS = [
     ("47", "widths", lambda: dm.normal_quantiles([1.0, 0.0])),
     ("48", "half_width", lambda: dm.box_quantiles(-1.0)),
     ("49", "base", lambda: dm.pullback_source(PULLBACK, dm.normal_quantiles())),
-    ("50", "source", lambda: dm.hierarchy_certify(PULLBACK, [1], 100, bins_per_axis=[4])),
-    ("51", "bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 100,
-                                                         bins_per_axis=[1])),
-    ("52", "level", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 100, 1.5, [4])),
-    ("53", "ranks", lambda: dm.hierarchy_certify(dm.halton_source(), [0], 100, bins_per_axis=[4])),
-    ("54", "sample_count", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 2.5,
-                                                        bins_per_axis=[4])),
+    ("50", "source", lambda: dm.hierarchy_certify(PULLBACK, [1], 100)),
+    ("53", "ranks", lambda: dm.hierarchy_certify(dm.halton_source(), [0], 100)),
+    ("54", "sample_count", lambda: dm.hierarchy_certify(dm.halton_source(), [1], 2.5)),
     ("55", "rank", lambda: dm.density_policy(lambda x: x[:, 0], 0)),
     ("56", "index_phase", lambda: dm.oscillatory_policy(ACT, math.nan)),
     ("58", "matrix", lambda: dm.quadratic_action([["x"]])),
@@ -122,7 +116,7 @@ BAD_ARGUMENTS = [
     ("62", "offset", lambda: dm.convergent_source(0.5, 0.5, math.inf)),
     ("63", "target", lambda: dm.convergent_source([], 0.5)),
     ("equidistribution-negative", "sample_count",
-     lambda: dm.hierarchy_certify(dm.halton_source(), [1], -1, bins_per_axis=[4])),
+     lambda: dm.hierarchy_certify(dm.halton_source(), [1], -1)),
     ("hierarchy-negative", "sample_count",
      lambda: dm.hierarchy_certify(dm.halton_source(), (1, 2), -5)),
     ("hierarchy-scalar-ranks", "ranks",
@@ -166,11 +160,9 @@ def test_non_finite_widths_are_rejected(field, call):
     ("seed", lambda: dm.pseudorandom_source(seed=1.5)),
     ("rank", lambda: dm.cylinder_function(1.5, lambda x: x[:, 0])),
     ("stop", lambda: dm.halton_source().block(0, 2.5, 1)),
-    ("bins_per_axis", lambda: dm.hierarchy_certify(dm.halton_source(0), [1], 1000,
-                                                   bins_per_axis=[4.5])),
     ("ranks", lambda: dm.hierarchy_certify(dm.halton_source(0), (1, 2.5), 1000)),
 ], ids=["halton-offset", "weyl-offset", "seed", "function-rank", "block-stop",
-        "bins", "hierarchy"])
+        "hierarchy"])
 def test_non_integer_counts_are_rejected_not_truncated(field, call):
     with pytest.raises(ValidationError, match=rf"^{field}: must be an integer"):
         call()

@@ -1,6 +1,7 @@
 """Point source behavior: indexing, truncation, certification, discrepancy."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from scipy.stats import qmc
 
 from diracmean import seq
 from diracmean.cylinder import hierarchy_certify
-from diracmean.errors import InsufficientSample, QuantileDomain, ValidationError
+from diracmean.errors import QuantileDomain, ValidationError
 from diracmean.oracle import normalized_expectation
 
 
@@ -134,6 +135,20 @@ def test_halton_agrees_with_scipy(start):
     ref = engine.random(1024)
     ours = seq.halton_source(0).block(start, start + 1024, len(HALTON_BASES))
     assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+
+
+def test_halton_bases_to_rank_2000_are_the_primes_and_cheap():
+    start = time.perf_counter()
+    first = seq.halton_source(0).block(1, 2, 2000)[0]  # coordinate k of point 1 is 1 / base_k
+    elapsed = time.perf_counter() - start
+    bases = np.rint(1.0 / first).astype(np.int64)
+    assert bases[-1] == 17389  # the 2000th prime
+    sieve = np.ones(bases[-1] + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bases[-1]) + 1):
+        sieve[p * p::p] = False
+    assert bases.tolist() == np.flatnonzero(sieve).tolist()
+    assert elapsed < 0.5
 
 
 def test_point_at_validates_arguments():
@@ -447,7 +462,7 @@ def test_pseudorandom_is_deterministic_and_seed_sensitive():
 
 def test_pseudorandom_chi_square_passes():
     src = seq.pseudorandom_source(2024)
-    report = hierarchy_certify(src, [1], 10**4, 0.999, [16])[0]
+    report = hierarchy_certify(src, [1], 10**4)[0]
     assert report.passed
 
 
@@ -562,13 +577,16 @@ def test_nonpositive_widths_rejected():
 
 
 def test_halton_rank2_four_bins_passes():
-    report = hierarchy_certify(seq.halton_source(0), [2], 10**4, bins_per_axis=[4])[0]
+    # 100 points fill 4^2 cells with 5 expected counts each, but not 8^2.
+    report = hierarchy_certify(seq.halton_source(0), [2], 100)[0]
+    assert report.bins_per_axis == 4
     assert report.passed
     assert report.statistic <= report.threshold
 
 
 def test_weyl_rank1_threshold_matches_chi_square_table():
-    report = hierarchy_certify(seq.weyl_source(), [1], 10**4, bins_per_axis=[16])[0]
+    report = hierarchy_certify(seq.weyl_source(), [1], 10**4)[0]
+    assert report.bins_per_axis == 16
     assert report.threshold == pytest.approx(37.70, abs=0.01)
     assert report.statistic <= 37.70
     assert report.passed
@@ -577,34 +595,35 @@ def test_weyl_rank1_threshold_matches_chi_square_table():
 @pytest.mark.parametrize("rank,bins", [(1, 16), (2, 8), (3, 4)])
 @pytest.mark.parametrize("make", [seq.halton_source, lambda: seq.weyl_source()])
 def test_low_discrepancy_sources_pass_ranks_1_to_3(make, rank, bins):
-    report = hierarchy_certify(make(), [rank], 10**4, bins_per_axis=[bins])[0]
+    report = hierarchy_certify(make(), [rank], 10**4)[0]
+    assert report.bins_per_axis == bins
     assert report.passed
 
 
-@pytest.mark.parametrize("level", [0.9, 0.99, 0.999, 0.9999])
-def test_constant_source_fails_at_every_level(level):
-    report = hierarchy_certify(constant_source(), [1], 10**4, level, [16])[0]
+def test_constant_source_fails_at_the_level():
+    report = hierarchy_certify(constant_source(), [1], 10**4)[0]
     assert not report.passed
     # all mass in one bin: statistic is N (bins - 1) in closed form
     assert report.statistic == pytest.approx(10**4 * 15, rel=1e-12)
 
 
 def test_sample_count_boundary_is_accepted():
-    report = hierarchy_certify(seq.halton_source(0), [1], 16 * 5, bins_per_axis=[16])[0]
-    assert report.sample_count == 80
-    with pytest.raises(InsufficientSample):
-        hierarchy_certify(seq.halton_source(0), [1], 16 * 5 - 1, bins_per_axis=[16])
+    # 2 bins at rank 1 need 2 * 5 points.
+    report = hierarchy_certify(seq.halton_source(0), [1], 10)[0]
+    assert (report.sample_count, report.bins_per_axis) == (10, 2)
+    with pytest.raises(ValidationError, match="^sample_count: "):
+        hierarchy_certify(seq.halton_source(0), [1], 9)
 
 
 def test_equidistribution_requires_cube_codomain():
     pb = seq.pullback_source(seq.halton_source(1), seq.normal_quantiles())
     with pytest.raises(ValueError):
-        hierarchy_certify(pb, [1], 1000, bins_per_axis=[4])
+        hierarchy_certify(pb, [1], 1000)
 
 
 def test_report_pass_iff_statistic_below_threshold():
-    good = hierarchy_certify(seq.halton_source(0), [1], 10**4, bins_per_axis=[16])[0]
-    bad = hierarchy_certify(constant_source(), [1], 10**4, bins_per_axis=[16])[0]
+    good = hierarchy_certify(seq.halton_source(0), [1], 10**4)[0]
+    bad = hierarchy_certify(constant_source(), [1], 10**4)[0]
     for r in (good, bad):
         assert r.passed == (r.statistic <= r.threshold)
         d = r.to_dict()

@@ -5,7 +5,8 @@ The accumulator keeps the weighted sum of evaluations, the weight sum
 all under compensated (Kahan-Babuska-Neumaier) summation.  The estimate
 is their ratio, declared degenerate instead of divided when the weight
 sum has cancelled below ``delta`` times the absolute-weight sum, so no
-NaN or infinity can ever leak out of a run.
+NaN or infinity can ever leak out of a run; ``delta`` exceeds 2^-40,
+above the rounding of a pairwise sum.
 
 ``run`` drives a source/policy/function triple through a finite budget,
 records a trace row at each stopping checkpoint, and stops on a
@@ -13,8 +14,8 @@ window-Cauchy criterion, persistent degeneracy, or budget exhaustion.
 ``run_blocked`` merges disjoint index blocks accumulated independently,
 deterministically: sources and policies are pure, accumulators are
 single-writer, and ``merge`` is the only cross-block operation.  Both
-share one chunk loop, which reads each batch of whole blocks in one
-ordered pass over its checkpoints and block ends.
+share one chunk loop, which evaluates batches of whole blocks; a
+checkpoint inside a block reads the accumulator a stop there returns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import bisect
 import functools
 import itertools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -76,23 +76,26 @@ def _den_ratio(den: complex, aw: float) -> float:
     return abs(den) / aw if aw > 0.0 else 0.0
 
 
+# The least degeneracy threshold, 2^-40 (8192 units of 2^-53): a pairwise
+# sum of up to 2^63 terms is off by at most about 80 units times the
+# absolute-weight sum (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 4), so a weight sum above this share of it is not noise.
+_DELTA_FLOOR = 2.0 ** -40
+
+
 def _ratio(num: complex, den: complex, aw: float, delta: float):
     """``num / den``, or ``DEGENERATE`` when ``|den| < delta * aw``.
 
     The division is done by scaled conjugation rather than the libm
     complex quotient so that a numerator that is an exact real multiple
-    of the denominator divides out exactly.  When ``|den / aw|^2`` would
-    underflow, both are first divided by the larger denominator component.
+    of the denominator divides out exactly.  ``delta`` is above
+    ``_DELTA_FLOOR``, so ``|den / aw|^2`` cannot underflow.
     """
     if aw <= 0.0 or abs(den) < delta * aw:
         return DEGENERATE
     nr, ni = num.real / aw, num.imag / aw
     dr, di = den.real / aw, den.imag / aw
     norm = dr * dr + di * di
-    if norm < sys.float_info.min:
-        scale = max(abs(dr), abs(di))
-        nr, ni, dr, di = nr / scale, ni / scale, dr / scale, di / scale
-        norm = dr * dr + di * di
     return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
 
 
@@ -170,8 +173,8 @@ class MeanAccumulator:
     def estimate(self, delta: float = 1e-8):
         """The normalized mean, or ``DEGENERATE`` when the weight sum has
         cancelled below ``delta`` times the absolute-weight sum; ``delta``
-        lies in (0, 1), like the stopping rule's threshold."""
-        delta = as_number("delta", delta, 0.0, 1.0)
+        lies in (2^-40, 1), like the stopping rule's threshold."""
+        delta = as_number("delta", delta, _DELTA_FLOOR, 1.0)
         if self.count == 0:
             raise EmptyAccumulator("no terms accumulated yet")
         return _ratio(self.numerator, self.denominator, self.abs_weight_sum, delta)
@@ -203,7 +206,8 @@ class StoppingRule:
     at ratio ``2 ** (1 / window)``.  ``window`` consecutive checkpoint estimates
     pairwise within ``rel_tol * (1 + |last|)`` stop the run as converged;
     ``window`` consecutive degenerate checkpoints stop it as degenerate.
-    Nothing stops before ``min_samples``.
+    Nothing stops before ``min_samples``.  ``degeneracy_threshold`` lies in
+    (2^-40, 1): below 2^-40 a weight sum can be rounding noise.
     """
 
     window: int = 8
@@ -218,7 +222,7 @@ class StoppingRule:
             "rel_tol": as_number("rel_tol", self.rel_tol, 0.0),
             "min_samples": as_count("min_samples", self.min_samples, 1),
             "degeneracy_threshold": as_number(
-                "degeneracy_threshold", self.degeneracy_threshold, 0.0, 1.0),
+                "degeneracy_threshold", self.degeneracy_threshold, _DELTA_FLOOR, 1.0),
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -307,16 +311,14 @@ def _checkpoints(budget: int, rule: StoppingRule) -> list[int]:
     return checks
 
 
-def _term_sums(terms: np.ndarray, block_size: int, cuts: np.ndarray) -> tuple[list, list]:
+def _block_sums(terms: np.ndarray, block_size: int) -> list:
     """``np.sum`` of each ``block_size`` slice of ``terms`` (the last may be
-    short), bit for bit as row sums of the whole blocks; and the sums of its
-    segments ``[cuts[0], cuts[1])``, ``[cuts[2], cuts[3])``, ... by ``reduceat``."""
+    short), bit for bit as row sums of the whole blocks."""
     k = len(terms) // block_size
     sums = terms[:k * block_size].reshape(k, block_size).sum(axis=1).tolist()
     if len(terms) % block_size:
         sums.append(np.sum(terms[k * block_size:]))
-    segments = np.add.reduceat(terms[:cuts[-1]], cuts[:-1])[::2].tolist() if len(cuts) else []
-    return sums, segments
+    return sums
 
 
 # Points per batch: as many whole blocks as fit, at least one.
@@ -341,70 +343,49 @@ def _weights(policy, points: np.ndarray, start: int) -> np.ndarray:
 
 
 def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np.ndarray,
-                marks=(), stops=(), observe=None) -> MeanAccumulator:
+                marks=(), observe=None) -> MeanAccumulator:
     """Accumulate points ``lo..hi-1`` in blocks of ``block_size`` counted from
     ``lo``, each folded in as ``add_block`` would; a batch's points are a view
     of ``buf``, sized for ``max(_BATCH_POINTS, block_size)`` points or ``hi - lo``.
-    At each of the sorted ``marks``, ``observe(m, num, den, aw)`` reads the
-    sums of the points before ``m``, and a true return ends the walk there.
-    A batch never runs past the block holding the next of the sorted
-    ``stops``, the marks where it may."""
+    At each of the sorted ``marks``, ``observe(m, acc)`` reads the accumulator
+    of the points before ``m``, and a true return ends the walk, returning it.
+    A batch never runs past the block holding the next mark, so its marks lie
+    in its last block; one inside that block reads a copy of the committed
+    accumulator with the block's prefix added by ``add_block``, which is what
+    a stop there returns."""
     rank = _rank(policy, func)
     batch = max(1, _BATCH_POINTS // block_size) * block_size
     acc = MeanAccumulator()
     start = lo
     while start < hi:
-        i = bisect.bisect_right(stops, start)
-        stop = stops[i] if i < len(stops) else hi
-        # Up to the end of the block holding the next stop.
-        end = min(start + batch, stop + (lo - stop) % block_size, hi)
+        i = bisect.bisect_right(marks, start)
+        mark = marks[i] if i < len(marks) else hi
+        # Up to the end of the block holding the next mark.
+        end = min(start + batch, mark + (lo - mark) % block_size, hi)
+        k = bisect.bisect_left(marks, end)  # marks[i:k] lie inside the last block
         n = end - start
         pts = source.block(start, end, rank, buf)
         w = _weights(policy, pts, start)
         v = func.eval_block(pts)
-        marked = {m - start for m in marks[bisect.bisect_right(marks, start):
-                                            bisect.bisect_right(marks, end)]}
-        # The batch's marks and block ends as offsets; a mark inside a block
-        # reads the sum of the segment from the one before it.
-        events = sorted(marked.union(range(block_size, n, block_size), (n,)))
-        cuts = np.array([(p, o) for p, o in zip([0] + events, events) if o < n and o % block_size],
-                        dtype=np.intp).ravel()
         # A non-finite term or sum is an error only before the stop, where
         # add_block raises; until then its sums are formed in silence.
         with np.errstate(over="ignore", invalid="ignore"):
-            nums, num_segs = _term_sums(np.multiply(w, v), block_size, cuts)
-            dens, den_segs = _term_sums(w, block_size, cuts)
-            aws, aw_segs = _term_sums(np.abs(w), block_size, cuts)
+            nums = _block_sums(np.multiply(w, v), block_size)
+            dens = _block_sums(w, block_size)
+            aws = _block_sums(np.abs(w), block_size)
         finite = np.isfinite((nums, dens, aws)).all(axis=0).tolist()
-        segments = zip(num_segs, den_segs, aw_segs)
-        # One ordered pass: a block end folds the block in, and a mark inside
-        # a block reads the committed totals plus the block's running prefix
-        # of segment sums.  The prefix starts at +0.0, which can change only
-        # the sign of a zero, and adding the totals (never -0.0) undoes that.
-        com_num, com_den, com_aw = acc.numerator, acc.denominator, acc.abs_weight_sum
-        pre_num = pre_den = pre_aw = 0.0
-        for o in events:
-            j = (o - 1) // block_size  # the block holding point o - 1
-            inner = o < n and o % block_size
-            if inner:
-                seg_num, seg_den, seg_aw = next(segments)
-                pre_num, pre_den, pre_aw = pre_num + seg_num, pre_den + seg_den, pre_aw + seg_aw
-                num = com_num + complex(pre_num)
-                den, aw = com_den + complex(pre_den), com_aw + pre_aw
-            else:
-                if finite[j]:
-                    acc._fold(nums[j], dens[j], aws[j], o - j * block_size)
-                else:  # raises the error add_block names
-                    acc.add_block(w[j * block_size:o], v[j * block_size:o])
-                num, den, aw = com_num, com_den, com_aw = (
-                    acc.numerator, acc.denominator, acc.abs_weight_sum)
-                pre_num = pre_den = pre_aw = 0.0
-                if o not in marked:
-                    continue
-            if observe(start + o, num, den, aw):
-                if inner:  # commit just the block's prefix
-                    acc.add_block(w[j * block_size:o], v[j * block_size:o])
-                return acc
+        for j, a in enumerate(range(0, n, block_size)):
+            if a + block_size >= n:  # the last block
+                for m in marks[i:k]:
+                    seen = acc.copy().add_block(w[a:m - start], v[a:m - start])
+                    if observe(m, seen):
+                        return seen
+            if finite[j]:
+                acc._fold(nums[j], dens[j], aws[j], min(block_size, n - a))
+            else:  # raises the error add_block names
+                acc.add_block(w[a:a + block_size], v[a:a + block_size])
+        if k < len(marks) and marks[k] == end and observe(end, acc):
+            return acc
         start = end
         del w, v  # so the next batch reuses their memory instead of regrowing the heap
     return acc
@@ -444,11 +425,11 @@ def run(
         accuracy; at 65536, a run to its budget sums as ``run_blocked``
         with one block does.  Points are evaluated in batches of whole
         blocks (up to 16384 points, or one larger block) that never run past
-        the block holding the next checkpoint where the run can stop, each
-        read in one ordered pass over its checkpoints and block ends.  A
-        checkpoint inside a block is read from the block's prefix sums; it
-        never splits the block.  A stop inside a block commits only the
-        block's prefix; the at most ``block_size - 1`` terms after the stop
+        the block holding the next checkpoint.  A checkpoint inside a block
+        reads the committed blocks with the block's prefix added as
+        ``add_block`` adds it, which is what a stop there keeps, so every
+        trace row is the final state of a run stopped at its ``m``; it never
+        splits the block.  The at most ``block_size - 1`` terms after a stop
         are evaluated and discarded.
     """
     rule = rule if rule is not None else StoppingRule()
@@ -465,9 +446,10 @@ def run(
     recent: deque[complex | None] = deque(maxlen=rule.window)
     stop_reason = None
 
-    def observe(m, num, den, aw) -> bool:
+    def observe(m, acc) -> bool:
         """Record the checkpoint at ``m``; true where the run stops."""
         nonlocal stop_reason
+        num, den, aw = acc.numerator, acc.denominator, acc.abs_weight_sum
         est = _ratio(num, den, aw, delta)
         est = None if est is DEGENERATE else est
         recent.append(est)
@@ -483,12 +465,9 @@ def run(
         rows.append((m, num, den, aw, est, spread, tolerance))
         return stop_reason is not None
 
-    checkpoints = _checkpoints(budget, rule)
-    # The run can stop only at a checkpoint with a full window, from min_samples on.
-    stops = [m for m in checkpoints[rule.window - 1:] if m >= rule.min_samples]
     buf = np.empty(_rank(policy, func) * min(max(_BATCH_POINTS, block_size), budget))
-    acc = _accumulate(source, policy, func, 0, budget, block_size, buf, checkpoints, stops,
-                      observe)
+    acc = _accumulate(source, policy, func, 0, budget, block_size, buf,
+                      _checkpoints(budget, rule), observe)
 
     n_used = acc.count
     final = acc.estimate(delta)
@@ -496,12 +475,6 @@ def run(
         stop_reason = "degenerate"
     elif stop_reason is None:
         stop_reason = "budget-exhausted"
-    # The run ends at a checkpoint, whose row the final state replaces: the
-    # stop may have committed a block's prefix with other bits than the
-    # prefix sums that checkpoint read.  The row keeps its spread and tolerance.
-    *_, spread, tolerance = rows.pop()
-    rows.append((n_used, acc.numerator, acc.denominator, acc.abs_weight_sum,
-                 None if final is DEGENERATE else final, spread, tolerance))
     return ConvergenceReport(final, stop_reason, n_used, tuple(map(list, zip(*rows))))
 
 

@@ -735,6 +735,8 @@ def _without(cfg, key):
     (dict(NORMAL_PULLBACK, source={"kind": "pullback", "base": {"kind": "halton", "offset": 1},
                                    "quantiles": {"family": "uniform-box", "widths": [1.0, 0.5]}},
           truncation=0.5), "truncation"),
+    # Below 2^-40 a weight sum can be rounding noise.
+    (dict(MINIMAL, stopping={"degeneracy_threshold": 1e-200}), "stopping.degeneracy_threshold"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "oracle-rank-4", "alphas-short-of-function-rank",
@@ -757,7 +759,7 @@ def _without(cfg, key):
         "oracle-density-and-action", "route-unknown", "route-box-half-width",
         "oracle-cells-per-axis", "estimate-significance", "policy-fresnel", "compare-truncation-past-float-range",
         "oracle-density-truncation", "compare-cube-truncation",
-        "compare-uniform-box-truncation"])
+        "compare-uniform-box-truncation", "stopping-threshold-below-the-floor"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config_dict(cfg)

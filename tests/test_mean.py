@@ -4,7 +4,6 @@ import itertools
 import math
 import tracemalloc
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,13 +77,6 @@ def test_all_zero_weights_are_degenerate_not_nan():
     assert acc.estimate() is DEGENERATE
 
 
-def _exact_quotient(num: complex, den: complex) -> complex:
-    """``num / den`` from exact rationals, each part rounded once."""
-    a, b, c, d = (Fraction(v) for v in (num.real, num.imag, den.real, den.imag))
-    norm = c * c + d * d
-    return complex(float((a * c + b * d) / norm), float((b * c - a * d) / norm))
-
-
 class CyclingWeights(WeightPolicy):
     """Weights 1, -1, 1e-170, repeating with the point index."""
 
@@ -96,21 +88,27 @@ class CyclingWeights(WeightPolicy):
 
 
 @pytest.mark.parametrize("path", ["estimate", "run"])
-def test_weight_sum_far_below_the_absolute_sum_divides_without_underflow(path):
-    # |den / aw|^2 underflows to 0 in both; above the threshold, so not degenerate.
+def test_threshold_below_the_resolution_floor_is_refused(path):
+    # The run's weight sum rounds to 9e-170 against an exact 1e-167, which a
+    # threshold of 1e-200 would divide by; at 1e-12 both sums are degenerate.
+    # A threshold must exceed 2^-40.
     if path == "estimate":
         acc = MeanAccumulator().add_block(np.array([1.0, -1.0, 1e-170]),
                                           np.array([1.0, 2.0, 3.0]))
-        est, num, den = acc.estimate(1e-200), acc.numerator, acc.denominator
+        assert acc.estimate(1e-12) is DEGENERATE
+        with pytest.raises(ValidationError, match="^delta: "):
+            acc.estimate(1e-200)
     else:
-        report = run(halton_source(1), CyclingWeights(), F_X1, 3000,
-                     StoppingRule(min_samples=3000, degeneracy_threshold=1e-200))
-        trace = report.trace
-        est, num, den = report.final_estimate, trace["numerator"][-1], trace["denominator"][-1]
-    exact = _exact_quotient(num, den)
-    assert math.isfinite(est.real) and math.isfinite(est.imag)
-    assert abs(est.real - exact.real) <= 2 * math.ulp(exact.real)
-    assert abs(est.imag - exact.imag) <= 2 * math.ulp(exact.imag)
+        def cycling(threshold):
+            return run(halton_source(1), CyclingWeights(), F_X1, 3000,
+                       StoppingRule(min_samples=3000, degeneracy_threshold=threshold))
+
+        assert cycling(1e-12).stop_reason == "degenerate"
+        with pytest.raises(ValidationError, match="^degeneracy_threshold: "):
+            cycling(1e-200)
+    StoppingRule(degeneracy_threshold=math.nextafter(2.0 ** -40, 1.0))
+    with pytest.raises(ValidationError, match="^degeneracy_threshold: "):
+        StoppingRule(degeneracy_threshold=2.0 ** -40)
 
 
 def test_empty_accumulator_raises():
@@ -118,11 +116,12 @@ def test_empty_accumulator_raises():
         MeanAccumulator().estimate()
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0, 1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("delta", [0.0, -1.0, 1.0, math.nan, math.inf, True, 1e-200])
 def test_estimate_rejects_delta_outside_the_unit_interval(delta):
     cancelled = MeanAccumulator().add_block(np.array([1.0, -1.0]), np.array([1.0, 2.0]))
     assert cancelled.estimate(1e-8) is DEGENERATE
-    with pytest.raises(ValidationError, match=r"^delta: must be a finite number in \(0, 1\)"):
+    with pytest.raises(ValidationError,
+                       match=r"^delta: must be a finite number in \(9.09495e-13, 1\)"):
         cancelled.estimate(delta)
 
 
@@ -437,21 +436,25 @@ class Recording:
         return self.inner.block(start, stop, rank, out)
 
 
-def assert_whole_blocks(calls, block_size, budget, n_used):
+def assert_whole_blocks(calls, block_size, budget, n_used, rule):
     """Calls cover whole blocks, contiguous from 0, at most 16384 points each
-    (or one larger block), the last ending with the block that holds n_used."""
+    (or one larger block), the last ending with the block that holds n_used;
+    a checkpoint strictly inside a call lies in its last block."""
     assert calls[0][0] == 0
     assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+    marks = mean_mod._checkpoints(budget, rule)
     for start, stop in calls:
         assert start % block_size == 0 and (stop % block_size == 0 or stop == budget)
         assert 0 < stop - start <= max(1, 16384 // block_size) * block_size
+        last = start + (stop - start - 1) // block_size * block_size
+        assert all(m > last for m in marks if start < m < stop), (start, stop)
     assert calls[-1][1] == min(-(-n_used // block_size) * block_size, budget)
 
 
 def test_blocks_are_the_only_partition():
     src = Recording(halton_source(1))
     report = run(src, constant_policy(), F_X1, 10**5, STOP_RULE, block_size=1024)
-    assert_whole_blocks(src.calls, 1024, 10**5, report.N_used)
+    assert_whole_blocks(src.calls, 1024, 10**5, report.N_used, STOP_RULE)
     assert src.calls[-1][0] < report.N_used <= src.calls[-1][1]
 
 
@@ -461,11 +464,14 @@ def test_blocks_are_the_only_partition():
     (ALTERNATING_POL, StoppingRule(), 10**4, 7),
     (DENSITY_POL, StoppingRule(min_samples=1000, rel_tol=1e-5), 2 * 10**5, 70000),
     (DENSITY_POL, StoppingRule(min_samples=300, rel_tol=1e-3), 3000, 1),
-], ids=["geometric-checkpoints", "fixed-budget", "degenerate", "huge-blocks", "single-points"])
+    # Checkpoints every 2500 points before the run can stop.
+    (DENSITY_POL, StoppingRule(min_samples=20000, rel_tol=1e-5), 10**5, 1024),
+], ids=["geometric-checkpoints", "fixed-budget", "degenerate", "huge-blocks", "single-points",
+        "min-samples-spans-many-blocks"])
 def test_batches_are_whole_blocks_up_to_the_stopping_block(pol, rule, budget, block_size):
     src = Recording(halton_source(1))
     report = run(src, pol, F_X1, budget, rule, block_size=block_size)
-    assert_whole_blocks(src.calls, block_size, budget, report.N_used)
+    assert_whole_blocks(src.calls, block_size, budget, report.N_used, rule)
 
 
 class RaisesFrom:
@@ -704,19 +710,19 @@ def test_run_blocked_rejects_a_nonfinite_weight_or_function_value(index):
 
 def _reference_run(src, pol, func, budget, rule, block_size):
     """``run``'s trace columns and final estimate from the definition: whole
-    blocks' ``np.sum`` sums folded with ``MeanAccumulator._fold``, in-block
-    prefixes as ``np.cumsum`` of ``np.add.reduceat`` cut at the block's
-    checkpoints (added to the committed totals in numpy), estimates from
-    ``_ratio``, and the window's spread and tolerance where it is full,
-    from ``min_samples`` on, and free of degenerate estimates."""
+    blocks added with ``add_block``, a checkpoint inside a block read from a
+    copy of the accumulator with the block's prefix added, a stop returning
+    what its checkpoint read, estimates from ``_ratio``, and the window's
+    spread and tolerance where it is full, from ``min_samples`` on, and free
+    of degenerate estimates."""
     delta = rule.degeneracy_threshold
     marks = mean_mod._checkpoints(budget, rule)
     pts = src.block(0, budget, 1)
-    w = pol.weights(pts)
-    terms = (w * func.eval_block(pts), w, np.abs(w))
-    acc, rows, recent = MeanAccumulator(), [], deque(maxlen=rule.window)
+    w, v = pol.weights(pts), func.eval_block(pts)
+    rows, recent = [], deque(maxlen=rule.window)
 
-    def observe(m, num, den, aw):
+    def observe(m, acc):
+        num, den, aw = acc.numerator, acc.denominator, acc.abs_weight_sum
         est = mean_mod._ratio(num, den, aw, delta)
         est = None if est is DEGENERATE else est
         recent.append(est)
@@ -728,33 +734,21 @@ def _reference_run(src, pol, func, budget, rule, block_size):
         rows.append((m, num, den, aw, est, spread, tol))
         return full and (all(e is None for e in recent) or spread is not None and spread <= tol)
 
-    def fold(lo, hi):
-        acc._fold(*(np.sum(t[lo:hi]) for t in terms), hi - lo)
+    def walk():
+        acc = MeanAccumulator()
+        for lo in range(0, budget, block_size):
+            hi = min(lo + block_size, budget)
+            for m in (m for m in marks if lo < m < hi):
+                seen = acc.copy().add_block(w[lo:m], v[lo:m])
+                if observe(m, seen):
+                    return seen
+            acc.add_block(w[lo:hi], v[lo:hi])
+            if hi in marks and observe(hi, acc):
+                return acc
+        return acc
 
-    stopped = False
-    for lo in range(0, budget, block_size):
-        hi = min(lo + block_size, budget)
-        inside = [m for m in marks if lo < m < hi]
-        if inside:
-            cuts = [0] + [m - lo for m in inside[:-1]]
-            nums, dens, aws = (np.cumsum(np.add.reduceat(t[lo:inside[-1]], cuts))
-                               for t in terms)
-            for m, num, den, aw in zip(inside, (acc.numerator + nums).tolist(),
-                                       (acc.denominator + dens).tolist(),
-                                       (acc.abs_weight_sum + aws).tolist()):
-                if observe(m, num, den, aw):
-                    fold(lo, m)
-                    stopped = True
-                    break
-        if stopped:
-            break
-        fold(lo, hi)
-        if hi in marks and observe(hi, acc.numerator, acc.denominator, acc.abs_weight_sum):
-            break
-    final = acc.estimate(delta)
+    acc = walk()
     assert rows[-1][0] == acc.count
-    rows[-1] = (acc.count, acc.numerator, acc.denominator, acc.abs_weight_sum,
-                None if final is DEGENERATE else final, *rows[-1][5:])
     return {
         "m": [r[0] for r in rows],
         "numerator": [r[1] for r in rows],
@@ -763,7 +757,7 @@ def _reference_run(src, pol, func, budget, rule, block_size):
         "den_ratio": [abs(den) / aw if aw > 0.0 else 0.0 for _, _, den, aw, *_ in rows],
         "spread": [r[5] for r in rows],
         "tolerance": [r[6] for r in rows],
-    }, final
+    }, acc.estimate(delta)
 
 
 class SignedWeights:
@@ -776,13 +770,17 @@ class SignedWeights:
         return np.where(np.abs(w) < 0.05, -0.0, w)
 
 
+TRACE_POLICIES = st.sampled_from([DENSITY_POL, SignedWeights(), ALTERNATING_POL,
+                                  oscillatory_policy(quadratic_action([[2.0]])),
+                                  oscillatory_policy(quadratic_action([[40.0]]))])
+TRACE_BLOCK_SIZES = st.sampled_from([1, 3, 1000, 4096, 5000, 20000])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     offset=st.integers(0, 10**6),
-    pol=st.sampled_from([DENSITY_POL, SignedWeights(), ALTERNATING_POL,
-                         oscillatory_policy(quadratic_action([[2.0]])),
-                         oscillatory_policy(quadratic_action([[40.0]]))]),
-    block_size=st.sampled_from([1, 3, 1000, 4096, 5000, 20000]),
+    pol=TRACE_POLICIES,
+    block_size=TRACE_BLOCK_SIZES,
     window=st.integers(2, 8),
     min_samples=st.sampled_from([1, 7, 56, 1000, 3000]),
     budget=st.integers(3000, 40000),
@@ -798,6 +796,21 @@ def test_trace_rows_and_estimate_match_the_definition_bit_for_bit(
     assert report.N_used == trace["m"][-1]
     assert repr(report.trace) == repr(trace)  # repr keeps every bit, signed zeros too
     assert _bits(report.final_estimate) == _bits(final)
+
+
+@settings(max_examples=20, deadline=None)
+@given(offset=st.integers(0, 10**6), pol=TRACE_POLICIES, block_size=TRACE_BLOCK_SIZES,
+       rel_tol=st.floats(1e-6, 1e-3))
+def test_every_trace_row_is_the_final_state_of_a_run_stopped_there(
+        offset, pol, block_size, rel_tol):
+    budget = 40000 if block_size >= 1000 else 2000  # one-point blocks are slow
+    trace = run(halton_source(offset), pol, F_X1, budget,
+                StoppingRule(rel_tol=rel_tol, min_samples=1000), block_size=block_size).trace
+    for row, m in enumerate(trace["m"]):
+        final = run(halton_source(offset), pol, F_X1, m, StoppingRule(min_samples=m),
+                    block_size=block_size).trace
+        for name in ("numerator", "denominator", "den_ratio"):
+            assert repr(trace[name][row]) == repr(final[name][-1]), (m, name)
 
 
 def test_run_computes_one_estimate_per_reached_checkpoint(monkeypatch, tmp_path):

@@ -352,8 +352,18 @@ def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np
     A batch never runs past the block holding the next mark, so its marks lie
     in its last block; one inside that block reads a copy of the committed
     accumulator with the block's prefix added by ``add_block``, which is what
-    a stop there returns."""
+    a stop there returns.
+
+    At a block's end the policy's declared facts stand in for sums they fix:
+    a ``nonnegative`` policy's absolute-weight sum is its weight sum, and a
+    ``unit`` policy's weight sum is the block length and, for float64
+    values, its weighted sum the sum of the values.  Each keeps the bits of
+    the sum it replaces, up to the sign of a zero weight sum, which folds
+    onto the running total as +0.0; a policy that declares neither, or
+    lacks the attributes, gets all three sums."""
     rank = _rank(policy, func)
+    nonnegative = getattr(policy, "nonnegative", False)
+    unit = getattr(policy, "unit", False)
     batch = max(1, _BATCH_POINTS // block_size) * block_size
     acc = MeanAccumulator()
     start = lo
@@ -366,13 +376,17 @@ def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np
         n = end - start
         pts = source.block(start, end, rank, buf)
         w = _weights(policy, pts, start)
-        v = func.eval_block(pts)
+        v = np.asarray(func.eval_block(pts))
+        real_unit = unit and v.dtype == np.float64
         # A non-finite term or sum is an error only before the stop, where
         # add_block raises; until then its sums are formed in silence.
         with np.errstate(over="ignore", invalid="ignore"):
-            nums = _block_sums(np.multiply(w, v), block_size)
-            dens = _block_sums(w, block_size)
-            aws = _block_sums(np.abs(w), block_size)
+            nums = _block_sums(v if real_unit else np.multiply(w, v), block_size)
+            if unit:
+                dens = [float(min(block_size, n - a)) for a in range(0, n, block_size)]
+            else:
+                dens = _block_sums(w, block_size)
+            aws = dens if nonnegative else _block_sums(np.abs(w), block_size)
         finite = np.isfinite((nums, dens, aws)).all(axis=0).tolist()
         for j, a in enumerate(range(0, n, block_size)):
             if a + block_size >= n:  # the last block

@@ -107,6 +107,11 @@ _SLICE = 1 << 14
 # 0, 1, ..., _SLICE - 1: a slice's indices are its first index plus this.
 _RAMP = np.arange(_SLICE, dtype=np.int64)
 _RAMP.flags.writeable = False
+# The same ramp in float64, for indices below 2^53, where each is exact.
+_FLOAT_RAMP = _RAMP.astype(np.float64)
+_FLOAT_RAMP.flags.writeable = False
+# Every integer up to this is an exact float64 value.
+_EXACT_INTEGER = 1 << 53
 
 
 def _slices(m: int):
@@ -153,9 +158,6 @@ def _primes(count: int, known: Sequence[int] = ()) -> list[int]:
 
 # Digits per table lookup: the most whose table stays within 2^16 entries.
 _TABLE_ENTRIES = 1 << 16
-# A reversed-digit numerator and its power-of-base denominator are exact
-# float64 values while the denominator stays within 2^53.
-_EXACT_DENOMINATOR = 1 << 53
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
@@ -205,33 +207,33 @@ def _radical_inverse(first: int, base: int, out: np.ndarray) -> np.ndarray:
     and across a run of indices that share their high digits ``q = n //
     base**k`` those low digits are a contiguous table slice, so ``N`` is
     that slice times ``base**(D - k)`` plus the one reversal of ``q``.
-    While ``base**D <= 2^53``, ``N`` is built in ``out``'s own bytes, and
-    both are exact float64 values that one division rounds correctly; past
-    that (indices near the top of int64) the quotient of the exact Python
-    integers is taken, which Python also rounds correctly.  Values that
-    round to 1.0 are returned as the largest float below 1, so the result
-    always lies in [0, 1) and within 1 ulp of the exact radical inverse.
+    While ``base**D <= 2^53``, ``N`` is built in float64 in ``out`` itself:
+    every product and sum on the way is an integer below ``base**D``, so
+    each step is exact, and one division by ``base**D`` rounds the
+    quotient correctly; past that (indices near the top of int64) the
+    quotient of the exact Python integers is taken, which Python also
+    rounds correctly.  Values that round to 1.0 are returned as the largest
+    float below 1, so the result always lies in [0, 1) and within 1 ulp of
+    the exact radical inverse.
     """
     k, table = _digit_table(base)
     step = base**k
     width = _digits((first + len(out) - 1) // step, base)
     scale, den = base**width, base ** (k + width)
-    exact = den <= _EXACT_DENOMINATOR
-    num = out.view(np.int64)
+    exact = den <= _EXACT_INTEGER
     q, lo = divmod(first, step)
     at = 0
     while at < len(out):
         stop = min(at + step - lo, len(out))
         low, high = table[lo : lo + stop - at], _reversed(q, base, width)
         if exact:
-            # In int64 explicitly: a small table dtype times an int wraps.
-            np.multiply(low, scale, out=num[at:stop], dtype=np.int64)
-            num[at:stop] += high
+            np.multiply(low, float(scale), out=out[at:stop], dtype=np.float64)
+            out[at:stop] += float(high)
         else:
             out[at:stop] = [min((t * scale + high) / den, _BELOW_ONE) for t in low.tolist()]
         at, q, lo = stop, q + 1, 0
     if exact:
-        np.divide(num, float(den), out=out)
+        out /= float(den)
     return out
 
 
@@ -379,22 +381,37 @@ class WeylSource(PointSource):
                     f"coordinate {k + 1} was requested"
                 )
             return self._explicit[k]
-        while len(self._cache) <= k:
-            j = len(self._cache) + 1
-            frac = _pi_power_fraction(j)
-            self._cache.append(self._check(frac, f"frac(pi^{j})"))
-        return self._cache[k]
+        # Extended aside and swapped in whole, so concurrent first uses
+        # never append the same generator twice.
+        cache = self._cache
+        if len(cache) <= k:
+            cache = list(cache)
+            for j in range(len(cache) + 1, k + 2):
+                cache.append(self._check(_pi_power_fraction(j), f"frac(pi^{j})"))
+            self._cache = cache
+        return cache[k]
 
     def coordinate_block(self, indices, k, out):
+        """``frac(n * alpha_k)`` of each shifted index ``n``.  While every
+        index is below 2^53 it is formed as an exact float64 value, so the
+        product has the bits of the int64-times-float64 product, whose
+        cast is exact there; from 2^53 on the indices are formed in int64
+        and numpy casts them in the product."""
         alpha = self.generator(k)
         first = _shifted_start(indices, self.index_offset)
-        # One scratch slice: the shifted indices, then the floor of the product.
-        shifted = np.empty(min(len(out), _SLICE), dtype=np.int64)
-        floor = shifted.view(np.float64)
+        exact = first + len(out) <= _EXACT_INTEGER
+        # One scratch slice: the int64 indices past 2^53, then the floor of
+        # the product.
+        floor = np.empty(min(len(out), _SLICE))
+        shifted = floor.view(np.int64)
         for s in _slices(len(out)):
             prod, n = out[s], s.stop - s.start
-            np.add(_RAMP[:n], first + s.start, out=shifted[:n])
-            np.multiply(shifted[:n], alpha, out=prod)
+            if exact:
+                np.add(_FLOAT_RAMP[:n], float(first + s.start), out=prod)
+                prod *= alpha
+            else:
+                np.add(_RAMP[:n], first + s.start, out=shifted[:n])
+                np.multiply(shifted[:n], alpha, out=prod)
             np.floor(prod, out=floor[:n])
             prod -= floor[:n]
         return out

@@ -59,10 +59,19 @@ class WeightPolicy:
     ``rank`` is the number of leading coordinates the policy reads; the
     engine generates blocks at least that wide and the policy truncates
     before evaluating its payload.
+
+    Two facts let the chunk loop skip block sums it already knows, so a
+    policy may declare each only where it holds at every point:
+    ``nonnegative``, every weight is real and >= 0, so the sum of absolute
+    weights is the weight sum; ``unit``, every weight is exactly 1.0, so
+    the weight sum is the block length and, for real float64 values, the
+    weighted sum is the sum of the values.  Both are false by default.
     """
 
     kind: str = "abstract"
     rank: int = 0
+    nonnegative: bool = False
+    unit: bool = False
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
         """Weights for a block of points whose first row has the given index."""
@@ -72,6 +81,7 @@ class WeightPolicy:
 class ConstantPolicy(WeightPolicy):
     kind = "constant"
     rank = 0
+    nonnegative = unit = True
 
     def weights(self, points: np.ndarray, start_index: int = 0) -> np.ndarray:
         return np.ones(len(points))
@@ -79,6 +89,7 @@ class ConstantPolicy(WeightPolicy):
 
 class DensityPolicy(WeightPolicy):
     kind = "density"
+    nonnegative = True
 
     def __init__(self, density: Callable[[np.ndarray], np.ndarray], rank: int):
         self.density = density
@@ -93,6 +104,7 @@ class DensityPolicy(WeightPolicy):
 
 class BoltzmannPolicy(WeightPolicy):
     kind = "boltzmann"
+    nonnegative = True
 
     def __init__(self, action):
         self.action = action

@@ -708,6 +708,109 @@ def test_run_blocked_rejects_a_nonfinite_weight_or_function_value(index):
         run_blocked(src, constant_policy(), func, 140001, 2)
 
 
+# The chunk loop skips the block sums a policy's declared facts fix: Σ|w| for
+# a nonnegative policy, and Σw (and, for real values, Σw·v) for a unit one.
+class Plain:
+    """Another policy seen through ``rank`` and ``weights`` only, so the
+    chunk loop forms all three block sums of its weights."""
+
+    def __init__(self, inner):
+        self.inner, self.rank = inner, inner.rank
+
+    def weights(self, pts, start_index=0):
+        return self.inner.weights(pts, start_index)
+
+
+F_EXP_IX1 = cylinder_function(1, lambda x: np.exp(1j * x[:, 0]), "exp(i x1)")
+# Each declared policy with a function, and the block sums it still forms.
+DECLARED = {
+    "constant": (constant_policy(), F_X1X2, 1),
+    "constant-complex-values": (constant_policy(), F_EXP_IX1, 1),
+    "constant-float32-values": (
+        constant_policy(), cylinder_function(1, lambda x: x[:, 0].astype(np.float32)), 1),
+    "density": (DENSITY_POL, F_X1, 2),
+    "boltzmann": (boltzmann_policy(WALK_ACTION), F_X1X2, 2),
+    "density-with-negative-zeros": (
+        density_policy(lambda x: np.where(x[:, 0] < 0.3, -0.0, 1.0 + x[:, 0]), 1), F_X1, 2),
+}
+
+
+def _rows_bits(report):
+    return [tuple(map(repr, row)) for row in zip(*report._columns)]
+
+
+def _fields_bits(acc):
+    return [repr(getattr(acc, name)) for name in MeanAccumulator.__slots__]
+
+
+@pytest.mark.parametrize("block_size", [1, 4096, 5000])
+@pytest.mark.parametrize("case", DECLARED)
+def test_declared_policies_keep_the_bits_of_all_three_sums(monkeypatch, case, block_size):
+    pol, func, sums = DECLARED[case]
+    calls = []
+
+    def counted(terms, size):
+        calls.append(len(terms))
+        return block_sums(terms, size)
+
+    block_sums = mean_mod._block_sums
+    monkeypatch.setattr(mean_mod, "_block_sums", counted)
+    # Checkpoints every 125 points to 1000, then geometric, so most fall
+    # inside a block of 4096 or 5000; some cases stop there, some at 40000.
+    rule = StoppingRule(rel_tol=3e-4)
+
+    def walk(p):
+        calls.clear()
+        return run(weyl_source(index_offset=1), p, func, 40000, rule, block_size), len(calls)
+
+    (got, got_calls), (want, want_calls) = walk(pol), walk(Plain(pol))
+    # The fast path ran: it formed fewer sums per batch than the general one.
+    assert got_calls * 3 == want_calls * sums
+    assert (_bits(got.final_estimate), got.N_used, got.stop_reason) == \
+        (_bits(want.final_estimate), want.N_used, want.stop_reason)
+    assert _rows_bits(got) == _rows_bits(want)
+    assert any(m % block_size for m in got.trace["m"]) == (block_size > 1)
+    if block_size == 1:
+        blocked = [run_blocked(pseudorandom_source(2), p, func, 140001, 3)
+                   for p in (pol, Plain(pol))]
+        assert _fields_bits(blocked[0]) == _fields_bits(blocked[1])
+
+
+def _infinite_at(index, base):
+    """``base`` with the value ``inf`` at the point ``index`` of the Halton
+    source with offset 1, whose first coordinates are all distinct."""
+    target = halton_source(1).block(index, index + 1, 1)[0, 0]
+    return lambda x: np.where(x[:, 0] == target, np.inf, base(x))
+
+
+# Point 6000 lies in the middle of the second 4096-point block.
+X1_INF = cylinder_function(1, _infinite_at(6000, lambda x: x[:, 0]), "x1, inf at 6000")
+NONFINITE = {
+    "constant": (constant_policy(), X1_INF, "function value"),
+    "density": (DENSITY_POL, X1_INF, "function value"),
+    "boltzmann": (boltzmann_policy(WALK_ACTION),
+                  cylinder_function(2, _infinite_at(6000, lambda x: x[:, 0] * x[:, 1])),
+                  "function value"),
+    "infinite-density": (density_policy(_infinite_at(6000, lambda x: 1.0 + x[:, 0]), 1), F_X1,
+                         "weight"),
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE)
+def test_a_nonfinite_term_inside_a_block_raises_as_through_all_three_sums(case):
+    pol, func, what = NONFINITE[case]
+    errors = []
+    for p in (pol, Plain(pol)):
+        for call in (lambda: run(halton_source(1), p, func, 20000,
+                                 StoppingRule(min_samples=20000), block_size=4096),
+                     lambda: run_blocked(halton_source(1), p, func, 20000, 2)):
+            with pytest.raises(NonFiniteInput) as info:
+                call()
+            errors.append(str(info.value))
+    assert errors[:2] == errors[2:]
+    assert errors[0] == f"non-finite {what} in block"
+
+
 def _reference_run(src, pol, func, budget, rule, block_size):
     """``run``'s trace columns and final estimate from the definition: whole
     blocks added with ``add_block``, a checkpoint inside a block read from a

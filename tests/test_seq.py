@@ -1,6 +1,7 @@
 """Point source behavior: indexing, truncation, certification, discrepancy."""
 
 import math
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -433,6 +434,50 @@ def test_weyl_default_generators_survive_large_powers():
     w = seq.weyl_source()
     alpha = w.generator(39)
     assert 0.0 < alpha < 1.0
+
+
+EXACT_EDGE = 2**53
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("length", [2, SLICE + 3])
+@pytest.mark.parametrize("where", ["ends-at", "straddles", "starts-at"])
+@pytest.mark.parametrize("k", range(4))
+def test_weyl_at_the_exact_integer_edge_matches_the_formula(where, length, offset, k):
+    # Shifted indices that all lie below 2^53 are formed in float64, any
+    # range reaching 2^53 in int64; either way the bits are those of the
+    # int64 index times the generator.
+    first = {"ends-at": EXACT_EDGE - length, "straddles": EXACT_EDGE - length // 2,
+             "starts-at": EXACT_EDGE}[where]
+    out = np.full(length, np.nan)
+    seq.weyl_source(index_offset=offset).coordinate_block(
+        range(first - offset, first - offset + length), k, out)
+    n = np.arange(first, first + length, dtype=np.int64)
+    assert out.tobytes() == weyl_frac(n, seq.weyl_source().generator(k)).tobytes()
+
+
+def test_weyl_generators_survive_a_concurrent_first_use(monkeypatch):
+    # Two threads that build the first generator together must leave one
+    # copy of it, so coordinate 2 does not repeat coordinate 1.
+    original = seq._pi_power_fraction
+    meet = threading.Barrier(2)
+
+    def slow(k):
+        meet.wait(timeout=10)
+        time.sleep(0.01)
+        return original(k)
+
+    monkeypatch.setattr(seq, "_pi_power_fraction", slow)
+    source = seq.weyl_source()
+    threads = [threading.Thread(target=source.generator, args=(0,)) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    monkeypatch.undo()
+    assert [source.generator(0), source.generator(1)] == \
+        [float(original(1)), float(original(2))]
 
 
 def test_weyl_default_generators_match_mpmath():

@@ -170,6 +170,40 @@ def test_config_round_trip_through_echo():
         assert parse_config_dict(echoed) == cfg
 
 
+def _echo_digest(*configs) -> str:
+    """The first 16 hex digits of the SHA-256 of the configs' sorted echoes,
+    one per line."""
+    text = "".join(json.dumps(cfg.to_dict(), sort_keys=True) + "\n" for cfg in configs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# The echo of each round-trip fixture, and of the benchmark's CLI configs at
+# each seed: a change to what `summary.json` echoes shows here.
+ECHO_DIGESTS = {
+    "MINIMAL": "1d4bce8c65324295", "DENSITY": "ba54d7391d4700a1",
+    "ALTERNATING": "f3a6f36775c1b99d", "ROUTED": "f709ba4d51f00761",
+    "NORMAL_PULLBACK": "3b1e5d168c4b5917", "CERTIFY": "61a8886f07c3d1a5",
+    "ORACLE": "987f602692cd999c", "SCAN": "186a9e08537a2a1b",
+}
+BENCH_ECHO_DIGESTS = {0: "7a4d6e8855eb17ac", 1: "ef05c9275c9a4929", 7: "dda6da4d27eaebfb",
+                      19: "0af91d596245d0c3"}
+
+
+@pytest.mark.parametrize("name", ECHO_DIGESTS)
+def test_config_echo_is_pinned(name):
+    assert _echo_digest(parse_config_dict(dict(globals()[name]))) == ECHO_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", BENCH_ECHO_DIGESTS)
+def test_benchmark_cli_config_echo_is_pinned(seed):
+    workloads = _bench_workloads()
+    configs = [parse_config_dict(json.loads(json.dumps(job["config"])), mode=job["mode"])
+               for name in workloads.WORKLOADS for job in workloads.build_jobs(name, seed)
+               if job["api"] == "cli"]
+    assert len(configs) == 7
+    assert _echo_digest(*configs) == BENCH_ECHO_DIGESTS[seed]
+
+
 # The keys each mode reads; the config of a mode may give no other.
 READS = {
     "estimate": {"budget", "source", "stopping", "function", "policy", "route", "action",

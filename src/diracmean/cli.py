@@ -1,6 +1,11 @@
 """Experiment driver: parse a JSON experiment description, wire the
 source/policy/function, run, and emit a CSV trace plus a JSON summary.
 
+``registry`` turns each config section into its object; this module owns
+the modes, the keys each reads, the rules that tie one key to another,
+the run and the output.  ``parse_config_dict`` builds each section once,
+and ``execute`` runs the objects it built.
+
 Exit codes partition the outcomes: 0 success, 1 usage, config or
 runtime error, 2 degenerate normalization, 3 non-convergence within
 budget, 4 certification or comparison failure.
@@ -23,29 +28,11 @@ from .action import _route, _scan_action, _scan_widths, fresnel_limit_scan
 from .cylinder import _SIGNIFICANCE, _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number
 from .oracle import _box, normalized_expectation
-from .registry import _as_list, _built, _quadratic, _require_keys, _widths, build_function
-from .seq import (
-    box_quantiles,
-    convergent_source,
-    halton_source,
-    normal_quantiles,
-    pseudorandom_source,
-    pullback_source,
-    uniform_quantiles,
-    weyl_source,
-)
-from .weights import (
-    boltzmann_policy,
-    constant_policy,
-    density_policy,
-    oscillatory_policy,
-    product_regularized_policy,
-)
+from .registry import _SECTIONS, _as_list, _built, _require_keys, _section
+from .seq import _MAX_INDEX, UNIT_CUBE, normal_quantiles, uniform_quantiles
+from .weights import product_regularized_policy
 
 __all__ = ["ExperimentConfig", "parse_config_dict", "execute", "main"]
-
-SOURCE_KINDS = ("halton", "weyl", "pseudorandom", "convergent", "pullback")
-POLICY_KINDS = ("constant", "density", "boltzmann", "oscillatory")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,7 +47,9 @@ class ExperimentConfig:
     mode does not read is ``None``.  What the library fixes is not a field:
     the certificate's bins and level (0.999), a run's blocks of 4096
     points, the weight-borne route's box (8x the widest regularizer width)
-    and the oracle's first grid (4 cells per axis)."""
+    and the oracle's first grid (4 cells per axis).  ``_parts``, set by
+    ``parse_config_dict`` and not a field, holds the objects ``execute`` runs:
+    each section's by key, the ``"run"`` inputs and the ``"oracle"`` integrand."""
 
     mode: str
     budget: int | None
@@ -92,124 +81,25 @@ class ExperimentConfig:
         return mean_mod.StoppingRule(**self.stopping)
 
 
-# ---------------------------------------------------------------------------
-# Config sections: each is validated and built by one function, returning
-# the normalized spec (what ``summary.json`` echoes) and the built object.
-
-
-def _require_object(spec, field: str, needs: str) -> None:
-    if not isinstance(spec, dict):
-        raise ValidationError(field, f"expected an object with {needs}")
-
-
-def _source(spec, field: str = "source"):
-    _require_object(spec, field, "a 'kind'")
-    kind = spec.get("kind")
-    if kind not in SOURCE_KINDS:
-        raise ValidationError(f"{field}.kind", f"{kind!r} is not one of {list(SOURCE_KINDS)}")
-    if kind == "halton":
-        _require_keys(spec, {"kind", "offset"}, field)
-        offset = as_count(f"{field}.offset", spec.get("offset", 0), 0)
-        return {"kind": kind, "offset": offset}, halton_source(offset)
-    if kind == "weyl":
-        _require_keys(spec, {"kind", "alphas", "offset"}, field)
-        out = {"kind": kind, "offset": as_count(f"{field}.offset", spec.get("offset", 0), 0)}
-        if spec.get("alphas") is not None:
-            out["alphas"] = [str(a) for a in _as_list(spec["alphas"], f"{field}.alphas")]
-        return out, _built(f"{field}.alphas", weyl_source, out.get("alphas"), out["offset"])
-    if kind == "pseudorandom":
-        _require_keys(spec, {"kind", "seed"}, field)
-        seed = as_count(f"{field}.seed", spec.get("seed", 0))
-        return {"kind": kind, "seed": seed}, pseudorandom_source(seed)
-    if kind == "convergent":
-        _require_keys(spec, {"kind", "target", "rate", "offset"}, field)
-        src = _built(field, convergent_source, target=spec.get("target", 0.0),
-                     rate=spec.get("rate", 0.5), offset=spec.get("offset", 1.0))
-
-        def echo(name):
-            """The checked value, a list where the config gave one."""
-            checked = getattr(src, name)
-            return list(checked) if isinstance(spec.get(name), list) else checked[0]
-
-        return {"kind": kind, "target": echo("target"), "rate": src.rate,
-                "offset": echo("offset")}, src
-    _require_keys(spec, {"kind", "base", "quantiles"}, field)
-    base_spec, base = _source(spec.get("base"), f"{field}.base")
-    quantiles, family = _quantiles(spec.get("quantiles", {"family": "normal"}),
-                                   f"{field}.quantiles")
-    out = {"kind": kind, "base": base_spec, "quantiles": quantiles}
-    return out, _built(f"{field}.base", pullback_source, base, family)
-
-
-def _quantiles(spec, field: str):
-    _require_object(spec, field, "a 'family'")
-    family = spec.get("family")
-    if family == "uniform":
-        _require_keys(spec, {"family"}, field)
-        return {"family": family}, uniform_quantiles()
-    if family not in ("normal", "uniform-box"):
-        raise ValidationError(f"{field}.family",
-                              f"{family!r} is not one of ['uniform', 'normal', 'uniform-box']")
-    _require_keys(spec, {"family", "widths"}, field)
-    build = normal_quantiles if family == "normal" else box_quantiles
-    widths = _widths(spec, field)
-    return {"family": family, "widths": list(widths)}, build(widths)
-
-
-def _check_source(spec: dict, rank: int, pulled_back: bool, field: str = "source") -> None:
-    """Fail unless explicit Weyl ``alphas`` cover the ``rank`` coordinates a
-    run reads from the normalized source ``spec``, and unless a Halton or
-    Weyl source that is ``pulled_back`` through quantiles starts past its
-    point 0, the origin, where the quantiles are infinite."""
-    if spec["kind"] == "pullback":
-        _check_source(spec["base"], rank, True, f"{field}.base")
-        return
+def _check_source(spec: dict, rank: int, pulled_back: bool, budget: int) -> None:
+    """Fail unless explicit Weyl ``alphas`` of the normalized source ``spec``
+    (or its pullback's base) cover the ``rank`` coordinates a run reads, and
+    a Halton or Weyl offset is at least 1 where the source is ``pulled_back``
+    and keeps the last index of ``budget`` points within int64."""
+    field = "source"
+    if spec["kind"] == "pullback":  # whose base is a cube source
+        spec, field, pulled_back = spec["base"], "source.base", True
     if "alphas" in spec and len(spec["alphas"]) < rank:
         raise ValidationError(f"{field}.alphas",
                               f"{len(spec['alphas'])} given but the run reads {rank} coordinates")
-    if pulled_back and spec["kind"] in ("halton", "weyl") and spec["offset"] == 0:
+    if spec["kind"] not in ("halton", "weyl"):
+        return
+    if pulled_back and spec["offset"] == 0:
         raise ValidationError(f"{field}.offset", "must be at least 1 where the source is "
                               "pulled back through quantiles: its point 0 is the origin")
-
-
-def _action(spec, field: str = "action"):
-    _require_object(spec, field, "a 'matrix'")
-    _require_keys(spec, {"kind", "matrix", "linear", "constant"}, field)
-    if spec.get("kind", "quadratic") != "quadratic":
-        raise ValidationError(f"{field}.kind", "only 'quadratic' actions are configurable")
-    out, act = _quadratic(spec, field)
-    return {"kind": "quadratic", **out}, act
-
-
-def _regularizer(spec, field: str = "regularizer"):
-    _require_object(spec, field, "a 'family'")
-    _require_keys(spec, {"family", "widths"}, field)
-    if spec.get("family", "gaussian") != "gaussian":
-        raise ValidationError(f"{field}.family", "only the 'gaussian' family is configurable")
-    reg = normal_quantiles(_widths(spec, field))
-    return {"family": "gaussian", "widths": list(reg.widths)}, reg
-
-
-def _policy(spec, field: str = "policy"):
-    _require_object(spec, field, "a 'kind'")
-    kind = spec.get("kind")
-    if kind not in POLICY_KINDS:
-        raise ValidationError(f"{field}.kind", f"{kind!r} is not one of {list(POLICY_KINDS)}")
-    if kind == "constant":
-        _require_keys(spec, {"kind"}, field)
-        return {"kind": kind}, constant_policy()
-    if kind == "density":
-        _require_keys(spec, {"kind", "function"}, field)
-        fn = build_function(spec.get("function"), f"{field}.function")
-        return {"kind": kind, "function": spec["function"]}, density_policy(fn.eval_block, fn.rank)
-    keys = {"kind", "action", "index_phase"} if kind == "oscillatory" else {"kind", "action"}
-    _require_keys(spec, keys, field)
-    out = {"kind": kind}
-    out["action"], act = _action(spec.get("action"), f"{field}.action")
-    if kind == "boltzmann":
-        return out, boltzmann_policy(act)
-    out["index_phase"] = as_number(f"{field}.index_phase", spec.get("index_phase", 0.0))
-    return out, oscillatory_policy(act, out["index_phase"])
+    if spec["offset"] + budget - 1 > _MAX_INDEX:
+        raise ValidationError(f"{field}.offset",
+                              f"{spec['offset']} moves index {budget - 1} past 2^63 - 1")
 
 
 def _load(data: bytes) -> dict:
@@ -231,7 +121,8 @@ def _load(data: bytes) -> dict:
 
 def _stopping(spec) -> dict:
     """The stopping rule's fields, the defaults filled."""
-    _require_object(spec, "stopping", "stopping-rule fields")
+    if not isinstance(spec, dict):
+        raise ValidationError("stopping", "expected an object with stopping-rule fields")
     stopping = asdict(mean_mod.StoppingRule())
     _require_keys(spec, set(stopping), "stopping")
     for name, value in spec.items():
@@ -239,22 +130,11 @@ def _stopping(spec) -> dict:
     return dict(stopping, **spec)
 
 
-def _function(spec, field: str) -> dict:
-    build_function(spec, field)
-    return spec
-
-
-# Each config key's check, returning the normalized value ``settings`` echoes.
+# The check of each key that is not a section, returning what ``settings`` echoes.
 _CHECKS = {
     "budget": lambda v: as_count("budget", v, 1),
-    "source": lambda v: _source(v)[0],
-    "policy": lambda v: _policy(v)[0],
-    "function": lambda v: _function(v, "function"),
-    "density": lambda v: _function(v, "density"),
     "hierarchy": lambda v: _built("hierarchy", _ranks, _as_list(v, "hierarchy")),
     "stopping": _stopping,
-    "action": lambda v: _action(v)[0],
-    "regularizer": lambda v: _regularizer(v)[0],
     "route": lambda v: v,  # checked by ``_route``, which parsing calls
     "sigmas": lambda v: _scan_widths(_as_list(v, "sigmas"), "sigmas"),
     "tolerance": lambda v: as_number("tolerance", v, 0.0),
@@ -300,13 +180,17 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
 
     settings = dict.fromkeys(names)
     settings["mode"] = resolved_mode
+    parts = {}
     for key, default in reads.items():
-        if key in raw:
-            settings[key] = _CHECKS[key](raw[key])
-        elif default is _REQUIRED:
+        value = raw.get(key, default)
+        if value is _REQUIRED:
             raise ValidationError(key, "is required for this mode")
-        elif default is not None:
-            settings[key] = _CHECKS[key](default)
+        if value is None and key not in raw:
+            continue
+        if key in _SECTIONS:
+            settings[key], parts[key] = _section(key, value, key)
+        else:
+            settings[key] = _CHECKS[key](value)
     if settings["truncation"] is not None and not _reads_truncation(settings):
         if "truncation" in raw:
             raise ValidationError("truncation", "is read only where the oracle's measure is "
@@ -314,6 +198,7 @@ def parse_config_dict(raw: dict, mode: str | None = None) -> ExperimentConfig:
                                   "through 'normal' quantiles")
         settings["truncation"] = None
     config = ExperimentConfig(**settings)
+    object.__setattr__(config, "_parts", parts)
     _check_across(config)
     return config
 
@@ -329,7 +214,9 @@ def _reads_truncation(settings: dict) -> bool:
 
 
 def _check_across(cfg: ExperimentConfig) -> None:
-    """The rules that tie one key of a checked config to another."""
+    """The rules that tie one key of a checked config to another, read off its
+    built sections; they build the run's inputs and the oracle's integrand."""
+    parts = cfg._parts
     if cfg.mode in ("estimate", "compare"):
         route_keys = (cfg.route, cfg.action, cfg.regularizer)
         if cfg.policy is not None and any(v is not None for v in route_keys):
@@ -344,9 +231,11 @@ def _check_across(cfg: ExperimentConfig) -> None:
         raise ValidationError(
             "budget", f"{cfg.budget} is below stopping.min_samples {cfg.stopping['min_samples']}")
     # A route pulls the configured source back itself; fresnel-scan always routes.
-    if (cfg.route is not None or cfg.mode == "certify") and cfg.source["kind"] == "pullback":
+    source = parts.get("source")
+    if (cfg.route is not None or cfg.mode == "certify") and source.codomain != UNIT_CUBE:
         what = "certify" if cfg.mode == "certify" else "a route"
-        raise ValidationError("source.kind", f"{what} needs a unit-cube source, not 'pullback'")
+        raise ValidationError("source.kind",
+                              f"{what} needs a {UNIT_CUBE} source, not {source.kind!r}")
 
     if cfg.mode == "oracle":
         pair = [v for v in (cfg.action, cfg.regularizer) if v is not None]
@@ -357,19 +246,23 @@ def _check_across(cfg: ExperimentConfig) -> None:
         _built("budget", _bins_per_rank, cfg.hierarchy, cfg.budget)
         rank = max(cfg.hierarchy)
     elif cfg.mode == "fresnel-scan":
-        act = _action(cfg.action)[1]
+        act = parts["action"]
         _scan_action(act)
-        rank = max(0 if cfg.function is None else build_function(cfg.function, "function").rank, 1)
+        rank = max(parts["function"].rank if "function" in parts else 0, 1)
         # The scan's first route, built here so that its errors fail at parse.
-        _route(_source(cfg.source)[1], act, normal_quantiles([cfg.sigmas[0]] * rank), rank,
-               cfg.route)
+        _route(source, act, normal_quantiles([cfg.sigmas[0]] * rank), rank, cfg.route)
     else:
+        func = parts["function"]
+        run = source, parts.get("policy"), func
+        if cfg.route is not None:  # a route's source and policy, as oscillatory_mean's
+            run = *_route(source, parts["action"], parts["regularizer"], func.rank, cfg.route), func
+        parts["run"] = run
         # The coordinates the run reads, which explicit alphas must cover.
-        rank = mean_mod._rank(*_estimate_inputs(cfg)[1:])
+        rank = mean_mod._rank(*run[1:])
     if cfg.source is not None:  # every mode but oracle
-        _check_source(cfg.source, rank, cfg.route is not None)
+        _check_source(cfg.source, rank, cfg.route is not None, cfg.budget)
     if cfg.mode in ("oracle", "compare"):
-        _oracle_integrand(cfg, build_function(cfg.function, "function"))
+        parts["oracle"] = _oracle_integrand(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +281,8 @@ def _estimate_json(value) -> dict | str:
     return {"re": _finite(value.real), "im": _finite(value.imag)}
 
 
-def _estimate_inputs(config: ExperimentConfig):
-    """The source, policy and function of an ``estimate`` or ``compare``
-    run: the configured policy over the configured source, or a route's
-    source and policy as ``oscillatory_mean`` builds them."""
-    source = _source(config.source)[1]
-    func = build_function(config.function, "function")
-    if config.route is None:
-        return source, _policy(config.policy)[1], func
-    source, policy = _route(source, _action(config.action)[1], _regularizer(config.regularizer)[1],
-                            func.rank, config.route)
-    return source, policy, func
-
-
 def _run_estimate(config: ExperimentConfig) -> tuple[int, dict, mean_mod.ConvergenceReport]:
-    report = mean_mod.run(*_estimate_inputs(config), config.budget, config.stopping_rule())
+    report = mean_mod.run(*config._parts["run"], config.budget, config.stopping_rule())
     if report.degenerate:
         code = EXIT_DEGENERATE
     elif report.converged:
@@ -423,7 +303,7 @@ def _mode_estimate(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, d
 
 
 def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
-    reports = hierarchy_certify(_source(config.source)[1], config.hierarchy, config.budget)
+    reports = hierarchy_certify(config._parts["source"], config.hierarchy, config.budget)
     all_pass = all(r.passed for r in reports)
     result = {
         "levels": [r.to_dict() for r in reports],
@@ -433,19 +313,20 @@ def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), result, {}
 
 
-def _oracle_integrand(config: ExperimentConfig, func):
-    """The quadrature oracle's density and box for an ``oracle`` or
+def _oracle_integrand(config: ExperimentConfig):
+    """The quadrature oracle's function, density and box for an ``oracle`` or
     ``compare`` run: an oracle's ``density`` on the unit cube; else the
     regularizer and action's ``xi e^{-iS}`` on the regularizer measure's
     truncated domain, for an oracle or a compare route; else the source's
     sampling density times the policy's weights on the source's domain."""
+    parts = config._parts
+    func = parts["function"]
     if config.density is not None:
-        density = build_function(config.density, "density")
+        density = parts["density"]
         rho, domain = density.eval_block, ((0.0, 1.0),) * max(density.rank, 1)
     elif config.regularizer is not None:
-        act = _action(config.action)[1]
-        reg = _regularizer(config.regularizer)[1]
-        pol = product_regularized_policy(reg, act)
+        reg = parts["regularizer"]
+        pol = product_regularized_policy(reg, parts["action"])
         rank = max(pol.rank, func.rank if config.mode == "compare" else 0)
         rho = pol.weights
         domain = reg.domain(rank, config.truncation)
@@ -453,7 +334,7 @@ def _oracle_integrand(config: ExperimentConfig, func):
         if config.policy.get("index_phase", 0.0) != 0.0:
             raise ValidationError("policy.index_phase",
                                   "index-dependent phases have no point density to compare against")
-        source, policy, _ = _estimate_inputs(config)
+        source, policy, _ = parts["run"]
         if source.kind == "convergent":
             raise ValidationError("source", "compare mode needs an equidistributed source")
         family = source.quantiles if source.kind == "pullback" else uniform_quantiles()
@@ -467,12 +348,11 @@ def _oracle_integrand(config: ExperimentConfig, func):
             raise ValidationError("density", "oracle mode supports ranks up to 3")
         raise ValidationError("function", "compare mode supports oracle ranks up to 3")
     # Only a truncation past the float range makes a box the oracle refuses.
-    return rho, _built("truncation", _box, domain)
+    return func.eval_block, rho, _built("truncation", _box, domain)
 
 
 def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
-    func = build_function(config.function, "function")
-    value, cells = normalized_expectation(func.eval_block, *_oracle_integrand(config, func))
+    value, cells = normalized_expectation(*config._parts["oracle"])
     result = {
         "value_re": _finite(value.real),
         "value_im": _finite(value.imag),
@@ -482,8 +362,6 @@ def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dic
 
 
 def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
-    func = build_function(config.function, "function")
-    rho, domain = _oracle_integrand(config, func)
     report = _run_estimate(config)[2]
     trace_path = outdir / "trace.csv"
     report.write_csv(trace_path)
@@ -492,7 +370,7 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
         result = {"estimate": "degenerate", "oracle": None, "pass": False,
                   "tolerance": config.tolerance}
         return EXIT_DEGENERATE, result, files
-    oracle_value, cells = normalized_expectation(func.eval_block, rho, domain)
+    oracle_value, cells = normalized_expectation(*config._parts["oracle"])
     error = abs(report.final_estimate - oracle_value)
     ok = error <= config.tolerance
     result = {
@@ -509,11 +387,12 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
 
 
 def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
+    parts = config._parts
     scan = fresnel_limit_scan(
-        _source(config.source)[1],
-        _action(config.action)[1],
+        parts["source"],
+        parts["action"],
         config.sigmas,
-        None if config.function is None else build_function(config.function, "function"),
+        parts.get("function"),
         config.budget,
         config.stopping_rule(),
         route=config.route,

@@ -356,11 +356,11 @@ def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np
 
     At a block's end the policy's declared facts stand in for sums they fix:
     a ``nonnegative`` policy's absolute-weight sum is its weight sum, and a
-    ``unit`` policy's weight sum is the block length and, for float64
-    values, its weighted sum the sum of the values.  Each keeps the bits of
-    the sum it replaces, up to the sign of a zero weight sum, which folds
-    onto the running total as +0.0; a policy that declares neither, or
-    lacks the attributes, gets all three sums."""
+    ``unit`` policy's weight sum is the block length and, for float64 or
+    complex128 values, its weighted sum the sum of the values.  Each keeps
+    the bits of the sum it replaces, up to the sign of a zero sum, which
+    folds onto the running total as +0.0; a policy that declares neither,
+    or lacks the attributes, gets all three sums."""
     rank = _rank(policy, func)
     nonnegative = getattr(policy, "nonnegative", False)
     unit = getattr(policy, "unit", False)
@@ -377,11 +377,11 @@ def _accumulate(source, policy, func, lo: int, hi: int, block_size: int, buf: np
         pts = source.block(start, end, rank, buf)
         w = _weights(policy, pts, start)
         v = np.asarray(func.eval_block(pts))
-        real_unit = unit and v.dtype == np.float64
+        summed = unit and v.dtype in (np.float64, np.complex128)
         # A non-finite term or sum is an error only before the stop, where
         # add_block raises; until then its sums are formed in silence.
         with np.errstate(over="ignore", invalid="ignore"):
-            nums = _block_sums(v if real_unit else np.multiply(w, v), block_size)
+            nums = _block_sums(v if summed else np.multiply(w, v), block_size)
             if unit:
                 dens = [float(min(block_size, n - a)) for a in range(0, n, block_size)]
             else:

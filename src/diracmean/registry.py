@@ -1,9 +1,10 @@
-"""Built-in scalar functions selectable by name from experiment configs,
-and the wrapper that names a config field in a library call's error.
+"""Config sections turned into library objects, one kind table per section.
 
-Each builder turns a parameter dict into a :class:`CylinderFunction`;
-the same entries serve as integrands and as density payloads.  Keeping
-the registry closed (no expression language) keeps configs testable.
+A section (a source, quantile family, policy, action, regularizer or
+function entry) names its kind; its table maps each kind to the builder
+that builds it with the library constructor a run uses, and to the keys
+that builder reads.  Closed tables (no expression language) keep configs
+testable; ``cli`` owns the modes, the cross-key rules and the output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ import numpy as np
 from .action import quadratic_action
 from .cylinder import CylinderFunction
 from .errors import DiracMeanError, ValidationError, as_count, as_number, as_numbers
-from .seq import normal_quantiles
+from .seq import (
+    REAL_PRODUCT,
+    UNIT_CUBE,
+    box_quantiles,
+    convergent_source,
+    halton_source,
+    normal_quantiles,
+    pseudorandom_source,
+    pullback_source,
+    uniform_quantiles,
+    weyl_source,
+)
+from .weights import boltzmann_policy, constant_policy, density_policy, oscillatory_policy
 
 __all__ = ["FUNCTION_NAMES", "build_function"]
 
@@ -54,31 +67,118 @@ def _widths(spec: dict, field: str) -> tuple[float, ...]:
     return as_numbers(f"{field}.widths", spec.get("widths", 1.0), 0.0)
 
 
+def _section(name: str, spec, field: str):
+    """The ``(echo, object)`` of section ``name``'s config ``spec`` at
+    ``field``, built by the row its kind picks; ``ValidationError`` naming
+    the field where the kind or a key is not the row's."""
+    tag, default, table = _SECTIONS[name]
+    if not isinstance(spec, dict):
+        raise ValidationError(field, f"expected an object with a {tag!r}")
+    kind = spec.get(tag, default)
+    if not isinstance(kind, str) or kind not in table:
+        raise ValidationError(f"{field}.{tag}", f"{kind!r} is not one of {list(table)}")
+    build, keys = table[kind]
+    _require_keys(spec, {tag} | keys, field)
+    return build(spec, field)
+
+
+def _from_count(kind: str, key: str, build, least: int | None = None):
+    """The row of a source built from the one count ``key``, 0 where left out."""
+
+    def row(spec: dict, field: str):
+        count = as_count(f"{field}.{key}", spec.get(key, 0), least)
+        return {"kind": kind, key: count}, build(count)
+
+    return row, {key}
+
+
+def _weyl(spec: dict, field: str):
+    out = {"kind": "weyl", "offset": as_count(f"{field}.offset", spec.get("offset", 0), 0)}
+    if spec.get("alphas") is not None:
+        out["alphas"] = [str(a) for a in _as_list(spec["alphas"], f"{field}.alphas")]
+    return out, _built(f"{field}.alphas", weyl_source, out.get("alphas"), out["offset"])
+
+
+def _convergent(spec: dict, field: str):
+    src = _built(field, convergent_source, target=spec.get("target", 0.0),
+                 rate=spec.get("rate", 0.5), offset=spec.get("offset", 1.0))
+
+    def echo(name):
+        """The checked value, a list where the config gave one."""
+        checked = getattr(src, name)
+        return list(checked) if isinstance(spec.get(name), list) else checked[0]
+
+    return {"kind": "convergent", "target": echo("target"), "rate": src.rate,
+            "offset": echo("offset")}, src
+
+
+def _pullback(spec: dict, field: str):
+    base_spec = spec.get("base")
+    if isinstance(base_spec, dict) and base_spec.get("kind") == "pullback":
+        # ``pullback_source``'s refusal, made before the descent into the
+        # base, so that no depth of nesting recurses.
+        raise ValidationError(f"{field}.base",
+                              f"must have a {UNIT_CUBE} codomain, got {REAL_PRODUCT}")
+    base_echo, base = _section("source", base_spec, f"{field}.base")
+    quantiles, family = _section("quantiles", spec.get("quantiles", {"family": "normal"}),
+                                 f"{field}.quantiles")
+    out = {"kind": "pullback", "base": base_echo, "quantiles": quantiles}
+    return out, _built(f"{field}.base", pullback_source, base, family)
+
+
+def _family(name: str, build):
+    """The row of a family built from its ``widths``."""
+
+    def row(spec: dict, field: str):
+        widths = _widths(spec, field)
+        return {"family": name, "widths": list(widths)}, build(widths)
+
+    return row, {"widths"}
+
+
 def _quadratic(spec: dict, field: str):
     """The ``matrix``, ``linear`` and ``constant`` of an action or a
     quadratic-form entry, as ``summary.json`` echoes them, and their action."""
     if "matrix" not in spec:
         raise ValidationError(f"{field}.matrix", "is required")
-    out = {"matrix": spec["matrix"]}
+    out = {"kind": "quadratic", "matrix": spec["matrix"]}
     if spec.get("linear") is not None:
         out["linear"] = spec["linear"]
     out["constant"] = as_number(f"{field}.constant", spec.get("constant", 0.0))
     return out, _built(field, quadratic_action, out["matrix"], out.get("linear"), out["constant"])
 
 
-def _coordinate(params: dict, field: str) -> CylinderFunction:
+def _density(spec: dict, field: str):
+    fn = build_function(spec.get("function"), f"{field}.function")
+    return {"kind": "density", "function": spec["function"]}, density_policy(fn.eval_block, fn.rank)
+
+
+def _of_action(spec: dict, field: str):
+    out = {"kind": spec["kind"]}
+    out["action"], act = _section("action", spec.get("action"), f"{field}.action")
+    if spec["kind"] == "boltzmann":
+        return out, boltzmann_policy(act)
+    out["index_phase"] = as_number(f"{field}.index_phase", spec.get("index_phase", 0.0))
+    return out, oscillatory_policy(act, out["index_phase"])
+
+
+# Functions serve as integrands and as density payloads; each is echoed as
+# the config gave it.
+
+
+def _coordinate(params: dict, field: str):
     idx = as_count(f"{field}.index", params.get("index", 1), 1)
-    return CylinderFunction(idx, lambda x: x[:, idx - 1], label=f"x{idx}")
+    return params, CylinderFunction(idx, lambda x: x[:, idx - 1], label=f"x{idx}")
 
 
-def _coordinate_product(params: dict, field: str) -> CylinderFunction:
+def _coordinate_product(params: dict, field: str):
     rank = as_count(f"{field}.rank", params.get("rank", 2), 1)
-    return CylinderFunction(
+    return params, CylinderFunction(
         rank, lambda x: np.prod(x[:, :rank], axis=1), label=f"x1..x{rank} product"
     )
 
 
-def _polynomial(params: dict, field: str) -> CylinderFunction:
+def _polynomial(params: dict, field: str):
     coeffs = _as_list(params.get("coeffs"), f"{field}.coeffs")
     if not coeffs:
         raise ValidationError(f"{field}.coeffs", "must not be empty")
@@ -88,31 +188,30 @@ def _polynomial(params: dict, field: str) -> CylinderFunction:
     def poly(x, c=c, idx=idx):
         return np.polynomial.polynomial.polyval(x[:, idx - 1], c)
 
-    return CylinderFunction(idx, poly, label=f"poly{list(c)} of x{idx}")
+    return params, CylinderFunction(idx, poly, label=f"poly{list(c)} of x{idx}")
 
 
-def _cosine(params: dict, field: str) -> CylinderFunction:
+def _cosine(params: dict, field: str):
     idx = as_count(f"{field}.index", params.get("index", 1), 1)
     freq = as_number(f"{field}.frequency", params.get("frequency", 1.0))
-    return CylinderFunction(
+    return params, CylinderFunction(
         idx, lambda x: np.cos(freq * x[:, idx - 1]), label=f"cos({freq} x{idx})"
     )
 
 
-def _gaussian(params: dict, field: str) -> CylinderFunction:
+def _gaussian(params: dict, field: str):
     reg = normal_quantiles(_widths(params, field))
     rank = len(reg.widths)
     # The family's density reads every column, so it is handed only its own.
-    return CylinderFunction(rank, lambda x: reg.density(x[:, :rank]),
-                            label=f"gaussian{list(reg.widths)}")
+    return params, CylinderFunction(rank, lambda x: reg.density(x[:, :rank]),
+                                    label=f"gaussian{list(reg.widths)}")
 
 
-def _quadratic_form(params: dict, field: str) -> CylinderFunction:
+def _quadratic_form(params: dict, field: str):
     action = _quadratic(params, field)[1]
-    return CylinderFunction(action.rank, action, label="quadratic form")
+    return params, CylinderFunction(action.rank, action, label="quadratic form")
 
 
-# Each builder with the keys it reads besides ``name``.
 _BUILDERS = {
     "coordinate": (_coordinate, {"index"}),
     "coordinate-product": (_coordinate_product, {"rank"}),
@@ -128,13 +227,33 @@ FUNCTION_NAMES = tuple(sorted(_BUILDERS))
 def build_function(spec: dict, field: str = "function") -> CylinderFunction:
     """Build the named function from its config entry; raises
     ``ValidationError`` naming the offending field."""
-    if not isinstance(spec, dict):
-        raise ValidationError(field, "expected an object with a 'name'")
-    name = spec.get("name")
-    if name not in FUNCTION_NAMES:
-        raise ValidationError(
-            f"{field}.name",
-            f"{name!r} is not a registered function (choose from {', '.join(FUNCTION_NAMES)})")
-    build, keys = _BUILDERS[name]
-    _require_keys(spec, {"name"} | keys, field)
-    return build(spec, field)
+    return _section("function", spec, field)[1]
+
+
+# Each section's kind key, the kind where that key is left out (``None``:
+# the key is required), and its table: each kind's builder, ``(spec, field)
+# -> (echo, object)``, with the keys it reads besides the kind.
+_SECTIONS = {
+    "source": ("kind", None, {
+        "halton": _from_count("halton", "offset", halton_source, 0),
+        "weyl": (_weyl, {"alphas", "offset"}),
+        "pseudorandom": _from_count("pseudorandom", "seed", pseudorandom_source),
+        "convergent": (_convergent, {"target", "rate", "offset"}),
+        "pullback": (_pullback, {"base", "quantiles"}),
+    }),
+    "quantiles": ("family", None, {
+        "uniform": (lambda spec, field: ({"family": "uniform"}, uniform_quantiles()), set()),
+        "normal": _family("normal", normal_quantiles),
+        "uniform-box": _family("uniform-box", box_quantiles),
+    }),
+    "regularizer": ("family", "gaussian", {"gaussian": _family("gaussian", normal_quantiles)}),
+    "action": ("kind", "quadratic", {"quadratic": (_quadratic, {"matrix", "linear", "constant"})}),
+    "policy": ("kind", None, {
+        "constant": (lambda spec, field: ({"kind": "constant"}, constant_policy()), set()),
+        "density": (_density, {"function"}),
+        "boltzmann": (_of_action, {"action"}),
+        "oscillatory": (_of_action, {"action", "index_phase"}),
+    }),
+    "function": ("name", None, _BUILDERS),
+    "density": ("name", None, _BUILDERS),
+}

@@ -64,8 +64,8 @@ class WeightPolicy:
     policy may declare each only where it holds at every point:
     ``nonnegative``, every weight is real and >= 0, so the sum of absolute
     weights is the weight sum; ``unit``, every weight is exactly 1.0, so
-    the weight sum is the block length and, for real float64 values, the
-    weighted sum is the sum of the values.  Both are false by default.
+    the weight sum is the block length and, for float64 or complex128
+    values, the weighted sum is the sum of the values.  Both are false by default.
     """
 
     kind: str = "abstract"

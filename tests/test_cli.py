@@ -1,5 +1,6 @@
 """Experiment driver: parsing, validation, modes, exit codes, determinism."""
 
+import collections
 import contextlib
 import copy
 import csv
@@ -18,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmean import (
+    ActionFunctional,
+    PointSource,
+    QuantileFamily,
     StoppingRule,
+    WeightPolicy,
     constant_policy,
     halton_source,
     normal_quantiles,
@@ -26,6 +31,7 @@ from diracmean import (
     quadratic_action,
     run,
 )
+from diracmean import cli
 from diracmean import mean as mean_mod
 from diracmean.cli import (
     EXIT_CHECK_FAILED,
@@ -36,12 +42,12 @@ from diracmean.cli import (
     MODES,
     ExperimentConfig,
     _READS,
-    _regularizer,
     _run_estimate,
-    _source,
+    execute,
     main,
     parse_config_dict,
 )
+from diracmean.cylinder import CylinderFunction
 from diracmean.errors import ValidationError
 from diracmean.registry import build_function
 
@@ -596,12 +602,12 @@ def test_pullback_settings_echo_normalized_quantiles():
 # around it and the family's density built from that config.
 WIDTHS_FIELDS = {
     "regularizer.widths": (lambda w: dict(ROUTED, regularizer={"widths": w}),
-                           lambda cfg: _regularizer(cfg["regularizer"])[1].density),
+                           lambda cfg: parse_config_dict(cfg)._parts["regularizer"].density),
     "source.quantiles.widths": (
         lambda w: dict(NORMAL_PULLBACK, source={"kind": "pullback",
                                                 "base": {"kind": "halton", "offset": 1},
                                                 "quantiles": {"family": "normal", "widths": w}}),
-        lambda cfg: _source(cfg["source"])[1].quantiles.density),
+        lambda cfg: parse_config_dict(cfg)._parts["source"].quantiles.density),
     "function.widths": (lambda w: dict(MINIMAL, function={"name": "gaussian", "widths": w}),
                         lambda cfg: build_function(cfg["function"]).eval_block),
 }
@@ -771,6 +777,13 @@ def _without(cfg, key):
           truncation=0.5), "truncation"),
     # Below 2^-40 a weight sum can be rounding noise.
     (dict(MINIMAL, stopping={"degeneracy_threshold": 1e-200}), "stopping.degeneracy_threshold"),
+    # An offset that moves the last of `budget` indices past 2^63 - 1.
+    (dict(MINIMAL, source={"kind": "halton", "offset": 9223372036854775000}, budget=2000,
+          function={"name": "coordinate", "index": 1}), "source.offset"),
+    (dict(CERTIFY, source={"kind": "halton", "offset": 9223372036854775000}), "source.offset"),
+    (dict(NORMAL_PULLBACK, source={"kind": "pullback",
+                                   "base": {"kind": "weyl", "offset": 9223372036854775000}}),
+     "source.base.offset"),
 ], ids=["pullback-of-pullback", "alpha-not-a-number", "alphas-scalar", "alphas-rational",
         "hierarchy-scalar", "hierarchy-empty", "sigmas-scalar", "sigmas-empty",
         "scan-rank-2", "scan-zero-curvature", "oracle-rank-4", "alphas-short-of-function-rank",
@@ -793,7 +806,8 @@ def _without(cfg, key):
         "oracle-density-and-action", "route-unknown", "route-box-half-width",
         "oracle-cells-per-axis", "estimate-significance", "policy-fresnel", "compare-truncation-past-float-range",
         "oracle-density-truncation", "compare-cube-truncation",
-        "compare-uniform-box-truncation", "stopping-threshold-below-the-floor"])
+        "compare-uniform-box-truncation", "stopping-threshold-below-the-floor",
+        "estimate-offset-past-int64", "certify-offset-past-int64", "base-offset-past-int64"])
 def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_config_dict(cfg)
@@ -803,6 +817,40 @@ def test_malformed_config_is_one_error_line_naming_the_field(tmp_path, capsys, c
     assert summary is None and not out.exists()
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, field", [
+    ({"kind": "halton"}, "offset"),
+    ({"kind": "weyl"}, "offset"),
+    ({"kind": "pullback", "base": {"kind": "halton"}}, "base"),
+], ids=["halton", "weyl", "pullback-base"])
+def test_an_offset_is_read_up_to_the_last_int64_index(source, field):
+    def config(offset):
+        cfg = copy.deepcopy(dict(MINIMAL, source=source, budget=2000))
+        (cfg["source"] if field == "offset" else cfg["source"]["base"])["offset"] = offset
+        return cfg
+
+    parse_config_dict(config(2**63 - 2000))
+    with pytest.raises(ValidationError, match=r"^source\.(base\.)?offset: .* past 2\^63 - 1$"):
+        parse_config_dict(config(2**63 - 1999))
+
+
+def _nested_pullback(depth):
+    source = {"kind": "weyl", "offset": 1}
+    for _ in range(depth):
+        source = {"kind": "pullback", "base": source}
+    return source
+
+
+def test_deeply_nested_pullback_fails_at_parse_naming_the_base(tmp_path, capsys):
+    message = "source.base: must have a unit-cube codomain, got real-line-product"
+    with pytest.raises(ValidationError) as exc:
+        parse_config_dict(dict(CERTIFY, source=_nested_pullback(2000)))
+    assert str(exc.value) == message
+    # Through the CLI, as deep as the JSON decoder reads with room to spare.
+    code, summary, out = run_cli(tmp_path, dict(CERTIFY, source=_nested_pullback(800)))
+    assert code == EXIT_ERROR and summary is None and not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_policy_kinds_are_listed_where_a_kind_is_unknown():
@@ -870,6 +918,79 @@ def test_non_finite_run_value_is_one_error_line(tmp_path, capsys, cfg, message):
     code, summary, _ = run_cli(tmp_path, cfg)
     assert code == EXIT_ERROR and summary is None
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# each section is built once, at parse, and the run reads those objects
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def _count_constructions(monkeypatch):
+    """A counter of the sources, quantile families, policies, actions and
+    functions constructed from now on, by class name and function label,
+    that skips those ``fresnel_limit_scan`` builds for its widths."""
+    counts = collections.Counter()
+    scanning = []
+
+    def counted(cls, init):
+        def __init__(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if type(self) is cls and not scanning:
+                counts[cls.__name__, getattr(self, "label", "")] += 1
+        return __init__
+
+    for base in (PointSource, QuantileFamily, WeightPolicy, ActionFunctional):
+        for cls in _subclasses(base):
+            monkeypatch.setattr(cls, "__init__", counted(cls, cls.__init__))
+    monkeypatch.setattr(CylinderFunction, "__init__",
+                        counted(CylinderFunction, CylinderFunction.__init__))
+
+    scan = cli.fresnel_limit_scan
+
+    def uncounted_scan(*args, **kwargs):
+        scanning.append(True)
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(cli, "fresnel_limit_scan", uncounted_scan)
+    return counts
+
+
+# A config of each mode, whose sections and the objects built from them
+# (a route's, the oracle's and fresnel-scan's first route) are each of a
+# class, or a function of a label, that no other of them is.
+BUILT_ONCE = {
+    "estimate-boltzmann-over-pullback": {
+        "mode": "estimate", "budget": 2000, "function": {"name": "coordinate", "index": 1},
+        "source": {"kind": "pullback", "base": {"kind": "weyl", "offset": 1},
+                   "quantiles": {"family": "normal", "widths": [1.0]}},
+        "policy": {"kind": "boltzmann", "action": {"matrix": [[1.0]]}}},
+    "estimate-density": dict(DENSITY, budget=2000),
+    "estimate-weight-borne": dict(ROUTED, route="weight-borne"),
+    "compare-pullback-route": dict(ROUTED, mode="compare", tolerance=0.5),
+    "compare-normal-pullback": dict(NORMAL_PULLBACK, budget=2000, stopping={}, tolerance=0.5),
+    "compare-cube": dict(DENSITY, mode="compare", budget=2000, tolerance=0.5),
+    "oracle-density": ORACLE,
+    "oracle-regularizer": {"mode": "oracle", "function": {"name": "coordinate", "index": 1},
+                           "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0]}},
+    "certify": CERTIFY,
+    "fresnel-scan": dict(SCAN, function={"name": "coordinate", "index": 1}),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_ONCE)
+def test_each_section_is_built_once_at_parse_and_not_in_execute(tmp_path, monkeypatch, name):
+    counts = _count_constructions(monkeypatch)
+    config = parse_config_dict(copy.deepcopy(BUILT_ONCE[name]))
+    assert counts and set(counts.values()) == {1}, counts
+    counts.clear()
+    assert execute(config, tmp_path / "out") in (EXIT_OK, EXIT_NOT_CONVERGED)
+    assert not counts
 
 
 # ---------------------------------------------------------------------------

@@ -709,7 +709,8 @@ def test_run_blocked_rejects_a_nonfinite_weight_or_function_value(index):
 
 
 # The chunk loop skips the block sums a policy's declared facts fix: Σ|w| for
-# a nonnegative policy, and Σw (and, for real values, Σw·v) for a unit one.
+# a nonnegative policy, and Σw (and, for float64 or complex128 values, Σw·v)
+# for a unit one.
 class Plain:
     """Another policy seen through ``rank`` and ``weights`` only, so the
     chunk loop forms all three block sums of its weights."""
@@ -722,10 +723,28 @@ class Plain:
 
 
 F_EXP_IX1 = cylinder_function(1, lambda x: np.exp(1j * x[:, 0]), "exp(i x1)")
+
+
+def _signed_zeros(x, below):
+    """``exp(i x1)``, but where ``x1 < below`` a zero whose real and
+    imaginary parts take the signs of ``x2 - 0.5`` and ``x3 - 0.5``."""
+    out = np.exp(1j * x[:, 0])
+    zero = x[:, 0] < below
+    out.real[zero] = np.copysign(0.0, x[zero, 1] - 0.5)
+    out.imag[zero] = np.copysign(0.0, x[zero, 2] - 0.5)
+    return out
+
+
 # Each declared policy with a function, and the block sums it still forms.
 DECLARED = {
     "constant": (constant_policy(), F_X1X2, 1),
     "constant-complex-values": (constant_policy(), F_EXP_IX1, 1),
+    # Signed zeros, a whole block of them at block size 1, and every block
+    # of them where every value is zero.
+    "constant-complex-signed-zeros": (
+        constant_policy(), cylinder_function(3, lambda x: _signed_zeros(x, 0.3)), 1),
+    "constant-complex-all-zeros": (
+        constant_policy(), cylinder_function(3, lambda x: _signed_zeros(x, 2.0)), 1),
     "constant-float32-values": (
         constant_policy(), cylinder_function(1, lambda x: x[:, 0].astype(np.float32)), 1),
     "density": (DENSITY_POL, F_X1, 2),

@@ -43,7 +43,7 @@ from .mean import (
     run_blocked,
 )
 from .oracle import (
-    complex_gaussian_moment,
+    gaussian_expectation,
     normalized_expectation,
     tensor_quadrature,
 )

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mean as mean_mod
-from .action import _route, _scan_action, _scan_widths, fresnel_limit_scan
+from .action import _MAX_QUADRATIC_RANK, _route, _scan_action, _scan_widths, fresnel_limit_scan
 from .cylinder import _SIGNIFICANCE, _bins_per_rank, _ranks, hierarchy_certify
 from .errors import DiracMeanError, ParseError, ValidationError, as_count, as_number
-from .oracle import _box, normalized_expectation
+from .oracle import _box, gaussian_expectation, normalized_expectation
 from .registry import _SECTIONS, _as_list, _built, _require_keys, _section
 from .seq import _MAX_INDEX, UNIT_CUBE, normal_quantiles, uniform_quantiles
 from .weights import product_regularized_policy
@@ -49,7 +49,8 @@ class ExperimentConfig:
     points, the weight-borne route's box (8x the widest regularizer width)
     and the oracle's first grid (4 cells per axis).  ``_parts``, set by
     ``parse_config_dict`` and not a field, holds the objects ``execute`` runs:
-    each section's by key, the ``"run"`` inputs and the ``"oracle"`` integrand."""
+    each section's by key, the ``"run"`` inputs and the ``"oracle"``, a call
+    returning the oracle's value and the cells per axis its quadrature used."""
 
     mode: str
     budget: int | None
@@ -215,7 +216,7 @@ def _reads_truncation(settings: dict) -> bool:
 
 def _check_across(cfg: ExperimentConfig) -> None:
     """The rules that tie one key of a checked config to another, read off its
-    built sections; they build the run's inputs and the oracle's integrand."""
+    built sections; they build the run's inputs and the oracle."""
     parts = cfg._parts
     if cfg.mode in ("estimate", "compare"):
         route_keys = (cfg.route, cfg.action, cfg.regularizer)
@@ -262,7 +263,7 @@ def _check_across(cfg: ExperimentConfig) -> None:
     if cfg.source is not None:  # every mode but oracle
         _check_source(cfg.source, rank, cfg.route is not None, cfg.budget)
     if cfg.mode in ("oracle", "compare"):
-        parts["oracle"] = _oracle_integrand(cfg)
+        parts["oracle"] = _oracle(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def _mode_estimate(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, d
     code, result, report = _run_estimate(config)
     trace_path = outdir / "trace.csv"
     report.write_csv(trace_path)
-    return code, result, {"trace_csv": str(trace_path)}
+    return code, result, {"trace_csv": trace_path.name}
 
 
 def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
@@ -313,23 +314,31 @@ def _mode_certify(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), result, {}
 
 
-def _oracle_integrand(config: ExperimentConfig):
-    """The quadrature oracle's function, density and box for an ``oracle`` or
-    ``compare`` run: an oracle's ``density`` on the unit cube; else the
-    regularizer and action's ``xi e^{-iS}`` on the regularizer measure's
-    truncated domain, for an oracle or a compare route; else the source's
-    sampling density times the policy's weights on the source's domain."""
+def _oracle(config: ExperimentConfig):
+    """The oracle of an ``oracle`` or ``compare`` run, a call returning its
+    value and the cells per axis its quadrature used.  Its measure is an
+    oracle's ``density`` on the unit cube; else the regularizer and
+    action's ``xi e^{-iS}`` on the regularizer measure's domain, for an
+    oracle or a compare route; else the source's sampling density times
+    the policy's weights on the source's domain.  Where ``xi`` covers every
+    coordinate of that complex Gaussian, at ranks up to the action's cap,
+    and the function knows its Gaussian mean, the value is the closed form
+    and the cells are ``None``; elsewhere the quadrature runs, at ranks 1 to
+    3, on the domain cut at ``truncation``."""
     parts = config._parts
     func = parts["function"]
+    closed_form = False
     if config.density is not None:
         density = parts["density"]
         rho, domain = density.eval_block, ((0.0, 1.0),) * max(density.rank, 1)
     elif config.regularizer is not None:
-        reg = parts["regularizer"]
-        pol = product_regularized_policy(reg, parts["action"])
+        reg, action = parts["regularizer"], parts["action"]
+        pol = product_regularized_policy(reg, action)
         rank = max(pol.rank, func.rank if config.mode == "compare" else 0)
         rho = pol.weights
         domain = reg.domain(rank, config.truncation)
+        closed_form = (func.gaussian_mean is not None
+                       and rank == pol.covered <= _MAX_QUADRATIC_RANK)
     else:
         if config.policy.get("index_phase", 0.0) != 0.0:
             raise ValidationError("policy.index_phase",
@@ -343,16 +352,22 @@ def _oracle_integrand(config: ExperimentConfig):
         rho = weights if density is None else (lambda x: density(x) * weights(x))
     if func.rank > len(domain):
         raise ValidationError("function", f"rank {func.rank} exceeds the density rank {len(domain)}")
+    # Only a truncation past the float range makes a box the quadrature
+    # refuses; it cuts every axis alike, so the first axis tells.
+    _built("truncation", _box, domain[:1])
+    if closed_form:
+        return lambda: (gaussian_expectation(func, action, reg), None)
     if len(domain) > 3:
         if config.mode == "oracle":
-            raise ValidationError("density", "oracle mode supports ranks up to 3")
-        raise ValidationError("function", "compare mode supports oracle ranks up to 3")
-    # Only a truncation past the float range makes a box the oracle refuses.
-    return func.eval_block, rho, _built("truncation", _box, domain)
+            raise ValidationError("density", "oracle mode supports ranks up to 3 where the "
+                                  "closed form does not apply")
+        raise ValidationError("function", "compare mode supports oracle ranks up to 3 where the "
+                              "closed form does not apply")
+    return lambda: normalized_expectation(func.eval_block, rho, domain)
 
 
 def _mode_oracle(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, dict]:
-    value, cells = normalized_expectation(*config._parts["oracle"])
+    value, cells = config._parts["oracle"]()
     result = {
         "value_re": _finite(value.real),
         "value_im": _finite(value.imag),
@@ -365,12 +380,12 @@ def _mode_compare(config: ExperimentConfig, outdir: Path) -> tuple[int, dict, di
     report = _run_estimate(config)[2]
     trace_path = outdir / "trace.csv"
     report.write_csv(trace_path)
-    files = {"trace_csv": str(trace_path)}
+    files = {"trace_csv": trace_path.name}
     if report.degenerate:
         result = {"estimate": "degenerate", "oracle": None, "pass": False,
                   "tolerance": config.tolerance}
         return EXIT_DEGENERATE, result, files
-    oracle_value, cells = normalized_expectation(*config._parts["oracle"])
+    oracle_value, cells = config._parts["oracle"]()
     error = abs(report.final_estimate - oracle_value)
     ok = error <= config.tolerance
     result = {
@@ -420,7 +435,7 @@ def _mode_fresnel_scan(config: ExperimentConfig, outdir: Path) -> tuple[int, dic
         writer = csv.writer(fh)
         writer.writerow(("sigma", "re_est", "im_est", "den_ratio", "stop_reason", "N_used"))
         writer.writerows(rows)
-    return EXIT_OK, {"scan": entries}, {"scan_csv": str(scan_path)}
+    return EXIT_OK, {"scan": entries}, {"scan_csv": scan_path.name}
 
 
 _MODE_HANDLERS = {

@@ -42,11 +42,17 @@ class CylinderFunction:
     on its own row only; any other shape raises ``ValidationError``.  For
     ``rank == 0`` a plain number is accepted and the function is that
     constant.
+
+    ``gaussian_mean``, where the function has a closed-form moment, maps a
+    complex Gaussian's mean and covariance (a list and a list of rows of
+    Python complexes, at least ``rank`` long) to the function's mean under
+    it; see :func:`~diracmean.oracle.gaussian_expectation`.
     """
 
     rank: int
     base: Callable[[np.ndarray], np.ndarray] | complex | float
     label: str = ""
+    gaussian_mean: Callable[[list, list], complex] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rank", as_count("rank", self.rank, 0))

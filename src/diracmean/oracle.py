@@ -1,9 +1,9 @@
-"""Independent ground truth: tensor-product quadrature and closed forms.
+"""Independent ground truth: tensor-product quadrature and the closed
+form of the complex Gaussian.
 
 Deterministic composite Gauss-Legendre quadrature up to rank 3,
-refined by cell doubling until two successive resolutions agree, plus
-the closed-form moments of complex Gaussian densities.  A normalized
-expectation is one quadrature of the stacked integrand
+refined by cell doubling until two successive resolutions agree.  A
+normalized expectation is one quadrature of the stacked integrand
 ``(density, |density|, f * density)``, so the density is evaluated once
 per grid.  Both quadrature functions take the box as a tuple of
 ``(lo, hi)`` pairs, 1 to 3 finite axes, and return
@@ -13,6 +13,12 @@ estimator tolerances they back, so oracle error never masks estimator
 error.  A box for an unbounded measure comes from its quantile family
 (``QuantileFamily.domain``), cut at a truncation multiple of its widest
 scale.
+
+Where the measure is a Gaussian regularizer times ``e^{-iS}`` of a
+quadratic action, it is a complex Gaussian, and
+:func:`gaussian_expectation` gives the normalized integral of a function
+that knows its Gaussian moment in closed form, at any rank and with no
+box: no quadrature and no truncation.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateOracle, NoConvergence, ValidationError, as_number
+from .action import QuadraticAction
+from .errors import DegenerateOracle, NoConvergence, ValidationError
 
 __all__ = [
     "tensor_quadrature",
     "normalized_expectation",
-    "complex_gaussian_moment",
+    "gaussian_expectation",
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -141,16 +148,42 @@ def normalized_expectation(f: Callable, density: Callable, domain) -> tuple[comp
     return num / z, cells
 
 
-def complex_gaussian_moment(curvature: float, width: float, moment: int) -> complex:
-    """Closed-form moments of the density
-    ``exp(-x^2 / (2 width^2)) * exp(-i curvature x^2 / 2)`` on the line:
-    moment 0 is 1 (normalization), moment 2 is
-    ``width^2 / (1 + i curvature width^2)``."""
-    width = as_number("width", width, 0.0)
-    curvature = as_number("curvature", curvature)
-    if moment == 0:
-        return 1.0 + 0.0j
-    if moment == 2:
-        w2 = width * width
-        return w2 / (1.0 + 1j * curvature * w2)
-    raise ValidationError("moment", f"has a closed form only for 0 and 2, got {moment!r}")
+def gaussian_expectation(func, action, regularizer) -> complex:
+    """The normalized integral of ``func`` against ``xi(x) e^{-i S(x)}``
+    over R^d in closed form, where ``xi`` is the density of the
+    ``normal_quantiles`` family ``regularizer`` on its d = ``len(widths)``
+    coordinates and ``S(x) = x.A.x / 2 + b.x + c0`` is the quadratic
+    ``action``, A and b zero-padded to d.
+
+    The normalized measure is the complex Gaussian of covariance
+    ``Sigma = M^-1``, ``M = diag(widths)^-2 + i A``, and mean
+    ``mu = -i Sigma b``; ``c0`` and the normalization cancel.  The value is
+    ``func.gaussian_mean(mu, Sigma)``, the function's own moment, handed
+    lists of Python complexes.  ``ValidationError`` names ``function``
+    when it has no ``gaussian_mean``, ``action`` when it is not a
+    ``QuadraticAction``, and ``regularizer`` when it is not a normal
+    family covering every coordinate the action and the function read.
+    """
+    if getattr(regularizer, "family", None) != "normal":
+        raise ValidationError("regularizer", "must be a 'normal' family for the closed form")
+    if not isinstance(action, QuadraticAction):
+        raise ValidationError("action", "must be a quadratic action for the closed form")
+    if getattr(func, "gaussian_mean", None) is None:
+        raise ValidationError("function", f"{func.label or 'function'} has no closed-form "
+                              "Gaussian mean")
+    widths = regularizer.widths
+    d, r = len(widths), action.rank
+    if max(r, func.rank) > d:
+        raise ValidationError("regularizer", f"covers {d} coordinates but the "
+                              f"action/function need {max(r, func.rank)}")
+    # M^-1 as W (I + i W A W)^-1 W, W = diag(widths): no width is squared
+    # alone, and I + i W A W is normal with eigenvalues 1 + i lambda, so its
+    # inverse has norm at most 1.
+    w = np.asarray(widths)
+    k = np.eye(d, dtype=np.complex128)
+    k[:r, :r] += 1j * (action.matrix * np.multiply.outer(w[:r], w[:r]))
+    cov = [[wi * kij * wj for kij, wj in zip(row, widths)]
+           for row, wi in zip(np.linalg.inv(k).tolist(), widths)]
+    b = action.linear.tolist() + [0.0] * (d - r)
+    mean = [-1j * sum(c * bj for c, bj in zip(row, b)) for row in cov]
+    return complex(func.gaussian_mean(mean, cov))

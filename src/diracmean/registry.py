@@ -9,6 +9,8 @@ testable; ``cli`` owns the modes, the cross-key rules and the output.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .action import quadratic_action
@@ -168,14 +170,38 @@ def _of_action(spec: dict, field: str):
 
 def _coordinate(params: dict, field: str):
     idx = as_count(f"{field}.index", params.get("index", 1), 1)
-    return params, CylinderFunction(idx, lambda x: x[:, idx - 1], label=f"x{idx}")
+    return params, CylinderFunction(idx, lambda x: x[:, idx - 1], label=f"x{idx}",
+                                    gaussian_mean=lambda mean, cov: mean[idx - 1])
+
+
+def _product_mean(mean: list, cov: list, rank: int) -> complex:
+    """``E[x_1 ... x_rank]`` under a Gaussian of this mean and covariance,
+    by Isserlis' theorem with a mean: ``E[x_i g] = mu_i E[g] + sum_j
+    cov_ij E[dg/dx_j]`` on the smallest index i left, memoized on the
+    set of indices left (a bitmask), at most ``2**rank`` of them."""
+    memo = {0: 1.0}
+
+    def left(s: int) -> complex:
+        if s not in memo:
+            i = (s & -s).bit_length() - 1
+            rest = s & (s - 1)
+            total = mean[i] * left(rest)
+            others = rest
+            while others:
+                j = (others & -others).bit_length() - 1
+                total += cov[i][j] * left(rest & ~(1 << j))
+                others &= others - 1
+            memo[s] = total
+        return memo[s]
+
+    return left((1 << rank) - 1)
 
 
 def _coordinate_product(params: dict, field: str):
     rank = as_count(f"{field}.rank", params.get("rank", 2), 1)
     return params, CylinderFunction(
-        rank, lambda x: np.prod(x[:, :rank], axis=1), label=f"x1..x{rank} product"
-    )
+        rank, lambda x: np.prod(x[:, :rank], axis=1), label=f"x1..x{rank} product",
+        gaussian_mean=lambda mean, cov: _product_mean(mean, cov, rank))
 
 
 def _polynomial(params: dict, field: str):
@@ -188,15 +214,31 @@ def _polynomial(params: dict, field: str):
     def poly(x, c=c, idx=idx):
         return np.polynomial.polynomial.polyval(x[:, idx - 1], c)
 
-    return params, CylinderFunction(idx, poly, label=f"poly{list(c)} of x{idx}")
+    def poly_mean(mean, cov, c=c.tolist(), k=idx - 1):
+        # The raw moments m_n of the coordinate's Gaussian marginal:
+        # m_n = mu m_{n-1} + (n - 1) var m_{n-2}.
+        mu, var = mean[k], cov[k][k]
+        moments = [1.0, mu]
+        for n in range(2, len(c)):
+            moments.append(mu * moments[-1] + (n - 1) * var * moments[-2])
+        return sum(cn * m for cn, m in zip(c, moments))
+
+    return params, CylinderFunction(idx, poly, label=f"poly{c.tolist()} of x{idx}",
+                                    gaussian_mean=poly_mean)
 
 
 def _cosine(params: dict, field: str):
     idx = as_count(f"{field}.index", params.get("index", 1), 1)
     freq = as_number(f"{field}.frequency", params.get("frequency", 1.0))
+
+    def cos_mean(mean, cov):
+        # The real part of the characteristic function, continued to a
+        # complex mean and variance.
+        return cmath.exp(-freq * freq * cov[idx - 1][idx - 1] / 2) * cmath.cos(freq * mean[idx - 1])
+
     return params, CylinderFunction(
-        idx, lambda x: np.cos(freq * x[:, idx - 1]), label=f"cos({freq} x{idx})"
-    )
+        idx, lambda x: np.cos(freq * x[:, idx - 1]), label=f"cos({freq} x{idx})",
+        gaussian_mean=cos_mean)
 
 
 def _gaussian(params: dict, field: str):
@@ -209,7 +251,18 @@ def _gaussian(params: dict, field: str):
 
 def _quadratic_form(params: dict, field: str):
     action = _quadratic(params, field)[1]
-    return params, CylinderFunction(action.rank, action, label="quadratic form")
+    matrix, linear = action.matrix.tolist(), action.linear.tolist()
+
+    def form_mean(mean, cov):
+        # tr(B Sigma) / 2 + mu.B.mu / 2 + b'.mu + c', summed row by row.
+        total = action.constant
+        for i, (row, b) in enumerate(zip(matrix, linear)):
+            total += sum(bij * (cov[j][i] + mean[i] * mean[j]) for j, bij in enumerate(row)) / 2
+            total += b * mean[i]
+        return total
+
+    return params, CylinderFunction(action.rank, action, label="quadratic form",
+                                    gaussian_mean=form_mean)
 
 
 _BUILDERS = {

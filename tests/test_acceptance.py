@@ -34,7 +34,8 @@ from diracmean import (
     weyl_source,
 )
 from diracmean.cli import EXIT_DEGENERATE, main
-from diracmean.oracle import complex_gaussian_moment, normalized_expectation
+from diracmean.oracle import gaussian_expectation, normalized_expectation
+from diracmean.registry import build_function
 
 F_X1 = cylinder_function(1, lambda x: x[:, 0], "x1")
 F_X1SQ = cylinder_function(1, lambda x: x[:, 0] ** 2, "x1^2")
@@ -106,7 +107,10 @@ def test_criterion_04_oscillatory_fresnel_value(fresnel_pullback):
         lambda x: np.exp(-x[:, 0] ** 2 * (1.0 + 1.0j) / 2.0),
         ((-8.0, 8.0),),
     )[0]
-    oracle_err = abs(oracle - complex_gaussian_moment(1.0, 1.0, 2))
+    closed_form = gaussian_expectation(
+        build_function({"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]}),
+        quadratic_action([[1.0]]), normal_quantiles([1.0]))
+    oracle_err = abs(oracle - closed_form)
     ok = announce(4, err <= 5e-3 and oracle_err <= 1e-8 and elapsed < 30.0,
                   f"Fresnel <x^2> via pullback, N=1e6: err={err:.2e} (tol 5e-3), "
                   f"oracle-vs-closed-form={oracle_err:.1e} (tol 1e-8), "

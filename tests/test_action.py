@@ -25,7 +25,6 @@ from diracmean import (
     run,
 )
 from diracmean.errors import CertificationError, ValidationError
-from diracmean.oracle import complex_gaussian_moment
 from diracmean.registry import build_function
 
 F_X1SQ = cylinder_function(1, lambda x: x[:, 0] ** 2, "x1^2")
@@ -286,8 +285,9 @@ def test_fresnel_scan_values_and_trend():
     )
     (s1, r1), (s2, r2) = scan
     assert (s1, s2) == (1.0, 2.0)
-    assert abs(r1.final_estimate - complex_gaussian_moment(1.0, 1.0, 2)) <= 5e-3
-    assert abs(r2.final_estimate - complex_gaussian_moment(1.0, 2.0, 2)) <= 1e-2
+    # <x^2> = width^2 / (1 + i curvature width^2).
+    assert abs(r1.final_estimate - 1.0 / (1.0 + 1.0j)) <= 5e-3
+    assert abs(r2.final_estimate - 4.0 / (1.0 + 4.0j)) <= 1e-2
     limit = -1j  # unregularized value for curvature 1
     assert abs(r2.final_estimate - limit) < abs(r1.final_estimate - limit)
 

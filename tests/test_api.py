@@ -19,9 +19,10 @@ PUBLIC_NAMES = [
     "EquidistributionReport", "MeanAccumulator", "NegativeDensity", "NoConvergence",
     "NonFiniteInput", "ParseError", "PointSource", "QuantileDomain", "QuantileFamily",
     "StoppingRule", "ValidationError", "WeightOverflow",
-    "WeightPolicy", "action", "boltzmann_policy", "box_quantiles", "complex_gaussian_moment",
-    "constant_policy", "convergent_source", "cylinder", "cylinder_function", "density_policy",
-    "errors", "fresnel_limit_scan", "halton_source", "hierarchy_certify", "mean", "merge",
+    "WeightPolicy", "action", "boltzmann_policy", "box_quantiles", "constant_policy",
+    "convergent_source", "cylinder", "cylinder_function", "density_policy", "errors",
+    "fresnel_limit_scan", "gaussian_expectation", "halton_source", "hierarchy_certify", "mean",
+    "merge",
     "normal_quantiles", "normalized_expectation", "oracle", "oscillatory_mean",
     "oscillatory_policy", "product_regularized_policy", "pseudorandom_source", "pullback_source",
     "quadratic_action", "run", "run_blocked", "seq", "tensor_quadrature", "uniform_quantiles",

@@ -117,6 +117,11 @@ def test_unknown_function_name_is_a_validation_error():
         parse_config_dict(bad)
 
 
+def test_polynomial_label_lists_its_coefficients_as_floats():
+    func = build_function({"name": "polynomial", "coeffs": [0, 0, 1], "index": 3})
+    assert func.label == "poly[0.0, 0.0, 1.0] of x3"
+
+
 def test_budget_below_min_samples_rejected():
     bad = dict(MINIMAL, budget=10)
     with pytest.raises(ValidationError, match="budget"):
@@ -383,6 +388,7 @@ def test_certify_halton_passes(tmp_path):
 
 
 def test_oracle_mode_reports_value_and_cells(tmp_path):
+    # A Gaussian regularizer and a quadratic action: the closed form, no cells.
     cfg = {"mode": "oracle",
            "function": {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
            "action": {"matrix": [[1.0]]},
@@ -391,7 +397,60 @@ def test_oracle_mode_reports_value_and_cells(tmp_path):
     assert code == EXIT_OK
     r = summary["result"]
     assert abs(complex(r["value_re"], r["value_im"]) - (0.5 - 0.5j)) <= 1e-8
+    assert r["cells_used"] is None
+    # A function with no closed form runs the quadrature: under the
+    # variance 1 / (1 + i), e^{-x^2 / 2} has mean (1 + 1 / (1 + i))^(-1/2).
+    cfg["function"] = {"name": "gaussian"}
+    code, summary, _ = run_cli(tmp_path, cfg)
+    assert code == EXIT_OK
+    r = summary["result"]
+    assert abs(complex(r["value_re"], r["value_im"]) - (1 + 1 / (1 + 1j)) ** -0.5) <= 1e-8
     assert r["cells_used"] >= 8
+
+
+def test_oracle_over_an_undamped_axis_runs_the_quadrature(tmp_path):
+    # The action reads x2 but the regularizer covers only x1: the measure is
+    # not a Gaussian, and the quadrature integrates it on the cut box.  The
+    # x2 factor cancels from <x1^2>.
+    cfg = {"mode": "oracle", "function": {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
+           "action": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "regularizer": {"widths": [1.0]}}
+    code, summary, _ = run_cli(tmp_path, cfg)
+    r = summary["result"]
+    assert code == EXIT_OK and r["cells_used"] >= 8
+    assert abs(complex(r["value_re"], r["value_im"]) - (0.5 - 0.5j)) <= 1e-8
+
+
+@pytest.mark.parametrize("rank", [4, 16])
+def test_compare_checks_a_route_against_the_closed_form_up_to_rank_16(tmp_path, rank):
+    diag = [k**-2.0 for k in range(1, rank + 1)]
+    matrix = [[diag[i] if i == j else 0.0 for j in range(rank)] for i in range(rank)]
+    cfg = {"mode": "compare", "source": {"kind": "halton", "offset": 1}, "route": "pullback",
+           "action": {"matrix": matrix}, "regularizer": {"widths": [1.0] * rank},
+           "function": {"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": rank},
+           "budget": 1 << 16, "stopping": {"min_samples": 1 << 16}}
+    code, summary, _ = run_cli(tmp_path, cfg)
+    r = summary["result"]
+    assert (code, r["pass"], r["oracle_cells_used"]) == (EXIT_OK, True, None)
+    assert abs(complex(r["oracle"]["re"], r["oracle"]["im"]) - 1 / (1 + 1j * diag[-1])) <= 1e-15
+
+
+@pytest.mark.parametrize("cfg, field", [
+    # A function with no closed form keeps to the quadrature's ranks.
+    ({"mode": "compare", "source": {"kind": "halton", "offset": 1}, "route": "pullback",
+      "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0] * 4},
+      "function": {"name": "gaussian", "widths": [1.0] * 4}, "budget": 2000}, "function"),
+    # Past the action's cap of 16.
+    ({"mode": "compare", "source": {"kind": "halton", "offset": 1}, "route": "pullback",
+      "action": {"matrix": [[1.0]]}, "regularizer": {"widths": [1.0] * 17},
+      "function": {"name": "coordinate-product", "rank": 17}, "budget": 2000}, "function"),
+    # Undamped axes: the regularizer covers 3 of the action's 4.
+    ({"mode": "oracle", "function": {"name": "coordinate", "index": 1},
+      "action": {"matrix": [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]},
+      "regularizer": {"widths": [1.0] * 3}}, "density"),
+], ids=["no-closed-form", "past-the-action-cap", "undamped-axis"])
+def test_the_quadrature_oracle_still_stops_at_rank_3(cfg, field):
+    with pytest.raises(ValidationError, match=f"^{field}: .*ranks up to 3"):
+        parse_config_dict(cfg)
 
 
 def test_oracle_mode_plain_density(tmp_path):
@@ -499,6 +558,25 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert main(["estimate", "--config", str(path), "--out", str(out2)]) == EXIT_OK
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (dict(DENSITY, budget=2000), "trace_csv"),
+    (dict(DENSITY, mode="compare", budget=2000, tolerance=0.5), "trace_csv"),
+    ({"mode": "fresnel-scan", "source": {"kind": "halton", "offset": 1},
+      "action": {"matrix": [[1.0]]}, "sigmas": [1.0, 2.0], "budget": 2000}, "scan_csv"),
+], ids=["estimate", "compare", "fresnel-scan"])
+def test_summary_names_its_outputs_relative_to_its_directory(tmp_path, cfg, key):
+    # So the bytes written do not depend on where the output directory lies.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    summaries = []
+    for out in (tmp_path / "a", tmp_path / "a-longer-directory-name"):
+        main([cfg["mode"], "--config", str(path), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert (out / summary["outputs"][key]).is_file()
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_seed_flag_overrides_pseudorandom_source(tmp_path):

@@ -89,8 +89,6 @@ BAD_ARGUMENTS = [
     ("28", "n_blocks", lambda: dm.run_blocked(dm.halton_source(1), dm.constant_policy(), F_X1, 8, 0)),
     ("29", "domain", lambda: dm.tensor_quadrature(lambda x: x[:, 0], ())),
     ("30", "domain", lambda: dm.tensor_quadrature(lambda x: x[:, 0], ((1.0, 0.0),))),
-    ("32", "moment", lambda: dm.complex_gaussian_moment(1.0, 1.0, 1)),
-    ("33", "curvature", lambda: dm.complex_gaussian_moment(math.inf, 1.0, 2)),
     ("36", "index_offset", lambda: dm.halton_source(3).block(2**63 - 2, 2**63 - 1, 2)),
     ("37", "start", lambda: dm.halton_source().block(-1, 2, 1)),
     ("38", "rank", lambda: dm.halton_source().block(0, 2, 0)),
@@ -131,6 +129,10 @@ BAD_ARGUMENTS = [
      lambda: dm.product_regularized_policy(dm.uniform_quantiles(), ACT)),
     ("domain-rank-4", "domain",
      lambda: dm.normalized_expectation(lambda x: x[:, 0], lambda x: x[:, 0], ((0.0, 1.0),) * 4)),
+    ("closed-form-without-gaussian-mean", "function",
+     lambda: dm.gaussian_expectation(F_X1, ACT, REG)),
+    ("closed-form-box-regularizer", "regularizer",
+     lambda: dm.gaussian_expectation(F_X1, ACT, dm.box_quantiles(1.0))),
 ]
 
 
@@ -147,8 +149,7 @@ def test_bad_argument_raises_validation_error_naming_it(field, call):
     ("widths", lambda: dm.normal_quantiles(math.inf)),
     ("half_width", lambda: dm.box_quantiles([math.inf])),
     ("widths", lambda: dm.normal_quantiles([1.0, math.nan])),
-    ("width", lambda: dm.complex_gaussian_moment(1.0, math.nan, 2)),
-], ids=["normal-nan", "normal-inf", "box-inf", "regularizer-nan", "moment-nan"])
+], ids=["normal-nan", "normal-inf", "box-inf", "regularizer-nan"])
 def test_non_finite_widths_are_rejected(field, call):
     with pytest.raises(ValidationError, match=rf"^{field}: must be a finite number > 0"):
         call()

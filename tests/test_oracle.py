@@ -5,9 +5,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diracmean import (
+    box_quantiles,
+    cylinder_function,
+    normal_quantiles,
+    product_regularized_policy,
+    quadratic_action,
+)
 from diracmean.errors import DegenerateOracle, NoConvergence, ValidationError
-from diracmean.oracle import complex_gaussian_moment, normalized_expectation, tensor_quadrature
+from diracmean.oracle import gaussian_expectation, normalized_expectation, tensor_quadrature
+from diracmean.registry import build_function
 
 UNIT_1D = ((0.0, 1.0),)
 UNIT_2D = ((0.0, 1.0), (0.0, 1.0))
@@ -165,15 +175,31 @@ def test_degenerate_oracle_detected():
         normalized_expectation(lambda x: x[:, 0] ** 2, lambda x: x[:, 0], ((-1.0, 1.0),))
 
 
+X1_SQUARED = build_function({"name": "polynomial", "coeffs": [0.0, 0.0, 1.0]})
+
+
+def _gaussian_moment(curvature, width, func=X1_SQUARED):
+    return gaussian_expectation(func, quadratic_action([[curvature]]), normal_quantiles([width]))
+
+
 def test_closed_form_moments():
-    assert complex_gaussian_moment(0.0, 1.0, 2) == 1.0 + 0.0j
-    assert complex_gaussian_moment(1.0, 1.0, 2) == pytest.approx(0.5 - 0.5j, abs=1e-15)
+    # <x^2> = width^2 / (1 + i curvature width^2) on the line.
+    assert _gaussian_moment(0.0, 1.0) == 1.0 + 0.0j
+    assert _gaussian_moment(1.0, 1.0) == pytest.approx(0.5 - 0.5j, abs=1e-15)
+    one = build_function({"name": "polynomial", "coeffs": [1.0]})
     for a in (0.0, 0.7, 2.0):
-        assert complex_gaussian_moment(a, 1.3, 0) == 1.0 + 0.0j
-    with pytest.raises(ValidationError):
-        complex_gaussian_moment(1.0, 1.0, 1)
-    with pytest.raises(ValidationError):
-        complex_gaussian_moment(1.0, 0.0, 2)
+        assert _gaussian_moment(a, 1.3, one) == 1.0 + 0.0j
+    act, reg = quadratic_action([[1.0]]), normal_quantiles([1.0])
+    for func, action, regularizer, field in [
+        (cylinder_function(1, lambda x: x[:, 0] ** 2), act, reg, "function"),
+        (build_function({"name": "gaussian"}), act, reg, "function"),
+        (X1_SQUARED, act, box_quantiles(1.0), "regularizer"),
+        (X1_SQUARED, quadratic_action(np.eye(2)), reg, "regularizer"),
+        (build_function({"name": "coordinate", "index": 2}), act, reg, "regularizer"),
+        (X1_SQUARED, object(), reg, "action"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            gaussian_expectation(func, action, regularizer)
 
 
 @pytest.mark.parametrize("curvature", [0.0, 0.5, 1.0, 2.0])
@@ -185,7 +211,96 @@ def test_oracle_self_consistency(curvature, width):
         lambda x: np.exp(-x[:, 0] ** 2 / (2.0 * width**2) - 1j * curvature * x[:, 0] ** 2 / 2.0),
         ((-half, half),),
     )[0]
-    assert abs(got - complex_gaussian_moment(curvature, width, 2)) <= 1e-8
+    assert abs(got - _gaussian_moment(curvature, width)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the closed form of the complex Gaussian against the tensor quadrature
+
+
+def _quadrature(func, action, reg, truncation=8.0):
+    """The tensor oracle of the measure the closed form integrates."""
+    pol = product_regularized_policy(reg, action)
+    return normalized_expectation(func.eval_block, pol.weights,
+                                  reg.domain(len(reg.widths), truncation))[0]
+
+
+@st.composite
+def _gaussian_case(draw):
+    rank = draw(st.integers(1, 2))
+    unit = st.floats(-1.0, 1.0)
+
+    def symmetric(scale):
+        a = np.array([[draw(unit) * scale for _ in range(rank)] for _ in range(rank)])
+        return ((a + a.T) / 2.0).tolist()
+
+    def vector():
+        return [draw(unit) for _ in range(rank)]
+
+    widths = [draw(st.floats(0.3, 1.5)) for _ in range(rank)]
+    index = draw(st.integers(1, rank))
+    spec = draw(st.sampled_from([
+        {"name": "coordinate", "index": index},
+        {"name": "coordinate-product", "rank": rank},
+        {"name": "polynomial", "index": index,
+         "coeffs": [draw(unit) for _ in range(draw(st.integers(1, 5)))]},
+        {"name": "cosine", "index": index, "frequency": draw(unit) * 3.0},
+        {"name": "quadratic-form", "matrix": symmetric(1.0), "linear": vector(),
+         "constant": draw(unit)},
+    ]))
+    action = quadratic_action(symmetric(2.0), vector(), draw(unit))
+    return action, normal_quantiles(widths), spec
+
+
+@given(_gaussian_case())
+@settings(max_examples=30, deadline=None)
+def test_closed_form_matches_the_quadrature_at_ranks_1_and_2(case):
+    action, reg, spec = case
+    func = build_function(spec)
+    assert abs(gaussian_expectation(func, action, reg) - _quadrature(func, action, reg)) <= 1e-8
+
+
+def test_closed_form_matches_the_quadrature_at_rank_3_non_diagonal():
+    action = quadratic_action([[1.0, 0.4, -0.3], [0.4, 0.5, 0.2], [-0.3, 0.2, 2.0]],
+                              [0.2, -0.4, 0.1], 7.0)
+    reg = normal_quantiles([0.5, 0.6, 0.4])
+    funcs = [build_function(spec) for spec in [
+        {"name": "coordinate-product", "rank": 3},
+        {"name": "polynomial", "coeffs": [0.5, -1.0, 0.0, 2.0], "index": 2},
+        {"name": "cosine", "index": 3, "frequency": 2.0},
+        {"name": "quadratic-form", "matrix": [[1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]],
+         "linear": [0.0, 0.3, -0.2]},
+    ]]
+    rho = product_regularized_policy(reg, action).weights
+    # One quadrature of (rho, f rho for each f), the grid shared.
+    (z, *nums), _ = tensor_quadrature(
+        lambda x: np.stack([rho(x)] + [f.eval_block(x) * rho(x) for f in funcs]),
+        reg.domain(3, 8.0))
+    for func, num in zip(funcs, nums):
+        assert abs(gaussian_expectation(func, action, reg) - num / z) <= 1e-8, func.label
+
+
+def test_closed_form_sits_within_the_truncated_tail_of_the_rank3_quadrature():
+    # The benchmark's rank-3 oracle: a diagonal action, widths 0.5, <x3^2>
+    # and each axis cut at T = 6 widths.  The box is a product and the
+    # density factorizes, so only the x3 axis moves the ratio: with g the
+    # x3 factor, the cut drops N_tail = int_{|x|>T sigma} x^2 g and
+    # Z_tail = int_{|x|>T sigma} g, and moves N/Z by (v Z_tail - N_tail) / Z_T,
+    # |Z| = sigma sqrt(2 pi) / |1 + i a sigma^2|^(1/2).
+    a, sigma, t = 2.0, 0.5, 6.0
+    action = quadratic_action(np.diag([1.0, 0.5, a]).tolist())
+    reg = normal_quantiles([sigma] * 3)
+    func = build_function({"name": "polynomial", "coeffs": [0.0, 0.0, 1.0], "index": 3})
+    exact = gaussian_expectation(func, action, reg)
+    assert exact == pytest.approx(sigma**2 / (1 + 1j * a * sigma**2), abs=1e-16)
+    q = 0.5 * math.erfc(t / math.sqrt(2.0))
+    t_phi = t * math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+    # |N_tail| and |Z_tail| over |Z|, and |Z_T| >= |Z| (1 - that share).
+    amp = abs(1 + 1j * a * sigma**2) ** 0.5
+    n_share, z_share = sigma**2 * 2.0 * (t_phi + q) * amp, 2.0 * q * amp
+    bound = (n_share + abs(exact) * z_share) / (1.0 - z_share)
+    diff = abs(_quadrature(func, action, reg, t) - exact)
+    assert 1e-9 < diff <= bound < 2.5e-8
 
 
 def test_domain_validation():

@@ -1,5 +1,4 @@
-"""Pinned bits of seven `run`s, two `run_blocked`s and six CLI quadrature
-oracles.
+"""Pinned bits of seven `run`s, two `run_blocked`s and six CLI oracles.
 
 For each run: the estimate, N_used, stop reason and trace rows.  For
 each blocked run: ``float.hex`` of the accumulator's numerator,
@@ -17,7 +16,11 @@ checkpoint inside a block began to read the accumulator a stop there
 returns, the block's prefix added as ``add_block`` adds it, instead of
 separate prefix sums; again no estimate bits, N_used or stop reason moved,
 and the other four runs kept every bit.  The oracle pins predate quantile families owning their
-density and domain.
+density and domain.  The two route pins and ``oracle-rank3`` were re-pinned
+when a Gaussian regularizer times ``e^{-iS}`` of a quadratic action began
+to be integrated in closed form: their cells are ``None``, the route value
+moved by 4 ulps of its real part, and ``oracle-rank3`` lost its 6-width
+truncation error and is now 0.2 - 0.1i to the last bit.
 ``PYTHONPATH=src python tests/test_reproducibility.py`` prints the
 current values in the layout of ``PINNED``, ``PINNED_BLOCKED`` and
 ``PINNED_ORACLES``.
@@ -177,9 +180,9 @@ PINNED_ORACLES = {
     'compare-box-pullback-unequal-widths': (('0x1.5555555555559p+0', '0x0.0p+0'), 8),
     'compare-density-halton': (('0x1.1c71c71c71c72p-1', '0x0.0p+0'), 8),
     'compare-normal-pullback': (('0x1.0000000000000p-2', '0x0.0p+0'), 64),
-    'compare-route-pullback': (('0x1.0e40a1e9e96a6p-2', '-0x1.d3eda57640049p-3'), 64),
-    'compare-route-weight-borne': (('0x1.0e40a1e9e96a6p-2', '-0x1.d3eda57640049p-3'), 64),
-    'oracle-rank3': (('0x1.99999bdeec55ep-3', '-0x1.999998b66fb31p-4'), 16),
+    'compare-route-pullback': (('0x1.0e40a1e9e96a2p-2', '-0x1.d3eda57640049p-3'), None),
+    'compare-route-weight-borne': (('0x1.0e40a1e9e96a2p-2', '-0x1.d3eda57640049p-3'), None),
+    'oracle-rank3': (('0x1.999999999999ap-3', '-0x1.999999999999ap-4'), None),
 }
 
 
